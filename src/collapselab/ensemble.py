@@ -5,7 +5,13 @@ steps psi_tilde with the midpoint exponential of h0 plus the linearized
 transformed interaction; the field lives on the half-step grid, so the
 interaction at step midpoints is supported exactly and the ensemble mean
 follows the matched double-commutator equation by construction. The
-untransformed route solves the nonlocal equation per realization and
+exponential is applied to the state as a truncated Taylor series of batched
+mat-vecs (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011), never formed:
+each realization takes its own degree from its own bound theta = dt times
+the 1-norm of its generator, keeping terms until theta^(m+1)/(m+1)! <= 2^-53,
+and splits steps with theta > 0.5 into ceil(theta / 0.5) sub-steps. A
+non-finite generator raises StepRejected naming the realization and step.
+The untransformed route solves the nonlocal equation per realization and
 evaluates surface corrections node by node; it is far slower and is meant
 for small ensembles that compare the two pictures on the same field path.
 
@@ -38,6 +44,7 @@ from .errors import (
     ConfigError,
     PictureNotRecorded,
     ScenarioViolation,
+    StepRejected,
 )
 from .evolution import (
     equal_time_hamiltonian,
@@ -49,6 +56,8 @@ from .grids import TimeGrid, Window
 from .lattice import _as_matrix, _as_vector, sqrtmh
 
 BLOCK = 256
+_TAYLOR_TOL = 2.0**-53  # truncation bound theta^(m+1)/(m+1)! of one sub-step
+_SUBSTEP_THETA = 0.5  # largest theta stepped without splitting
 WORKER_ENV = "COLLAPSELAB_WORKERS"
 
 PICTURES = ("transformed", "untransformed", "both")
@@ -173,15 +182,67 @@ def _checkpoint_nodes(n: int, count: int) -> np.ndarray:
     return np.unique(np.linspace(0, n - 1, max(2, min(count, n))).round().astype(int))
 
 
-def _noise_tables(model: ModelSetup, window: Window, seeds) -> np.ndarray:
-    """Half-grid field tables, one row set per realization."""
+def _run_blocks(task, count: int) -> None:
+    """Call task(i) for every block index, serially or on worker threads."""
+    workers = worker_count()
+    if workers == 1:
+        for i in range(count):
+            task(i)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(task, range(count)))
+
+
+def _noise_tables(model: ModelSetup, window: Window, seed: int, rows: range,
+                  pad: int) -> np.ndarray:
+    """Half-grid field tables of the given realizations, one row set each,
+    zero-padded by `pad` half-steps at both ends."""
     grid = model.grid
-    n = grid.n_nodes
-    out = np.empty((len(seeds), len(model.channels), 2 * (n - 1) + 1))
-    for i, seed in enumerate(seeds):
-        noise = sample_noise(list(model.channels), grid, int(seed), window=window)
-        out[i] = noise.table(grid.t0, 0.5 * grid.dt, 2 * (n - 1) + 1)
+    m = 2 * (grid.n_nodes - 1) + 1
+    out = np.zeros((len(rows), len(model.channels), m + 2 * pad))
+    for i, r in enumerate(rows):
+        noise = sample_noise(list(model.channels), grid, seed ^ r, window=window)
+        out[i, :, pad : pad + m] = noise.table(grid.t0, 0.5 * grid.dt, m)
     return out
+
+
+def _expm_action(gen: np.ndarray, psi: np.ndarray, dt: float, rows: range,
+                 step: int) -> np.ndarray:
+    """exp(-i dt gen_r) psi_r for every row r of a batch of Hermitian gen.
+
+    Row r bounds its exponent by theta_r = dt ||gen_r||_1, takes
+    s_r = ceil(theta_r / _SUBSTEP_THETA) sub-steps and sums each one's
+    Taylor series up to the first degree m with
+    (theta_r / s_r)^(m+1) / (m+1)! <= _TAYLOR_TOL. Terms and sub-steps past
+    a row's own count are masked out, so its bits never depend on the other
+    rows of the batch. `rows` and `step` only name a failing realization in
+    the StepRejected raised for a non-finite bound.
+    """
+    theta = dt * np.abs(gen).sum(axis=1).max(axis=1)
+    bad = np.flatnonzero(~np.isfinite(theta))
+    if bad.size:
+        r = bad[0]
+        raise StepRejected(f"realization {rows[r]}, step {step}: "
+                           f"non-finite step bound theta = {theta[r]}")
+    subs = np.maximum(np.ceil(theta / _SUBSTEP_THETA), 1.0)
+    theta_sub = theta / subs
+    degree = np.zeros(theta.size, dtype=int)
+    tail = theta_sub.copy()  # theta_sub^(m+1) / (m+1)! at order m
+    m = 0
+    while (tail > _TAYLOR_TOL).any():
+        degree += tail > _TAYLOR_TOL
+        m += 1
+        tail = tail * theta_sub / (m + 1)
+    coef = (-1j * dt / subs)[:, None]
+    for i in range(int(subs.max())):
+        live = (subs > i)[:, None]
+        term = psi
+        acc = psi.copy()
+        for k in range(1, degree.max() + 1):
+            term = (gen @ term[:, :, None])[:, :, 0] * (coef / k)
+            np.add(acc, term, out=acc, where=live & (degree >= k)[:, None])
+        psi = acc
+    return psi
 
 
 class _TransformedRun:
@@ -219,12 +280,8 @@ class _TransformedRun:
         n = grid.n_nodes
         dt = grid.dt
         spacing = model.spacing
-        seeds = [self.cfg.seed ^ r for r in rows]
-        tables = _noise_tables(model, self.window, seeds)
-        b = len(rows)
-        pads = np.zeros((b, tables.shape[1], tables.shape[2] + 2 * self.pad))
-        pads[:, :, self.pad : self.pad + tables.shape[2]] = tables
-        psi = np.broadcast_to(self.psi0, (b, self.psi0.size)).copy()
+        pads = _noise_tables(model, self.window, self.cfg.seed, rows, self.pad)
+        psi = np.broadcast_to(self.psi0, (len(rows), self.psi0.size)).copy()
         sel = slice(rows.start, rows.stop)
         cp_nodes = stats.checkpoint_nodes
         cp_pos = {int(node): c for c, node in enumerate(cp_nodes)}
@@ -259,12 +316,8 @@ class _TransformedRun:
                 sig_sum[c] += outer.sum(axis=0)
                 sig_sq[c] += (outer.real**2 + 1j * outer.imag**2).sum(axis=0)
             if j < n - 1:
-                w_mid = self._interaction(pads, self.mid_idx[j])
-                gen = w_mid + model.h0[None]
-                vals, vecs = np.linalg.eigh(gen)
-                coef = np.einsum("rba,rb->ra", vecs.conj(), psi)
-                coef *= np.exp(-1j * dt * vals)
-                psi = np.einsum("rab,rb->ra", vecs, coef)
+                gen = self._interaction(pads, self.mid_idx[j]) + model.h0[None]
+                psi = _expm_action(gen, psi, dt, rows, j)
 
 
 def _solver_block(model: ModelSetup, cfg: EnsembleConfig, psi0, rows: range,
@@ -386,13 +439,7 @@ def run_ensemble(psi0, cfg: EnsembleConfig, model: ModelSetup) -> EnsembleStats:
             _solver_block(model, cfg, psi0, blocks[i], stats, partials[i],
                           window, record_transformed)
 
-    workers = worker_count()
-    if workers == 1:
-        for i in range(len(blocks)):
-            task(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(task, range(len(blocks))))
+    _run_blocks(task, len(blocks))
 
     sig_sum = np.sum([p["sigma_sum"] for p in partials], axis=0)
     sig_sq = np.sum([p["sigma_sq"] for p in partials], axis=0)
@@ -590,11 +637,7 @@ def mc_mean_drift(model: ModelSetup, realizations: int, seed: int,
     sq_im = np.zeros((len(blocks), dim, dim))
 
     def task(i):
-        rows = blocks[i]
-        tables = _noise_tables(model, window, [seed ^ r for r in rows])
-        b = len(rows)
-        pads = np.zeros((b, tables.shape[1], tables.shape[2] + 2 * pad))
-        pads[:, :, pad : pad + tables.shape[2]] = tables
+        pads = _noise_tables(model, window, seed, blocks[i], pad)
         w_all = np.einsum("rajd,adxy->rjxy", pads[:, :, node_idx[: node + 1]],
                           wstack, optimize=True)
         trap = np.full(node + 1, grid.dt)
@@ -605,13 +648,7 @@ def mc_mean_drift(model: ModelSetup, realizations: int, seed: int,
         sq_re[i] = (est.real**2).sum(axis=0)
         sq_im[i] = (est.imag**2).sum(axis=0)
 
-    workers = worker_count()
-    if workers == 1:
-        for i in range(len(blocks)):
-            task(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(task, range(len(blocks))))
+    _run_blocks(task, len(blocks))
     total = sums.sum(axis=0)
     mean = total / realizations
     var = (sq_re.sum(axis=0) / realizations - mean.real**2) + (

@@ -36,7 +36,8 @@ class NoConvergence(CollapseLabError):
 
 
 class StepRejected(CollapseLabError):
-    """An integrator step violated a structural bound (hermiticity)."""
+    """An integrator step violated a structural bound (hermiticity) or met a
+    non-finite generator."""
 
 
 class NotEigenstate(CollapseLabError):

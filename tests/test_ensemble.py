@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collapselab.channels import eigenmode_difference
 from collapselab.ensemble import (
@@ -13,11 +15,13 @@ from collapselab.ensemble import (
     split_branches,
     variance_diagnostics,
     worker_count,
+    _expm_action,
 )
 from collapselab.errors import (
     ConfigError,
     PictureNotRecorded,
     ScenarioViolation,
+    StepRejected,
 )
 from collapselab.grids import TimeGrid, Window
 from collapselab.lattice import EigenSystem
@@ -232,3 +236,113 @@ def test_mc_mean_drift_matches_quadrature(lat4, h0_4, grid16):
         mc_mean_drift(model, 100, seed=11, node=0)
     with pytest.raises(ConfigError):
         mc_mean_drift(model, 100, seed=11, node=grid16.n_nodes)
+
+
+def eigh_step(gen, psi, dt):
+    """Reference step exp(-i dt gen_r) psi_r through a batched eigh."""
+    vals, vecs = np.linalg.eigh(gen)
+    coef = np.einsum("rba,rb->ra", vecs.conj(), psi) * np.exp(-1j * dt * vals)
+    return np.einsum("rab,rb->ra", vecs, coef)
+
+
+def hermitian_batch(rng, rows, dim, thetas, dt):
+    """Random Hermitian generators scaled to dt * ||gen_r||_1 = thetas[r],
+    with unit states."""
+    gen = rng.standard_normal((rows, dim, dim)) + 1j * rng.standard_normal(
+        (rows, dim, dim))
+    gen = gen + gen.conj().transpose(0, 2, 1)
+    norm1 = np.abs(gen).sum(axis=1).max(axis=1)
+    gen *= (np.asarray(thetas) / (dt * norm1))[:, None, None]
+    psi = rng.standard_normal((rows, dim)) + 1j * rng.standard_normal((rows, dim))
+    psi /= np.linalg.norm(psi, axis=1)[:, None]
+    return gen, psi
+
+
+@pytest.mark.parametrize("dim", [8, 16])
+def test_expm_action_matches_eigh(dim):
+    rng = np.random.default_rng(dim)
+    dt = 0.03
+    thetas = np.geomspace(0.05, 5.0, 24)  # above 0.5 the step is split
+    gen, psi = hermitian_batch(rng, thetas.size, dim, thetas, dt)
+    out = _expm_action(gen, psi, dt, range(thetas.size), 0)
+    dev = np.abs(out - eigh_step(gen, psi, dt)).max(axis=1)
+    assert np.all(dev <= 1e-13 * np.maximum(1.0, thetas))
+
+
+def test_expm_action_rows_keep_their_own_degree():
+    # A path-graph generator reaches the last site of e_0 only at order
+    # D - 1, so that entry's bits record every term its row adds.
+    rng = np.random.default_rng(5)
+    dim, dt = 8, 0.03
+    thetas = np.geomspace(0.05, 5.0, 12)
+    hop = rng.standard_normal((thetas.size, dim - 1)) + 1j * rng.standard_normal(
+        (thetas.size, dim - 1))
+    gen = np.zeros((thetas.size, dim, dim), dtype=complex)
+    gen[:, np.arange(dim - 1), np.arange(1, dim)] = hop
+    gen += gen.conj().transpose(0, 2, 1)
+    gen *= (thetas / (dt * np.abs(gen).sum(axis=1).max(axis=1)))[:, None, None]
+    psi = np.zeros((thetas.size, dim), dtype=complex)
+    psi[:, 0] = 1.0
+    out = _expm_action(gen, psi, dt, range(thetas.size), 0)
+    assert np.all(out[:, -1] != 0.0)
+    for r in range(thetas.size):
+        alone = _expm_action(gen[r : r + 1], psi[r : r + 1], dt, range(1), 0)
+        assert alone.tobytes() == out[r : r + 1].tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.sampled_from([8, 16]), theta=st.floats(0.0, 5.0),
+       spacing=st.floats(0.1, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_expm_action_preserves_weighted_norm(dim, theta, spacing, seed):
+    rng = np.random.default_rng(seed)
+    dt = 0.05
+    gen, psi = hermitian_batch(rng, 4, dim, [theta] * 4, dt)
+    psi /= np.sqrt(spacing)
+    out = _expm_action(gen, psi, dt, range(4), 0)
+    before = spacing * np.einsum("rb,rb->r", psi.conj(), psi).real
+    after = spacing * np.einsum("rb,rb->r", out.conj(), out).real
+    assert np.abs(after - before).max() <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_expm_action_rejects_non_finite_row(bad):
+    rng = np.random.default_rng(3)
+    dt = 0.03
+    gen, psi = hermitian_batch(rng, 6, 8, np.full(6, 0.3), dt)
+    clean = _expm_action(gen, psi, dt, range(40, 46), 7)
+    poisoned = gen.copy()
+    poisoned[2, 1, 4] = bad
+    psi_in = psi.copy()
+    with pytest.raises(StepRejected, match=r"realization 42, step 7"):
+        _expm_action(poisoned, psi, dt, range(40, 46), 7)
+    assert psi.tobytes() == psi_in.tobytes()
+    keep = [0, 1, 3, 4, 5]
+    rest = _expm_action(gen[keep], psi[keep], dt, range(5), 7)
+    assert rest.tobytes() == clean[keep].tobytes()
+
+
+def test_rows_do_not_depend_on_block_mates(lat4, h0_4, grid16, ground):
+    esys, _, _ = ground
+    obs = eigenmode_difference(lat4, 0, 1)
+    sup = esys.state(4) + esys.state(5)
+    sup = sup / np.sqrt(lat4.spacing * np.vdot(sup, sup).real)
+    # strong enough that some steps need more terms or sub-steps in one
+    # row than in another
+    model = make_model(lat4, h0_4, grid16, 1.5)
+    phi1, phi2 = split_branches(obs, sup, lat4.spacing)
+
+    def run(realizations):
+        cfg = EnsembleConfig(realizations=realizations, seed=7,
+                             picture="transformed",
+                             observables=(("pointer", obs),),
+                             branch_states=(phi1, phi2))
+        return run_ensemble(sup, cfg, model)
+
+    small, large = run(8), run(300)
+    series = [(small.energy, large.energy), (small.norm, large.norm)]
+    series += [(small.observables[k], large.observables[k])
+               for k in small.observables]
+    for few, many in series:
+        for key in few:
+            assert few[key].tobytes() == many[key][:8].tobytes(), key
+    assert small.branch_weights.tobytes() == large.branch_weights[:8].tobytes()
