@@ -294,7 +294,7 @@ class NoiseRealization:
     both kinds return zero outside the simulated interval.
     """
 
-    seed: int
+    seed: int | list[int]  # a master seed, or [master seed, realization]
     t0: float
     t1: float
     h: float
@@ -345,8 +345,9 @@ class NoiseRealization:
         return out if out.shape != (1,) else out[0]
 
 
-def sample_noise(channels: list[InteractionChannel], grid: TimeGrid, seed: int,
-                 window: Window | None = None, refine: int = 2) -> NoiseRealization:
+def sample_noise(channels: list[InteractionChannel], grid: TimeGrid,
+                 seed: int | list[int], window: Window | None = None,
+                 refine: int = 2) -> NoiseRealization:
     """Draw one white-noise realization for every channel.
 
     Samples are i.i.d. normal with variance 1/h at spacing h = dt/refine

@@ -15,11 +15,13 @@ The untransformed route solves the nonlocal equation per realization and
 evaluates surface corrections node by node; it is far slower and is meant
 for small ensembles that compare the two pictures on the same field path.
 
-Reproducibility contract: realization r draws its field from master seed
-XOR r; realizations are processed in fixed blocks of 256, each block's
-partial sums are computed sequentially inside one task, and block partials
-are combined in block order. Results are therefore bit-identical for a
-given seed no matter how many workers run (COLLAPSELAB_WORKERS, default 1).
+Reproducibility contract: realization r draws its field from the seed
+sequence [master seed, r] (NumPy SeedSequence, NEP 19), so distinct master
+seeds give independent ensembles; realizations are processed in fixed
+blocks of 256, each block's partial sums are computed sequentially inside
+one task, and block partials are combined in block order. Results are
+therefore bit-identical for a given seed no matter how many workers run
+(COLLAPSELAB_WORKERS, default 1).
 A failed realization aborts the whole ensemble with its index attached;
 resampling would condition the ensemble on solver success and bias means.
 """
@@ -201,7 +203,7 @@ def _noise_tables(model: ModelSetup, window: Window, seed: int, rows: range,
     m = 2 * (grid.n_nodes - 1) + 1
     out = np.zeros((len(rows), len(model.channels), m + 2 * pad))
     for i, r in enumerate(rows):
-        noise = sample_noise(list(model.channels), grid, seed ^ r, window=window)
+        noise = sample_noise(list(model.channels), grid, [seed, r], window=window)
         out[i, :, pad : pad + m] = noise.table(grid.t0, 0.5 * grid.dt, m)
     return out
 
@@ -256,7 +258,9 @@ class _TransformedRun:
         opset = model.opset
         self.k = opset.half_width
         stack = opset.stack(model.which)
-        self.wstack = model.grid.dt * stack  # (A, 2K+1, D, D)
+        # the dt-scaled stack as a real (A*(2K+1), 2*D*D) matrix: W is one GEMM
+        self.wflat = (model.grid.dt * stack).reshape(
+            stack.shape[0] * stack.shape[1], -1).view(np.float64)
         n = model.grid.n_nodes
         d_off = np.arange(-self.k, self.k + 1)
         self.pad = self.k + 1
@@ -272,7 +276,8 @@ class _TransformedRun:
 
     def _interaction(self, tables_pad, idx_row) -> np.ndarray:
         w = tables_pad[:, :, idx_row]  # (B, A, 2K+1)
-        return np.einsum("rad,adxy->rxy", w, self.wstack, optimize=True)
+        flat = w.reshape(w.shape[0], -1) @ self.wflat
+        return flat.view(complex).reshape((-1,) + self.model.h0.shape)
 
     def block(self, rows: range, stats: EnsembleStats, partials: dict) -> None:
         model = self.model
@@ -334,7 +339,7 @@ def _solver_block(model: ModelSetup, cfg: EnsembleConfig, psi0, rows: range,
         branches = np.stack([
             np.asarray(_as_vector(b), dtype=complex) for b in cfg.branch_states])
     for r in rows:
-        noise = sample_noise(list(model.channels), grid, cfg.seed ^ r, window=window)
+        noise = sample_noise(list(model.channels), grid, [cfg.seed, r], window=window)
         try:
             record = solve_nonlocal(psi0, grid, list(model.channels), noise,
                                     model.h0, spacing, propagators=True)

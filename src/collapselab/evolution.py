@@ -19,6 +19,15 @@ updated nodes for the past (Gauss-Seidel), so only the genuinely noncausal
 strip of width ell_min carries the previous iterate and the residual decays
 geometrically at a rate set by the coupling, not by the interval length.
 
+Every channel sum sum_a O_a sum_q c[a, q] X_q is contracted in two BLAS
+calls whatever the channel count: the real weights against the window of
+maps or states as one real GEMM on its float64 view, then the channel
+operators laid side by side, (D, A*D), against the stacked mixes. The
+diagonal refresh of a sweep uses one precombined operator per node. The
+half-step field table and the kernel weights of the past-future quadrant
+are built once per record, so a node loop of surface corrections or
+conserved products costs linear time in the node count.
+
 On top of the solved record this module builds the equal-time objects: the
 one-time interaction operator, the surface correction that makes the
 two-time inner product conserved, the related direct strip-sum form of that
@@ -73,6 +82,7 @@ class EvolutionRecord:
     props: np.ndarray | None = None  # padded: index j + reach
     _free: FreePropagator | None = field(default=None, repr=False)
     _coeffs: np.ndarray | None = field(default=None, repr=False)
+    _quadrant: tuple | None = field(default=None, repr=False)
 
     @property
     def free(self) -> FreePropagator:
@@ -108,6 +118,28 @@ class EvolutionRecord:
         window = self.props[i : i + 2 * self.reach + 1]
         # Y_q = X_q X_i^{-1}  <=>  Y_q^T = solve(X_i^T, X_q^T)
         return np.linalg.solve(xi.T[None], window.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
+def _side_by_side(channels) -> np.ndarray:
+    """The channel operators laid side by side, shape (D, A*D)."""
+    return np.concatenate([ch.spatial_op for ch in channels], axis=1)
+
+
+def _channel_sum(ops_row: np.ndarray, weights: np.ndarray,
+                 window: np.ndarray) -> np.ndarray:
+    """sum_a O_a sum_q weights[a, (m,) q] window[q] in two BLAS calls.
+
+    ``weights`` is real, (A, W) or (A, M, W); ``window`` is complex,
+    (W, D, ...), and is contracted as one real GEMM on its float64 view.
+    The result is the node shape of ``window``, behind M if given.
+    """
+    n_q = weights.shape[-1]
+    flat = np.ascontiguousarray(window).reshape(n_q, -1)
+    # rows ordered (middle index, channel), so each middle index's mixes
+    # stack into one (A*D, ...) block for the side-by-side operators
+    mix = (weights.swapaxes(0, -2).reshape(-1, n_q) @ flat.view(np.float64)).view(complex)
+    out = ops_row @ mix.reshape(-1, ops_row.shape[1], flat.shape[1] // ops_row.shape[0])
+    return out.reshape(weights.shape[1:-1] + window.shape[1:])
 
 
 def _coefficient_table(channels, noise: NoiseRealization, grid: TimeGrid,
@@ -174,7 +206,10 @@ def solve_nonlocal(psi0, grid: TimeGrid, channels: list[InteractionChannel],
     ell = max(ch.profile.ell_min for ch in channels)
     reach = int(round(ell / dt))
     coeffs = _coefficient_table(channels, noise, grid, reach)
-    ops = np.stack([ch.spatial_op for ch in channels])
+    ops_row = _side_by_side(channels)
+    # diagonal term of each node's channel sum, for the in-sweep refresh
+    diag = np.tensordot(coeffs[:, :, reach],
+                        np.stack([ch.spatial_op for ch in channels]), axes=(0, 0))
 
     free = FreePropagator(h0m)
     e_dt = free.matrix(dt)
@@ -198,12 +233,7 @@ def solve_nonlocal(psi0, grid: TimeGrid, channels: list[InteractionChannel],
         x[reach + j] = e_dt @ x[reach + j - 1]
 
     def interaction_at(j: int) -> np.ndarray:
-        window = x[j : j + 2 * reach + 1]
-        out = np.zeros(shape_tail, dtype=complex)
-        for a in range(len(channels)):
-            mix = np.tensordot(coeffs[a, j], window, axes=(0, 0))
-            out += ops[a] @ mix
-        return out
+        return _channel_sum(ops_row, coeffs[:, j], x[j : j + 2 * reach + 1])
 
     residuals: list[float] = []
     for _ in range(max_iter):
@@ -213,10 +243,7 @@ def solve_nonlocal(psi0, grid: TimeGrid, channels: list[InteractionChannel],
             g_next = interaction_at(j + 1)  # node j+1 still holds the old iterate
             x[reach + j + 1] = e_dt @ x[reach + j] - 0.5j * dt * (e_dt @ g_here + g_next)
             # refresh the diagonal term of g at j+1 with the updated node
-            delta = x[reach + j + 1] - x_old[reach + j + 1]
-            for a in range(len(channels)):
-                g_next = g_next + coeffs[a, j + 1, reach] * (ops[a] @ delta)
-            g_here = g_next
+            g_here = g_next + diag[j + 1] @ (x[reach + j + 1] - x_old[reach + j + 1])
         for m in range(1, reach + 1):
             x[reach + n - 1 + m] = (
                 free.matrix(m * dt) @ x[reach + n - 1]
@@ -237,28 +264,17 @@ def solve_nonlocal(psi0, grid: TimeGrid, channels: list[InteractionChannel],
         spacing=spacing, reach=reach, residuals=residuals,
         _free=free, _coeffs=coeffs,
     )
-    interior = slice(reach, reach + n)
     if matrix_mode:
         record.props = x
-        if psi0 is not None:
-            v = np.asarray(_as_vector(psi0), dtype=complex)
-            record.states = np.einsum("jab,b->ja", x[interior], v)
-    else:
-        record.states = x[interior]
-    if record.states is not None:
-        g = np.empty_like(record.states)
+    if psi0 is not None:
+        traj = x
+        if matrix_mode:
+            traj = np.einsum("jab,b->ja", x, np.asarray(_as_vector(psi0), dtype=complex))
+        record.states = traj[reach : reach + n]
         # interaction term on the converged trajectory, per node
-        for j in range(n):
-            window = (
-                np.einsum("qab,b->qa", x[j : j + 2 * reach + 1],
-                          np.asarray(_as_vector(psi0), dtype=complex))
-                if matrix_mode else x[j : j + 2 * reach + 1]
-            )
-            out = np.zeros(dim, dtype=complex)
-            for a in range(len(channels)):
-                out += ops[a] @ np.tensordot(coeffs[a, j], window, axes=(0, 0))
-            g[j] = out
-        record.interaction_terms = g
+        record.interaction_terms = np.stack([
+            _channel_sum(ops_row, coeffs[:, j], traj[j : j + 2 * reach + 1])
+            for j in range(n)])
     return record
 
 
@@ -270,29 +286,11 @@ def equal_time_hamiltonian(record: EvolutionRecord, i: int) -> np.ndarray:
     Generally non-Hermitian; its anti-Hermitian part is what the surface
     correction compensates.
     """
-    y = record.local_propagators(i)
     coeffs = record._coeffs
     if coeffs is None:
         raise OutOfGrid("record is missing its coefficient table")
-    out = np.zeros((record.h0.shape[0],) * 2, dtype=complex)
-    for a, ch in enumerate(record.channels):
-        mix = np.tensordot(coeffs[a, i], y, axes=(0, 0))
-        out += ch.spatial_op @ mix
-    return out
-
-
-def equal_time_hamiltonian_first_order(record: EvolutionRecord, i: int) -> np.ndarray:
-    """Same contraction with free two-time maps; differs at second order."""
-    dt = record.grid.dt
-    reach = record.reach
-    free = record.free
-    y = np.stack([free.matrix(d * dt) for d in range(-reach, reach + 1)])
-    coeffs = record._coeffs
-    out = np.zeros((record.h0.shape[0],) * 2, dtype=complex)
-    for a, ch in enumerate(record.channels):
-        mix = np.tensordot(coeffs[a, i], y, axes=(0, 0))
-        out += ch.spatial_op @ mix
-    return out
+    return _channel_sum(_side_by_side(record.channels), coeffs[:, i],
+                        record.local_propagators(i))
 
 
 def _quadrant_coeffs(record: EvolutionRecord, i: int) -> np.ndarray:
@@ -301,27 +299,29 @@ def _quadrant_coeffs(record: EvolutionRecord, i: int) -> np.ndarray:
     p runs over i-reach..i, q over i..i+reach (both inclusive); trapezoid
     weights give the shared corner p = q = i a quarter weight. The kernel
     vanishes on the outer edges so only the inner boundary needs halving.
+    The kernel weights and the half-step field table are built on the
+    first call and kept on the record.
     """
     reach = record.reach
-    dt = record.grid.dt
-    n = record.grid.n_nodes
-    p = np.arange(i - reach, i + 1)
-    q = np.arange(i, i + reach + 1)
-    # half-grid field index for the midpoint of (t_p, t_q) is p + q
-    half = record.noise.table(record.grid.t0, 0.5 * dt, 2 * (n - 1) + 1)
-    nh = half.shape[1]
-    sidx = p[:, None] + q[None, :]
-    valid = (sidx >= 0) & (sidx < nh)
-    wp = np.full(p.size, dt)
-    wp[-1] = 0.5 * dt
-    wq = np.full(q.size, dt)
-    wq[0] = 0.5 * dt
-    diff = (p[:, None] - q[None, :]) * dt
-    out = np.empty((len(record.channels), p.size, q.size))
-    for a, ch in enumerate(record.channels):
-        w = np.where(valid, half[a][np.clip(sidx, 0, nh - 1)], 0.0)
-        out[a] = ch.amplitude * ch.profile.value(diff) * w * wp[:, None] * wq[None, :]
-    return out
+    if record._quadrant is None:
+        dt = record.grid.dt
+        n = record.grid.n_nodes
+        half = record.noise.table(record.grid.t0, 0.5 * dt, 2 * (n - 1) + 1)
+        pad = np.zeros((half.shape[0], half.shape[1] + 2 * reach))
+        pad[:, reach : reach + half.shape[1]] = half
+        off = np.arange(reach + 1)
+        wp = np.full(reach + 1, dt)
+        wp[-1] = 0.5 * dt
+        wq = wp[::-1]
+        diff = (off[:, None] - off[None, :] - reach) * dt  # t_p - t_q
+        kern = np.stack([
+            ch.amplitude * ch.profile.value(diff) * wp[:, None] * wq[None, :]
+            for ch in record.channels])
+        record._quadrant = (kern, pad, off[:, None] + off[None, :])
+    kern, pad, off_sum = record._quadrant
+    # the midpoint of (t_p, t_q) sits at half-grid index p + q, which is
+    # 2i - reach + off_sum; the pad shifts it by reach
+    return kern * pad[:, 2 * i + off_sum]
 
 
 def surface_correction(record: EvolutionRecord, i: int) -> np.ndarray:
@@ -335,15 +335,11 @@ def surface_correction(record: EvolutionRecord, i: int) -> np.ndarray:
     """
     reach = record.reach
     y = record.local_propagators(i)
-    past = y[: reach + 1]
-    future = y[reach:]
-    c = _quadrant_coeffs(record, i)
-    q = np.zeros((record.h0.shape[0],) * 2, dtype=complex)
-    for a, ch in enumerate(record.channels):
-        q += np.einsum(
-            "pq,pba,bc,qcd->ad",
-            c[a], past.conj(), ch.spatial_op, future, optimize=True,
-        )
+    dim = y.shape[1]
+    # O Y_q summed over the future and the channels, one (D, D) per past node
+    mixed = _channel_sum(_side_by_side(record.channels),
+                         _quadrant_coeffs(record, i), y[reach:])
+    q = y[: reach + 1].reshape(-1, dim).conj().T @ mixed.reshape(-1, dim)
     return 1j * (q - q.conj().T)
 
 
@@ -380,15 +376,11 @@ def conserved_inner_layer_sum(record: EvolutionRecord, i: int,
     psis = np.stack([ext(psi_traj, j) for j in range(i, i + reach + 1)])
     phis_f = np.stack([ext(phi_traj, j) for j in range(i, i + reach + 1)])
     psis_p = np.stack([ext(psi_traj, j) for j in range(i - reach, i + 1)])
+    ops_row = _side_by_side(record.channels)
+    past_future = np.vdot(phis, _channel_sum(ops_row, c, psis))
+    future_past = np.vdot(phis_f, _channel_sum(ops_row, c.transpose(0, 2, 1), psis_p))
     total = complex(np.vdot(ext(phi_traj, i), ext(psi_traj, i)))
-    for a, ch in enumerate(record.channels):
-        past_future = np.einsum(
-            "pq,pa,ab,qb->", c[a], phis.conj(), ch.spatial_op, psis, optimize=True
-        )
-        future_past = np.einsum(
-            "pq,qa,ab,pb->", c[a], phis_f.conj(), ch.spatial_op, psis_p, optimize=True
-        )
-        total += 1j * (past_future - future_past)
+    total += 1j * (past_future - future_past)
     return complex(record.spacing * total)
 
 
@@ -454,17 +446,3 @@ def step_transformed(psi_tilde: np.ndarray, h0, wtilde: np.ndarray,
     from scipy.linalg import expm
 
     return expm(-1j * dt * gen) @ _as_vector(psi_tilde)
-
-
-def local_energy(record: EvolutionRecord, i: int) -> tuple[float, float]:
-    """Energy <psi|(h0 + W)psi>_t at node i; returns (real part, imag part).
-
-    The imaginary part measures the failure of h0 + W to be symmetric under
-    the conserved product at fixed t (it is of the order of the time
-    derivative of the surface correction).
-    """
-    psi = record.state(i)
-    hpsi = record.h0 @ psi + record.interaction_terms[i]
-    s = surface_correction(record, i)
-    val = record.spacing * np.vdot(psi, hpsi + s @ hpsi)
-    return float(val.real), float(val.imag)

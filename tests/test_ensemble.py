@@ -26,6 +26,7 @@ from collapselab.errors import (
 from collapselab.grids import TimeGrid, Window
 from collapselab.lattice import EigenSystem
 from collapselab.master import compute_A
+from collapselab.presets import run_preset
 
 from conftest import ELL, two_channels
 
@@ -346,3 +347,11 @@ def test_rows_do_not_depend_on_block_mates(lat4, h0_4, grid16, ground):
         for key in few:
             assert few[key].tobytes() == many[key][:8].tobytes(), key
     assert small.branch_weights.tobytes() == large.branch_weights[:8].tobytes()
+
+
+def test_adjacent_seeds_give_distinct_ensembles(tmp_path):
+    # master seeds that differ only in low bits must not share noise paths
+    z = {run_preset("a-operator", out=tmp_path / str(seed), seed=seed,
+                    realizations=400).summary["z_frobenius"]
+         for seed in (904, 905, 906)}
+    assert len(z) == 3

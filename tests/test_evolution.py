@@ -1,29 +1,135 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from collapselab.channels import sample_fourier_probe, sample_noise
+from collapselab.channels import (
+    KernelProfile,
+    NoiseRealization,
+    make_channel,
+    sample_fourier_probe,
+    sample_noise,
+)
 from collapselab.errors import NoConvergence, OutOfGrid
 from collapselab.evolution import (
+    _coefficient_table,
     conserved_inner,
     conserved_inner_layer_sum,
     equal_time_hamiltonian,
-    equal_time_hamiltonian_first_order,
-    local_energy,
     solve_nonlocal,
     step_transformed,
     surface_correction,
     transform_state,
     transformed_interaction,
 )
-from collapselab.grids import Window
-from collapselab.lattice import EigenSystem, FreePropagator, l2_inner, l2_norm
+from collapselab.grids import TimeGrid, Window
+from collapselab.lattice import (
+    EigenSystem,
+    FreePropagator,
+    LatticeConfig,
+    build_dirac_h0,
+    l2_inner,
+    l2_norm,
+)
 
-from conftest import random_state, two_channels
+from conftest import ELL, random_state, two_channels
 
 # field support [0.7, 1.3] leaves one kernel range clear of both grid ends
 WIN = Window(t_on=0.7, t_off=1.3, ramp=0.2)
 OFF = Window(t_on=5.0, t_off=7.0, ramp=0.5)
+
+
+# ---------------------------------------------------------------------------
+# per-channel oracles: one contraction per channel and node, the plain form
+# of what evolution.py fuses into a few BLAS calls per node
+
+
+def oracle_solve(psi0, grid, channels, noise, h0, tol, matrix_mode):
+    """Gauss-Seidel sweeps of solve_nonlocal, channel by channel; returns
+    the padded iterate (maps or states) and the residual history."""
+    dt, n = grid.dt, grid.n_nodes
+    reach = int(round(max(ch.profile.ell_min for ch in channels) / dt))
+    coeffs = _coefficient_table(channels, noise, grid, reach)
+    ops = [ch.spatial_op for ch in channels]
+    free = FreePropagator(h0)
+    e_dt = free.matrix(dt)
+    x0 = np.eye(h0.shape[0], dtype=complex) if matrix_mode else psi0.astype(complex)
+    x = np.empty((n + 2 * reach,) + x0.shape, dtype=complex)
+    for m in range(1, reach + 1):
+        x[reach - m] = free.matrix(-m * dt) @ x0
+    x[reach] = x0
+    for j in range(1, n + reach):
+        x[reach + j] = e_dt @ x[reach + j - 1]
+
+    def interaction_at(j):
+        window = x[j : j + 2 * reach + 1]
+        return sum(ops[a] @ np.tensordot(coeffs[a, j], window, axes=(0, 0))
+                   for a in range(len(ops)))
+
+    residuals = []
+    while not residuals or residuals[-1] > tol:
+        x_old = x.copy()
+        g_here = interaction_at(0)
+        for j in range(n - 1):
+            g_next = interaction_at(j + 1)
+            x[reach + j + 1] = e_dt @ x[reach + j] - 0.5j * dt * (e_dt @ g_here + g_next)
+            delta = x[reach + j + 1] - x_old[reach + j + 1]
+            for a in range(len(ops)):
+                g_next = g_next + coeffs[a, j + 1, reach] * (ops[a] @ delta)
+            g_here = g_next
+        for m in range(1, reach + 1):
+            x[reach + n - 1 + m] = free.matrix(m * dt) @ x[reach + n - 1]
+        residuals.append(float(np.abs(x - x_old).max()))
+    return x, residuals
+
+
+def oracle_quadrant_coeffs(record, i):
+    """c[a, p, q] rebuilt from a fresh half-step field table."""
+    reach, dt, n = record.reach, record.grid.dt, record.grid.n_nodes
+    p = np.arange(i - reach, i + 1)
+    q = np.arange(i, i + reach + 1)
+    half = record.noise.table(record.grid.t0, 0.5 * dt, 2 * (n - 1) + 1)
+    sidx = p[:, None] + q[None, :]
+    valid = (sidx >= 0) & (sidx < half.shape[1])
+    wp = np.full(p.size, dt)
+    wp[-1] = 0.5 * dt
+    wq = np.full(q.size, dt)
+    wq[0] = 0.5 * dt
+    diff = (p[:, None] - q[None, :]) * dt
+    out = np.empty((len(record.channels), p.size, q.size))
+    for a, ch in enumerate(record.channels):
+        w = np.where(valid, half[a][np.clip(sidx, 0, half.shape[1] - 1)], 0.0)
+        out[a] = ch.amplitude * ch.profile.value(diff) * w * wp[:, None] * wq[None, :]
+    return out
+
+
+def oracle_surface_correction(record, i):
+    y = record.local_propagators(i)
+    past, future = y[: record.reach + 1], y[record.reach :]
+    c = oracle_quadrant_coeffs(record, i)
+    q = sum(np.einsum("pq,pba,bc,qcd->ad", c[a], past.conj(), ch.spatial_op, future)
+            for a, ch in enumerate(record.channels))
+    return 1j * (q - q.conj().T)
+
+
+def equal_time_hamiltonian_first_order(record, i):
+    """W(t_i) contracted with free two-time maps; differs at second order."""
+    dt, reach = record.grid.dt, record.reach
+    y = np.stack([record.free.matrix(d * dt) for d in range(-reach, reach + 1)])
+    return sum(ch.spatial_op @ np.tensordot(record._coeffs[a, i], y, axes=(0, 0))
+               for a, ch in enumerate(record.channels))
+
+
+def local_energy(record, i):
+    """Energy <psi|(h0 + W)psi>_t at node i as (real part, imag part); the
+    imaginary part measures the failure of h0 + W to be symmetric under the
+    conserved product at fixed t."""
+    psi = record.state(i)
+    hpsi = record.h0 @ psi + record.interaction_terms[i]
+    s = surface_correction(record, i)
+    val = record.spacing * np.vdot(psi, hpsi + s @ hpsi)
+    return float(val.real), float(val.imag)
 
 
 def probe(channels, grid, amplitude=2.0):
@@ -321,3 +427,62 @@ def test_local_energy_free_eigenstate(lat4, h0_4, grid16):
         val, imag = local_energy(rec, i)
         assert abs(val - e0) < 1e-10
         assert abs(imag) < 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(sites=st.sampled_from([2, 4]), n_channels=st.integers(1, 3),
+       propagators=st.booleans(), seed=st.integers(0, 2**16),
+       amplitude=st.floats(0.01, 0.08))
+def test_fused_contractions_match_per_channel_oracles(sites, n_channels,
+                                                      propagators, seed, amplitude):
+    lat = LatticeConfig(sites=sites, spacing=1.0, mass=1.0)
+    h0 = build_dirac_h0(lat)
+    grid = TimeGrid(0.0, 2.0, ELL / 16.0)
+    rng = np.random.default_rng(seed)
+    d = 2 * sites
+    channels = []
+    for a in range(n_channels):
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        m = m + m.conj().T
+        channels.append(make_channel(f"c{a}", m / np.linalg.norm(m, 2),
+                                     KernelProfile(ell_min=ELL), amplitude))
+    noise = sample_fourier_probe(channels, grid, seed=seed, window=WIN)
+    psi0 = random_state(d, lat.spacing, seed)
+    rec = solve_nonlocal(psi0, grid, channels, noise, h0, lat.spacing,
+                         tol=1e-12, propagators=propagators)
+    x, residuals = oracle_solve(psi0, grid, channels, noise, h0.matrix, 1e-12,
+                                propagators)
+    assert len(rec.residuals) == len(residuals)
+    # the sweep history is fixed by the in-sweep refresh, not only the limit
+    big = np.array(residuals) > 1e-9
+    assert np.allclose(np.array(rec.residuals)[big], np.array(residuals)[big],
+                       rtol=1e-6, atol=0.0)
+    interior = x[rec.reach : rec.reach + grid.n_nodes]
+    if propagators:
+        assert np.abs(rec.props - x).max() < 1e-10
+        interior = interior @ psi0
+    assert np.abs(rec.states - interior).max() < 1e-10
+    if propagators:
+        for i in range(0, grid.n_nodes, 4):
+            s = surface_correction(rec, i)
+            assert np.array_equal(s, s.conj().T)
+            assert np.abs(s - oracle_surface_correction(rec, i)).max() < 1e-10
+
+
+def test_node_loop_builds_one_noise_table(lat4, h0_4, grid16, monkeypatch):
+    psi0 = random_state(h0_4.dim, lat4.spacing, 1)
+    rec = _solved(lat4, h0_4, grid16, 0.04, psi0=psi0)
+    calls = []
+    table = NoiseRealization.table
+
+    def counted(self, *args):
+        calls.append(args)
+        return table(self, *args)
+
+    monkeypatch.setattr(NoiseRealization, "table", counted)
+    traj = rec.trajectory(psi0)
+    for i in range(grid16.n_nodes):
+        surface_correction(rec, i)
+        conserved_inner(rec, i, traj[i], traj[i])
+        conserved_inner_layer_sum(rec, i, traj, traj)
+    assert len(calls) == 1
