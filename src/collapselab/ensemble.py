@@ -49,10 +49,10 @@ from .errors import (
     StepRejected,
 )
 from .evolution import (
+    _expansion_interaction,
     equal_time_hamiltonian,
     solve_nonlocal,
     surface_correction,
-    transformed_interaction,
 )
 from .grids import TimeGrid, Window
 from .lattice import _as_matrix, _as_vector, sqrtmh
@@ -358,7 +358,7 @@ def _solver_block(model: ModelSetup, cfg: EnsembleConfig, psi0, rows: range,
                 spacing * np.vdot(psi, metric @ psi)).real
             psi_t = sqrtmh(metric) @ psi
             if record_transformed:
-                wt = transformed_interaction(record, j, mode="expansion")
+                wt = _expansion_interaction(w_op, surf)
                 stats.energy["transformed"][r, j] = (
                     spacing * np.vdot(psi_t, (model.h0 + wt) @ psi_t)).real
                 stats.norm["transformed"][r, j] = (

@@ -19,14 +19,14 @@ updated nodes for the past (Gauss-Seidel), so only the genuinely noncausal
 strip of width ell_min carries the previous iterate and the residual decays
 geometrically at a rate set by the coupling, not by the interval length.
 
-Every channel sum sum_a O_a sum_q c[a, q] X_q is contracted in two BLAS
-calls whatever the channel count: the real weights against the window of
-maps or states as one real GEMM on its float64 view, then the channel
-operators laid side by side, (D, A*D), against the stacked mixes. The
-diagonal refresh of a sweep uses one precombined operator per node. The
-half-step field table and the kernel weights of the past-future quadrant
-are built once per record, so a node loop of surface corrections or
-conserved products costs linear time in the node count.
+A sweep updates each node with one real GEMM, the real weights c[a, q]
+against the float64 view of the window of maps or states, giving the next
+node's stacked channel mixes, and one complex GEMM of a step operator built
+once per solve (free step, channel operators side by side, trapezoid
+weights) against the current node and both nodes' mixes; the next node's
+mixes are then refreshed in place. Outside the sweep every channel sum
+costs two BLAS calls. The solve keeps its padded half-step field table on
+the record, so node loops of surface corrections cost linear time.
 
 On top of the solved record this module builds the equal-time objects: the
 one-time interaction operator, the surface correction that makes the
@@ -82,7 +82,9 @@ class EvolutionRecord:
     props: np.ndarray | None = None  # padded: index j + reach
     _free: FreePropagator | None = field(default=None, repr=False)
     _coeffs: np.ndarray | None = field(default=None, repr=False)
+    _field_pad: np.ndarray | None = field(default=None, repr=False)
     _quadrant: tuple | None = field(default=None, repr=False)
+    _local: tuple | None = field(default=None, repr=False)
 
     @property
     def free(self) -> FreePropagator:
@@ -109,15 +111,21 @@ class EvolutionRecord:
         return np.einsum("jab,b->ja", interior, _as_vector(psi0))
 
     def local_propagators(self, i: int) -> np.ndarray:
-        """Relative maps Y_q = X_q X_i^{-1} for q = i-reach .. i+reach."""
+        """Relative maps Y_q = X_q X_i^{-1} for q = i-reach .. i+reach; the
+        last window is kept, read-only, so S_t and W of a node share it."""
         if self.props is None:
             raise OutOfGrid("record was solved without propagators")
         if not (0 <= i < self.grid.n_nodes):
             raise OutOfGrid(f"node {i} outside the grid")
+        if self._local is not None and self._local[0] == i:
+            return self._local[1]
         xi = self.props[i + self.reach]
         window = self.props[i : i + 2 * self.reach + 1]
         # Y_q = X_q X_i^{-1}  <=>  Y_q^T = solve(X_i^T, X_q^T)
-        return np.linalg.solve(xi.T[None], window.transpose(0, 2, 1)).transpose(0, 2, 1)
+        y = np.linalg.solve(xi.T[None], window.transpose(0, 2, 1)).transpose(0, 2, 1)
+        y.flags.writeable = False
+        self._local = (i, y)
+        return y
 
 
 def _side_by_side(channels) -> np.ndarray:
@@ -143,8 +151,9 @@ def _channel_sum(ops_row: np.ndarray, weights: np.ndarray,
 
 
 def _coefficient_table(channels, noise: NoiseRealization, grid: TimeGrid,
-                       reach: int) -> np.ndarray:
-    """c[a, j, d] = amplitude_a * L_a(d dt) * field_a(midpoint(j, j+d)) * dt.
+                       reach: int) -> tuple[np.ndarray, np.ndarray]:
+    """c[a, j, d] = amplitude_a * L_a(d dt) * field_a(midpoint(j, j+d)) * dt,
+    and the half-step field table it reads, zero-padded by ``reach``.
 
     Midpoints (t_j + t_{j+d})/2 sit on the half-step grid at index 2j + d;
     indices beyond the simulated interval contribute zero.
@@ -153,14 +162,14 @@ def _coefficient_table(channels, noise: NoiseRealization, grid: TimeGrid,
     dt = grid.dt
     half = noise.table(grid.t0, 0.5 * dt, 2 * (n - 1) + 1)
     pad = np.zeros((half.shape[0], half.shape[1] + 2 * reach))
-    pad[:, reach:-reach] = half
+    pad[:, reach : reach + half.shape[1]] = half
     d = np.arange(-reach, reach + 1)
     gather = 2 * np.arange(n)[:, None] + d[None, :] + reach
     coeffs = np.empty((len(channels), n, 2 * reach + 1))
     for a, ch in enumerate(channels):
         lz = ch.profile.value(d * dt)
         coeffs[a] = dt * ch.amplitude * lz[None, :] * pad[a][gather]
-    return coeffs
+    return coeffs, pad
 
 
 def _check_regime(channels, noise: NoiseRealization, grid: TimeGrid) -> None:
@@ -203,52 +212,65 @@ def solve_nonlocal(psi0, grid: TimeGrid, channels: list[InteractionChannel],
 
     dt = grid.dt
     n = grid.n_nodes
+    n_ch = len(channels)
     ell = max(ch.profile.ell_min for ch in channels)
     reach = int(round(ell / dt))
-    coeffs = _coefficient_table(channels, noise, grid, reach)
-    ops_row = _side_by_side(channels)
-    # diagonal term of each node's channel sum, for the in-sweep refresh
-    diag = np.tensordot(coeffs[:, :, reach],
-                        np.stack([ch.spatial_op for ch in channels]), axes=(0, 0))
+    win = 2 * reach + 1
+    coeffs, field_pad = _coefficient_table(channels, noise, grid, reach)
+    # weight of each node's own term in its channel mixes, for the refresh
+    self_weight = coeffs[:, :, reach].T[:, :, None, None].copy()
 
     free = FreePropagator(h0m)
     e_dt = free.matrix(dt)
+    shifts = np.arange(1, reach + 1) * dt
+    right_pad = free.matrix(shifts)  # e^{-i m dt h0}, m = 1..reach
 
     matrix_mode = propagators or psi0 is None
+    tail = dim if matrix_mode else 1
     if matrix_mode:
         x0 = np.eye(dim, dtype=complex)
-        shape_tail = (dim, dim)
     else:
-        x0 = np.asarray(_as_vector(psi0), dtype=complex)
-        shape_tail = (dim,)
+        x0 = np.asarray(_as_vector(psi0), dtype=complex).reshape(dim, 1)
 
     total = n + 2 * reach
-    x = np.empty((total,) + shape_tail, dtype=complex)
+    x = np.empty((total, dim, tail), dtype=complex)
     # left pad: exact free evolution backwards from the initial node
-    for m in range(1, reach + 1):
-        x[reach - m] = free.matrix(-m * dt) @ x0 if matrix_mode else free.apply(-m * dt, x0)
+    x[:reach] = free.matrix(-shifts[::-1]) @ x0
     x[reach] = x0
     # first iterate: free evolution forward
     for j in range(1, n + reach):
-        x[reach + j] = e_dt @ x[reach + j - 1]
+        np.matmul(e_dt, x[reach + j - 1], out=x[reach + j])
+    x_real = x.reshape(total, -1).view(np.float64)
 
-    def interaction_at(j: int) -> np.ndarray:
-        return _channel_sum(ops_row, coeffs[:, j], x[j : j + 2 * reach + 1])
+    # x_{j+1} = E x_j - (i dt/2) (E O m_j + O m_{j+1}) with O the operators
+    # side by side and m_j the stacked channel mixes of node j, as one GEMM
+    # of a step operator against buf = [x_j; mixes]. The two mix slots swap
+    # roles every node, so there is one step operator per slot order.
+    ops_row = _side_by_side(channels)
+    half = -0.5j * dt
+    e_ops = half * (e_dt @ ops_row)
+    step = (np.concatenate([e_dt, e_ops, half * ops_row], axis=1),
+            np.concatenate([e_dt, half * ops_row, e_ops], axis=1))
+    buf = np.empty(((1 + 2 * n_ch) * dim, tail), dtype=complex)
+    mixes = buf[dim:].reshape(2, n_ch, dim, tail)
+    mixes_real = mixes.reshape(2, n_ch, -1).view(np.float64)
 
     residuals: list[float] = []
     for _ in range(max_iter):
         x_old = x.copy()
-        g_here = interaction_at(0)
+        np.matmul(coeffs[:, 0], x_real[:win], out=mixes_real[0])
+        buf[:dim] = x[reach]
         for j in range(n - 1):
-            g_next = interaction_at(j + 1)  # node j+1 still holds the old iterate
-            x[reach + j + 1] = e_dt @ x[reach + j] - 0.5j * dt * (e_dt @ g_here + g_next)
-            # refresh the diagonal term of g at j+1 with the updated node
-            g_here = g_next + diag[j + 1] @ (x[reach + j + 1] - x_old[reach + j + 1])
-        for m in range(1, reach + 1):
-            x[reach + n - 1 + m] = (
-                free.matrix(m * dt) @ x[reach + n - 1]
-                if matrix_mode else free.apply(m * dt, x[reach + n - 1])
-            )
+            here = j & 1
+            # node j+1 still holds the old iterate
+            np.matmul(coeffs[:, j + 1], x_real[j + 1 : j + 1 + win],
+                      out=mixes_real[1 - here])
+            new = x[reach + j + 1]
+            np.matmul(step[here], buf, out=new)
+            # refresh the diagonal term of node j+1's mixes with the update
+            mixes[1 - here] += self_weight[j + 1] * (new - x_old[reach + j + 1])
+            buf[:dim] = new
+        np.matmul(right_pad, x[reach + n - 1], out=x[reach + n :])
         resid = float(np.abs(x - x_old).max())
         residuals.append(resid)
         if resid <= tol:
@@ -262,18 +284,19 @@ def solve_nonlocal(psi0, grid: TimeGrid, channels: list[InteractionChannel],
     record = EvolutionRecord(
         grid=grid, channels=tuple(channels), noise=noise, h0=h0m,
         spacing=spacing, reach=reach, residuals=residuals,
-        _free=free, _coeffs=coeffs,
+        _free=free, _coeffs=coeffs, _field_pad=field_pad,
     )
     if matrix_mode:
         record.props = x
     if psi0 is not None:
-        traj = x
         if matrix_mode:
             traj = np.einsum("jab,b->ja", x, np.asarray(_as_vector(psi0), dtype=complex))
+        else:
+            traj = x.reshape(total, dim)
         record.states = traj[reach : reach + n]
         # interaction term on the converged trajectory, per node
         record.interaction_terms = np.stack([
-            _channel_sum(ops_row, coeffs[:, j], traj[j : j + 2 * reach + 1])
+            _channel_sum(ops_row, coeffs[:, j], traj[j : j + win])
             for j in range(n)])
     return record
 
@@ -299,16 +322,13 @@ def _quadrant_coeffs(record: EvolutionRecord, i: int) -> np.ndarray:
     p runs over i-reach..i, q over i..i+reach (both inclusive); trapezoid
     weights give the shared corner p = q = i a quarter weight. The kernel
     vanishes on the outer edges so only the inner boundary needs halving.
-    The kernel weights and the half-step field table are built on the
-    first call and kept on the record.
+    The field values come from the padded half-step table the solve kept
+    on the record; the kernel weights are built on the first call and kept
+    there too.
     """
     reach = record.reach
     if record._quadrant is None:
         dt = record.grid.dt
-        n = record.grid.n_nodes
-        half = record.noise.table(record.grid.t0, 0.5 * dt, 2 * (n - 1) + 1)
-        pad = np.zeros((half.shape[0], half.shape[1] + 2 * reach))
-        pad[:, reach : reach + half.shape[1]] = half
         off = np.arange(reach + 1)
         wp = np.full(reach + 1, dt)
         wp[-1] = 0.5 * dt
@@ -317,11 +337,11 @@ def _quadrant_coeffs(record: EvolutionRecord, i: int) -> np.ndarray:
         kern = np.stack([
             ch.amplitude * ch.profile.value(diff) * wp[:, None] * wq[None, :]
             for ch in record.channels])
-        record._quadrant = (kern, pad, off[:, None] + off[None, :])
-    kern, pad, off_sum = record._quadrant
+        record._quadrant = (kern, off[:, None] + off[None, :])
+    kern, off_sum = record._quadrant
     # the midpoint of (t_p, t_q) sits at half-grid index p + q, which is
     # 2i - reach + off_sum; the pad shifts it by reach
-    return kern * pad[:, 2 * i + off_sum]
+    return kern * record._field_pad[:, 2 * i + off_sum]
 
 
 def surface_correction(record: EvolutionRecord, i: int) -> np.ndarray:
@@ -360,27 +380,20 @@ def conserved_inner_layer_sum(record: EvolutionRecord, i: int,
     nodes; the strip reach past the grid ends uses the free continuation.
     """
     reach = record.reach
-    free = record.free
-    dt = record.grid.dt
     n = record.grid.n_nodes
+    shifts = record.grid.dt * np.arange(1, reach + 1)
 
-    def ext(traj: np.ndarray, j: int) -> np.ndarray:
-        if 0 <= j < n:
-            return traj[j]
-        if j < 0:
-            return free.apply(j * dt, traj[0])
-        return free.apply((j - (n - 1)) * dt, traj[n - 1])
+    def padded(traj: np.ndarray) -> np.ndarray:
+        return np.concatenate([record.free.matrix(-shifts[::-1]) @ traj[0], traj[:n],
+                               record.free.matrix(shifts) @ traj[n - 1]])
 
+    phi, psi = padded(phi_traj), padded(psi_traj)
+    past, future = slice(i, i + reach + 1), slice(i + reach, i + 2 * reach + 1)
     c = _quadrant_coeffs(record, i)
-    phis = np.stack([ext(phi_traj, j) for j in range(i - reach, i + 1)])
-    psis = np.stack([ext(psi_traj, j) for j in range(i, i + reach + 1)])
-    phis_f = np.stack([ext(phi_traj, j) for j in range(i, i + reach + 1)])
-    psis_p = np.stack([ext(psi_traj, j) for j in range(i - reach, i + 1)])
     ops_row = _side_by_side(record.channels)
-    past_future = np.vdot(phis, _channel_sum(ops_row, c, psis))
-    future_past = np.vdot(phis_f, _channel_sum(ops_row, c.transpose(0, 2, 1), psis_p))
-    total = complex(np.vdot(ext(phi_traj, i), ext(psi_traj, i)))
-    total += 1j * (past_future - future_past)
+    past_future = np.vdot(phi[past], _channel_sum(ops_row, c, psi[future]))
+    future_past = np.vdot(phi[future], _channel_sum(ops_row, c.transpose(0, 2, 1), psi[past]))
+    total = np.vdot(phi[i + reach], psi[i + reach]) + 1j * (past_future - future_past)
     return complex(record.spacing * total)
 
 
@@ -391,6 +404,13 @@ def transform_state(psi, surface: np.ndarray, picture: str = "psi_tilde"):
     if isinstance(psi, StateVector):
         return StateVector(v, picture=picture)
     return v
+
+
+def _expansion_interaction(w: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(W + W^dag)/2 - (1/8) [W - W^dag, S]: the second-order transformed
+    interaction from W(t) and the surface correction S_t of one node."""
+    anti = w - w.conj().T
+    return 0.5 * (w + w.conj().T) - 0.125 * (anti @ s - s @ anti)
 
 
 def transformed_interaction(record: EvolutionRecord, i: int, mode: str = "exact",
@@ -407,10 +427,8 @@ def transformed_interaction(record: EvolutionRecord, i: int, mode: str = "exact"
     in the coupling once the finite-difference error is subdominant.
     """
     if mode == "expansion":
-        w = equal_time_hamiltonian(record, i)
-        s = surface_correction(record, i)
-        anti = w - w.conj().T
-        return 0.5 * (w + w.conj().T) - 0.125 * (anti @ s - s @ anti)
+        return _expansion_interaction(equal_time_hamiltonian(record, i),
+                                     surface_correction(record, i))
     if mode != "exact":
         raise ValueError(f"unknown transformed-interaction mode {mode!r}")
     offsets, weights = _FD_STENCILS[fd_order]
@@ -430,19 +448,3 @@ def transformed_interaction(record: EvolutionRecord, i: int, mode: str = "exact"
     full = root @ (record.h0 + w) @ inv_root - 1j * (root @ d_inv_root)
     return full - record.h0
 
-
-def step_transformed(psi_tilde: np.ndarray, h0, wtilde: np.ndarray,
-                     dt: float) -> np.ndarray:
-    """One midpoint-exponential step exp(-i dt (h0 + wtilde)) psi_tilde.
-
-    Uses the Hermitian eigendecomposition when the generator is Hermitian
-    to working precision, otherwise scipy's expm.
-    """
-    gen = _as_matrix(h0) + wtilde
-    dev = np.linalg.norm(gen - gen.conj().T, np.inf)
-    if dev <= 1e-12 * max(np.linalg.norm(gen, np.inf), 1.0):
-        vals, vecs = np.linalg.eigh(0.5 * (gen + gen.conj().T))
-        return vecs @ (np.exp(-1j * dt * vals) * (vecs.conj().T @ _as_vector(psi_tilde)))
-    from scipy.linalg import expm
-
-    return expm(-1j * dt * gen) @ _as_vector(psi_tilde)

@@ -210,13 +210,10 @@ class FreePropagator:
         self.h0 = m
         self.evals, self.evecs = np.linalg.eigh(m)
 
-    def matrix(self, tau: float) -> np.ndarray:
-        phases = np.exp(-1j * tau * self.evals)
-        return (self.evecs * phases) @ self.evecs.conj().T
-
-    def apply(self, tau: float, psi: np.ndarray) -> np.ndarray:
-        phases = np.exp(-1j * tau * self.evals)
-        return self.evecs @ (phases * (self.evecs.conj().T @ psi))
+    def matrix(self, tau) -> np.ndarray:
+        """e^{-i tau h0}; an array of tau gives the stack of maps."""
+        phases = np.exp(-1j * np.multiply.outer(tau, self.evals))
+        return (self.evecs * phases[..., None, :]) @ self.evecs.conj().T
 
 
 def matrix_function(op, kind: str, theta: float | None = None,

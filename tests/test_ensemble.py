@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collapselab.channels import eigenmode_difference
+from collapselab import ensemble, evolution
+from collapselab.channels import eigenmode_difference, sample_noise
 from collapselab.ensemble import (
     EnsembleConfig,
     ModelSetup,
@@ -23,8 +24,13 @@ from collapselab.errors import (
     ScenarioViolation,
     StepRejected,
 )
+from collapselab.evolution import (
+    solve_nonlocal,
+    surface_correction,
+    transformed_interaction,
+)
 from collapselab.grids import TimeGrid, Window
-from collapselab.lattice import EigenSystem
+from collapselab.lattice import EigenSystem, sqrtmh
 from collapselab.master import compute_A
 from collapselab.presets import run_preset
 
@@ -144,6 +150,44 @@ def test_both_pictures_agree_on_energy(lat4, h0_4, grid16, ground):
     assert np.abs(out["difference"][0]).max() < 1e-4
     assert np.abs(stats.norm["untransformed"] - 1.0).max() < 1e-4
     assert "c22" in stats.observables["pointer"]
+
+
+def test_solver_route_builds_each_node_once(lat4, h0_4, grid16, ground, monkeypatch):
+    _, _, psi0 = ground
+    obs = eigenmode_difference(lat4, 0, 1)
+    cfg = EnsembleConfig(realizations=2, seed=2, picture="both",
+                         observables=(("pointer", obs),),
+                         t_on=0.7, t_off=1.3, ramp=0.2)
+    model = make_model(lat4, h0_4, grid16, 0.04)
+    calls = {"surface_correction": 0, "equal_time_hamiltonian": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(evolution, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(evolution, name, counted)
+        monkeypatch.setattr(ensemble, name, counted)
+    stats = run_ensemble(psi0, cfg, model)
+    visits = cfg.realizations * grid16.n_nodes
+    assert calls == {"surface_correction": visits, "equal_time_hamiltonian": visits}
+
+    # the same series as built from transformed_interaction node by node
+    monkeypatch.undo()
+    spacing = lat4.spacing
+    energy = np.empty_like(stats.energy["transformed"])
+    c12 = np.empty_like(energy)
+    for r in range(cfg.realizations):
+        noise = sample_noise(list(model.channels), grid16, [cfg.seed, r],
+                             window=cfg.window(grid16))
+        rec = solve_nonlocal(psi0, grid16, list(model.channels), noise, model.h0,
+                             spacing, propagators=True)
+        for j in range(grid16.n_nodes):
+            metric = np.eye(h0_4.dim) + surface_correction(rec, j)
+            psi_t = sqrtmh(metric) @ rec.states[j]
+            wt = transformed_interaction(rec, j, mode="expansion")
+            energy[r, j] = (spacing * np.vdot(psi_t, (model.h0 + wt) @ psi_t)).real
+            c12[r, j] = np.abs(spacing * np.vdot(psi_t, (wt @ obs - obs @ wt) @ psi_t)) ** 2
+    assert np.array_equal(stats.energy["transformed"], energy)
+    assert np.array_equal(stats.observables["pointer"]["c12"], c12)
 
 
 def test_variance_diagnostics_identity_observable(lat4, h0_4, grid16, ground):

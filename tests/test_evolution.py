@@ -13,12 +13,12 @@ from collapselab.channels import (
 )
 from collapselab.errors import NoConvergence, OutOfGrid
 from collapselab.evolution import (
+    EvolutionRecord,
     _coefficient_table,
     conserved_inner,
     conserved_inner_layer_sum,
     equal_time_hamiltonian,
     solve_nonlocal,
-    step_transformed,
     surface_correction,
     transform_state,
     transformed_interaction,
@@ -28,6 +28,8 @@ from collapselab.lattice import (
     EigenSystem,
     FreePropagator,
     LatticeConfig,
+    _as_matrix,
+    _as_vector,
     build_dirac_h0,
     l2_inner,
     l2_norm,
@@ -50,7 +52,7 @@ def oracle_solve(psi0, grid, channels, noise, h0, tol, matrix_mode):
     the padded iterate (maps or states) and the residual history."""
     dt, n = grid.dt, grid.n_nodes
     reach = int(round(max(ch.profile.ell_min for ch in channels) / dt))
-    coeffs = _coefficient_table(channels, noise, grid, reach)
+    coeffs, _ = _coefficient_table(channels, noise, grid, reach)
     ops = [ch.spatial_op for ch in channels]
     free = FreePropagator(h0)
     e_dt = free.matrix(dt)
@@ -132,6 +134,18 @@ def local_energy(record, i):
     return float(val.real), float(val.imag)
 
 
+def step_transformed(psi_tilde, h0, wtilde, dt):
+    """One midpoint-exponential step exp(-i dt (h0 + wtilde)) psi_tilde,
+    by the Hermitian eigendecomposition when the generator is Hermitian to
+    working precision, otherwise by scipy's expm."""
+    gen = _as_matrix(h0) + wtilde
+    dev = np.linalg.norm(gen - gen.conj().T, np.inf)
+    if dev <= 1e-12 * max(np.linalg.norm(gen, np.inf), 1.0):
+        vals, vecs = np.linalg.eigh(0.5 * (gen + gen.conj().T))
+        return vecs @ (np.exp(-1j * dt * vals) * (vecs.conj().T @ _as_vector(psi_tilde)))
+    return expm(-1j * dt * gen) @ _as_vector(psi_tilde)
+
+
 def probe(channels, grid, amplitude=2.0):
     return sample_fourier_probe(channels, grid, seed=9, window=WIN,
                                 amplitude=amplitude)
@@ -145,7 +159,7 @@ def test_zero_field_gives_free_evolution(lat4, h0_4, grid16):
     assert len(rec.residuals) == 1
     free = FreePropagator(h0_4.matrix)
     err = max(
-        np.abs(rec.state(i) - free.apply(i * grid16.dt, psi0)).max()
+        np.abs(rec.state(i) - free.matrix(i * grid16.dt) @ psi0).max()
         for i in range(grid16.n_nodes)
     )
     assert err < 1e-12
@@ -377,6 +391,36 @@ def test_expansion_remainder_is_third_order(lat4, h0_4, grid16):
     assert 5.0 < r1 / r2 < 11.0
 
 
+def test_node_window_is_solved_once(lat4, h0_4, grid16, monkeypatch):
+    rec = _solved(lat4, h0_4, grid16, 0.08)
+    i = grid16.n_nodes // 2
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    exact = transformed_interaction(rec, i, "exact")
+    series = transformed_interaction(rec, i, "expansion")
+    # node i (S, then W after the stencil), i - 1 and i + 1; the expansion
+    # form reuses the window of node i
+    assert len(calls) == 4
+    assert not rec.local_propagators(i).flags.writeable
+
+    kept = EvolutionRecord.local_propagators
+
+    def uncached(self, j):
+        self._local = None
+        return kept(self, j)
+
+    monkeypatch.setattr(EvolutionRecord, "local_propagators", uncached)
+    assert np.array_equal(transformed_interaction(rec, i, "exact"), exact)
+    assert np.array_equal(transformed_interaction(rec, i, "expansion"), series)
+    assert len(calls) == 4 + 6
+
+
 def test_transformed_interaction_rejects_bad_input(lat4, h0_4, grid16):
     rec = _solved(lat4, h0_4, grid16, 0.04)
     with pytest.raises(ValueError):
@@ -429,15 +473,26 @@ def test_local_energy_free_eigenstate(lat4, h0_4, grid16):
         assert abs(imag) < 1e-12
 
 
+@st.composite
+def reach_and_nodes(draw):
+    """Kernel reach in steps, 1..16, and a grid of 2 nodes up to a few
+    nodes beyond one full window of 2*reach + 1."""
+    reach = draw(st.integers(1, 16))
+    return reach, draw(st.integers(2, 2 * reach + 5))
+
+
+@pytest.mark.filterwarnings("ignore:field is active")
 @settings(max_examples=20, deadline=None)
 @given(sites=st.sampled_from([2, 4]), n_channels=st.integers(1, 3),
        propagators=st.booleans(), seed=st.integers(0, 2**16),
-       amplitude=st.floats(0.01, 0.08))
-def test_fused_contractions_match_per_channel_oracles(sites, n_channels,
-                                                      propagators, seed, amplitude):
+       amplitude=st.floats(0.01, 0.08), shape=reach_and_nodes())
+def test_fused_contractions_match_per_channel_oracles(sites, n_channels, propagators,
+                                                      seed, amplitude, shape):
+    reach, nodes = shape
     lat = LatticeConfig(sites=sites, spacing=1.0, mass=1.0)
     h0 = build_dirac_h0(lat)
-    grid = TimeGrid(0.0, 2.0, ELL / 16.0)
+    dt = ELL / reach
+    grid = TimeGrid(0.0, (nodes - 1) * dt, dt)
     rng = np.random.default_rng(seed)
     d = 2 * sites
     channels = []
@@ -446,12 +501,14 @@ def test_fused_contractions_match_per_channel_oracles(sites, n_channels,
         m = m + m.conj().T
         channels.append(make_channel(f"c{a}", m / np.linalg.norm(m, 2),
                                      KernelProfile(ell_min=ELL), amplitude))
-    noise = sample_fourier_probe(channels, grid, seed=seed, window=WIN)
+    # a field active up to both ends, so the free-extension pads matter
+    noise = sample_fourier_probe(channels, grid, seed=seed)
     psi0 = random_state(d, lat.spacing, seed)
     rec = solve_nonlocal(psi0, grid, channels, noise, h0, lat.spacing,
                          tol=1e-12, propagators=propagators)
     x, residuals = oracle_solve(psi0, grid, channels, noise, h0.matrix, 1e-12,
                                 propagators)
+    assert rec.reach == reach
     assert len(rec.residuals) == len(residuals)
     # the sweep history is fixed by the in-sweep refresh, not only the limit
     big = np.array(residuals) > 1e-9
@@ -467,6 +524,12 @@ def test_fused_contractions_match_per_channel_oracles(sites, n_channels,
             s = surface_correction(rec, i)
             assert np.array_equal(s, s.conj().T)
             assert np.abs(s - oracle_surface_correction(rec, i)).max() < 1e-10
+        # the layer sum continues the trajectories freely past both ends
+        psit = rec.trajectory(psi0)
+        phit = rec.trajectory(random_state(d, lat.spacing, seed + 1))
+        for i in (0, grid.n_nodes // 2, grid.n_nodes - 1):
+            assert abs(conserved_inner(rec, i, phit[i], psit[i])
+                       - conserved_inner_layer_sum(rec, i, phit, psit)) < 1e-12
 
 
 def test_node_loop_builds_one_noise_table(lat4, h0_4, grid16, monkeypatch):
@@ -485,4 +548,5 @@ def test_node_loop_builds_one_noise_table(lat4, h0_4, grid16, monkeypatch):
         surface_correction(rec, i)
         conserved_inner(rec, i, traj[i], traj[i])
         conserved_inner_layer_sum(rec, i, traj, traj)
-    assert len(calls) == 1
+    # the solve already built the one table the node loop reads
+    assert len(calls) == 0
