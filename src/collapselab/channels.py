@@ -514,22 +514,3 @@ def build_channel_operators(channels: list[InteractionChannel], h0,
         zeta=zeta, dt=dt, raw=raw, sym=sym, asymmetry=asym,
         channels=tuple(channels),
     )
-
-
-def linearized_interaction(opset: ChannelOperatorSet, noise: NoiseRealization,
-                           t: float, which: str = "sym") -> np.ndarray:
-    """The transformed interaction at leading order, directly from the stacks:
-
-        sum_a integral dz M_a(z) w_a(t - z/2).
-
-    Hermitian by construction. This is the operator the master-equation
-    derivation linearizes in the field; the ensemble path evaluates the same
-    contraction in batched form.
-    """
-    stack = opset.stack(which)
-    mids = t - 0.5 * opset.zeta
-    out = np.zeros(stack.shape[-2:], dtype=complex)
-    for a in range(stack.shape[0]):
-        w = np.asarray(noise.value(a, mids), dtype=float)
-        out += opset.dt * np.tensordot(w, stack[a], axes=(0, 0))
-    return out

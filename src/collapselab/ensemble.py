@@ -2,15 +2,17 @@
 
 Two routes produce per-realization trajectories. The transformed route
 steps psi_tilde with the midpoint exponential of h0 plus the linearized
-transformed interaction; the field lives on the half-step grid, so the
+transformed interaction W; the field lives on the half-step grid, so the
 interaction at step midpoints is supported exactly and the ensemble mean
-follows the matched double-commutator equation by construction. The
-exponential is applied to the state as a truncated Taylor series of batched
-mat-vecs (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011), never formed:
-each realization takes its own degree from its own bound theta = dt times
-the 1-norm of its generator, keeping terms until theta^(m+1)/(m+1)! <= 2^-53,
-and splits steps with theta > 0.5 into ceil(theta / 0.5) sub-steps. A
-non-finite generator raises StepRejected naming the realization and step.
+follows the matched double-commutator equation by construction. It works in
+the eigenbasis of h0, where W = sum_a O'_a diag(p_a) + diag(conj p_a) O'_a
+with weights p_a from one narrow GEMM of the field. The exponential acts on
+the state as a truncated Taylor series (Al-Mohy & Higham, SIAM J. Sci.
+Comput. 33, 2011), never formed: each realization bounds
+theta = dt ||h0 + W||_2 from max|lambda| and max|p_a|, takes
+ceil(theta / 0.5) sub-steps and the first degree m with
+(theta/s)^(m+1)/(m+1)! <= 2^-53; a non-finite bound raises StepRejected
+naming the realization and step.
 The untransformed route solves the nonlocal equation per realization and
 evaluates surface corrections node by node; it is far slower and is meant
 for small ensembles that compare the two pictures on the same field path.
@@ -29,6 +31,7 @@ resampling would condition the ensemble on solver success and bias means.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -60,6 +63,10 @@ from .lattice import _as_matrix, _as_vector, sqrtmh
 BLOCK = 256
 _TAYLOR_TOL = 2.0**-53  # truncation bound theta^(m+1)/(m+1)! of one sub-step
 _SUBSTEP_THETA = 0.5  # largest theta stepped without splitting
+# degree m serves a sub-step while theta <= _TAYLOR_THETA[m], the theta whose
+# theta^(m+1)/(m+1)! is _TAYLOR_TOL
+_TAYLOR_THETA = np.exp([(math.log(_TAYLOR_TOL) + math.lgamma(m + 2)) / (m + 1)
+                        for m in range(32)])
 WORKER_ENV = "COLLAPSELAB_WORKERS"
 
 PICTURES = ("transformed", "untransformed", "both")
@@ -208,121 +215,145 @@ def _noise_tables(model: ModelSetup, window: Window, seed: int, rows: range,
     return out
 
 
-def _expm_action(gen: np.ndarray, psi: np.ndarray, dt: float, rows: range,
-                 step: int) -> np.ndarray:
+def _expm_action(gen: np.ndarray, psi: np.ndarray, dt: float,
+                 theta: np.ndarray, rows: range, step: int) -> np.ndarray:
     """exp(-i dt gen_r) psi_r for every row r of a batch of Hermitian gen.
 
-    Row r bounds its exponent by theta_r = dt ||gen_r||_1, takes
-    s_r = ceil(theta_r / _SUBSTEP_THETA) sub-steps and sums each one's
-    Taylor series up to the first degree m with
-    (theta_r / s_r)^(m+1) / (m+1)! <= _TAYLOR_TOL. Terms and sub-steps past
-    a row's own count are masked out, so its bits never depend on the other
-    rows of the batch. `rows` and `step` only name a failing realization in
-    the StepRejected raised for a non-finite bound.
+    theta_r must bound dt ||gen_r||_2. Row r takes
+    s_r = ceil(theta_r / _SUBSTEP_THETA) sub-steps, each the Taylor
+    polynomial of the first degree m with (theta_r / s_r)^(m+1) / (m+1)!
+    <= _TAYLOR_TOL, evaluated by Horner's rule. Rows that share (s_r, m) are
+    stepped together and no row is masked, so a row's bits never depend on
+    the other rows of the batch. `rows` and `step` only name a failing
+    realization in the StepRejected raised for a non-finite bound.
     """
-    theta = dt * np.abs(gen).sum(axis=1).max(axis=1)
     bad = np.flatnonzero(~np.isfinite(theta))
     if bad.size:
         r = bad[0]
         raise StepRejected(f"realization {rows[r]}, step {step}: "
                            f"non-finite step bound theta = {theta[r]}")
-    subs = np.maximum(np.ceil(theta / _SUBSTEP_THETA), 1.0)
-    theta_sub = theta / subs
-    degree = np.zeros(theta.size, dtype=int)
-    tail = theta_sub.copy()  # theta_sub^(m+1) / (m+1)! at order m
-    m = 0
-    while (tail > _TAYLOR_TOL).any():
-        degree += tail > _TAYLOR_TOL
-        m += 1
-        tail = tail * theta_sub / (m + 1)
-    coef = (-1j * dt / subs)[:, None]
-    for i in range(int(subs.max())):
-        live = (subs > i)[:, None]
-        term = psi
-        acc = psi.copy()
-        for k in range(1, degree.max() + 1):
-            term = (gen @ term[:, :, None])[:, :, 0] * (coef / k)
-            np.add(acc, term, out=acc, where=live & (degree >= k)[:, None])
-        psi = acc
-    return psi
+    subs = np.maximum(np.ceil(theta / _SUBSTEP_THETA), 1.0).astype(int)
+    degree = np.searchsorted(_TAYLOR_THETA, theta / subs)
+    key = subs * _TAYLOR_THETA.size + degree
+    groups = [np.flatnonzero(key == k) for k in sorted(set(key.tolist()))]
+    out = np.empty_like(psi)
+    for part in groups:
+        s, m = subs[part[0]], degree[part[0]]
+        idx = slice(None) if len(groups) == 1 else part
+        x, mat, coef = psi[idx], gen[idx], -1j * dt / s
+        for _ in range(s):
+            acc = x
+            for k in range(m, 0, -1):
+                acc = np.matmul(mat, acc[:, :, None])[:, :, 0]
+                acc *= coef / k
+                acc += x
+            x = acc
+        out[idx] = x
+    return out
 
 
 class _TransformedRun:
-    """Batched stepping of the linearized transformed dynamics."""
+    """Batched stepping of the linearized transformed dynamics in the
+    eigenbasis of h0. The initial state, observables and branch states are
+    rotated once per run, states back only where sigma is accumulated."""
 
     def __init__(self, model: ModelSetup, cfg: EnsembleConfig, psi0):
         self.model = model
         self.cfg = cfg
-        self.psi0 = np.asarray(_as_vector(psi0), dtype=complex)
         self.window = cfg.window(model.grid)
-        opset = model.opset
-        self.k = opset.half_width
-        stack = opset.stack(model.which)
-        # the dt-scaled stack as a real (A*(2K+1), 2*D*D) matrix: W is one GEMM
-        self.wflat = (model.grid.dt * stack).reshape(
-            stack.shape[0] * stack.shape[1], -1).view(np.float64)
+        dt, opset = model.grid.dt, model.opset
+        self.lam, self.vecs = np.linalg.eigh(model.h0)
+        vh = self.vecs.conj().T
+        ops = vh @ np.stack([ch.spatial_op for ch in model.channels]) @ self.vecs
+        # W' = sum_a O'_a diag(p_a) + diag(conj p_a) O'_a, p_a the field against
+        # dt amp_a L_a(z) e^{i z lam} / 2 (its even part for the sym stack)
+        lz = np.stack([0.5 * dt * ch.amplitude * ch.profile.value(opset.zeta)
+                       for ch in model.channels])
+        q = lz[:, :, None] * np.exp(1j * np.multiply.outer(opset.zeta, self.lam))
+        if model.which == "sym":
+            q = 0.5 * (q + q[:, ::-1])
+        na, nz, d = q.shape
+        table = np.zeros((na, nz, na, d), dtype=complex)
+        table[np.arange(na), :, np.arange(na)] = q
+        self.table = table.reshape(na * nz, na * d).view(np.float64)
+        # one real GEMM takes the field to the rotated dt-scaled stack and p
+        stack = vh @ (dt * opset.stack(model.which)) @ self.vecs
+        self.mid_table = np.concatenate(
+            [stack.reshape(na * nz, -1).view(np.float64), self.table], axis=1)
+        self.ocat = ops.transpose(2, 0, 1).reshape(d, na * d)  # y -> (O'_a y)_a
+        self.op_norm = 2.0 * np.linalg.norm(ops, 2, axis=(1, 2))
+        self.lam_max = float(np.abs(self.lam).max())
+        self.lam_one = np.stack([self.lam, np.ones(d)], axis=1)
         n = model.grid.n_nodes
-        d_off = np.arange(-self.k, self.k + 1)
-        self.pad = self.k + 1
+        d_off = np.arange(-opset.half_width, opset.half_width + 1)
+        self.pad = opset.half_width + 1
         # half-grid indices of (t_j + t_{j+1})/2 - zeta/2 and t_j - zeta/2
         self.mid_idx = (2 * np.arange(n - 1)[:, None] + 1 - d_off[None, :]) + self.pad
         self.node_idx = (2 * np.arange(n)[:, None] - d_off[None, :]) + self.pad
-        self.obs = [(label, _as_matrix(op)) for label, op in cfg.observables]
-        self.obs_sq = [(label, op @ op) for label, op in self.obs]
-        self.branches = None
-        if cfg.branch_states is not None:
-            self.branches = np.stack([
-                np.asarray(_as_vector(b), dtype=complex) for b in cfg.branch_states])
+        self.psi0 = vh @ np.asarray(_as_vector(psi0), dtype=complex)
+        self.labels = [label for label, _ in cfg.observables]
+        # psi @ obs_t gives O' psi for every observable side by side
+        self.obs_t = np.concatenate([(vh @ _as_matrix(op) @ self.vecs).T
+                                     for _, op in cfg.observables]
+                                    or [np.zeros((d, 0))], axis=1)
+        self.branches_h = None if cfg.branch_states is None else (vh @ np.stack(
+            [_as_vector(b) for b in cfg.branch_states], axis=1)).conj()
 
-    def _interaction(self, tables_pad, idx_row) -> np.ndarray:
-        w = tables_pad[:, :, idx_row]  # (B, A, 2K+1)
-        flat = w.reshape(w.shape[0], -1) @ self.wflat
-        return flat.view(complex).reshape((-1,) + self.model.h0.shape)
+    def _weights(self, w: np.ndarray) -> np.ndarray:
+        """The (B, A, D) weights p of W' from the (B, A, 2K+1) field samples."""
+        flat = w.reshape(w.shape[0], -1) @ self.table
+        return flat.view(complex).reshape(w.shape[0], w.shape[1], -1)
+
+    def _w_dots(self, p: np.ndarray, psi: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """<psi_r, W'_r y_rj> for the (B, J, D) stack y whose first entry is psi:
+        sum_a <O'_a psi, p_a y> + <p_a psi, O'_a y>, O'_a Hermitian."""
+        b, j, d = y.shape
+        oy = (y.reshape(b * j, d) @ self.ocat).reshape(b, j, -1, d)
+        return (np.einsum("rad,rjd->rj", oy[:, 0].conj() * p, y)
+                + np.einsum("rad,rjad->rj", (p * psi[:, None]).conj(), oy))
 
     def block(self, rows: range, stats: EnsembleStats, partials: dict) -> None:
-        model = self.model
-        grid = model.grid
-        n = grid.n_nodes
-        dt = grid.dt
-        spacing = model.spacing
-        pads = _noise_tables(model, self.window, self.cfg.seed, rows, self.pad)
-        psi = np.broadcast_to(self.psi0, (len(rows), self.psi0.size)).copy()
+        grid, spacing = self.model.grid, self.model.spacing
+        n, nb, nd = grid.n_nodes, len(rows), self.lam.size
+        pads = _noise_tables(self.model, self.window, self.cfg.seed, rows, self.pad)
+        psi = np.broadcast_to(self.psi0, (nb, nd)).copy()
         sel = slice(rows.start, rows.stop)
-        cp_nodes = stats.checkpoint_nodes
-        cp_pos = {int(node): c for c, node in enumerate(cp_nodes)}
-        sig_sum = partials["sigma_sum"]
-        sig_sq = partials["sigma_sq"]
+        cp_pos = {int(node): c for c, node in enumerate(stats.checkpoint_nodes)}
         for j in range(n):
-            w_node = self._interaction(pads, self.node_idx[j])
-            h_psi = np.einsum("ab,rb->ra", model.h0, psi) + np.einsum(
-                "rab,rb->ra", w_node, psi)
-            stats.energy["transformed"][sel, j] = spacing * np.einsum(
-                "rb,rb->r", psi.conj(), h_psi).real
-            stats.norm["transformed"][sel, j] = spacing * np.einsum(
-                "rb,rb->r", psi.conj(), psi).real
-            for (label, op), (_, op2) in zip(self.obs, self.obs_sq):
+            o_psi = (psi @ self.obs_t).reshape(nb, -1, nd)
+            y = np.concatenate([psi[:, None], o_psi], axis=1)
+            w_dots = self._w_dots(self._weights(pads[:, :, self.node_idx[j]]), psi, y)
+            free, norm = ((psi.conj() * psi).real @ self.lam_one).T
+            stats.energy["transformed"][sel, j] = spacing * (free + w_dots[:, 0].real)
+            stats.norm["transformed"][sel, j] = spacing * norm
+            o_dots = np.einsum("rb,rkb->rk", psi.conj(), o_psi)
+            o_sq = np.einsum("rkb,rkb->rk", o_psi.conj(), o_psi)
+            for i, label in enumerate(self.labels):
                 rec = stats.observables[label]
-                o_psi = np.einsum("ab,rb->ra", op, psi)
-                rec["transformed"][sel, j] = spacing * np.einsum(
-                    "rb,rb->r", psi.conj(), o_psi).real
-                rec["square"][sel, j] = spacing * np.einsum(
-                    "rb,rb->r", psi.conj(), np.einsum("ab,rb->ra", op2, psi)).real
-                w_o = np.einsum("rab,rb->ra", w_node, o_psi)
-                o_w = np.einsum("ab,rb->ra", op,
-                                np.einsum("rab,rb->ra", w_node, psi))
-                comm = spacing * np.einsum("rb,rb->r", psi.conj(), w_o - o_w)
-                rec["c12"][sel, j] = np.abs(comm) ** 2
-            if self.branches is not None:
-                amp = spacing * np.einsum("kb,rb->rk", self.branches.conj(), psi)
-                stats.branch_weights[sel, j] = np.abs(amp) ** 2
+                rec["transformed"][sel, j] = spacing * o_dots[:, i].real
+                rec["square"][sel, j] = spacing * o_sq[:, i].real
+                # <psi, [W, O] psi> = 2i Im <psi, W O psi>
+                rec["c12"][sel, j] = (2.0 * spacing * w_dots[:, 1 + i].imag) ** 2
+            if self.branches_h is not None:
+                stats.branch_weights[sel, j] = np.abs(
+                    spacing * (psi @ self.branches_h)) ** 2
             if j in cp_pos:
                 c = cp_pos[j]
-                outer = spacing * np.einsum("rb,rc->rbc", psi, psi.conj())
-                sig_sum[c] += outer.sum(axis=0)
-                sig_sq[c] += (outer.real**2 + 1j * outer.imag**2).sum(axis=0)
+                back = psi @ self.vecs.T
+                outer = spacing * np.einsum("rb,rc->rbc", back, back.conj())
+                partials["sigma_sum"][c] += outer.sum(axis=0)
+                partials["sigma_sq"][c] += (outer.real**2 + 1j * outer.imag**2).sum(axis=0)
             if j < n - 1:
-                gen = self._interaction(pads, self.mid_idx[j]) + model.h0[None]
-                psi = _expm_action(gen, psi, dt, rows, j)
+                flat = pads[:, :, self.mid_idx[j]].reshape(nb, -1) @ self.mid_table
+                gen = flat[:, : 2 * nd * nd].view(complex)
+                gen[:, :: nd + 1] += self.lam
+                p = flat[:, 2 * nd * nd :].view(complex).reshape(nb, -1, nd)
+                # max_n |p_an| over the outer axis of a copy: numpy reduces a
+                # short inner axis row by row
+                mag = np.abs(p).transpose(2, 0, 1).copy().max(axis=0)
+                theta = grid.dt * (self.lam_max + mag @ self.op_norm)
+                psi = _expm_action(gen.reshape(nb, nd, nd), psi, grid.dt, theta,
+                                   rows, j)
 
 
 def _solver_block(model: ModelSetup, cfg: EnsembleConfig, psi0, rows: range,

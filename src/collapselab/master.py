@@ -233,7 +233,7 @@ def integrate(sigma0, spec: LindbladSpec, grid: TimeGrid,
 
     Each step re-symmetrizes the density and records the size of that
     correction; a correction beyond 1e-6 raises StepRejected since it means
-    the step size no longer resolves the flow. The minimum eigenvalue is
+    the step size no longer resolves the flow, and so does a non-finite one. The minimum eigenvalue is
     recorded when monitoring is on; for the double-commutator variant a
     negative value is expected behavior, not an error.
     """
@@ -261,7 +261,7 @@ def integrate(sigma0, spec: LindbladSpec, grid: TimeGrid,
         k4 = master_rhs(s + dt * k3, spec)
         s = s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         dev = float(np.abs(s - s.conj().T).max())
-        if dev > HERM_CORRECTION_LIMIT:
+        if not dev <= HERM_CORRECTION_LIMIT:  # NaN fails too
             raise StepRejected(
                 f"hermiticity correction {dev:.3e} at step {i} exceeds "
                 f"{HERM_CORRECTION_LIMIT}")

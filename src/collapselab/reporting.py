@@ -8,6 +8,7 @@ which is what makes byte-identical reruns possible.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,10 @@ def write_csv(path, header: list[str], columns: list[np.ndarray]) -> Path:
     lengths = {len(c) for c in columns}
     if len(lengths) > 1:
         raise IOFailure(f"{path}: ragged columns with lengths {sorted(lengths)}")
+    for name, col in zip(header, columns):
+        arr = np.asarray(col)
+        if arr.dtype.kind in "fc" and not np.isfinite(arr).all():
+            raise IOFailure(f"{path}: column {name!r} holds a non-finite value")
     lines = [",".join(header)]
     for i in range(lengths.pop() if lengths else 0):
         lines.append(",".join(format_number(col[i]) for col in columns))
@@ -52,31 +57,40 @@ def write_csv(path, header: list[str], columns: list[np.ndarray]) -> Path:
     return path
 
 
-def _jsonable(obj):
+def _jsonable(obj, key: str = ""):
+    """JSON-ready copy of obj; raises ValueError naming the key of the first
+    non-finite float."""
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return {str(k): _jsonable(v, f"{key}.{k}" if key else str(k))
+                for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [_jsonable(v, f"{key}[{i}]") for i, v in enumerate(obj)]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
     if isinstance(obj, complex):
-        return {"re": float(obj.real), "im": float(obj.imag)}
+        return {"re": _jsonable(obj.real, key), "im": _jsonable(obj.imag, key)}
+    if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"key {key!r} holds a non-finite value")
+        return float(obj)
     if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
+        return _jsonable(obj.tolist(), key)
     return obj
 
 
 def write_summary(path, payload: dict) -> Path:
-    """Write the run summary document (sorted keys, no timestamps)."""
+    """Write the run summary document (sorted keys, no timestamps); a
+    non-finite float raises IOFailure before anything is written."""
+    try:
+        doc = _jsonable(payload)
+    except ValueError as err:
+        raise IOFailure(f"{path}: {err}") from err
     try:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(_jsonable(payload), indent=2,
-                                   sort_keys=True) + "\n")
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     except OSError as err:
         raise IOFailure(f"cannot write {path}: {err}") from err
     return path

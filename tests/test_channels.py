@@ -11,7 +11,6 @@ from collapselab.channels import (
     eigenmode_coupling,
     eigenmode_difference,
     interaction_kernel,
-    linearized_interaction,
     make_channel,
     momentum_function,
     position_gaussian,
@@ -295,6 +294,18 @@ def test_commuting_channel_has_even_raw_stack(lat4, h0_4, grid16):
     ops = build_channel_operators([make_channel("mom", a, prof, 0.3)],
                                   h0_4, grid16.dt)
     assert ops.asymmetry.max() < 1e-12
+
+
+def linearized_interaction(opset, noise, t, which="sym"):
+    """The transformed interaction at leading order, directly from the
+    stacks: sum_a integral dz M_a(z) w_a(t - z/2)."""
+    stack = opset.stack(which)
+    mids = t - 0.5 * opset.zeta
+    out = np.zeros(stack.shape[-2:], dtype=complex)
+    for a in range(stack.shape[0]):
+        w = np.asarray(noise.value(a, mids), dtype=float)
+        out += opset.dt * np.tensordot(w, stack[a], axes=(0, 0))
+    return out
 
 
 def test_linearized_interaction_matches_direct_sum(lat4, h0_4, grid16):

@@ -8,6 +8,7 @@ import yaml
 from collapselab import cli
 from collapselab.config import ExperimentConfig, load_raw, merged
 from collapselab.errors import ConfigError, IOFailure
+from collapselab.master import LindbladSpec
 from collapselab.presets import PRESETS, run_preset
 from collapselab.reporting import (
     format_number,
@@ -194,6 +195,26 @@ def test_write_csv(tmp_path):
         write_csv(tmp_path / "z.csv", ["a", "b"], [np.zeros(2), np.zeros(3)])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_write_csv_refuses_non_finite_values(tmp_path, bad):
+    col = np.array([0.0, 1.0, 2.0], dtype=type(bad))
+    col[1] = bad
+    path = tmp_path / "sub" / "x.csv"
+    with pytest.raises(IOFailure, match=r"x\.csv: column 'v' holds a non-finite"):
+        write_csv(path, ["t", "v"], [np.arange(3.0), col])
+    assert not path.exists() and not path.parent.exists()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -np.inf, complex(1.0, np.inf)])
+def test_write_summary_refuses_non_finite_values(tmp_path, bad):
+    payload = {"checks": [{"name": "a", "observed": 1.0},
+                          {"name": "b", "observed": bad}], "z": 0.5}
+    path = tmp_path / "sub" / "s.json"
+    with pytest.raises(IOFailure, match=r"s\.json: key 'checks\[1\]\.observed"):
+        write_summary(path, payload)
+    assert not path.exists() and not path.parent.exists()
+
+
 def test_operator_csv(tmp_path):
     op = np.array([[1.0, 2.0j], [-2.0j, 3.0]])
     path = operator_csv(tmp_path / "op.csv", [("A", op)])
@@ -284,6 +305,25 @@ def test_cli_run_solver_failure_exits_three(tmp_path, capsys):
                      "--out", str(tmp_path / "res")])
     assert code == 3
     assert "solver error" in capsys.readouterr().err
+
+
+def test_cli_run_non_finite_density_exits_three(tmp_path, capsys, monkeypatch):
+    # the free-flow reference of lindblad-vs-mc integrates a GKSL spec; one
+    # NaN jump operator makes its density non-finite at the first step
+    gksl = LindbladSpec.gksl
+
+    def poisoned(h0, jumps):
+        jump = np.zeros(h0.shape, dtype=complex)
+        jump[0, 1] = np.nan
+        return gksl(h0, [*jumps, jump])
+
+    monkeypatch.setattr(LindbladSpec, "gksl", staticmethod(poisoned))
+    out = tmp_path / "res"
+    code = cli.main(["run", "lindblad-vs-mc", "--realizations", "16",
+                     "--out", str(out)])
+    assert code == 3
+    assert "hermiticity correction nan" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
 
 
 def test_cli_requires_subcommand():

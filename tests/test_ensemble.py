@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collapselab import ensemble, evolution
-from collapselab.channels import eigenmode_difference, sample_noise
+from collapselab.channels import (
+    KernelProfile,
+    eigenmode_difference,
+    make_channel,
+    sample_noise,
+)
 from collapselab.ensemble import (
     EnsembleConfig,
     ModelSetup,
@@ -34,7 +39,7 @@ from collapselab.lattice import EigenSystem, sqrtmh
 from collapselab.master import compute_A
 from collapselab.presets import run_preset
 
-from conftest import ELL, two_channels
+from conftest import ELL, random_state, two_channels
 
 
 @pytest.fixture
@@ -290,6 +295,17 @@ def eigh_step(gen, psi, dt):
     return np.einsum("rab,rb->ra", vecs, coef)
 
 
+def norm2_bound(gen, dt):
+    """dt ||gen_r||_2 of Hermitian generators, from their eigenvalues."""
+    return dt * np.abs(np.linalg.eigvalsh(gen)).max(axis=1)
+
+
+def norm1_bound(gen, dt):
+    """dt ||gen_r||_1, a valid 2-norm bound that stays defined on non-finite
+    entries."""
+    return dt * np.abs(gen).sum(axis=1).max(axis=1)
+
+
 def hermitian_batch(rng, rows, dim, thetas, dt):
     """Random Hermitian generators scaled to dt * ||gen_r||_1 = thetas[r],
     with unit states."""
@@ -309,7 +325,7 @@ def test_expm_action_matches_eigh(dim):
     dt = 0.03
     thetas = np.geomspace(0.05, 5.0, 24)  # above 0.5 the step is split
     gen, psi = hermitian_batch(rng, thetas.size, dim, thetas, dt)
-    out = _expm_action(gen, psi, dt, range(thetas.size), 0)
+    out = _expm_action(gen, psi, dt, norm2_bound(gen, dt), range(thetas.size), 0)
     dev = np.abs(out - eigh_step(gen, psi, dt)).max(axis=1)
     assert np.all(dev <= 1e-13 * np.maximum(1.0, thetas))
 
@@ -328,10 +344,11 @@ def test_expm_action_rows_keep_their_own_degree():
     gen *= (thetas / (dt * np.abs(gen).sum(axis=1).max(axis=1)))[:, None, None]
     psi = np.zeros((thetas.size, dim), dtype=complex)
     psi[:, 0] = 1.0
-    out = _expm_action(gen, psi, dt, range(thetas.size), 0)
+    out = _expm_action(gen, psi, dt, norm2_bound(gen, dt), range(thetas.size), 0)
     assert np.all(out[:, -1] != 0.0)
     for r in range(thetas.size):
-        alone = _expm_action(gen[r : r + 1], psi[r : r + 1], dt, range(1), 0)
+        alone = _expm_action(gen[r : r + 1], psi[r : r + 1], dt,
+                             norm2_bound(gen[r : r + 1], dt), range(1), 0)
         assert alone.tobytes() == out[r : r + 1].tobytes()
 
 
@@ -343,7 +360,7 @@ def test_expm_action_preserves_weighted_norm(dim, theta, spacing, seed):
     dt = 0.05
     gen, psi = hermitian_batch(rng, 4, dim, [theta] * 4, dt)
     psi /= np.sqrt(spacing)
-    out = _expm_action(gen, psi, dt, range(4), 0)
+    out = _expm_action(gen, psi, dt, norm2_bound(gen, dt), range(4), 0)
     before = spacing * np.einsum("rb,rb->r", psi.conj(), psi).real
     after = spacing * np.einsum("rb,rb->r", out.conj(), out).real
     assert np.abs(after - before).max() <= 1e-12
@@ -354,15 +371,17 @@ def test_expm_action_rejects_non_finite_row(bad):
     rng = np.random.default_rng(3)
     dt = 0.03
     gen, psi = hermitian_batch(rng, 6, 8, np.full(6, 0.3), dt)
-    clean = _expm_action(gen, psi, dt, range(40, 46), 7)
+    clean = _expm_action(gen, psi, dt, norm1_bound(gen, dt), range(40, 46), 7)
     poisoned = gen.copy()
     poisoned[2, 1, 4] = bad
     psi_in = psi.copy()
     with pytest.raises(StepRejected, match=r"realization 42, step 7"):
-        _expm_action(poisoned, psi, dt, range(40, 46), 7)
+        _expm_action(poisoned, psi, dt, norm1_bound(poisoned, dt),
+                     range(40, 46), 7)
     assert psi.tobytes() == psi_in.tobytes()
     keep = [0, 1, 3, 4, 5]
-    rest = _expm_action(gen[keep], psi[keep], dt, range(5), 7)
+    rest = _expm_action(gen[keep], psi[keep], dt, norm1_bound(gen[keep], dt),
+                        range(5), 7)
     assert rest.tobytes() == clean[keep].tobytes()
 
 
@@ -391,6 +410,131 @@ def test_rows_do_not_depend_on_block_mates(lat4, h0_4, grid16, ground):
         for key in few:
             assert few[key].tobytes() == many[key][:8].tobytes(), key
     assert small.branch_weights.tobytes() == large.branch_weights[:8].tobytes()
+
+
+def random_model(rng, dim, count, which):
+    """A random Hermitian h0 with one degenerate pair and `count` channels
+    with random Hermitian operators and two kernel shapes and ranges."""
+    vals = rng.uniform(-3.0, 3.0, dim)
+    vals[1] = vals[0]
+    basis, _ = np.linalg.qr(rng.standard_normal((dim, dim))
+                            + 1j * rng.standard_normal((dim, dim)))
+    h0 = (basis * vals) @ basis.conj().T
+    h0 = 0.5 * (h0 + h0.conj().T)
+    profiles = [KernelProfile(ell_min=ELL), KernelProfile(
+        ell_min=0.75 * ELL, shape="gaussian_truncated")]
+    channels = []
+    for a in range(count):
+        op = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        channels.append(make_channel(f"c{a}", op, profiles[a],
+                                     rng.uniform(0.1, 2.0)))
+    return ModelSetup(grid=TimeGrid(0.0, 1.0, ELL / 16), h0=h0, spacing=1.0,
+                      channels=channels, which=which)
+
+
+@pytest.mark.parametrize("which", ["sym", "raw"])
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("dim", [4, 8, 16])
+def test_kernel_table_matches_rotated_stack(dim, count, which):
+    rng = np.random.default_rng(100 * dim + 10 * count + len(which))
+    model = random_model(rng, dim, count, which)
+    cfg = EnsembleConfig(realizations=2, seed=1)
+    run = ensemble._TransformedRun(model, cfg, random_state(dim, 1.0, 3))
+    opset = model.opset
+    stack = model.grid.dt * opset.stack(which)
+    w = rng.standard_normal((5, count, opset.zeta.size))
+    vecs = run.vecs
+    assert np.allclose(vecs @ np.diag(run.lam) @ vecs.conj().T, model.h0,
+                       atol=1e-13)
+    oracle = vecs.conj().T @ np.einsum("raz,azxy->rxy", w, stack) @ vecs
+    scale = np.abs(oracle).max()
+    # W' = sum_a O'_a diag(p_a) + diag(conj p_a) O'_a
+    p = run._weights(w)
+    ops = vecs.conj().T @ np.stack([ch.spatial_op for ch in model.channels]) @ vecs
+    p_form = np.einsum("axy,ray->rxy", ops, p) + np.einsum(
+        "rax,axy->rxy", p.conj(), ops)
+    assert np.abs(p_form - oracle).max() <= 1e-13 * scale
+    # the step's generator comes from the rotated stack in one GEMM
+    gen = (w.reshape(5, -1) @ run.mid_table)[:, : 2 * dim * dim]
+    gen = np.ascontiguousarray(gen).view(complex).reshape(5, dim, dim)
+    assert np.abs(gen - oracle).max() <= 1e-13 * scale
+    # the records' inner products <psi, W' y> from p alone
+    psi = rng.standard_normal((5, dim)) + 1j * rng.standard_normal((5, dim))
+    y = np.stack([psi, rng.standard_normal((5, dim)) + 0j], axis=1)
+    dots = np.einsum("rb,rxb,rjx->rj", psi.conj(), oracle.transpose(0, 2, 1), y)
+    assert np.abs(run._w_dots(p, psi, y) - dots).max() <= 1e-12 * scale * np.abs(
+        y).max() * np.abs(psi).max()
+
+
+def oracle_records(model, cfg, psi0):
+    """The transformed route's records in the original basis: W from the
+    dt-scaled stack, a batched eigh per step, the einsum bookkeeping."""
+    grid, n, s = model.grid, model.grid.n_nodes, model.spacing
+    opset = model.opset
+    k = opset.half_width
+    stack = grid.dt * opset.stack(model.which)
+    d_off = np.arange(-k, k + 1)
+    node_idx = 2 * np.arange(n)[:, None] - d_off + k + 1
+    mid_idx = 2 * np.arange(n - 1)[:, None] + 1 - d_off + k + 1
+    nr = cfg.realizations
+    tables = ensemble._noise_tables(model, cfg.window(grid), cfg.seed, range(nr),
+                                    k + 1)
+
+    def interaction(idx):
+        return np.einsum("raz,azxy->rxy", tables[:, :, idx], stack)
+
+    (_, op), = cfg.observables
+    branches = np.stack(cfg.branch_states)
+    psi = np.tile(np.asarray(psi0, dtype=complex), (nr, 1))
+    out = {key: np.empty((nr, n)) for key in
+           ("energy", "norm", "transformed", "square", "c12")}
+    out["branches"] = np.empty((nr, n, len(branches)))
+    cp = {int(node): c for c, node in
+          enumerate(ensemble._checkpoint_nodes(n, cfg.checkpoints))}
+    out["sigma"] = np.zeros((len(cp),) + model.h0.shape, dtype=complex)
+    for j in range(n):
+        w = interaction(node_idx[j])
+        w_psi = np.einsum("rab,rb->ra", w, psi)
+        o_psi = psi @ op.T
+        out["energy"][:, j] = s * np.einsum("rb,rb->r", psi.conj(),
+                                            psi @ model.h0.T + w_psi).real
+        out["norm"][:, j] = s * np.einsum("rb,rb->r", psi.conj(), psi).real
+        out["transformed"][:, j] = s * np.einsum("rb,rb->r", psi.conj(), o_psi).real
+        out["square"][:, j] = s * np.einsum("rb,rb->r", psi.conj(),
+                                            o_psi @ op.T).real
+        comm = np.einsum("rab,rb->ra", w, o_psi) - w_psi @ op.T
+        out["c12"][:, j] = np.abs(s * np.einsum("rb,rb->r", psi.conj(), comm)) ** 2
+        out["branches"][:, j] = np.abs(s * psi @ branches.conj().T) ** 2
+        if j in cp:
+            out["sigma"][cp[j]] = s * np.einsum("rb,rc->bc", psi, psi.conj()) / nr
+        if j < n - 1:
+            psi = eigh_step(model.h0 + interaction(mid_idx[j]), psi, grid.dt)
+    return out
+
+
+def test_records_match_original_basis_oracle(lat4, h0_4, grid16, ground):
+    esys, _, _ = ground
+    obs = eigenmode_difference(lat4, 0, 1)
+    sup = esys.state(4) + esys.state(5)
+    sup = sup / np.sqrt(lat4.spacing * np.vdot(sup, sup).real)
+    model = make_model(lat4, h0_4, grid16, 1.5)
+    cfg = EnsembleConfig(realizations=6, seed=21, observables=(("pointer", obs),),
+                         branch_states=split_branches(obs, sup, lat4.spacing),
+                         t_on=0.4, t_off=1.6, ramp=0.3)
+    stats = run_ensemble(sup, cfg, model)
+    ref = oracle_records(model, cfg, sup)
+    rec = stats.observables["pointer"]
+    pairs = [(stats.energy["transformed"], ref["energy"]),
+             (stats.norm["transformed"], ref["norm"]),
+             (rec["transformed"], ref["transformed"]),
+             (rec["square"], ref["square"]),
+             (stats.branch_weights, ref["branches"]),
+             (stats.sigma_mean, ref["sigma"])]
+    for got, want in pairs:
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # c12 is a squared commutator that passes through zero
+    assert rec["c12"].max() > 1e-3
+    assert np.abs(rec["c12"] - ref["c12"]).max() <= 1e-11 * rec["c12"].max()
 
 
 def test_adjacent_seeds_give_distinct_ensembles(tmp_path):

@@ -189,6 +189,18 @@ def test_integrate_rejects_unresolved_step(h0_4, sigma0):
         integrate(sigma0, spec, TimeGrid(0.0, 10.0, 1.0))
 
 
+@pytest.mark.parametrize("monitor", [True, False])
+def test_integrate_rejects_non_finite_density(h0_4, sigma0, monitor):
+    # a NaN compares false against the hermiticity limit, so only a guard
+    # written as "not dev <= limit" stops it
+    jump = np.zeros((8, 8), dtype=complex)
+    jump[0, 1] = np.nan
+    spec = LindbladSpec.gksl(h0_4, [jump])
+    with pytest.raises(StepRejected, match="step 1 "):
+        integrate(sigma0, spec, TimeGrid(0.0, 1.0, ELL / 16),
+                  monitor_positivity=monitor)
+
+
 def test_pure_density_normalization(lat4, h0_4):
     psi = random_state(h0_4.dim, lat4.spacing, 3)
     rho = pure_density(psi, lat4.spacing).matrix
