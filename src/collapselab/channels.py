@@ -174,6 +174,11 @@ def eigenmode_difference(cfg: LatticeConfig, first: int, second: int) -> np.ndar
     return cfg.spacing * (np.outer(v1, v1.conj()) - np.outer(v2, v2.conj()))
 
 
+def _require_finite(label: str, op: np.ndarray) -> None:
+    if not np.isfinite(op).all():
+        raise ConfigError(f"channel {label!r}: spatial operator has non-finite entries")
+
+
 @dataclass(frozen=True)
 class InteractionChannel:
     """One interaction channel: spatial operator, kernel, amplitude."""
@@ -188,6 +193,7 @@ class InteractionChannel:
         a = np.asarray(self.spatial_op, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"spatial operator has shape {a.shape}")
+        _require_finite(self.label, a)
         dev = np.linalg.norm(a - a.conj().T, np.inf)
         if dev > 1e-12 * max(np.linalg.norm(a, np.inf), 1.0):
             raise ConfigError(f"channel {self.label!r}: spatial operator not hermitian")
@@ -197,8 +203,10 @@ class InteractionChannel:
                 f"channel {self.label!r}: spatial operator norm {nrm:.6f} != 1; "
                 "absorb the scale into the amplitude"
             )
-        if self.amplitude < 0.0:
-            raise ConfigError("channel amplitude must be nonnegative")
+        if not (0.0 <= self.amplitude < math.inf):
+            raise ConfigError(
+                f"channel {self.label!r}: amplitude {self.amplitude} must be "
+                "finite and nonnegative")
         a.setflags(write=False)
         object.__setattr__(self, "spatial_op", a)
 
@@ -211,6 +219,7 @@ def make_channel(label: str, spatial_op: np.ndarray, profile: KernelProfile,
                  amplitude: float) -> InteractionChannel:
     """Build a channel, absorbing the operator's spectral norm into the amplitude."""
     a = np.asarray(spatial_op, dtype=complex)
+    _require_finite(label, a)
     a = 0.5 * (a + a.conj().T)
     nrm = np.linalg.norm(a, 2)
     if nrm == 0.0:

@@ -124,10 +124,13 @@ class ExperimentConfig:
         ens = self.data.get("ensemble")
         if ens is not None:
             _get(ens, "realizations", "ensemble", int)
+            # kept in the schema for the config echo; one picture is stepped
             picture = _get(ens, "picture", "ensemble", str, default="transformed",
                            required=False)
-            if picture not in ("transformed", "untransformed", "both"):
-                raise ConfigError(f"ensemble.picture {picture!r} unknown")
+            if picture != "transformed":
+                raise ConfigError(
+                    f"ensemble.picture {picture!r} unknown; the only picture "
+                    "is 'transformed'")
         run = self.data.get("run")
         if run is not None:
             tols = _get(run, "tolerances", "run", dict, default={}, required=False)
@@ -260,11 +263,6 @@ class ExperimentConfig:
     def realizations(self) -> int:
         ens = self.data.get("ensemble") or {}
         return _get(ens, "realizations", "ensemble", int, default=2,
-                    required=False)
-
-    def picture(self) -> str:
-        ens = self.data.get("ensemble") or {}
-        return _get(ens, "picture", "ensemble", str, default="transformed",
                     required=False)
 
     def tolerance(self, name: str, default: float) -> float:

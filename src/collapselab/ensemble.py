@@ -1,21 +1,20 @@
 """Monte Carlo ensembles over field realizations and their statistics.
 
-Two routes produce per-realization trajectories. The transformed route
-steps psi_tilde with the midpoint exponential of h0 plus the linearized
-transformed interaction W; the field lives on the half-step grid, so the
-interaction at step midpoints is supported exactly and the ensemble mean
-follows the matched double-commutator equation by construction. It works in
-the eigenbasis of h0, where W = sum_a O'_a diag(p_a) + diag(conj p_a) O'_a
-with weights p_a from one narrow GEMM of the field. The exponential acts on
-the state as a truncated Taylor series (Al-Mohy & Higham, SIAM J. Sci.
-Comput. 33, 2011), never formed: each realization bounds
-theta = dt ||h0 + W||_2 from max|lambda| and max|p_a|, takes
-ceil(theta / 0.5) sub-steps and the first degree m with
-(theta/s)^(m+1)/(m+1)! <= 2^-53; a non-finite bound raises StepRejected
-naming the realization and step.
-The untransformed route solves the nonlocal equation per realization and
-evaluates surface corrections node by node; it is far slower and is meant
-for small ensembles that compare the two pictures on the same field path.
+Every realization is stepped in the transformed picture: psi_tilde advances
+by the midpoint exponential of h0 plus the linearized transformed
+interaction W. The field lives on the half-step grid, so the interaction at
+step midpoints is supported exactly and the ensemble mean follows the
+matched double-commutator equation by construction. The step works in the
+eigenbasis of h0, where W = sum_a O'_a diag(p_a) + diag(conj p_a) O'_a with
+weights p_a from one narrow GEMM of the field. The exponential acts on the
+state as a truncated Taylor series (Al-Mohy & Higham, SIAM J. Sci. Comput.
+33, 2011), never formed: each realization bounds theta = dt ||h0 + W||_2
+from max|lambda| and max|p_a|, takes ceil(theta / 0.5) sub-steps and the
+first degree m with (theta/s)^(m+1)/(m+1)! <= 2^-53; a non-finite bound
+raises StepRejected naming the realization and step. The untransformed
+picture (a fixed-point solve per realization plus surface corrections, see
+evolution.py) agrees at third order in the coupling; the tests compare the
+two on one field path.
 
 Reproducibility contract: realization r draws its field from the seed
 sequence [master seed, r] (NumPy SeedSequence, NEP 19), so distinct master
@@ -44,21 +43,9 @@ from .channels import (
     build_channel_operators,
     sample_noise,
 )
-from .errors import (
-    CollapseLabError,
-    ConfigError,
-    PictureNotRecorded,
-    ScenarioViolation,
-    StepRejected,
-)
-from .evolution import (
-    _expansion_interaction,
-    equal_time_hamiltonian,
-    solve_nonlocal,
-    surface_correction,
-)
+from .errors import ConfigError, PictureNotRecorded, ScenarioViolation, StepRejected
 from .grids import TimeGrid, Window
-from .lattice import _as_matrix, _as_vector, sqrtmh
+from .lattice import _as_matrix, _as_vector
 
 BLOCK = 256
 _TAYLOR_TOL = 2.0**-53  # truncation bound theta^(m+1)/(m+1)! of one sub-step
@@ -68,8 +55,6 @@ _SUBSTEP_THETA = 0.5  # largest theta stepped without splitting
 _TAYLOR_THETA = np.exp([(math.log(_TAYLOR_TOL) + math.lgamma(m + 2)) / (m + 1)
                         for m in range(32)])
 WORKER_ENV = "COLLAPSELAB_WORKERS"
-
-PICTURES = ("transformed", "untransformed", "both")
 
 
 def worker_count() -> int:
@@ -112,11 +97,10 @@ class ModelSetup:
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """Run parameters: size, seeding, picture, and what to record."""
+    """Run parameters: size, seeding, and what to record."""
 
     realizations: int
     seed: int
-    picture: str = "transformed"
     observables: tuple[tuple[str, np.ndarray], ...] = ()
     t_on: float | None = None
     t_off: float | None = None
@@ -127,8 +111,6 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.realizations < 2:
             raise ConfigError("an ensemble needs at least 2 realizations")
-        if self.picture not in PICTURES:
-            raise ConfigError(f"unknown picture {self.picture!r}")
 
     def window(self, grid: TimeGrid) -> Window:
         if self.t_on is None and self.t_off is None:
@@ -146,13 +128,12 @@ class EnsembleStats:
     rerunning. Mean densities are accumulated only on checkpoint nodes.
     """
 
-    def __init__(self, times, picture, checkpoint_nodes):
+    def __init__(self, times, checkpoint_nodes, realizations: int):
         self.times = times
-        self.picture = picture
         self.checkpoint_nodes = checkpoint_nodes
         self.observables: dict[str, dict[str, np.ndarray]] = {}
-        self.energy: dict[str, np.ndarray] = {}
-        self.norm: dict[str, np.ndarray] = {}
+        self.energy = np.empty((realizations, times.size))
+        self.norm = np.empty((realizations, times.size))
         self.sigma_mean: np.ndarray | None = None
         self.sigma_stderr: np.ndarray | None = None
         self.branch_weights: np.ndarray | None = None
@@ -160,9 +141,7 @@ class EnsembleStats:
 
     @property
     def realizations(self) -> int:
-        for series in self.energy.values():
-            return series.shape[0]
-        raise CollapseLabError("empty stats object")
+        return self.energy.shape[0]
 
     def digest(self) -> str:
         """Order-stable content hash used by the determinism checks."""
@@ -173,11 +152,8 @@ class EnsembleStats:
                 h.update(label.encode())
                 h.update(key.encode())
                 h.update(np.ascontiguousarray(self.observables[label][key]).tobytes())
-        for key in sorted(self.energy):
-            h.update(np.ascontiguousarray(self.energy[key]).tobytes())
-        for key in sorted(self.norm):
-            h.update(np.ascontiguousarray(self.norm[key]).tobytes())
-        for arr in (self.sigma_mean, self.sigma_stderr, self.branch_weights):
+        for arr in (self.energy, self.norm, self.sigma_mean, self.sigma_stderr,
+                    self.branch_weights):
             if arr is not None:
                 h.update(np.ascontiguousarray(arr).tobytes())
         return h.hexdigest()
@@ -324,8 +300,8 @@ class _TransformedRun:
             y = np.concatenate([psi[:, None], o_psi], axis=1)
             w_dots = self._w_dots(self._weights(pads[:, :, self.node_idx[j]]), psi, y)
             free, norm = ((psi.conj() * psi).real @ self.lam_one).T
-            stats.energy["transformed"][sel, j] = spacing * (free + w_dots[:, 0].real)
-            stats.norm["transformed"][sel, j] = spacing * norm
+            stats.energy[sel, j] = spacing * (free + w_dots[:, 0].real)
+            stats.norm[sel, j] = spacing * norm
             o_dots = np.einsum("rb,rkb->rk", psi.conj(), o_psi)
             o_sq = np.einsum("rkb,rkb->rk", o_psi.conj(), o_psi)
             for i, label in enumerate(self.labels):
@@ -356,73 +332,6 @@ class _TransformedRun:
                                    rows, j)
 
 
-def _solver_block(model: ModelSetup, cfg: EnsembleConfig, psi0, rows: range,
-                  stats: EnsembleStats, partials: dict, window: Window,
-                  record_transformed: bool) -> None:
-    grid = model.grid
-    n = grid.n_nodes
-    spacing = model.spacing
-    eye = np.eye(model.h0.shape[0])
-    obs = [(label, _as_matrix(op)) for label, op in cfg.observables]
-    cp_pos = {int(node): c for c, node in enumerate(stats.checkpoint_nodes)}
-    branches = None
-    if cfg.branch_states is not None:
-        branches = np.stack([
-            np.asarray(_as_vector(b), dtype=complex) for b in cfg.branch_states])
-    for r in rows:
-        noise = sample_noise(list(model.channels), grid, [cfg.seed, r], window=window)
-        try:
-            record = solve_nonlocal(psi0, grid, list(model.channels), noise,
-                                    model.h0, spacing, propagators=True)
-        except CollapseLabError as err:
-            raise type(err)(f"realization {r}: {err}") from err
-        for j in range(n):
-            psi = record.states[j]
-            surf = surface_correction(record, j)
-            w_op = equal_time_hamiltonian(record, j)
-            g = record.interaction_terms[j]
-            h_psi = model.h0 @ psi + g
-            metric = eye + surf
-            stats.energy["untransformed"][r, j] = (
-                spacing * np.vdot(psi, metric @ h_psi)).real
-            stats.norm["untransformed"][r, j] = (
-                spacing * np.vdot(psi, metric @ psi)).real
-            psi_t = sqrtmh(metric) @ psi
-            if record_transformed:
-                wt = _expansion_interaction(w_op, surf)
-                stats.energy["transformed"][r, j] = (
-                    spacing * np.vdot(psi_t, (model.h0 + wt) @ psi_t)).real
-                stats.norm["transformed"][r, j] = (
-                    spacing * np.vdot(psi_t, psi_t)).real
-            w_plus = w_op + w_op.conj().T
-            w_minus = w_op - w_op.conj().T
-            for label, op in obs:
-                rec = stats.observables[label]
-                rec["transformed"][r, j] = (
-                    spacing * np.vdot(psi_t, op @ psi_t)).real
-                rec["square"][r, j] = (
-                    spacing * np.vdot(psi_t, op @ (op @ psi_t))).real
-                rec["conserved"][r, j] = (
-                    spacing * np.vdot(psi, metric @ (op @ psi))).real
-                comm = w_plus @ op - op @ w_plus
-                anti = w_minus @ op + op @ w_minus
-                u = spacing * np.vdot(psi, metric @ (comm @ psi))
-                v = spacing * np.vdot(psi, metric @ (anti @ psi))
-                rec["c22"][r, j] = 0.25 * np.abs(u - v) ** 2
-                if record_transformed:
-                    wt_comm = wt @ op - op @ wt
-                    val = spacing * np.vdot(psi_t, wt_comm @ psi_t)
-                    rec["c12"][r, j] = np.abs(val) ** 2
-            if branches is not None:
-                amp = spacing * (branches.conj() @ psi_t)
-                stats.branch_weights[r, j] = np.abs(amp) ** 2
-            if j in cp_pos:
-                c = cp_pos[j]
-                outer = spacing * np.outer(psi_t, psi_t.conj())
-                partials["sigma_sum"][c] += outer
-                partials["sigma_sq"][c] += outer.real**2 + 1j * outer.imag**2
-
-
 def run_ensemble(psi0, cfg: EnsembleConfig, model: ModelSetup) -> EnsembleStats:
     """Run the configured ensemble and collect statistics.
 
@@ -434,22 +343,10 @@ def run_ensemble(psi0, cfg: EnsembleConfig, model: ModelSetup) -> EnsembleStats:
     nr = cfg.realizations
     dim = model.h0.shape[0]
     cp_nodes = _checkpoint_nodes(n, cfg.checkpoints)
-    stats = EnsembleStats(grid.times, cfg.picture, cp_nodes)
-    pictures = {
-        "transformed": ("transformed",),
-        "untransformed": ("untransformed",),
-        "both": ("untransformed", "transformed"),
-    }[cfg.picture]
-    for pic in pictures:
-        stats.energy[pic] = np.empty((nr, n))
-        stats.norm[pic] = np.empty((nr, n))
-    obs_keys = {
-        "transformed": ("transformed", "square", "c12"),
-        "untransformed": ("transformed", "square", "conserved", "c22"),
-        "both": ("transformed", "square", "conserved", "c12", "c22"),
-    }[cfg.picture]
+    stats = EnsembleStats(grid.times, cp_nodes, nr)
     for label, _ in cfg.observables:
-        stats.observables[label] = {k: np.empty((nr, n)) for k in obs_keys}
+        stats.observables[label] = {
+            k: np.empty((nr, n)) for k in ("transformed", "square", "c12")}
     if cfg.branch_states is not None:
         stats.branch_weights = np.empty((nr, n, len(cfg.branch_states)))
 
@@ -462,20 +359,8 @@ def run_ensemble(psi0, cfg: EnsembleConfig, model: ModelSetup) -> EnsembleStats:
         for _ in blocks
     ]
 
-    if cfg.picture == "transformed":
-        runner = _TransformedRun(model, cfg, psi0)
-
-        def task(i):
-            runner.block(blocks[i], stats, partials[i])
-    else:
-        window = cfg.window(grid)
-        record_transformed = cfg.picture == "both"
-
-        def task(i):
-            _solver_block(model, cfg, psi0, blocks[i], stats, partials[i],
-                          window, record_transformed)
-
-    _run_blocks(task, len(blocks))
+    runner = _TransformedRun(model, cfg, psi0)
+    _run_blocks(lambda i: runner.block(blocks[i], stats, partials[i]), len(blocks))
 
     sig_sum = np.sum([p["sigma_sum"] for p in partials], axis=0)
     sig_sq = np.sum([p["sigma_sq"] for p in partials], axis=0)
@@ -487,7 +372,6 @@ def run_ensemble(psi0, cfg: EnsembleConfig, model: ModelSetup) -> EnsembleStats:
     stats.meta = {
         "realizations": nr,
         "seed": cfg.seed,
-        "picture": cfg.picture,
         "checkpoint_nodes": cp_nodes.tolist(),
         "workers": worker_count(),
     }
@@ -500,28 +384,6 @@ def mean_series(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mean = series.mean(axis=0)
     stderr = series.std(axis=0, ddof=1) / np.sqrt(nr)
     return mean, stderr
-
-
-def energy_trajectory(stats: EnsembleStats, picture: str = "transformed") -> dict:
-    """E(t) with standard error; picture='both' adds the per-time difference."""
-    if picture == "both":
-        for pic in ("transformed", "untransformed"):
-            if pic not in stats.energy:
-                raise PictureNotRecorded(f"{pic} energies were not recorded")
-        m_t, s_t = mean_series(stats.energy["transformed"])
-        m_u, s_u = mean_series(stats.energy["untransformed"])
-        diff = stats.energy["transformed"] - stats.energy["untransformed"]
-        m_d, s_d = mean_series(diff)
-        return {
-            "times": stats.times,
-            "transformed": (m_t, s_t),
-            "untransformed": (m_u, s_u),
-            "difference": (m_d, s_d),
-        }
-    if picture not in stats.energy:
-        raise PictureNotRecorded(f"{picture} energies were not recorded")
-    mean, stderr = mean_series(stats.energy[picture])
-    return {"times": stats.times, picture: (mean, stderr)}
 
 
 def _variance_with_error(values: np.ndarray) -> tuple[float, float]:
@@ -543,9 +405,7 @@ def variance_diagnostics(stats: EnsembleStats, label: str,
     Returns the endpoint difference of the ensemble variance of <O> (the
     'adjusted' convention that freezes the <O^2> fluctuation term, next to
     the raw difference that keeps it), and the per-time derivative
-    estimators: the transformed-picture commutator estimator (pointwise
-    <= 0 by construction) and the untransformed split into commutator and
-    anticommutator parts where recorded.
+    estimator: the commutator series c12 (pointwise <= 0 by construction).
     """
     if label not in stats.observables:
         raise PictureNotRecorded(f"observable {label!r} was not recorded")
@@ -568,12 +428,8 @@ def variance_diagnostics(stats: EnsembleStats, label: str,
         "adjusted_difference": (var1 - var0, float(np.hypot(se0, se1))),
         "raw_difference": raw1 - raw0,
     }
-    if "c12" in rec:
-        mean, stderr = mean_series(rec["c12"])
-        report["c12_series"] = (-mean, stderr)
-    if "c22" in rec:
-        mean, stderr = mean_series(rec["c22"])
-        report["c22_series"] = (-mean, stderr)
+    mean, stderr = mean_series(rec["c12"])
+    report["c12_series"] = (-mean, stderr)
     return report
 
 

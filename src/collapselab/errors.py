@@ -49,7 +49,7 @@ class ScenarioViolation(CollapseLabError):
 
 
 class PictureNotRecorded(CollapseLabError):
-    """An ensemble statistic needs a picture that was not recorded."""
+    """An ensemble statistic needs a series that was not recorded."""
 
 
 class ConfigError(CollapseLabError):

@@ -46,7 +46,7 @@ import numpy as np
 from .channels import InteractionChannel, NoiseRealization
 from .errors import NoConvergence, OutOfGrid
 from .grids import TimeGrid
-from .lattice import FreePropagator, StateVector, _as_matrix, _as_vector, inv_sqrtmh, sqrtmh
+from .lattice import FreePropagator, StateVector, _as_matrix, _as_vector, sqrtmh
 
 log = logging.getLogger(__name__)
 
@@ -66,8 +66,7 @@ class EvolutionRecord:
 
     ``states`` holds psi(t_j) when an initial state was given; ``props``
     holds the maps X_j from t0 to t_j (with free-extension pads of width
-    ``reach`` on both sides) when the solve tracked propagators. The
-    interaction term g_j = W(t_j) psi(t_j) comes out of the solve for free.
+    ``reach`` on both sides) when the solve tracked propagators.
     """
 
     grid: TimeGrid
@@ -78,7 +77,6 @@ class EvolutionRecord:
     reach: int
     residuals: list[float]
     states: np.ndarray | None = None
-    interaction_terms: np.ndarray | None = None
     props: np.ndarray | None = None  # padded: index j + reach
     _free: FreePropagator | None = field(default=None, repr=False)
     _coeffs: np.ndarray | None = field(default=None, repr=False)
@@ -294,10 +292,6 @@ def solve_nonlocal(psi0, grid: TimeGrid, channels: list[InteractionChannel],
         else:
             traj = x.reshape(total, dim)
         record.states = traj[reach : reach + n]
-        # interaction term on the converged trajectory, per node
-        record.interaction_terms = np.stack([
-            _channel_sum(ops_row, coeffs[:, j], traj[j : j + win])
-            for j in range(n)])
     return record
 
 
@@ -439,11 +433,12 @@ def transformed_interaction(record: EvolutionRecord, i: int, mode: str = "exact"
     eye = np.eye(dim)
     s_here = surface_correction(record, i)
     root = sqrtmh(eye + s_here)
-    inv_root = inv_sqrtmh(eye + s_here)
+    inv_root = sqrtmh(eye + s_here, inverse=True)
     d_inv_root = np.zeros_like(root)
     for off, wgt in zip(offsets, weights):
         s_off = surface_correction(record, i + off)
-        d_inv_root = d_inv_root + (wgt / record.grid.dt) * inv_sqrtmh(eye + s_off)
+        inv_off = sqrtmh(eye + s_off, inverse=True)
+        d_inv_root = d_inv_root + (wgt / record.grid.dt) * inv_off
     w = equal_time_hamiltonian(record, i)
     full = root @ (record.h0 + w) @ inv_root - 1j * (root @ d_inv_root)
     return full - record.h0

@@ -216,57 +216,16 @@ class FreePropagator:
         return (self.evecs * phases[..., None, :]) @ self.evecs.conj().T
 
 
-def matrix_function(op, kind: str, theta: float | None = None,
-                    floor: float = SQRT_FLOOR) -> Operator:
-    """sqrt, inv_sqrt, or exp_scaled of an operator.
-
-    ``exp_scaled`` returns e^{i*theta*op}. Square roots require a Hermitian
-    operator with spectrum above ``floor`` and raise NotPositive otherwise.
-    Hermitian inputs go through the eigendecomposition; exp_scaled of a
-    non-Hermitian operator falls back to scipy's expm.
-    """
-    m = _as_matrix(op)
-    hermitian = op.hermitian_hint if isinstance(op, Operator) else (
-        np.linalg.norm(m - m.conj().T, np.inf)
-        <= HERMITIAN_RTOL * max(np.linalg.norm(m, np.inf), 1.0)
-    )
-    if kind == "exp_scaled":
-        if theta is None:
-            raise ValueError("exp_scaled needs theta")
-        if hermitian:
-            vals, vecs = np.linalg.eigh(m)
-            out = (vecs * np.exp(1j * theta * vals)) @ vecs.conj().T
-        else:
-            from scipy.linalg import expm
-
-            out = expm(1j * theta * m)
-        return Operator(out)
-    if kind in ("sqrt", "inv_sqrt"):
-        if not hermitian:
-            raise NotPositive(f"{kind} of a non-hermitian operator")
-        vals, vecs = np.linalg.eigh(m)
-        if vals.min() <= floor:
-            raise NotPositive(
-                f"{kind}: smallest eigenvalue {vals.min():.3e} at floor {floor:.0e}"
-            )
-        f = np.sqrt(vals) if kind == "sqrt" else 1.0 / np.sqrt(vals)
-        return Operator((vecs * f) @ vecs.conj().T, hermitian_hint=True)
-    raise ValueError(f"unknown matrix function {kind!r}")
-
-
-def sqrtmh(m: np.ndarray, floor: float = SQRT_FLOOR) -> np.ndarray:
-    """Hermitian square root of an ndarray, same floor contract as above."""
+def sqrtmh(m: np.ndarray, inverse: bool = False,
+           floor: float = SQRT_FLOOR) -> np.ndarray:
+    """Hermitian square root of an ndarray, or its inverse. The spectrum must
+    lie above ``floor``; NotPositive otherwise."""
     vals, vecs = np.linalg.eigh(m)
     if vals.min() <= floor:
-        raise NotPositive(f"sqrt: smallest eigenvalue {vals.min():.3e}")
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
-def inv_sqrtmh(m: np.ndarray, floor: float = SQRT_FLOOR) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(m)
-    if vals.min() <= floor:
-        raise NotPositive(f"inv_sqrt: smallest eigenvalue {vals.min():.3e}")
-    return (vecs / np.sqrt(vals)) @ vecs.conj().T
+        kind = "inv_sqrt" if inverse else "sqrt"
+        raise NotPositive(f"{kind}: smallest eigenvalue {vals.min():.3e}")
+    root = np.sqrt(vals)
+    return (vecs / root if inverse else vecs * root) @ vecs.conj().T
 
 
 @dataclass(frozen=True)

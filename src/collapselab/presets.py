@@ -116,24 +116,21 @@ def _random_state(rng: np.random.Generator, dim: int, spacing: float) -> np.ndar
     return normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim), spacing)
 
 
-def _ensemble_config(cfg: ExperimentConfig, **overrides) -> EnsembleConfig:
+def _ensemble_config(cfg: ExperimentConfig) -> EnsembleConfig:
     wp = cfg.window_params() or {}
-    kwargs = dict(
+    return EnsembleConfig(
         realizations=cfg.realizations(),
         seed=cfg.seed(),
-        picture=cfg.picture(),
         observables=cfg.observables(),
         t_on=wp.get("t_on"),
         t_off=wp.get("t_off"),
         ramp=wp.get("ramp", 0.0),
     )
-    kwargs.update(overrides)
-    return EnsembleConfig(**kwargs)
 
 
-def _energy_csv(path: Path, stats, picture: str = "transformed") -> None:
-    mean, stderr = mean_series(stats.energy[picture])
-    trace, _ = mean_series(stats.norm[picture])
+def _energy_csv(path: Path, stats) -> None:
+    mean, stderr = mean_series(stats.energy)
+    trace, _ = mean_series(stats.norm)
     write_csv(path, ["t", "E_mean", "E_stderr", "trace_mean"],
               [stats.times, mean, stderr, trace])
 
@@ -494,9 +491,9 @@ def _run_no_heating(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict
     model = ModelSetup(grid, h0, spacing, channels)
     e0, psi0 = EigenSystem.of(h0, spacing).ground_state("positive")
 
-    ecfg = _ensemble_config(cfg, picture="transformed")
+    ecfg = _ensemble_config(cfg)
     stats = run_ensemble(psi0, ecfg, model)
-    d_mean, d_se = _paired_drift(stats.energy["transformed"])
+    d_mean, d_se = _paired_drift(stats.energy)
     _energy_csv(out / "energy.csv", stats)
 
     g0 = _coupling(channels)
@@ -507,7 +504,7 @@ def _run_no_heating(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict
                           _scaled_channels(channels, factor))
         weak_stats = run_ensemble(
             psi0, replace(ecfg, realizations=sweep_r), weak)
-        dm, ds = _paired_drift(weak_stats.energy["transformed"])
+        dm, ds = _paired_drift(weak_stats.energy)
         points.append((g0 * factor, dm, ds))
     c_fit, c_se, budget = _cubic_budget(points, g0)
     write_csv(out / "coupling_sweep.csv",
@@ -599,13 +596,13 @@ def _run_csl_contrast(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], di
 
     # matched double-commutator run: eigenstate energy stays flat
     model = ModelSetup(grid, h0, spacing, channels)
-    ecfg = _ensemble_config(cfg, picture="transformed")
+    ecfg = _ensemble_config(cfg)
     stats = run_ensemble(psi0, ecfg, model)
-    d_mean, d_se = _paired_drift(stats.energy["transformed"])
+    d_mean, d_se = _paired_drift(stats.energy)
     g0 = _coupling(channels)
     weak = ModelSetup(grid, h0, spacing, _scaled_channels(channels, 0.5))
     weak_stats = run_ensemble(psi0, ecfg, weak)
-    dm, ds = _paired_drift(weak_stats.energy["transformed"])
+    dm, ds = _paired_drift(weak_stats.energy)
     c_fit, c_se, budget = _cubic_budget([(0.5 * g0, dm, ds)], g0)
     _energy_csv(out / "cfs_energy.csv", stats)
 
@@ -680,7 +677,7 @@ def _run_lindblad_vs_mc(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], 
     _, modes = _positive_modes(lattice)
     psi0 = normalized(sys.state(modes[0]) + sys.state(modes[1]), spacing)
 
-    ecfg = _ensemble_config(cfg, picture="transformed")
+    ecfg = _ensemble_config(cfg)
     stats = run_ensemble(psi0, ecfg, model)
     cps = stats.checkpoint_nodes
     start = int(np.argmax(cps >= 2 * model.opset.half_width))
@@ -788,7 +785,7 @@ def _run_collapse(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict]:
     # moves weight between the branches instead of only turning the phase
     psi0 = normalized(sys.state(modes[1]) + 1j * sys.state(modes[2]), spacing)
 
-    ecfg = _ensemble_config(cfg, picture="transformed")
+    ecfg = _ensemble_config(cfg)
     report = scenario_collapse(psi0, ecfg, model)
     stats = report["stats"]
     cps = stats.checkpoint_nodes

@@ -113,8 +113,13 @@ def test_channel_validation(lat4):
         InteractionChannel("bad", nonherm, prof, 1.0)
     with pytest.raises(ConfigError):
         InteractionChannel("bad", 2.0 * p, prof, 1.0)
-    with pytest.raises(ConfigError):
-        InteractionChannel("bad", p, prof, -0.1)
+    for amplitude in (-0.1, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="'bad'"):
+            InteractionChannel("bad", p, prof, amplitude)
+    nan_op = p.copy()
+    nan_op[1, 1] = np.nan
+    with pytest.raises(ConfigError, match="non-finite"):
+        InteractionChannel("bad", nan_op, prof, 1.0)
 
 
 def test_make_channel_absorbs_norm(lat4):
@@ -124,6 +129,10 @@ def test_make_channel_absorbs_norm(lat4):
     assert abs(ch.amplitude - 0.6) < 1e-12
     with pytest.raises(ConfigError):
         make_channel("zero", np.zeros((8, 8)), prof, 1.0)
+    nan_op = site_projector(lat4, 0)
+    nan_op[0, 0] = np.nan
+    with pytest.raises(ConfigError, match="'nan'.*non-finite"):
+        make_channel("nan", nan_op, prof, 1.0)
 
 
 def _three_site_channels(lat):

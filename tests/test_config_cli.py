@@ -105,10 +105,11 @@ def test_bad_window_rejected_at_load():
         ExperimentConfig.from_dict(raw)
 
 
-def test_bad_picture_rejected():
+@pytest.mark.parametrize("picture", ["diagonal", "both", "untransformed"])
+def test_bad_picture_rejected(picture):
     raw = base_config()
-    raw["ensemble"] = {"realizations": 4, "picture": "diagonal"}
-    with pytest.raises(ConfigError):
+    raw["ensemble"] = {"realizations": 4, "picture": picture}
+    with pytest.raises(ConfigError, match="picture"):
         ExperimentConfig.from_dict(raw)
 
 
@@ -263,7 +264,43 @@ def test_cli_validate(tmp_path, capsys):
     bad_preset.write_text(yaml.safe_dump(raw))
     assert cli.main(["validate", "--config", str(bad_preset)]) == 2
 
+    raw = base_config()
+    raw["ensemble"] = {"realizations": 4, "picture": "both"}
+    both = tmp_path / "both.yaml"
+    both.write_text(yaml.safe_dump(raw))
+    capsys.readouterr()
+    assert cli.main(["validate", "--config", str(both)]) == 2
+    assert "ensemble.picture" in capsys.readouterr().err
+
     assert cli.main(["validate", "--config", str(tmp_path / "nope.yaml")]) == 2
+
+
+def test_cli_run_rejects_untransformed_picture(tmp_path, capsys):
+    override = tmp_path / "both.yaml"
+    override.write_text("ensemble: {picture: both}\n")
+    out = tmp_path / "res"
+    code = cli.main(["run", "csl-contrast", "--config", str(override),
+                     "--out", str(out)])
+    assert code == 2
+    assert "ensemble.picture" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("channel", [
+    {"label": "bump", "amplitude": 0.04,
+     "operator": {"type": "position_gaussian", "center": math.nan, "width": 1.2}},
+    {"label": "bump", "amplitude": math.nan,
+     "operator": {"type": "position_gaussian", "center": 2.0, "width": 1.2}},
+])
+def test_cli_run_non_finite_channel_exits_two(tmp_path, capsys, channel):
+    override = tmp_path / "nan.yaml"
+    override.write_text(yaml.safe_dump({"kernel": {"channels": [channel]}}))
+    out = tmp_path / "res"
+    code = cli.main(["run", "conservation", "--config", str(override),
+                     "--out", str(out)])
+    assert code == 2
+    assert "channel 'bump'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_unknown_preset(capsys):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collapselab import ensemble, evolution
+from collapselab import ensemble
 from collapselab.channels import (
     KernelProfile,
     eigenmode_difference,
@@ -13,7 +13,6 @@ from collapselab.channels import (
 from collapselab.ensemble import (
     EnsembleConfig,
     ModelSetup,
-    energy_trajectory,
     mc_mean_drift,
     mean_series,
     run_ensemble,
@@ -30,6 +29,7 @@ from collapselab.errors import (
     StepRejected,
 )
 from collapselab.evolution import (
+    equal_time_hamiltonian,
     solve_nonlocal,
     surface_correction,
     transformed_interaction,
@@ -70,8 +70,6 @@ def test_worker_count_env(monkeypatch):
 def test_ensemble_config_validation():
     with pytest.raises(ConfigError):
         EnsembleConfig(realizations=1, seed=0)
-    with pytest.raises(ConfigError):
-        EnsembleConfig(realizations=4, seed=0, picture="sideways")
     cfg = EnsembleConfig(realizations=4, seed=0)
     assert cfg.window(TimeGrid(0.0, 2.0, 0.5))(np.array([0.0, 2.0])).min() == 1.0
 
@@ -79,11 +77,11 @@ def test_ensemble_config_validation():
 def test_zero_coupling_ensemble_is_deterministic(lat4, h0_4, grid16, ground):
     esys, e0, psi0 = ground
     obs = eigenmode_difference(lat4, 0, 1)
-    cfg = EnsembleConfig(realizations=8, seed=7, picture="transformed",
+    cfg = EnsembleConfig(realizations=8, seed=7,
                          observables=(("pointer", obs),))
     stats = run_ensemble(psi0, cfg, make_model(lat4, h0_4, grid16, 0.0))
-    assert np.abs(stats.energy["transformed"] - e0).max() < 1e-10
-    mean, stderr = mean_series(stats.energy["transformed"])
+    assert np.abs(stats.energy - e0).max() < 1e-10
+    mean, stderr = mean_series(stats.energy)
     assert stderr.max() < 1e-12
     assert stats.realizations == 8
 
@@ -91,10 +89,10 @@ def test_zero_coupling_ensemble_is_deterministic(lat4, h0_4, grid16, ground):
 def test_transformed_route_conserves_norm_and_trace(lat4, h0_4, grid16, ground):
     _, _, psi0 = ground
     obs = eigenmode_difference(lat4, 0, 1)
-    cfg = EnsembleConfig(realizations=64, seed=7, picture="transformed",
+    cfg = EnsembleConfig(realizations=64, seed=7,
                          observables=(("pointer", obs),))
     stats = run_ensemble(psi0, cfg, make_model(lat4, h0_4, grid16, 0.1))
-    assert np.abs(stats.norm["transformed"] - 1.0).max() < 1e-10
+    assert np.abs(stats.norm - 1.0).max() < 1e-10
     for c in range(stats.checkpoint_nodes.size):
         sig = stats.sigma_mean[c]
         assert np.abs(sig - sig.conj().T).max() < 1e-14
@@ -106,10 +104,9 @@ def test_stderr_shrinks_with_ensemble_size(lat4, h0_4, grid16, ground):
     _, _, psi0 = ground
 
     def final_stderr(realizations):
-        cfg = EnsembleConfig(realizations=realizations, seed=7,
-                             picture="transformed")
+        cfg = EnsembleConfig(realizations=realizations, seed=7)
         stats = run_ensemble(psi0, cfg, make_model(lat4, h0_4, grid16, 0.1))
-        _, stderr = mean_series(stats.energy["transformed"])
+        _, stderr = mean_series(stats.energy)
         return stderr[-1]
 
     ratio = final_stderr(400) / final_stderr(800)
@@ -120,7 +117,7 @@ def test_block_combination_is_worker_independent(lat4, h0_4, grid16, ground,
                                                  monkeypatch):
     _, _, psi0 = ground
     obs = eigenmode_difference(lat4, 0, 1)
-    cfg = EnsembleConfig(realizations=600, seed=7, picture="transformed",
+    cfg = EnsembleConfig(realizations=600, seed=7,
                          observables=(("pointer", obs),))
     model = make_model(lat4, h0_4, grid16, 0.1)
     monkeypatch.setenv("COLLAPSELAB_WORKERS", "1")
@@ -131,74 +128,47 @@ def test_block_combination_is_worker_independent(lat4, h0_4, grid16, ground,
     assert threaded.meta["workers"] == 3
 
 
-def test_energy_trajectory_pictures(lat4, h0_4, grid16, ground):
-    _, e0, psi0 = ground
-    cfg = EnsembleConfig(realizations=4, seed=2, picture="transformed")
-    stats = run_ensemble(psi0, cfg, make_model(lat4, h0_4, grid16, 0.0))
-    out = energy_trajectory(stats, "transformed")
-    assert np.abs(out["transformed"][0] - e0).max() < 1e-10
-    with pytest.raises(PictureNotRecorded):
-        energy_trajectory(stats, "untransformed")
-    with pytest.raises(PictureNotRecorded):
-        energy_trajectory(stats, "both")
+def untransformed_oracle(model, cfg, psi0):
+    """Per realization, on the ensemble's field path [seed, r]: the energy
+    and norm in the untransformed picture, from the fixed-point solve and
+    the surface correction, and the energy of the transformed state
+    sqrt(1 + S) psi under h0 plus the expansion-form interaction."""
+    grid, spacing = model.grid, model.spacing
+    eye = np.eye(model.h0.shape[0])
+    out = {key: np.empty((cfg.realizations, grid.n_nodes))
+           for key in ("energy", "norm", "transformed_energy")}
+    for r in range(cfg.realizations):
+        noise = sample_noise(list(model.channels), grid, [cfg.seed, r],
+                             window=cfg.window(grid))
+        rec = solve_nonlocal(psi0, grid, list(model.channels), noise, model.h0,
+                             spacing, propagators=True)
+        for j in range(grid.n_nodes):
+            psi = rec.states[j]
+            metric = eye + surface_correction(rec, j)
+            h_psi = (model.h0 + equal_time_hamiltonian(rec, j)) @ psi
+            out["energy"][r, j] = (spacing * np.vdot(psi, metric @ h_psi)).real
+            out["norm"][r, j] = (spacing * np.vdot(psi, metric @ psi)).real
+            psi_t = sqrtmh(metric) @ psi
+            wt = transformed_interaction(rec, j, mode="expansion")
+            out["transformed_energy"][r, j] = (
+                spacing * np.vdot(psi_t, (model.h0 + wt) @ psi_t)).real
+    return out
 
 
 def test_both_pictures_agree_on_energy(lat4, h0_4, grid16, ground):
     _, _, psi0 = ground
-    obs = eigenmode_difference(lat4, 0, 1)
-    cfg = EnsembleConfig(realizations=2, seed=2, picture="both",
-                         observables=(("pointer", obs),),
-                         t_on=0.7, t_off=1.3, ramp=0.2)
-    stats = run_ensemble(psi0, cfg, make_model(lat4, h0_4, grid16, 0.04))
-    out = energy_trajectory(stats, "both")
+    cfg = EnsembleConfig(realizations=2, seed=2, t_on=0.7, t_off=1.3, ramp=0.2)
+    ref = untransformed_oracle(make_model(lat4, h0_4, grid16, 0.04), cfg, psi0)
     # the pictures differ at third order in the coupling
-    assert np.abs(out["difference"][0]).max() < 1e-4
-    assert np.abs(stats.norm["untransformed"] - 1.0).max() < 1e-4
-    assert "c22" in stats.observables["pointer"]
-
-
-def test_solver_route_builds_each_node_once(lat4, h0_4, grid16, ground, monkeypatch):
-    _, _, psi0 = ground
-    obs = eigenmode_difference(lat4, 0, 1)
-    cfg = EnsembleConfig(realizations=2, seed=2, picture="both",
-                         observables=(("pointer", obs),),
-                         t_on=0.7, t_off=1.3, ramp=0.2)
-    model = make_model(lat4, h0_4, grid16, 0.04)
-    calls = {"surface_correction": 0, "equal_time_hamiltonian": 0}
-    for name in calls:
-        def counted(*args, _name=name, _fn=getattr(evolution, name)):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(evolution, name, counted)
-        monkeypatch.setattr(ensemble, name, counted)
-    stats = run_ensemble(psi0, cfg, model)
-    visits = cfg.realizations * grid16.n_nodes
-    assert calls == {"surface_correction": visits, "equal_time_hamiltonian": visits}
-
-    # the same series as built from transformed_interaction node by node
-    monkeypatch.undo()
-    spacing = lat4.spacing
-    energy = np.empty_like(stats.energy["transformed"])
-    c12 = np.empty_like(energy)
-    for r in range(cfg.realizations):
-        noise = sample_noise(list(model.channels), grid16, [cfg.seed, r],
-                             window=cfg.window(grid16))
-        rec = solve_nonlocal(psi0, grid16, list(model.channels), noise, model.h0,
-                             spacing, propagators=True)
-        for j in range(grid16.n_nodes):
-            metric = np.eye(h0_4.dim) + surface_correction(rec, j)
-            psi_t = sqrtmh(metric) @ rec.states[j]
-            wt = transformed_interaction(rec, j, mode="expansion")
-            energy[r, j] = (spacing * np.vdot(psi_t, (model.h0 + wt) @ psi_t)).real
-            c12[r, j] = np.abs(spacing * np.vdot(psi_t, (wt @ obs - obs @ wt) @ psi_t)) ** 2
-    assert np.array_equal(stats.energy["transformed"], energy)
-    assert np.array_equal(stats.observables["pointer"]["c12"], c12)
+    diff, _ = mean_series(ref["transformed_energy"] - ref["energy"])
+    assert np.abs(diff).max() < 1e-4
+    assert np.abs(ref["norm"] - 1.0).max() < 1e-4
 
 
 def test_variance_diagnostics_identity_observable(lat4, h0_4, grid16, ground):
     _, _, psi0 = ground
     eye = np.eye(h0_4.dim, dtype=complex)
-    cfg = EnsembleConfig(realizations=16, seed=5, picture="transformed",
+    cfg = EnsembleConfig(realizations=16, seed=5,
                          observables=(("unit", eye),))
     stats = run_ensemble(psi0, cfg, make_model(lat4, h0_4, grid16, 0.1))
     report = variance_diagnostics(stats, "unit")
@@ -210,7 +180,7 @@ def test_variance_diagnostics_identity_observable(lat4, h0_4, grid16, ground):
 def test_variance_diagnostics_sign_and_guards(lat4, h0_4, grid16, ground):
     _, _, psi0 = ground
     obs = eigenmode_difference(lat4, 0, 1)
-    cfg = EnsembleConfig(realizations=16, seed=5, picture="transformed",
+    cfg = EnsembleConfig(realizations=16, seed=5,
                          observables=(("pointer", obs),))
     stats = run_ensemble(psi0, cfg, make_model(lat4, h0_4, grid16, 0.1))
     report = variance_diagnostics(stats, "pointer")
@@ -263,7 +233,7 @@ def test_collapse_scenario_zero_coupling_is_a_martingale_nullcase(
     obs = eigenmode_difference(lat4, 0, 1)
     sup = esys.state(4) + esys.state(5)
     sup = sup / np.sqrt(lat4.spacing * np.vdot(sup, sup).real)
-    cfg = EnsembleConfig(realizations=16, seed=3, picture="transformed",
+    cfg = EnsembleConfig(realizations=16, seed=3,
                          observables=(("pointer", obs),),
                          t_on=1.0, t_off=3.2, ramp=1.0)
     report = scenario_collapse(sup, cfg, model)
@@ -397,19 +367,20 @@ def test_rows_do_not_depend_on_block_mates(lat4, h0_4, grid16, ground):
 
     def run(realizations):
         cfg = EnsembleConfig(realizations=realizations, seed=7,
-                             picture="transformed",
                              observables=(("pointer", obs),),
                              branch_states=(phi1, phi2))
         return run_ensemble(sup, cfg, model)
 
     small, large = run(8), run(300)
-    series = [(small.energy, large.energy), (small.norm, large.norm)]
-    series += [(small.observables[k], large.observables[k])
-               for k in small.observables]
-    for few, many in series:
-        for key in few:
-            assert few[key].tobytes() == many[key][:8].tobytes(), key
-    assert small.branch_weights.tobytes() == large.branch_weights[:8].tobytes()
+    series = {"energy": (small.energy, large.energy),
+              "norm": (small.norm, large.norm),
+              "branches": (small.branch_weights, large.branch_weights)}
+    for label in small.observables:
+        for key in small.observables[label]:
+            series[label, key] = (small.observables[label][key],
+                                  large.observables[label][key])
+    for key, (few, many) in series.items():
+        assert few.tobytes() == many[:8].tobytes(), key
 
 
 def random_model(rng, dim, count, which):
@@ -524,8 +495,8 @@ def test_records_match_original_basis_oracle(lat4, h0_4, grid16, ground):
     stats = run_ensemble(sup, cfg, model)
     ref = oracle_records(model, cfg, sup)
     rec = stats.observables["pointer"]
-    pairs = [(stats.energy["transformed"], ref["energy"]),
-             (stats.norm["transformed"], ref["norm"]),
+    pairs = [(stats.energy, ref["energy"]),
+             (stats.norm, ref["norm"]),
              (rec["transformed"], ref["transformed"]),
              (rec["square"], ref["square"]),
              (stats.branch_weights, ref["branches"]),

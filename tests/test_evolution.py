@@ -128,7 +128,7 @@ def local_energy(record, i):
     imaginary part measures the failure of h0 + W to be symmetric under the
     conserved product at fixed t."""
     psi = record.state(i)
-    hpsi = record.h0 @ psi + record.interaction_terms[i]
+    hpsi = record.h0 @ psi + equal_time_hamiltonian(record, i) @ psi
     s = surface_correction(record, i)
     val = record.spacing * np.vdot(psi, hpsi + s @ hpsi)
     return float(val.real), float(val.imag)

@@ -11,18 +11,14 @@ from collapselab.lattice import (
     dirac_spectrum,
     l2_inner,
     l2_norm,
-    matrix_function,
     momenta,
     normalized,
     require_eigenstate,
+    sqrtmh,
     translation_operator,
 )
 
 from conftest import random_state
-
-
-def _mat(op):
-    return op.matrix
 
 
 def test_massless_two_site_spectrum():
@@ -59,34 +55,25 @@ def test_h0_hermitian_and_translation_invariant(lat4, h0_4):
 
 
 def test_matrix_function_trivia(h0_4):
-    d = h0_4.dim
-    eye = np.eye(d)
-    assert np.allclose(_mat(matrix_function(eye, "sqrt")), eye, atol=1e-14)
-    assert np.allclose(
-        _mat(matrix_function(h0_4, "exp_scaled", theta=0.0)), eye,
-        atol=1e-14)
+    eye = np.eye(h0_4.dim)
+    assert np.allclose(sqrtmh(eye), eye, atol=1e-14)
+    assert np.allclose(sqrtmh(eye, inverse=True), eye, atol=1e-14)
 
 
 def test_sqrt_squares_back():
     rng = np.random.default_rng(3)
     m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     m = m @ m.conj().T + 0.5 * np.eye(16)
-    r = _mat(matrix_function(m, "sqrt"))
+    r = sqrtmh(m)
     assert np.linalg.norm(r @ r - m, 2) < 1e-10 * np.linalg.norm(m, 2)
-
-
-def test_exp_scaled_group_law(h0_4):
-    a = _mat(matrix_function(h0_4, "exp_scaled", theta=0.3))
-    b = _mat(matrix_function(h0_4, "exp_scaled", theta=0.5))
-    c = _mat(matrix_function(h0_4, "exp_scaled", theta=0.8))
-    assert np.linalg.norm(a @ b - c, 2) < 1e-10
+    assert np.linalg.norm(sqrtmh(m, inverse=True) @ r - np.eye(16), 2) < 1e-10
 
 
 def test_sqrt_rejects_non_positive():
-    with pytest.raises(NotPositive):
-        matrix_function(np.diag([1.0, 1e-9]), "sqrt")
-    with pytest.raises(NotPositive):
-        matrix_function(np.diag([1.0, -0.2]), "inv_sqrt")
+    with pytest.raises(NotPositive, match="^sqrt"):
+        sqrtmh(np.diag([1.0, 1e-9]))
+    with pytest.raises(NotPositive, match="^inv_sqrt"):
+        sqrtmh(np.diag([1.0, -0.2]), inverse=True)
 
 
 def test_l2_inner_basics():
