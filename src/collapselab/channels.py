@@ -38,7 +38,6 @@ from .lattice import (
     EigenSystem,
     FreePropagator,
     LatticeConfig,
-    _as_matrix,
     _plane_wave_matrix,
     build_dirac_h0,
     momenta,
@@ -63,8 +62,9 @@ class KernelProfile:
     shape: str = "raised_cosine"
 
     def __post_init__(self) -> None:
-        if self.ell_min <= 0.0:
-            raise ConfigError("kernel range ell_min must be positive")
+        if not (0.0 < self.ell_min < math.inf):  # NaN fails too
+            raise ConfigError(
+                f"kernel range ell_min {self.ell_min} must be finite and positive")
         if self.shape not in KERNEL_SHAPES:
             raise ConfigError(f"unknown kernel shape {self.shape!r}")
 
@@ -97,8 +97,8 @@ def site_projector(cfg: LatticeConfig, site: int) -> np.ndarray:
 
 def position_gaussian(cfg: LatticeConfig, center: float, width: float) -> np.ndarray:
     """Diagonal multiplication operator with a periodized Gaussian site profile."""
-    if width <= 0.0:
-        raise ConfigError("width must be positive")
+    if not (0.0 < width < math.inf):
+        raise ConfigError(f"width {width} must be finite and positive")
     x = cfg.spacing * np.arange(cfg.sites)
     span = cfg.spacing * cfg.sites
     # periodic distance on the ring
@@ -298,9 +298,9 @@ class NoiseRealization:
 
     White realizations store windowed samples of variance 1/h per node
     (h the noise-grid spacing, half the evolution step by default) and are
-    looked up by nearest node, which is exact for all midpoints that arise.
-    Smooth probes store a cubic spline per channel and an amplitude;
-    both kinds return zero outside the simulated interval.
+    read on grids that subsample the noise grid, which holds for all
+    midpoints that arise. Smooth probes store a cubic spline per channel
+    and an amplitude; both kinds read zero outside the simulated interval.
     """
 
     seed: int | list[int]  # a master seed, or [master seed, realization]
@@ -338,20 +338,6 @@ class NoiseRealization:
             for a, spl in enumerate(self.splines):
                 out[a, ok] = spl(times[ok]) * w
         return out
-
-    def value(self, channel: int, t) -> np.ndarray:
-        """Field value(s) of one channel at arbitrary times."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros_like(t)
-        ok = (t >= self.t0 - 1e-12) & (t <= self.t1 + 1e-12)
-        if self.kind == "white":
-            qi = np.clip(np.rint((t[ok] - self.t0) / self.h).astype(int), 0,
-                         self.samples.shape[1] - 1)
-            out[ok] = self.samples[channel, qi]
-        else:
-            w = np.asarray(self.window(t[ok]), dtype=float)
-            out[ok] = self.splines[channel](t[ok]) * w
-        return out if out.shape != (1,) else out[0]
 
 
 def sample_noise(channels: list[InteractionChannel], grid: TimeGrid,
@@ -441,34 +427,12 @@ def sample_fourier_probe(channels: list[InteractionChannel], grid: TimeGrid,
     )
 
 
-def interaction_kernel(t: float, s: float, channels: list[InteractionChannel],
-                       noise: NoiseRealization) -> np.ndarray:
-    """The two-time interaction operator V(t, s) for one realization.
-
-    Hermitian for every pair and symmetric under (t, s) exchange because the
-    field enters at the midpoint and the kernel is even. Zero whenever
-    |t - s| exceeds every channel's kernel range or the midpoint lies
-    outside the simulated field interval.
-    """
-    d = channels[0].dim
-    v = np.zeros((d, d), dtype=complex)
-    mid = 0.5 * (t + s)
-    for a, ch in enumerate(channels):
-        lz = float(ch.profile.value(t - s))
-        if lz == 0.0:
-            continue
-        w = float(noise.value(a, mid))
-        if w == 0.0:
-            continue
-        v += ch.amplitude * w * lz * ch.spatial_op
-    return v
-
-
 @dataclass(frozen=True)
 class ChannelOperatorSet:
     """Stacks M_a(z) on the difference grid, raw and symmetrized.
 
-    ``asymmetry`` records max_z |M_a(z) - M_a(-z)| / 2 per channel, the
+    The dynamics reads ``sym``. ``asymmetry`` records
+    max_z |M_a(z) - M_a(-z)| / 2 per channel from ``raw``, the
     operator-level cost of enforcing evenness when [A_a, h0] != 0.
     """
 
@@ -483,15 +447,8 @@ class ChannelOperatorSet:
     def half_width(self) -> int:
         return (self.zeta.size - 1) // 2
 
-    def stack(self, which: str = "sym") -> np.ndarray:
-        if which == "sym":
-            return self.sym
-        if which == "raw":
-            return self.raw
-        raise ValueError(f"unknown channel-operator stack {which!r}")
 
-
-def build_channel_operators(channels: list[InteractionChannel], h0,
+def build_channel_operators(channels: list[InteractionChannel], h0: np.ndarray,
                             dt: float) -> ChannelOperatorSet:
     """Evaluate the channel-operator stacks on the difference grid of step dt."""
     ell = max(ch.profile.ell_min for ch in channels)
@@ -499,7 +456,7 @@ def build_channel_operators(channels: list[InteractionChannel], h0,
         raise GridTooCoarse(f"dt={dt} exceeds ell_min/8")
     k = int(round(ell / dt))
     zeta = dt * np.arange(-k, k + 1)
-    free = FreePropagator(_as_matrix(h0))
+    free = FreePropagator(h0)
     d = channels[0].dim
     raw = np.zeros((len(channels), zeta.size, d, d), dtype=complex)
     for a, ch in enumerate(channels):

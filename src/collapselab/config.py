@@ -142,11 +142,14 @@ class ExperimentConfig:
 
     def lattice(self) -> LatticeConfig:
         sec = self.data["lattice"]
-        return LatticeConfig(
-            sites=_get(sec, "sites", "lattice", int),
-            spacing=_get(sec, "spacing", "lattice", float),
-            mass=_get(sec, "mass", "lattice", float),
-        )
+        try:
+            return LatticeConfig(
+                sites=_get(sec, "sites", "lattice", int),
+                spacing=_get(sec, "spacing", "lattice", float),
+                mass=_get(sec, "mass", "lattice", float),
+            )
+        except ValueError as err:
+            raise ConfigError(f"lattice: {err}") from err
 
     def grid(self) -> TimeGrid:
         sec = self.data["time"]
@@ -257,8 +260,11 @@ class ExperimentConfig:
         return tuple(out)
 
     def seed(self) -> int:
-        return _get(self.data["noise"], "seed", "noise", int, default=0,
+        seed = _get(self.data["noise"], "seed", "noise", int, default=0,
                     required=False)
+        if seed < 0:
+            raise ConfigError(f"noise.seed {seed} must be nonnegative")
+        return seed
 
     def realizations(self) -> int:
         ens = self.data.get("ensemble") or {}
@@ -275,7 +281,7 @@ class ExperimentConfig:
         return run.get("out")
 
     def build_h0(self, lattice: LatticeConfig | None = None) -> np.ndarray:
-        return build_dirac_h0(lattice or self.lattice()).matrix
+        return build_dirac_h0(lattice or self.lattice())
 
     def echo(self) -> dict:
         """Plain data copy for embedding in result summaries.

@@ -45,7 +45,6 @@ from .channels import (
 )
 from .errors import ConfigError, PictureNotRecorded, ScenarioViolation, StepRejected
 from .grids import TimeGrid, Window
-from .lattice import _as_matrix, _as_vector
 
 BLOCK = 256
 _TAYLOR_TOL = 2.0**-53  # truncation bound theta^(m+1)/(m+1)! of one sub-step
@@ -76,10 +75,8 @@ class ModelSetup:
     h0: np.ndarray
     spacing: float
     channels: tuple[InteractionChannel, ...]
-    which: str = "sym"
 
     def __post_init__(self):
-        self.h0 = _as_matrix(self.h0)
         self.channels = tuple(self.channels)
         self._opset: ChannelOperatorSet | None = None
 
@@ -178,6 +175,31 @@ def _run_blocks(task, count: int) -> None:
             list(pool.map(task, range(count)))
 
 
+class _Partials:
+    """Per-block partial sums of complex values and of their squared real
+    and imaginary parts. Each block adds into its own slot; the slots are
+    combined in block order, so the moments do not depend on the workers."""
+
+    def __init__(self, blocks: int, shape: tuple[int, ...]):
+        self.sums = np.zeros((blocks, *shape), dtype=complex)
+        self.sq_re = np.zeros((blocks, *shape))
+        self.sq_im = np.zeros((blocks, *shape))
+
+    def add(self, slot, values: np.ndarray) -> None:
+        """Add a block's values, summed over their leading row axis, into
+        the partials at index ``slot``."""
+        self.sums[slot] += values.sum(axis=0)
+        self.sq_re[slot] += (values.real**2).sum(axis=0)
+        self.sq_im[slot] += (values.imag**2).sum(axis=0)
+
+    def moments(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Entrywise mean and standard error over ``count`` realizations."""
+        mean = self.sums.sum(axis=0) / count
+        var = (self.sq_re.sum(axis=0) / count - mean.real**2) + (
+            self.sq_im.sum(axis=0) / count - mean.imag**2)
+        return mean, np.sqrt(np.clip(var, 0.0, None) / max(count - 1, 1))
+
+
 def _noise_tables(model: ModelSetup, window: Window, seed: int, rows: range,
                   pad: int) -> np.ndarray:
     """Half-grid field tables of the given realizations, one row set each,
@@ -242,18 +264,17 @@ class _TransformedRun:
         vh = self.vecs.conj().T
         ops = vh @ np.stack([ch.spatial_op for ch in model.channels]) @ self.vecs
         # W' = sum_a O'_a diag(p_a) + diag(conj p_a) O'_a, p_a the field against
-        # dt amp_a L_a(z) e^{i z lam} / 2 (its even part for the sym stack)
+        # the even part of dt amp_a L_a(z) e^{i z lam} / 2, as in the sym stack
         lz = np.stack([0.5 * dt * ch.amplitude * ch.profile.value(opset.zeta)
                        for ch in model.channels])
         q = lz[:, :, None] * np.exp(1j * np.multiply.outer(opset.zeta, self.lam))
-        if model.which == "sym":
-            q = 0.5 * (q + q[:, ::-1])
+        q = 0.5 * (q + q[:, ::-1])
         na, nz, d = q.shape
         table = np.zeros((na, nz, na, d), dtype=complex)
         table[np.arange(na), :, np.arange(na)] = q
         self.table = table.reshape(na * nz, na * d).view(np.float64)
         # one real GEMM takes the field to the rotated dt-scaled stack and p
-        stack = vh @ (dt * opset.stack(model.which)) @ self.vecs
+        stack = vh @ (dt * opset.sym) @ self.vecs
         self.mid_table = np.concatenate(
             [stack.reshape(na * nz, -1).view(np.float64), self.table], axis=1)
         self.ocat = ops.transpose(2, 0, 1).reshape(d, na * d)  # y -> (O'_a y)_a
@@ -266,14 +287,14 @@ class _TransformedRun:
         # half-grid indices of (t_j + t_{j+1})/2 - zeta/2 and t_j - zeta/2
         self.mid_idx = (2 * np.arange(n - 1)[:, None] + 1 - d_off[None, :]) + self.pad
         self.node_idx = (2 * np.arange(n)[:, None] - d_off[None, :]) + self.pad
-        self.psi0 = vh @ np.asarray(_as_vector(psi0), dtype=complex)
+        self.psi0 = vh @ psi0
         self.labels = [label for label, _ in cfg.observables]
         # psi @ obs_t gives O' psi for every observable side by side
-        self.obs_t = np.concatenate([(vh @ _as_matrix(op) @ self.vecs).T
+        self.obs_t = np.concatenate([(vh @ op @ self.vecs).T
                                      for _, op in cfg.observables]
                                     or [np.zeros((d, 0))], axis=1)
-        self.branches_h = None if cfg.branch_states is None else (vh @ np.stack(
-            [_as_vector(b) for b in cfg.branch_states], axis=1)).conj()
+        self.branches_h = None if cfg.branch_states is None else (
+            vh @ np.stack(cfg.branch_states, axis=1)).conj()
 
     def _weights(self, w: np.ndarray) -> np.ndarray:
         """The (B, A, D) weights p of W' from the (B, A, 2K+1) field samples."""
@@ -288,7 +309,8 @@ class _TransformedRun:
         return (np.einsum("rad,rjd->rj", oy[:, 0].conj() * p, y)
                 + np.einsum("rad,rjad->rj", (p * psi[:, None]).conj(), oy))
 
-    def block(self, rows: range, stats: EnsembleStats, partials: dict) -> None:
+    def block(self, slot: int, rows: range, stats: EnsembleStats,
+              sigma: _Partials) -> None:
         grid, spacing = self.model.grid, self.model.spacing
         n, nb, nd = grid.n_nodes, len(rows), self.lam.size
         pads = _noise_tables(self.model, self.window, self.cfg.seed, rows, self.pad)
@@ -317,8 +339,7 @@ class _TransformedRun:
                 c = cp_pos[j]
                 back = psi @ self.vecs.T
                 outer = spacing * np.einsum("rb,rc->rbc", back, back.conj())
-                partials["sigma_sum"][c] += outer.sum(axis=0)
-                partials["sigma_sq"][c] += (outer.real**2 + 1j * outer.imag**2).sum(axis=0)
+                sigma.add((slot, c), outer)
             if j < n - 1:
                 flat = pads[:, :, self.mid_idx[j]].reshape(nb, -1) @ self.mid_table
                 gen = flat[:, : 2 * nd * nd].view(complex)
@@ -351,24 +372,10 @@ def run_ensemble(psi0, cfg: EnsembleConfig, model: ModelSetup) -> EnsembleStats:
         stats.branch_weights = np.empty((nr, n, len(cfg.branch_states)))
 
     blocks = _blocks(nr)
-    partials = [
-        {
-            "sigma_sum": np.zeros((cp_nodes.size, dim, dim), dtype=complex),
-            "sigma_sq": np.zeros((cp_nodes.size, dim, dim), dtype=complex),
-        }
-        for _ in blocks
-    ]
-
+    sigma = _Partials(len(blocks), (cp_nodes.size, dim, dim))
     runner = _TransformedRun(model, cfg, psi0)
-    _run_blocks(lambda i: runner.block(blocks[i], stats, partials[i]), len(blocks))
-
-    sig_sum = np.sum([p["sigma_sum"] for p in partials], axis=0)
-    sig_sq = np.sum([p["sigma_sq"] for p in partials], axis=0)
-    stats.sigma_mean = sig_sum / nr
-    var_re = sig_sq.real / nr - stats.sigma_mean.real**2
-    var_im = sig_sq.imag / nr - stats.sigma_mean.imag**2
-    stats.sigma_stderr = np.sqrt(
-        np.clip(var_re + var_im, 0.0, None) / max(nr - 1, 1))
+    _run_blocks(lambda i: runner.block(i, blocks[i], stats, sigma), len(blocks))
+    stats.sigma_mean, stats.sigma_stderr = sigma.moments(nr)
     stats.meta = {
         "realizations": nr,
         "seed": cfg.seed,
@@ -433,18 +440,17 @@ def variance_diagnostics(stats: EnsembleStats, label: str,
     return report
 
 
-def split_branches(observable, psi0, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+def split_branches(observable: np.ndarray, psi0: np.ndarray,
+                   spacing: float) -> tuple[np.ndarray, np.ndarray]:
     """Decompose a state into its two components along eigenspaces of the
     observable; raises ScenarioViolation unless exactly two eigenvalues
     carry weight."""
-    op = _as_matrix(observable)
-    v0 = _as_vector(psi0)
-    vals, vecs = np.linalg.eigh(op)
+    vals, vecs = np.linalg.eigh(observable)
     keys = np.round(vals, 9)
     comps = []
     for value in np.unique(keys):
         basis = vecs[:, keys == value]
-        part = basis @ (basis.conj().T @ v0)
+        part = basis @ (basis.conj().T @ psi0)
         weight = spacing * float(np.vdot(part, part).real)
         if weight > 1e-12:
             comps.append(part / np.sqrt(spacing * np.vdot(part, part).real))
@@ -517,16 +523,13 @@ def mc_mean_drift(model: ModelSetup, realizations: int, seed: int,
         raise ConfigError(f"evaluation node {node} outside the grid interior")
     opset = model.opset
     k = opset.half_width
-    stack = opset.stack(model.which)
-    wstack = grid.dt * stack
+    wstack = grid.dt * opset.sym
     pad = k + 1
     d_off = np.arange(-k, k + 1)
     node_idx = (2 * np.arange(n)[:, None] - d_off[None, :]) + pad
     dim = model.h0.shape[0]
     blocks = _blocks(realizations)
-    sums = np.zeros((len(blocks), dim, dim), dtype=complex)
-    sq_re = np.zeros((len(blocks), dim, dim))
-    sq_im = np.zeros((len(blocks), dim, dim))
+    drift = _Partials(len(blocks), (dim, dim))
 
     def task(i):
         pads = _noise_tables(model, window, seed, blocks[i], pad)
@@ -535,15 +538,7 @@ def mc_mean_drift(model: ModelSetup, realizations: int, seed: int,
         trap = np.full(node + 1, grid.dt)
         trap[0] = trap[-1] = 0.5 * grid.dt
         integral = np.einsum("j,rjxy->rxy", trap, w_all)
-        est = -np.einsum("rxy,ryz->rxz", w_all[:, node], integral)
-        sums[i] = est.sum(axis=0)
-        sq_re[i] = (est.real**2).sum(axis=0)
-        sq_im[i] = (est.imag**2).sum(axis=0)
+        drift.add(i, -np.einsum("rxy,ryz->rxz", w_all[:, node], integral))
 
     _run_blocks(task, len(blocks))
-    total = sums.sum(axis=0)
-    mean = total / realizations
-    var = (sq_re.sum(axis=0) / realizations - mean.real**2) + (
-        sq_im.sum(axis=0) / realizations - mean.imag**2)
-    stderr = np.sqrt(np.clip(var, 0.0, None) / max(realizations - 1, 1))
-    return mean, stderr
+    return drift.moments(realizations)

@@ -31,8 +31,9 @@ the record, so node loops of surface corrections cost linear time.
 On top of the solved record this module builds the equal-time objects: the
 one-time interaction operator, the surface correction that makes the
 two-time inner product conserved, the related direct strip-sum form of that
-product, and the similarity transformation to the picture in which the
-dynamics is generated by a single (nearly Hermitian) operator.
+product, and the generator correction in the transformed picture
+psi_tilde = sqrt(1 + S_t) psi, where the dynamics is generated by a single
+(nearly Hermitian) operator.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 from .channels import InteractionChannel, NoiseRealization
 from .errors import NoConvergence, OutOfGrid
 from .grids import TimeGrid
-from .lattice import FreePropagator, StateVector, _as_matrix, _as_vector, sqrtmh
+from .lattice import FreePropagator, sqrtmh
 
 log = logging.getLogger(__name__)
 
@@ -106,7 +107,7 @@ class EvolutionRecord:
         if self.props is None:
             raise OutOfGrid("record was solved without propagators")
         interior = self.props[self.reach : self.reach + self.grid.n_nodes]
-        return np.einsum("jab,b->ja", interior, _as_vector(psi0))
+        return np.einsum("jab,b->ja", interior, psi0)
 
     def local_propagators(self, i: int) -> np.ndarray:
         """Relative maps Y_q = X_q X_i^{-1} for q = i-reach .. i+reach; the
@@ -192,8 +193,9 @@ def _check_regime(channels, noise: NoiseRealization, grid: TimeGrid) -> None:
             stacklevel=3)
 
 
-def solve_nonlocal(psi0, grid: TimeGrid, channels: list[InteractionChannel],
-                   noise: NoiseRealization, h0, spacing: float,
+def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
+                   channels: list[InteractionChannel],
+                   noise: NoiseRealization, h0: np.ndarray, spacing: float,
                    tol: float = 1e-10, max_iter: int = 50,
                    propagators: bool = False) -> EvolutionRecord:
     """Fixed-point solve of the nonlocal equation on the grid.
@@ -204,8 +206,7 @@ def solve_nonlocal(psi0, grid: TimeGrid, channels: list[InteractionChannel],
     drops below ``tol`` within ``max_iter`` sweeps.
     """
     channels = list(channels)
-    h0m = _as_matrix(h0)
-    dim = h0m.shape[0]
+    dim = h0.shape[0]
     _check_regime(channels, noise, grid)
 
     dt = grid.dt
@@ -218,7 +219,7 @@ def solve_nonlocal(psi0, grid: TimeGrid, channels: list[InteractionChannel],
     # weight of each node's own term in its channel mixes, for the refresh
     self_weight = coeffs[:, :, reach].T[:, :, None, None].copy()
 
-    free = FreePropagator(h0m)
+    free = FreePropagator(h0)
     e_dt = free.matrix(dt)
     shifts = np.arange(1, reach + 1) * dt
     right_pad = free.matrix(shifts)  # e^{-i m dt h0}, m = 1..reach
@@ -228,7 +229,7 @@ def solve_nonlocal(psi0, grid: TimeGrid, channels: list[InteractionChannel],
     if matrix_mode:
         x0 = np.eye(dim, dtype=complex)
     else:
-        x0 = np.asarray(_as_vector(psi0), dtype=complex).reshape(dim, 1)
+        x0 = psi0.reshape(dim, 1)
 
     total = n + 2 * reach
     x = np.empty((total, dim, tail), dtype=complex)
@@ -280,7 +281,7 @@ def solve_nonlocal(psi0, grid: TimeGrid, channels: list[InteractionChannel],
         )
 
     record = EvolutionRecord(
-        grid=grid, channels=tuple(channels), noise=noise, h0=h0m,
+        grid=grid, channels=tuple(channels), noise=noise, h0=h0,
         spacing=spacing, reach=reach, residuals=residuals,
         _free=free, _coeffs=coeffs, _field_pad=field_pad,
     )
@@ -288,7 +289,7 @@ def solve_nonlocal(psi0, grid: TimeGrid, channels: list[InteractionChannel],
         record.props = x
     if psi0 is not None:
         if matrix_mode:
-            traj = np.einsum("jab,b->ja", x, np.asarray(_as_vector(psi0), dtype=complex))
+            traj = np.einsum("jab,b->ja", x, psi0)
         else:
             traj = x.reshape(total, dim)
         record.states = traj[reach : reach + n]
@@ -357,12 +358,11 @@ def surface_correction(record: EvolutionRecord, i: int) -> np.ndarray:
     return 1j * (q - q.conj().T)
 
 
-def conserved_inner(record: EvolutionRecord, i: int, phi, psi) -> complex:
+def conserved_inner(record: EvolutionRecord, i: int, phi: np.ndarray,
+                    psi: np.ndarray) -> complex:
     """The conserved product <phi|psi>_t = (phi, (1 + S_t) psi) at node i."""
     s = surface_correction(record, i)
-    a = _as_vector(phi)
-    b = _as_vector(psi)
-    return complex(record.spacing * np.vdot(a, b + s @ b))
+    return complex(record.spacing * np.vdot(phi, psi + s @ psi))
 
 
 def conserved_inner_layer_sum(record: EvolutionRecord, i: int,
@@ -389,15 +389,6 @@ def conserved_inner_layer_sum(record: EvolutionRecord, i: int,
     future_past = np.vdot(phi[future], _channel_sum(ops_row, c.transpose(0, 2, 1), psi[past]))
     total = np.vdot(phi[i + reach], psi[i + reach]) + 1j * (past_future - future_past)
     return complex(record.spacing * total)
-
-
-def transform_state(psi, surface: np.ndarray, picture: str = "psi_tilde"):
-    """Map psi to the transformed picture: psi_tilde = sqrt(1 + S_t) psi."""
-    root = sqrtmh(np.eye(surface.shape[0]) + surface)
-    v = root @ _as_vector(psi)
-    if isinstance(psi, StateVector):
-        return StateVector(v, picture=picture)
-    return v
 
 
 def _expansion_interaction(w: np.ndarray, s: np.ndarray) -> np.ndarray:

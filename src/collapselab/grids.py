@@ -8,6 +8,7 @@ stochastic field off near the grid boundaries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,10 @@ class TimeGrid:
     dt: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.t0, self.t1, self.dt,
+                                       self.t1 - self.t0))):
+            raise ConfigError(
+                f"non-finite time grid t0={self.t0}, t1={self.t1}, dt={self.dt}")
         if not (self.t1 > self.t0):
             raise ConfigError(f"empty time interval [{self.t0}, {self.t1}]")
         if not (self.dt > 0.0):
@@ -81,6 +86,9 @@ class Window:
     def __post_init__(self) -> None:
         if self.always_on:
             return
+        if not all(map(math.isfinite, (self.t_on, self.t_off, self.ramp))):
+            raise ConfigError(f"non-finite window t_on={self.t_on}, "
+                              f"t_off={self.t_off}, ramp={self.ramp}")
         if self.t_off - self.t_on < 2.0 * self.ramp - 1e-12:
             raise ConfigError("window shorter than its two ramps")
         if self.ramp < 0.0:

@@ -18,6 +18,7 @@ state has sum_j a*|psi_j|^2 = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,6 @@ SPINOR_DIM = 2
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-HERMITIAN_RTOL = 1e-12
-DENSITY_HERMITIAN_RTOL = 1e-10
 SQRT_FLOOR = 1e-6
 
 
@@ -47,10 +46,11 @@ class LatticeConfig:
             raise ValueError("need at least 2 lattice sites")
         if self.sites % 2 != 0:
             raise ValueError("site count must be even for a symmetric momentum grid")
-        if self.spacing <= 0.0:
-            raise ValueError("lattice spacing must be positive")
-        if self.mass < 0.0:
-            raise ValueError("mass must be nonnegative")
+        if not (0.0 < self.spacing < math.inf):  # NaN fails too
+            raise ValueError(
+                f"lattice spacing {self.spacing} must be finite and positive")
+        if not (0.0 <= self.mass < math.inf):
+            raise ValueError(f"mass {self.mass} must be finite and nonnegative")
 
     @property
     def dim(self) -> int:
@@ -70,97 +70,9 @@ def _plane_wave_matrix(cfg: LatticeConfig) -> np.ndarray:
     return np.exp(1j * np.outer(x, k)) / np.sqrt(cfg.sites)
 
 
-def _as_matrix(op) -> np.ndarray:
-    return op.matrix if isinstance(op, Operator) else np.asarray(op)
-
-
-def _as_vector(psi) -> np.ndarray:
-    return psi.entries if isinstance(psi, StateVector) else np.asarray(psi)
-
-
-@dataclass(frozen=True)
-class Operator:
-    """Dense operator with an optional hermiticity promise.
-
-    When ``hermitian_hint`` is set the constructor checks the promise to
-    relative tolerance 1e-12 in the operator infinity norm; matrix functions
-    then go through the Hermitian eigendecomposition.
-    """
-
-    matrix: np.ndarray
-    hermitian_hint: bool = False
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatch(f"operator matrix has shape {m.shape}")
-        if self.hermitian_hint:
-            scale = np.linalg.norm(m, np.inf)
-            dev = np.linalg.norm(m - m.conj().T, np.inf)
-            if dev > HERMITIAN_RTOL * max(scale, 1.0):
-                raise ValueError(
-                    f"hermitian_hint set but |M - M^dag| = {dev:.3e} "
-                    f"exceeds {HERMITIAN_RTOL:.0e} * {scale:.3e}"
-                )
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """State with a picture tag: 'psi' (untransformed) or 'psi_tilde'."""
-
-    entries: np.ndarray
-    picture: str = "psi"
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.entries, dtype=complex)
-        if v.ndim != 1:
-            raise DimensionMismatch(f"state entries have shape {v.shape}")
-        if self.picture not in ("psi", "psi_tilde"):
-            raise ValueError(f"unknown picture {self.picture!r}")
-        v.setflags(write=False)
-        object.__setattr__(self, "entries", v)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian density matrix; hermiticity checked to 1e-10 relative."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatch(f"density matrix has shape {m.shape}")
-        scale = max(np.linalg.norm(m, np.inf), 1e-300)
-        dev = np.linalg.norm(m - m.conj().T, np.inf)
-        if dev > DENSITY_HERMITIAN_RTOL * scale:
-            raise ValueError(
-                f"density matrix not hermitian: relative deviation {dev / scale:.3e}"
-            )
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def build_dirac_h0(cfg: LatticeConfig) -> Operator:
-    """Free Dirac Hamiltonian in the position basis, exact in momentum space."""
+def build_dirac_h0(cfg: LatticeConfig) -> np.ndarray:
+    """Free Dirac Hamiltonian in the position basis, exact in momentum space;
+    Hermitian by construction and read-only."""
     k = momenta(cfg)
     blocks = k[:, None, None] * SIGMA1[None] + cfg.mass * SIGMA3[None]
     f = _plane_wave_matrix(cfg)
@@ -168,29 +80,15 @@ def build_dirac_h0(cfg: LatticeConfig) -> Operator:
     h = np.einsum("jn,nab,ln->jalb", f, blocks, f.conj(), optimize=True)
     h = h.reshape(cfg.dim, cfg.dim)
     h = 0.5 * (h + h.conj().T)
-    return Operator(h, hermitian_hint=True)
-
-
-def translation_operator(cfg: LatticeConfig) -> Operator:
-    """Cyclic shift by one site, acting trivially on the spinor index."""
-    shift = np.roll(np.eye(cfg.sites), 1, axis=0)
-    return Operator(np.kron(shift, np.eye(SPINOR_DIM)).astype(complex))
-
-
-def dirac_spectrum(cfg: LatticeConfig) -> np.ndarray:
-    """Exact eigenvalues {+-sqrt(k_n^2 + m^2)}, ascending."""
-    k = momenta(cfg)
-    e = np.sqrt(k**2 + cfg.mass**2)
-    return np.sort(np.concatenate([-e, e]))
+    h.setflags(write=False)
+    return h
 
 
 def l2_inner(phi, psi, spacing: float) -> complex:
     """Discrete L2 product: lattice-weighted sum over sites and spinors."""
-    a = _as_vector(phi)
-    b = _as_vector(psi)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"state shapes {a.shape} vs {b.shape}")
-    return complex(spacing * np.vdot(a, b))
+    if phi.shape != psi.shape:
+        raise DimensionMismatch(f"state shapes {phi.shape} vs {psi.shape}")
+    return complex(spacing * np.vdot(phi, psi))
 
 
 def l2_norm(psi, spacing: float) -> float:
@@ -198,17 +96,15 @@ def l2_norm(psi, spacing: float) -> float:
 
 
 def normalized(psi, spacing: float) -> np.ndarray:
-    v = _as_vector(psi)
-    return v / l2_norm(v, spacing)
+    return psi / l2_norm(psi, spacing)
 
 
 class FreePropagator:
     """Cached spectral data of h0; e^{-i tau h0} in closed form for any tau."""
 
-    def __init__(self, h0) -> None:
-        m = _as_matrix(h0)
-        self.h0 = m
-        self.evals, self.evecs = np.linalg.eigh(m)
+    def __init__(self, h0: np.ndarray) -> None:
+        self.h0 = h0
+        self.evals, self.evecs = np.linalg.eigh(h0)
 
     def matrix(self, tau) -> np.ndarray:
         """e^{-i tau h0}; an array of tau gives the stack of maps."""
@@ -237,8 +133,8 @@ class EigenSystem:
     spacing: float
 
     @classmethod
-    def of(cls, h0, spacing: float) -> "EigenSystem":
-        vals, vecs = np.linalg.eigh(_as_matrix(h0))
+    def of(cls, h0: np.ndarray, spacing: float) -> "EigenSystem":
+        vals, vecs = np.linalg.eigh(h0)
         # normalize in the weighted product so eigenstates are unit states
         vecs = vecs / np.sqrt(spacing)
         return cls(values=vals, vectors=vecs, spacing=spacing)
@@ -270,15 +166,15 @@ class EigenSystem:
         return v @ v.conj().T
 
 
-def require_eigenstate(h0, psi, spacing: float, tol: float = 1e-8) -> float:
+def require_eigenstate(h0: np.ndarray, psi: np.ndarray, spacing: float,
+                       tol: float = 1e-8) -> float:
     """Return the energy of psi, raising NotEigenstate beyond tolerance."""
-    m = _as_matrix(h0)
-    v = _as_vector(psi)
-    nrm = l2_norm(v, spacing)
+    nrm = l2_norm(psi, spacing)
     if nrm == 0.0:
         raise NotEigenstate("zero vector")
-    e = (l2_inner(v, m @ v, spacing) / nrm**2).real
-    resid = np.sqrt(l2_inner(m @ v - e * v, m @ v - e * v, spacing).real) / nrm
+    hpsi = h0 @ psi
+    e = (l2_inner(psi, hpsi, spacing) / nrm**2).real
+    resid = np.sqrt(l2_inner(hpsi - e * psi, hpsi - e * psi, spacing).real) / nrm
     if resid > tol:
         raise NotEigenstate(f"residual {resid:.3e} exceeds {tol:.0e}")
     return float(e)

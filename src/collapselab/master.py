@@ -25,20 +25,20 @@ import numpy as np
 from .channels import ChannelOperatorSet
 from .errors import ConfigError, StepRejected
 from .grids import TimeGrid
-from .lattice import DensityMatrix, _as_matrix, _as_vector, require_eigenstate
+from .lattice import require_eigenstate
 
-TRACE_DRIFT_TOL = 1e-8
 HERM_CORRECTION_LIMIT = 1e-6
 
 CFS_KIND = "cfs_double_commutator"
 GKSL_KIND = "standard_gksl"
 
 
-def _pair_stacks(opset: ChannelOperatorSet, which: str, nu_step: int):
-    """Concatenated (weighted left factor, right factor) stacks over all
-    channels and all (z, v) quadrature pairs, plus the summed drift
-    G = sum w M(z) M(z - v) so that A = -G."""
-    stack = opset.stack(which)
+def _pair_stacks(opset: ChannelOperatorSet, nu_step: int):
+    """Concatenated (weighted left factor, right factor) stacks of the
+    symmetrized channel operators over all channels and all (z, v)
+    quadrature pairs, plus the summed drift G = sum w M(z) M(z - v) so that
+    A = -G."""
+    stack = opset.sym
     k = opset.half_width
     dt = opset.dt
     lefts = []
@@ -61,37 +61,27 @@ def _pair_stacks(opset: ChannelOperatorSet, which: str, nu_step: int):
 class LindbladSpec:
     """One master-equation right-hand side, fully precomputed.
 
-    Build with :meth:`cfs` (double-commutator variant over a channel
-    operator set) or :meth:`gksl` (explicit jump operators). ``bracket``
-    selects the nested double-commutator reading (default) or the
-    single-commutator alternative kept for sensitivity runs.
+    Build with :meth:`cfs` (double-commutator variant over the symmetrized
+    stack of a channel operator set) or :meth:`gksl` (explicit jump
+    operators).
     """
 
-    def __init__(self, h0, kind, *, opset=None, which="sym", bracket="double",
-                 nu_step=1, jumps=()):
-        self.h0 = _as_matrix(h0)
+    def __init__(self, h0: np.ndarray, kind, *, opset=None, nu_step=1,
+                 jumps=()):
+        self.h0 = h0
         self.kind = kind
         self.opset = opset
-        self.which = which
-        self.bracket = bracket
         self.nu_step = nu_step
         self.jumps = tuple(np.asarray(j, dtype=complex) for j in jumps)
         dim = self.h0.shape[0]
         if kind == CFS_KIND:
-            if bracket not in ("double", "single"):
-                raise ConfigError(f"unknown bracket reading {bracket!r}")
             if opset is None:
                 self._left = np.zeros((0, dim, dim), dtype=complex)
                 self._right = self._left
                 self.drift = np.zeros((dim, dim), dtype=complex)
-                self.zeta = np.zeros(0)
-                self.nu = np.zeros(0)
             else:
                 self._left, self._right, self.drift = _pair_stacks(
-                    opset, which, nu_step)
-                self.zeta = opset.zeta
-                self.nu = 2.0 * opset.dt * np.arange(0, opset.half_width + 1,
-                                                     nu_step)
+                    opset, nu_step)
         elif kind == GKSL_KIND:
             for j in self.jumps:
                 if j.shape != self.h0.shape:
@@ -104,46 +94,28 @@ class LindbladSpec:
             raise ConfigError(f"unknown master-equation kind {kind!r}")
 
     @classmethod
-    def cfs(cls, h0, opset: ChannelOperatorSet | None, *, which="sym",
-            bracket="double", nu_step=1) -> "LindbladSpec":
-        return cls(h0, CFS_KIND, opset=opset, which=which, bracket=bracket,
-                   nu_step=nu_step)
+    def cfs(cls, h0: np.ndarray, opset: ChannelOperatorSet | None, *,
+            nu_step=1) -> "LindbladSpec":
+        return cls(h0, CFS_KIND, opset=opset, nu_step=nu_step)
 
     @classmethod
-    def gksl(cls, h0, jumps) -> "LindbladSpec":
+    def gksl(cls, h0: np.ndarray, jumps) -> "LindbladSpec":
         return cls(h0, GKSL_KIND, jumps=jumps)
 
-    def check_invariants(self) -> None:
-        """Assert the stack fed to the cfs variant is Hermitian and even."""
-        if self.kind != CFS_KIND or self.opset is None:
-            return
-        stack = self.opset.stack(self.which)
-        scale = max(np.abs(stack).max(), 1e-300)
-        herm = np.abs(stack - stack.conj().transpose(0, 1, 3, 2)).max()
-        even = np.abs(stack - stack[:, ::-1]).max()
-        if herm > 1e-12 * scale:
-            raise ConfigError(f"channel stack not Hermitian: deviation {herm:.3e}")
-        if even > 1e-12 * scale:
-            raise ConfigError(f"channel stack not even in the time difference: "
-                              f"deviation {even:.3e}")
 
-
-def compute_A(source, which: str = "sym", nu_step: int = 1) -> np.ndarray:
+def compute_A(opset: ChannelOperatorSet) -> np.ndarray:
     """The mean-drift operator
 
         A = - sum_a int dz int_0^inf dv M_a(z) M_a(z - v)
 
     on the matched quadrature. Time independent by construction (the
     stacks carry no absolute time), so there is no t argument to pass.
-    Accepts a LindbladSpec or a ChannelOperatorSet.
     """
-    if isinstance(source, LindbladSpec):
-        return -source.drift
-    _, _, drift = _pair_stacks(source, which, nu_step)
+    _, _, drift = _pair_stacks(opset, 1)
     return -drift
 
 
-def compute_B(source, which: str = "sym") -> np.ndarray:
+def compute_B(opset: ChannelOperatorSet) -> np.ndarray:
     """The field-energy pairing operator
 
         B = 2i int dz M(z)^2  (per channel, summed),
@@ -152,49 +124,38 @@ def compute_B(source, which: str = "sym") -> np.ndarray:
     drift. Exactly i times a Hermitian operator, hence B + B^dag = 0 up to
     roundoff; that vanishing is the no-heating mechanism.
     """
-    if isinstance(source, LindbladSpec):
-        opset, which = source.opset, source.which
-        if opset is None:
-            return np.zeros_like(source.h0)
-    else:
-        opset = source
-    stack = opset.stack(which)
-    sq = np.einsum("pqab,pqbc->ac", stack, stack)
+    sq = np.einsum("pqab,pqbc->ac", opset.sym, opset.sym)
     return 2j * opset.dt * sq
 
 
-def cfs_rhs(sigma, spec: LindbladSpec) -> np.ndarray:
+def cfs_rhs(sigma: np.ndarray, spec: LindbladSpec) -> np.ndarray:
     """Right-hand side of the double-commutator equation at sigma.
 
     Traceless and Hermitian exactly (up to roundoff) for Hermitian sigma;
     positivity of sigma is not protected and is only monitored during
     integration.
     """
-    s = sigma.matrix if isinstance(sigma, DensityMatrix) else np.asarray(sigma)
-    out = -1j * (spec.h0 @ s - s @ spec.h0)
+    out = -1j * (spec.h0 @ sigma - sigma @ spec.h0)
     a_op = -spec.drift
-    if spec.bracket == "single":
-        return out + a_op @ s - s @ a_op
-    out += a_op @ s + s @ a_op.conj().T
+    out += a_op @ sigma + sigma @ a_op.conj().T
     if spec._left.shape[0]:
-        cross = np.einsum("pab,bc,pcd->ad", spec._left, s, spec._right,
+        cross = np.einsum("pab,bc,pcd->ad", spec._left, sigma, spec._right,
                           optimize=True)
         out += cross + cross.conj().T
     return out
 
 
-def gksl_rhs(sigma, spec: LindbladSpec) -> np.ndarray:
+def gksl_rhs(sigma: np.ndarray, spec: LindbladSpec) -> np.ndarray:
     """Right-hand side of the standard GKSL equation,
 
         -i[h0, sigma] - sum_k (L^dag L sigma - 2 L sigma L^dag + sigma L^dag L),
 
     in the trace-preserving operator ordering (the coefficient convention
     keeps the factor 2 on the sandwich term)."""
-    s = sigma.matrix if isinstance(sigma, DensityMatrix) else np.asarray(sigma)
-    out = -1j * (spec.h0 @ s - s @ spec.h0)
-    out -= spec._kappa @ s + s @ spec._kappa
+    out = -1j * (spec.h0 @ sigma - sigma @ spec.h0)
+    out -= spec._kappa @ sigma + sigma @ spec._kappa
     for j in spec.jumps:
-        out += 2.0 * (j @ s @ j.conj().T)
+        out += 2.0 * (j @ sigma @ j.conj().T)
     return out
 
 
@@ -216,18 +177,11 @@ class MasterTrajectory:
         self.min_eigenvalue = min_eigenvalue
 
     @property
-    def final(self) -> np.ndarray:
-        return self.sigmas[-1]
-
-    @property
     def max_trace_drift(self) -> float:
         return float(np.max(self.trace_drift))
 
-    def density(self, i: int) -> DensityMatrix:
-        return DensityMatrix(self.sigmas[i])
 
-
-def integrate(sigma0, spec: LindbladSpec, grid: TimeGrid,
+def integrate(sigma0: np.ndarray, spec: LindbladSpec, grid: TimeGrid,
               monitor_positivity: bool = True) -> MasterTrajectory:
     """Classical RK4 integration of the chosen master equation on the grid.
 
@@ -237,8 +191,7 @@ def integrate(sigma0, spec: LindbladSpec, grid: TimeGrid,
     recorded when monitoring is on; for the double-commutator variant a
     negative value is expected behavior, not an error.
     """
-    s = sigma0.matrix if isinstance(sigma0, DensityMatrix) else np.asarray(
-        sigma0, dtype=complex)
+    s = sigma0
     tr = complex(np.trace(s))
     if abs(tr - 1.0) > 1e-10:
         raise ConfigError(f"initial density has trace {tr:.3e}, expected 1")
@@ -274,13 +227,13 @@ def integrate(sigma0, spec: LindbladSpec, grid: TimeGrid,
     return MasterTrajectory(grid.times, sigmas, trace_drift, herm_corr, min_eig)
 
 
-def pure_density(psi, spacing: float) -> DensityMatrix:
+def pure_density(psi: np.ndarray, spacing: float) -> np.ndarray:
     """Rank-one density from a state normalized in the weighted product."""
-    v = _as_vector(psi)
-    return DensityMatrix(spacing * np.outer(v, v.conj()))
+    return spacing * np.outer(psi, psi.conj())
 
 
-def heating_rate_standard(psi, spec: LindbladSpec, spacing: float) -> float:
+def heating_rate_standard(psi: np.ndarray, spec: LindbladSpec,
+                          spacing: float) -> float:
     """Energy drift rate d/dt <H0> for an H0-eigenstate under the GKSL flow:
 
         2 sum_k <L psi | (H0 - E) L psi>.
@@ -290,17 +243,16 @@ def heating_rate_standard(psi, spec: LindbladSpec, spacing: float) -> float:
     """
     if spec.kind != GKSL_KIND:
         raise ConfigError("heating_rate_standard needs a standard_gksl spec")
-    v = _as_vector(psi)
-    energy = require_eigenstate(spec.h0, v, spacing)
+    energy = require_eigenstate(spec.h0, psi, spacing)
     rate = 0.0
     for j in spec.jumps:
-        jv = j @ v
+        jv = j @ psi
         rate += 2.0 * spacing * float(
             (np.vdot(jv, spec.h0 @ jv) - energy * np.vdot(jv, jv)).real)
     return rate
 
 
-def heating_rate_cfs(sigma, spec: LindbladSpec) -> tuple[float, float]:
+def heating_rate_cfs(sigma: np.ndarray, spec: LindbladSpec) -> tuple[float, float]:
     """Instantaneous d/dt Tr(H0 sigma) under the double-commutator flow.
 
     Returns the rate and a quadrature sensitivity estimate obtained by
@@ -312,9 +264,7 @@ def heating_rate_cfs(sigma, spec: LindbladSpec) -> tuple[float, float]:
     rate = float(np.trace(spec.h0 @ cfs_rhs(sigma, spec)).real)
     if spec.opset is None:
         return rate, 0.0
-    coarse = LindbladSpec.cfs(spec.h0, spec.opset, which=spec.which,
-                              bracket=spec.bracket,
-                              nu_step=2 * spec.nu_step)
+    coarse = LindbladSpec.cfs(spec.h0, spec.opset, nu_step=2 * spec.nu_step)
     rate_coarse = float(np.trace(spec.h0 @ cfs_rhs(sigma, coarse)).real)
     return rate, abs(rate - rate_coarse)
 

@@ -591,7 +591,7 @@ def _run_csl_contrast(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], di
 
     # independent route to the same number through the generator itself
     sigma = pure_density(psi0, spacing)
-    direct = float(np.trace(h0 @ gksl_rhs(sigma.matrix, gspec)).real)
+    direct = float(np.trace(h0 @ gksl_rhs(sigma, gspec)).real)
     identity_err = abs(total_rate - direct) / max(abs(total_rate), 1.0)
 
     # matched double-commutator run: eigenstate energy stays flat
@@ -607,7 +607,7 @@ def _run_csl_contrast(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], di
     _energy_csv(out / "cfs_energy.csv", stats)
 
     cfs_rate, cfs_rate_err = heating_rate_cfs(
-        sigma.matrix, LindbladSpec.cfs(h0, model.opset))
+        sigma, LindbladSpec.cfs(h0, model.opset))
 
     checks = [
         _geq("gksl_rate_floor", total_rate,

@@ -10,7 +10,6 @@ from collapselab.channels import (
     diagonalize_covariance,
     eigenmode_coupling,
     eigenmode_difference,
-    interaction_kernel,
     make_channel,
     momentum_function,
     position_gaussian,
@@ -24,6 +23,44 @@ from collapselab.grids import TimeGrid, Window
 from collapselab.lattice import FreePropagator, momenta
 
 from conftest import ELL, two_channels
+
+
+def field_value(noise, channel, t):
+    """Field value(s) of one channel at arbitrary times: the nearest
+    noise node of a white realization, the windowed path of a probe."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.zeros_like(t)
+    ok = (t >= noise.t0 - 1e-12) & (t <= noise.t1 + 1e-12)
+    if noise.kind == "white":
+        qi = np.clip(np.rint((t[ok] - noise.t0) / noise.h).astype(int), 0,
+                     noise.samples.shape[1] - 1)
+        out[ok] = noise.samples[channel, qi]
+    else:
+        w = np.asarray(noise.window(t[ok]), dtype=float)
+        out[ok] = noise.splines[channel](t[ok]) * w
+    return out if out.shape != (1,) else out[0]
+
+
+def interaction_kernel(t, s, channels, noise):
+    """The two-time interaction operator V(t, s) for one realization.
+
+    Hermitian for every pair and symmetric under (t, s) exchange because the
+    field enters at the midpoint and the kernel is even. Zero whenever
+    |t - s| exceeds every channel's kernel range or the midpoint lies
+    outside the simulated field interval.
+    """
+    d = channels[0].dim
+    v = np.zeros((d, d), dtype=complex)
+    mid = 0.5 * (t + s)
+    for a, ch in enumerate(channels):
+        lz = float(ch.profile.value(t - s))
+        if lz == 0.0:
+            continue
+        w = float(field_value(noise, a, mid))
+        if w == 0.0:
+            continue
+        v += ch.amplitude * w * lz * ch.spatial_op
+    return v
 
 
 @pytest.mark.parametrize("shape", ["raised_cosine", "gaussian_truncated"])
@@ -46,6 +83,9 @@ def test_kernel_vanishes_at_support_edge():
 def test_kernel_rejects_bad_parameters():
     with pytest.raises(ConfigError):
         KernelProfile(ell_min=0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            KernelProfile(ell_min=bad)
     with pytest.raises(ConfigError):
         KernelProfile(ell_min=0.5, shape="triangle")
 
@@ -63,12 +103,13 @@ def test_position_gaussian(lat4):
     assert np.allclose(a, a.conj().T)
     assert abs(np.linalg.norm(a, 2) - 1.0) < 1e-12
     assert np.all(np.diag(a).real > 0.0)
-    with pytest.raises(ConfigError):
-        position_gaussian(lat4, center=1.0, width=0.0)
+    for width in (0.0, np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            position_gaussian(lat4, center=1.0, width=width)
 
 
 def test_momentum_function_commutes_and_variants(lat4, h0_4):
-    h = h0_4.matrix
+    h = h0_4
     f = lambda k: np.cos(k) + 0.5
     a = momentum_function(lat4, f)
     assert np.abs(a @ h - h @ a).max() < 1e-12
@@ -227,7 +268,7 @@ def test_window_zeroes_the_field(lat4, grid16):
     off = Window(t_on=5.0, t_off=7.0, ramp=0.5)  # support outside the grid
     noise = sample_noise(chans, grid16, seed=3, window=off)
     assert np.all(noise.samples == 0.0)
-    assert noise.value(0, 1.0) == 0.0
+    assert field_value(noise, 0, 1.0) == 0.0
 
 
 def test_noise_table_alignment(lat4, grid16):
@@ -248,15 +289,15 @@ def test_probe_fields_are_grid_independent(lat4, grid16, probe):
     p1 = probe(chans, grid16, seed=9)
     p2 = probe(chans, grid16.refined(2), seed=9)
     ts = np.linspace(0.1, 1.9, 37)
-    assert np.abs(p1.value(0, ts) - p2.value(0, ts)).max() == 0.0
+    assert np.abs(field_value(p1, 0, ts) - field_value(p2, 0, ts)).max() == 0.0
 
 
 def test_probe_respects_window(lat4, grid16):
     chans = two_channels(lat4, 0.5)
     w = Window(t_on=0.5, t_off=1.5, ramp=0.2)
     p = sample_fourier_probe(chans, grid16, seed=9, window=w)
-    assert np.abs(p.value(0, np.array([0.1, 0.3, 1.7, 1.9]))).max() == 0.0
-    assert abs(p.value(0, 1.0)) > 0.0
+    assert np.abs(field_value(p, 0, np.array([0.1, 0.3, 1.7, 1.9]))).max() == 0.0
+    assert abs(field_value(p, 0, 1.0)) > 0.0
 
 
 def test_interaction_kernel_symmetries(lat4, grid16):
@@ -305,14 +346,13 @@ def test_commuting_channel_has_even_raw_stack(lat4, h0_4, grid16):
     assert ops.asymmetry.max() < 1e-12
 
 
-def linearized_interaction(opset, noise, t, which="sym"):
-    """The transformed interaction at leading order, directly from the
-    stacks: sum_a integral dz M_a(z) w_a(t - z/2)."""
-    stack = opset.stack(which)
+def linearized_interaction(opset, stack, noise, t):
+    """The transformed interaction at leading order, directly from a stack
+    of the set: sum_a integral dz M_a(z) w_a(t - z/2)."""
     mids = t - 0.5 * opset.zeta
     out = np.zeros(stack.shape[-2:], dtype=complex)
     for a in range(stack.shape[0]):
-        w = np.asarray(noise.value(a, mids), dtype=float)
+        w = np.asarray(field_value(noise, a, mids), dtype=float)
         out += opset.dt * np.tensordot(w, stack[a], axes=(0, 0))
     return out
 
@@ -321,13 +361,13 @@ def test_linearized_interaction_matches_direct_sum(lat4, h0_4, grid16):
     chans = two_channels(lat4, 0.3)
     noise = sample_noise(chans, grid16, seed=5)
     ops = build_channel_operators(chans, h0_4, grid16.dt)
-    free = FreePropagator(h0_4.matrix)
+    free = FreePropagator(h0_4)
     t = 1.0
-    direct = np.zeros((h0_4.dim, h0_4.dim), dtype=complex)
+    direct = np.zeros((lat4.dim, lat4.dim), dtype=complex)
     for z in ops.zeta:
         v = interaction_kernel(t, t - z, chans, noise)
         direct += ops.dt * 0.5 * (v @ free.matrix(-z) + free.matrix(z) @ v)
-    lin = linearized_interaction(ops, noise, t, "raw")
+    lin = linearized_interaction(ops, ops.raw, noise, t)
     assert np.abs(lin - direct).max() < 1e-12
-    sym = linearized_interaction(ops, noise, t, "sym")
+    sym = linearized_interaction(ops, ops.sym, noise, t)
     assert np.abs(sym - sym.conj().T).max() < 1e-12

@@ -303,6 +303,34 @@ def test_cli_run_non_finite_channel_exits_two(tmp_path, capsys, channel):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override", [
+    {"lattice": {"mass": -1.0}},
+    {"lattice": {"mass": math.nan}},
+    {"lattice": {"mass": math.inf}},
+    {"lattice": {"spacing": math.nan}},
+    {"lattice": {"spacing": math.inf}},
+    {"noise": {"window": {"t_on": 0.5, "t_off": 1.5, "ramp": math.nan}}},
+    {"noise": {"window": {"t_on": math.nan, "t_off": 1.5, "ramp": 0.2}}},
+    {"noise": {"window": {"t_on": 0.5, "t_off": math.inf, "ramp": 0.2}}},
+    {"time": {"t1": math.inf}},
+    {"time": {"dt": math.inf}},
+    {"kernel": {"ell_min": math.inf}},
+    {"kernel": {"ell_min": math.nan}},
+    {"kernel": {"channels": [{"amplitude": 0.04, "operator": {
+        "type": "position_gaussian", "center": 2.0, "width": math.inf}}]}},
+    {"noise": {"seed": -1}},
+])
+def test_cli_run_non_finite_or_out_of_range_exits_two(tmp_path, capsys, override):
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(override))
+    out = tmp_path / "res"
+    code = cli.main(["run", "conservation", "--config", str(path),
+                     "--out", str(out)])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_unknown_preset(capsys):
     assert cli.main(["run", "definitely-not-a-preset"]) == 2
     err = capsys.readouterr().err

@@ -167,7 +167,7 @@ def test_both_pictures_agree_on_energy(lat4, h0_4, grid16, ground):
 
 def test_variance_diagnostics_identity_observable(lat4, h0_4, grid16, ground):
     _, _, psi0 = ground
-    eye = np.eye(h0_4.dim, dtype=complex)
+    eye = np.eye(lat4.dim, dtype=complex)
     cfg = EnsembleConfig(realizations=16, seed=5,
                          observables=(("unit", eye),))
     stats = run_ensemble(psi0, cfg, make_model(lat4, h0_4, grid16, 0.1))
@@ -383,7 +383,7 @@ def test_rows_do_not_depend_on_block_mates(lat4, h0_4, grid16, ground):
         assert few.tobytes() == many[:8].tobytes(), key
 
 
-def random_model(rng, dim, count, which):
+def random_model(rng, dim, count):
     """A random Hermitian h0 with one degenerate pair and `count` channels
     with random Hermitian operators and two kernel shapes and ranges."""
     vals = rng.uniform(-3.0, 3.0, dim)
@@ -400,19 +400,20 @@ def random_model(rng, dim, count, which):
         channels.append(make_channel(f"c{a}", op, profiles[a],
                                      rng.uniform(0.1, 2.0)))
     return ModelSetup(grid=TimeGrid(0.0, 1.0, ELL / 16), h0=h0, spacing=1.0,
-                      channels=channels, which=which)
+                      channels=channels)
 
 
-@pytest.mark.parametrize("which", ["sym", "raw"])
+# the ensemble steps with the symmetrized stack; the raw one has no table
+@pytest.mark.parametrize("name", ["sym"])
 @pytest.mark.parametrize("count", [1, 2])
 @pytest.mark.parametrize("dim", [4, 8, 16])
-def test_kernel_table_matches_rotated_stack(dim, count, which):
-    rng = np.random.default_rng(100 * dim + 10 * count + len(which))
-    model = random_model(rng, dim, count, which)
+def test_kernel_table_matches_rotated_stack(dim, count, name):
+    rng = np.random.default_rng(100 * dim + 10 * count + len(name))
+    model = random_model(rng, dim, count)
     cfg = EnsembleConfig(realizations=2, seed=1)
     run = ensemble._TransformedRun(model, cfg, random_state(dim, 1.0, 3))
     opset = model.opset
-    stack = model.grid.dt * opset.stack(which)
+    stack = model.grid.dt * getattr(opset, name)
     w = rng.standard_normal((5, count, opset.zeta.size))
     vecs = run.vecs
     assert np.allclose(vecs @ np.diag(run.lam) @ vecs.conj().T, model.h0,
@@ -443,7 +444,7 @@ def oracle_records(model, cfg, psi0):
     grid, n, s = model.grid, model.grid.n_nodes, model.spacing
     opset = model.opset
     k = opset.half_width
-    stack = grid.dt * opset.stack(model.which)
+    stack = grid.dt * opset.sym
     d_off = np.arange(-k, k + 1)
     node_idx = 2 * np.arange(n)[:, None] - d_off + k + 1
     mid_idx = 2 * np.arange(n - 1)[:, None] + 1 - d_off + k + 1

@@ -20,7 +20,6 @@ from collapselab.evolution import (
     equal_time_hamiltonian,
     solve_nonlocal,
     surface_correction,
-    transform_state,
     transformed_interaction,
 )
 from collapselab.grids import TimeGrid, Window
@@ -28,11 +27,10 @@ from collapselab.lattice import (
     EigenSystem,
     FreePropagator,
     LatticeConfig,
-    _as_matrix,
-    _as_vector,
     build_dirac_h0,
     l2_inner,
     l2_norm,
+    sqrtmh,
 )
 
 from conftest import ELL, random_state, two_channels
@@ -138,12 +136,17 @@ def step_transformed(psi_tilde, h0, wtilde, dt):
     """One midpoint-exponential step exp(-i dt (h0 + wtilde)) psi_tilde,
     by the Hermitian eigendecomposition when the generator is Hermitian to
     working precision, otherwise by scipy's expm."""
-    gen = _as_matrix(h0) + wtilde
+    gen = h0 + wtilde
     dev = np.linalg.norm(gen - gen.conj().T, np.inf)
     if dev <= 1e-12 * max(np.linalg.norm(gen, np.inf), 1.0):
         vals, vecs = np.linalg.eigh(0.5 * (gen + gen.conj().T))
-        return vecs @ (np.exp(-1j * dt * vals) * (vecs.conj().T @ _as_vector(psi_tilde)))
-    return expm(-1j * dt * gen) @ _as_vector(psi_tilde)
+        return vecs @ (np.exp(-1j * dt * vals) * (vecs.conj().T @ psi_tilde))
+    return expm(-1j * dt * gen) @ psi_tilde
+
+
+def transform_state(psi, surface):
+    """Map psi to the transformed picture: psi_tilde = sqrt(1 + S_t) psi."""
+    return sqrtmh(np.eye(surface.shape[0]) + surface) @ psi
 
 
 def probe(channels, grid, amplitude=2.0):
@@ -154,10 +157,10 @@ def probe(channels, grid, amplitude=2.0):
 def test_zero_field_gives_free_evolution(lat4, h0_4, grid16):
     ch = two_channels(lat4, 0.04)
     noise = sample_noise(ch, grid16, seed=5, window=OFF)
-    psi0 = random_state(h0_4.dim, lat4.spacing, 1)
+    psi0 = random_state(lat4.dim, lat4.spacing, 1)
     rec = solve_nonlocal(psi0, grid16, ch, noise, h0_4, lat4.spacing)
     assert len(rec.residuals) == 1
-    free = FreePropagator(h0_4.matrix)
+    free = FreePropagator(h0_4)
     err = max(
         np.abs(rec.state(i) - free.matrix(i * grid16.dt) @ psi0).max()
         for i in range(grid16.n_nodes)
@@ -168,7 +171,7 @@ def test_zero_field_gives_free_evolution(lat4, h0_4, grid16):
 def test_fixed_point_contracts_geometrically(lat4, h0_4, grid16):
     ch = two_channels(lat4, 0.02)  # lambda*ell = 0.01
     noise = sample_noise(ch, grid16, seed=5, window=WIN)
-    psi0 = random_state(h0_4.dim, lat4.spacing, 1)
+    psi0 = random_state(lat4.dim, lat4.spacing, 1)
     rec = solve_nonlocal(psi0, grid16, ch, noise, h0_4, lat4.spacing)
     assert len(rec.residuals) <= 8
     r = rec.residuals
@@ -178,7 +181,7 @@ def test_fixed_point_contracts_geometrically(lat4, h0_4, grid16):
 def test_coupling_beyond_fixed_point_regime(lat4, h0_4, grid16):
     ch = two_channels(lat4, 1.2)
     noise = sample_noise(ch, grid16, seed=5, window=WIN)
-    psi0 = random_state(h0_4.dim, lat4.spacing, 1)
+    psi0 = random_state(lat4.dim, lat4.spacing, 1)
     with pytest.raises(NoConvergence):
         solve_nonlocal(psi0, grid16, ch, noise, h0_4, lat4.spacing)
 
@@ -186,7 +189,7 @@ def test_coupling_beyond_fixed_point_regime(lat4, h0_4, grid16):
 def test_iteration_budget_exhausted(lat4, h0_4, grid16):
     ch = two_channels(lat4, 0.1)
     noise = sample_noise(ch, grid16, seed=5, window=WIN)
-    psi0 = random_state(h0_4.dim, lat4.spacing, 1)
+    psi0 = random_state(lat4.dim, lat4.spacing, 1)
     with pytest.raises(NoConvergence):
         solve_nonlocal(psi0, grid16, ch, noise, h0_4, lat4.spacing,
                        tol=1e-14, max_iter=2)
@@ -195,7 +198,7 @@ def test_iteration_budget_exhausted(lat4, h0_4, grid16):
 def test_strong_coupling_warns(lat4, h0_4, grid16):
     ch = two_channels(lat4, 0.5)  # lambda*ell = 0.25
     noise = sample_noise(ch, grid16, seed=5, window=WIN)
-    psi0 = random_state(h0_4.dim, lat4.spacing, 1)
+    psi0 = random_state(lat4.dim, lat4.spacing, 1)
     with pytest.warns(UserWarning, match="convergence will be slow"):
         solve_nonlocal(psi0, grid16, ch, noise, h0_4, lat4.spacing)
 
@@ -203,7 +206,7 @@ def test_strong_coupling_warns(lat4, h0_4, grid16):
 def test_active_boundary_warns(lat4, h0_4, grid16):
     ch = two_channels(lat4, 0.02)
     noise = sample_noise(ch, grid16, seed=5)  # flat window reaches the ends
-    psi0 = random_state(h0_4.dim, lat4.spacing, 1)
+    psi0 = random_state(lat4.dim, lat4.spacing, 1)
     with pytest.warns(UserWarning, match="boundary"):
         solve_nonlocal(psi0, grid16, ch, noise, h0_4, lat4.spacing)
 
@@ -215,13 +218,13 @@ def _solved(lat, h0, grid, amplitude, psi0=None, propagators=True):
 
 
 def test_record_accessors(lat4, h0_4, grid16):
-    psi0 = random_state(h0_4.dim, lat4.spacing, 1)
+    psi0 = random_state(lat4.dim, lat4.spacing, 1)
     rec = _solved(lat4, h0_4, grid16, 0.04, psi0=psi0)
-    assert np.abs(rec.propagator(0) - np.eye(h0_4.dim)).max() == 0.0
+    assert np.abs(rec.propagator(0) - np.eye(lat4.dim)).max() == 0.0
     traj = rec.trajectory(psi0)
     assert np.abs(traj - rec.states).max() < 1e-12
     y = rec.local_propagators(grid16.n_nodes // 2)
-    assert np.abs(y[rec.reach] - np.eye(h0_4.dim)).max() < 1e-12
+    assert np.abs(y[rec.reach] - np.eye(lat4.dim)).max() < 1e-12
     with pytest.raises(OutOfGrid):
         rec.local_propagators(-1)
 
@@ -249,10 +252,10 @@ def test_surface_correction_shape(lat4, h0_4, grid16):
 
 
 def test_adjoint_metric_round_trip(lat4, h0_4, grid16):
-    psi0 = random_state(h0_4.dim, lat4.spacing, 1)
+    psi0 = random_state(lat4.dim, lat4.spacing, 1)
     rec = _solved(lat4, h0_4, grid16, 0.04, psi0=psi0)
     n1 = grid16.n_nodes - 1
-    d = h0_4.dim
+    d = lat4.dim
     m0 = lat4.spacing * (np.eye(d) + surface_correction(rec, 0))
     m1 = lat4.spacing * (np.eye(d) + surface_correction(rec, n1))
     x = rec.propagator(n1)
@@ -263,22 +266,22 @@ def test_adjoint_metric_round_trip(lat4, h0_4, grid16):
 def test_conserved_inner_free_limit(lat4, h0_4, grid16):
     ch = two_channels(lat4, 0.04)
     noise = sample_noise(ch, grid16, seed=5, window=OFF)
-    psi0 = random_state(h0_4.dim, lat4.spacing, 1)
+    psi0 = random_state(lat4.dim, lat4.spacing, 1)
     rec = solve_nonlocal(psi0, grid16, ch, noise, h0_4, lat4.spacing,
                          propagators=True)
     i = grid16.n_nodes // 2
-    phi = random_state(h0_4.dim, lat4.spacing, 2)
+    phi = random_state(lat4.dim, lat4.spacing, 2)
     got = conserved_inner(rec, i, phi, rec.state(i))
     want = l2_inner(phi, rec.state(i), lat4.spacing)
     assert abs(got - want) < 1e-13
 
 
 def test_conserved_inner_dual_formula(lat4, h0_4, grid16):
-    psi0 = random_state(h0_4.dim, lat4.spacing, 1)
+    psi0 = random_state(lat4.dim, lat4.spacing, 1)
     rec = _solved(lat4, h0_4, grid16, 0.04, psi0=psi0)
     psit = rec.trajectory(psi0)
     for seed in (2, 3, 4):
-        phit = rec.trajectory(random_state(h0_4.dim, lat4.spacing, seed))
+        phit = rec.trajectory(random_state(lat4.dim, lat4.spacing, seed))
         for i in (0, grid16.n_nodes // 2, grid16.n_nodes - 1):
             a = conserved_inner(rec, i, phit[i], psit[i])
             b = conserved_inner_layer_sum(rec, i, phit, psit)
@@ -286,7 +289,7 @@ def test_conserved_inner_dual_formula(lat4, h0_4, grid16):
 
 
 def test_conservation_drift_is_quadratic_in_dt(lat4, h0_4, grid16):
-    psi0 = random_state(h0_4.dim, lat4.spacing, 1)
+    psi0 = random_state(lat4.dim, lat4.spacing, 1)
 
     def drift(grid):
         rec = _solved(lat4, h0_4, grid, 0.04, psi0=psi0)
@@ -324,7 +327,7 @@ def test_equal_time_hamiltonian_orders(lat4, h0_4, grid16):
 
 
 def test_transform_state_identities(lat4, h0_4, grid16):
-    psi0 = random_state(h0_4.dim, lat4.spacing, 1)
+    psi0 = random_state(lat4.dim, lat4.spacing, 1)
     rec = _solved(lat4, h0_4, grid16, 0.04, psi0=psi0)
     i = grid16.n_nodes // 2
     s = surface_correction(rec, i)
@@ -432,9 +435,9 @@ def test_transformed_interaction_rejects_bad_input(lat4, h0_4, grid16):
 
 
 def test_step_transformed_paths(lat4, h0_4, grid16):
-    d = h0_4.dim
+    d = lat4.dim
     v = random_state(d, lat4.spacing, 3)
-    free = FreePropagator(h0_4.matrix)
+    free = FreePropagator(h0_4)
     assert np.abs(step_transformed(v, h0_4, np.zeros((d, d)), 0.1)
                   - free.matrix(0.1) @ v).max() < 1e-14
 
@@ -445,12 +448,12 @@ def test_step_transformed_paths(lat4, h0_4, grid16):
 
     nonherm = s + 0.1j * np.eye(d)
     out = step_transformed(v, h0_4, nonherm, 0.1)
-    want = expm(-0.1j * (h0_4.matrix + nonherm)) @ v
+    want = expm(-0.1j * (h0_4 + nonherm)) @ v
     assert np.abs(out - want).max() < 1e-12
 
 
 def test_one_step_picture_equivalence(lat4, h0_4, grid16):
-    psi0 = random_state(h0_4.dim, lat4.spacing, 1)
+    psi0 = random_state(lat4.dim, lat4.spacing, 1)
     rec = _solved(lat4, h0_4, grid16, 0.04, psi0=psi0)
     i = grid16.node_index(1.0)
     wt = transformed_interaction(rec, i, "exact", fd_order=4)
@@ -506,7 +509,7 @@ def test_fused_contractions_match_per_channel_oracles(sites, n_channels, propaga
     psi0 = random_state(d, lat.spacing, seed)
     rec = solve_nonlocal(psi0, grid, channels, noise, h0, lat.spacing,
                          tol=1e-12, propagators=propagators)
-    x, residuals = oracle_solve(psi0, grid, channels, noise, h0.matrix, 1e-12,
+    x, residuals = oracle_solve(psi0, grid, channels, noise, h0, 1e-12,
                                 propagators)
     assert rec.reach == reach
     assert len(rec.residuals) == len(residuals)
@@ -533,7 +536,7 @@ def test_fused_contractions_match_per_channel_oracles(sites, n_channels, propaga
 
 
 def test_node_loop_builds_one_noise_table(lat4, h0_4, grid16, monkeypatch):
-    psi0 = random_state(h0_4.dim, lat4.spacing, 1)
+    psi0 = random_state(lat4.dim, lat4.spacing, 1)
     rec = _solved(lat4, h0_4, grid16, 0.04, psi0=psi0)
     calls = []
     table = NoiseRealization.table

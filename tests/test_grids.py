@@ -19,6 +19,11 @@ def test_grid_rejects_bad_intervals():
         TimeGrid(0.0, 1.0, -0.1)
     with pytest.raises(ConfigError):
         TimeGrid(0.0, 1.0, 0.3)
+    for t0, t1, dt in ((0.0, np.inf, 0.1), (0.0, 1.0, np.inf),
+                       (np.nan, 1.0, 0.1), (-np.inf, 1.0, 0.1),
+                       (-1e308, 1e308, 0.1)):
+        with pytest.raises(ConfigError):
+            TimeGrid(t0, t1, dt)
 
 
 def test_node_index_roundtrip():
@@ -63,6 +68,12 @@ def test_window_rejects_bad_shapes():
         Window(t_on=0.0, t_off=1.0, ramp=0.6)
     with pytest.raises(ConfigError):
         Window(t_on=0.0, t_off=1.0, ramp=-0.1)
+    for bad in (np.nan, np.inf, -np.inf):
+        for kwargs in ({"t_on": bad, "t_off": 1.0, "ramp": 0.1},
+                       {"t_on": 0.0, "t_off": bad, "ramp": 0.1},
+                       {"t_on": 0.0, "t_off": 1.0, "ramp": bad}):
+            with pytest.raises(ConfigError):
+                Window(**kwargs)
 
 
 def test_window_vanishes_near_ends():

@@ -5,25 +5,37 @@ import pytest
 
 from collapselab.errors import NotEigenstate, NotPositive
 from collapselab.lattice import (
+    SPINOR_DIM,
     EigenSystem,
     LatticeConfig,
     build_dirac_h0,
-    dirac_spectrum,
     l2_inner,
     l2_norm,
     momenta,
     normalized,
     require_eigenstate,
     sqrtmh,
-    translation_operator,
 )
 
 from conftest import random_state
 
 
+def translation_operator(cfg):
+    """Cyclic shift by one site, acting trivially on the spinor index."""
+    shift = np.roll(np.eye(cfg.sites), 1, axis=0)
+    return np.kron(shift, np.eye(SPINOR_DIM)).astype(complex)
+
+
+def dirac_spectrum(cfg):
+    """Exact eigenvalues {+-sqrt(k_n^2 + m^2)}, ascending."""
+    k = momenta(cfg)
+    e = np.sqrt(k**2 + cfg.mass**2)
+    return np.sort(np.concatenate([-e, e]))
+
+
 def test_massless_two_site_spectrum():
     cfg = LatticeConfig(sites=2, spacing=1.0, mass=0.0)
-    vals = np.sort(np.linalg.eigvalsh(build_dirac_h0(cfg).matrix))
+    vals = np.sort(np.linalg.eigvalsh(build_dirac_h0(cfg)))
     expected = np.sort([0.0, 0.0, math.pi, -math.pi])
     assert np.allclose(vals, expected, atol=1e-12)
 
@@ -31,13 +43,13 @@ def test_massless_two_site_spectrum():
 def test_mass_gap_is_m():
     for sites in (2, 6, 8):
         cfg = LatticeConfig(sites=sites, spacing=1.0, mass=1.0)
-        vals = np.linalg.eigvalsh(build_dirac_h0(cfg).matrix)
+        vals = np.linalg.eigvalsh(build_dirac_h0(cfg))
         assert abs(np.min(np.abs(vals)) - 1.0) < 1e-12
 
 
 def test_spectrum_matches_per_momentum_eigensolve():
     cfg = LatticeConfig(sites=8, spacing=1.0, mass=1.0)
-    vals = np.sort(np.linalg.eigvalsh(build_dirac_h0(cfg).matrix))
+    vals = np.sort(np.linalg.eigvalsh(build_dirac_h0(cfg)))
     sigma1 = np.array([[0.0, 1.0], [1.0, 0.0]])
     sigma3 = np.array([[1.0, 0.0], [0.0, -1.0]])
     direct = np.sort(np.concatenate([
@@ -48,14 +60,15 @@ def test_spectrum_matches_per_momentum_eigensolve():
 
 
 def test_h0_hermitian_and_translation_invariant(lat4, h0_4):
-    h = h0_4.matrix
+    h = h0_4
+    assert not h.flags.writeable
     assert np.linalg.norm(h - h.conj().T, np.inf) < 1e-12
-    t = translation_operator(lat4).matrix
+    t = translation_operator(lat4)
     assert np.linalg.norm(h @ t - t @ h, np.inf) < 1e-10
 
 
-def test_matrix_function_trivia(h0_4):
-    eye = np.eye(h0_4.dim)
+def test_matrix_function_trivia(lat4):
+    eye = np.eye(lat4.dim)
     assert np.allclose(sqrtmh(eye), eye, atol=1e-14)
     assert np.allclose(sqrtmh(eye, inverse=True), eye, atol=1e-14)
 
@@ -134,3 +147,9 @@ def test_lattice_config_rejects_bad_values():
         LatticeConfig(sites=3, spacing=1.0, mass=1.0)
     with pytest.raises(ValueError):
         LatticeConfig(sites=4, spacing=-1.0, mass=1.0)
+    for spacing in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            LatticeConfig(sites=4, spacing=spacing, mass=1.0)
+    for mass in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            LatticeConfig(sites=4, spacing=1.0, mass=mass)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cosm
 
 from collapselab.channels import (
@@ -11,7 +13,7 @@ from collapselab.channels import (
 )
 from collapselab.errors import ConfigError, NotEigenstate, StepRejected
 from collapselab.grids import TimeGrid
-from collapselab.lattice import SPINOR_DIM, EigenSystem
+from collapselab.lattice import SPINOR_DIM, EigenSystem, LatticeConfig, build_dirac_h0
 from collapselab.master import (
     LindbladSpec,
     cfs_rhs,
@@ -37,7 +39,7 @@ def opset(lat4, h0_4, grid16):
 def sigma0(lat4, h0_4):
     esys = EigenSystem.of(h0_4, lat4.spacing)
     _, psi0 = esys.ground_state("positive")
-    return pure_density(psi0, lat4.spacing).matrix
+    return pure_density(psi0, lat4.spacing)
 
 
 def random_density(dim, seed):
@@ -47,37 +49,62 @@ def random_density(dim, seed):
     return s / np.trace(s).real
 
 
+def check_invariants(stack):
+    """Assert a channel stack fed to the cfs variant is Hermitian and even."""
+    scale = max(np.abs(stack).max(), 1e-300)
+    herm = np.abs(stack - stack.conj().transpose(0, 1, 3, 2)).max()
+    even = np.abs(stack - stack[:, ::-1]).max()
+    if herm > 1e-12 * scale:
+        raise ConfigError(f"channel stack not Hermitian: deviation {herm:.3e}")
+    if even > 1e-12 * scale:
+        raise ConfigError(f"channel stack not even in the time difference: "
+                          f"deviation {even:.3e}")
+
+
 def test_spec_validation(h0_4, opset):
     with pytest.raises(ConfigError):
         LindbladSpec(h0_4, "unknown_kind")
     with pytest.raises(ConfigError):
-        LindbladSpec.cfs(h0_4, opset, bracket="triple")
-    with pytest.raises(ConfigError):
         LindbladSpec.gksl(h0_4, [np.eye(3)])
-    LindbladSpec.cfs(h0_4, opset).check_invariants()
+    # the cfs variant reads the symmetrized stack, which passes; the raw
+    # stack of non-commuting channels is not even
+    check_invariants(opset.sym)
     with pytest.raises(ConfigError):
-        LindbladSpec.cfs(h0_4, opset, which="raw").check_invariants()
+        check_invariants(opset.raw)
 
 
-def test_rhs_free_limit(h0_4):
-    s = random_density(h0_4.dim, 1)
-    want = -1j * (h0_4.matrix @ s - s @ h0_4.matrix)
+def test_rhs_free_limit(lat4, h0_4):
+    s = random_density(lat4.dim, 1)
+    want = -1j * (h0_4 @ s - s @ h0_4)
     free_cfs = cfs_rhs(s, LindbladSpec.cfs(h0_4, None))
     assert np.abs(free_cfs - want).max() < 1e-14
     free_gksl = gksl_rhs(s, LindbladSpec.gksl(h0_4, []))
     assert np.abs(free_gksl - want).max() < 1e-14
 
 
-def test_rhs_preserves_trace_and_hermiticity(h0_4, opset):
-    s = random_density(h0_4.dim, 2)
-    spec = LindbladSpec.cfs(h0_4, opset)
+@settings(max_examples=12, deadline=None)
+@given(sites=st.sampled_from([2, 4]), n_channels=st.integers(1, 3),
+       seed=st.integers(0, 2**16))
+def test_rhs_preserves_trace_and_hermiticity(sites, n_channels, seed):
+    lat = LatticeConfig(sites=sites, spacing=1.0, mass=1.0)
+    h0 = build_dirac_h0(lat)
+    rng = np.random.default_rng(seed)
+    channels = []
+    for a in range(n_channels):
+        m = rng.standard_normal((lat.dim, lat.dim)) + 1j * rng.standard_normal(
+            (lat.dim, lat.dim))
+        channels.append(make_channel(f"c{a}", m, KernelProfile(ell_min=ELL),
+                                     rng.uniform(0.05, 0.5)))
+    opset = build_channel_operators(channels, h0, ELL / 16)
+    s = random_density(lat.dim, seed)
+    spec = LindbladSpec.cfs(h0, opset)
     out = cfs_rhs(s, spec)
     scale = np.abs(out).max()
     assert abs(np.trace(out)) < 1e-12 * max(scale, 1.0)
     assert np.abs(out - out.conj().T).max() < 1e-12 * max(scale, 1.0)
 
     jumps = csl_jump_operators(opset.channels)
-    gout = gksl_rhs(s, LindbladSpec.gksl(h0_4, jumps))
+    gout = gksl_rhs(s, LindbladSpec.gksl(h0, jumps))
     gscale = np.abs(gout).max()
     assert abs(np.trace(gout)) < 1e-12 * max(gscale, 1.0)
     assert np.abs(gout - gout.conj().T).max() < 1e-12 * max(gscale, 1.0)
@@ -104,7 +131,7 @@ def test_mean_drift_commuting_closed_form(lat4, h0_4, grid16):
     # independent route: M(z) = lambda L(z) A cos(z h0) for commuting A
     k = ops.half_width
     dt = ops.dt
-    m = [ch.amplitude * float(prof.value(z)) * (ch.spatial_op @ cosm(z * h0_4.matrix))
+    m = [ch.amplitude * float(prof.value(z)) * (ch.spatial_op @ cosm(z * h0_4))
          for z in ops.zeta]
     g = np.zeros_like(got)
     for d in range(-k, k + 1):
@@ -134,24 +161,25 @@ def test_mean_drift_translation_invariance(lat4, h0_4, grid16):
 
 def test_mean_drift_from_spec_and_empty(h0_4, opset):
     spec = LindbladSpec.cfs(h0_4, opset)
-    assert np.abs(compute_A(spec) - compute_A(opset)).max() == 0.0
+    assert np.abs(-spec.drift - compute_A(opset)).max() == 0.0
     empty = LindbladSpec.cfs(h0_4, None)
-    assert np.abs(compute_A(empty)).max() == 0.0
-    assert np.abs(compute_B(empty)).max() == 0.0
+    assert np.abs(empty.drift).max() == 0.0
+    assert empty._left.shape[0] == 0
 
 
-def test_field_energy_pairing_antihermitian(h0_4, opset):
+def test_field_energy_pairing_antihermitian(opset):
     b = compute_B(opset)
     assert np.abs(b).max() > 1e-3
     assert np.abs(b + b.conj().T).max() == 0.0
-    spec = LindbladSpec.cfs(h0_4, opset)
-    assert np.abs(compute_B(spec) - b).max() == 0.0
+    # equal-midpoint contraction of the symmetrized stack, term by term
+    sq = sum(m @ m for stack in opset.sym for m in stack)
+    assert np.abs(b - 2j * opset.dt * sq).max() <= 1e-13 * np.abs(b).max()
 
 
 def test_integrate_keeps_stationary_state(h0_4, sigma0):
     traj = integrate(sigma0, LindbladSpec.cfs(h0_4, None),
                      TimeGrid(0.0, 1.0, ELL / 16))
-    assert np.abs(traj.final - sigma0).max() < 1e-12
+    assert np.abs(traj.sigmas[-1] - sigma0).max() < 1e-12
 
 
 def test_integrate_fourth_order_accuracy(h0_4, opset, sigma0):
@@ -159,7 +187,7 @@ def test_integrate_fourth_order_accuracy(h0_4, opset, sigma0):
 
     def final(dt_div):
         return integrate(sigma0, spec, TimeGrid(0.0, 0.5, ELL / dt_div),
-                         monitor_positivity=False).final
+                         monitor_positivity=False).sigmas[-1]
 
     ref = final(128)
     e1 = np.abs(final(16) - ref).max()
@@ -202,8 +230,8 @@ def test_integrate_rejects_non_finite_density(h0_4, sigma0, monitor):
 
 
 def test_pure_density_normalization(lat4, h0_4):
-    psi = random_state(h0_4.dim, lat4.spacing, 3)
-    rho = pure_density(psi, lat4.spacing).matrix
+    psi = random_state(lat4.dim, lat4.spacing, 3)
+    rho = pure_density(psi, lat4.spacing)
     assert abs(np.trace(rho) - 1.0) < 1e-12
     assert np.abs(rho @ rho - rho).max() < 1e-12
 
@@ -219,14 +247,14 @@ def test_standard_heating_rate(lat4, h0_4, opset):
     assert rate > 1e-8
 
     # dual route: trace of h0 against the full right-hand side
-    sig = pure_density(psi0, lat4.spacing).matrix
-    trace_rate = float(np.trace(h0_4.matrix @ gksl_rhs(sig, spec)).real)
+    sig = pure_density(psi0, lat4.spacing)
+    trace_rate = float(np.trace(h0_4 @ gksl_rhs(sig, spec)).real)
     assert abs(rate - trace_rate) < 1e-10
 
     assert heating_rate_standard(psi0, LindbladSpec.gksl(h0_4, []),
                                  lat4.spacing) == 0.0
     with pytest.raises(NotEigenstate):
-        heating_rate_standard(random_state(h0_4.dim, lat4.spacing, 4), spec,
+        heating_rate_standard(random_state(lat4.dim, lat4.spacing, 4), spec,
                               lat4.spacing)
     with pytest.raises(ConfigError):
         heating_rate_standard(psi0, LindbladSpec.cfs(h0_4, None), lat4.spacing)
