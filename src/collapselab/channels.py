@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, DimensionMismatch, GridTooCoarse, NotPSD
 from .grids import TimeGrid, Window
@@ -371,7 +370,7 @@ def sample_smooth_probe(channels: list[InteractionChannel], grid: TimeGrid,
                         seed: int, window: Window | None = None,
                         scale: float | None = None,
                         amplitude: float = 1.0) -> NoiseRealization:
-    """Band-limited probe field: cubic spline through coarse i.i.d. samples.
+    """Band-limited probe field: natural cubic spline through coarse i.i.d. samples.
 
     The path is a deterministic function of (seed, scale, channel count)
     alone, so refining the evolution grid leaves the field fixed; this is
@@ -386,14 +385,46 @@ def sample_smooth_probe(channels: list[InteractionChannel], grid: TimeGrid,
     rng = np.random.default_rng(seed)
     lo = grid.t0 - 2.0 * scale
     n = int(math.ceil((grid.t1 + 2.0 * scale - lo) / scale)) + 1
-    knots = lo + scale * np.arange(n)
     vals = amplitude * rng.standard_normal((len(channels), n))
-    splines = [CubicSpline(knots, vals[a], bc_type="natural")
-               for a in range(len(channels))]
     return NoiseRealization(
         seed=seed, t0=grid.t0, t1=grid.t1, h=grid.dt / 2.0, kind="smooth",
-        splines=splines, window=window, n_channels=len(channels),
+        splines=_natural_splines(lo, scale, vals), window=window,
+        n_channels=len(channels),
     )
+
+
+def _natural_splines(lo: float, h: float, vals: np.ndarray) -> list:
+    """Natural cubic splines through ``vals[a]`` at the knots lo + h*k.
+
+    The second derivatives M vanish at both end knots; the interior ones
+    solve M_{k-1} + 4 M_k + M_{k+1} = 6 (y_{k+1} - 2 y_k + y_{k-1}) / h^2,
+    a diagonally dominant tridiagonal system, by one forward elimination
+    and back substitution over the knots for all rows at once. Returns one
+    callable per row; the end cubics continue past the outer knots.
+    """
+    n = vals.shape[1]
+    knots = lo + h * np.arange(n)
+    rhs = (6.0 / h**2) * (vals[:, 2:] - 2.0 * vals[:, 1:-1] + vals[:, :-2])
+    m = np.zeros_like(vals)
+    ratio = np.empty(n - 2)
+    for k in range(n - 2):
+        pivot = 4.0 - (ratio[k - 1] if k else 0.0)
+        ratio[k] = 1.0 / pivot
+        m[:, k + 1] = (rhs[:, k] - m[:, k]) / pivot
+    for k in range(n - 3, 0, -1):
+        m[:, k] -= ratio[k - 1] * m[:, k + 1]
+
+    def spline(y: np.ndarray, mm: np.ndarray):
+        def value(t) -> np.ndarray:
+            t = np.asarray(t, dtype=float)
+            i = np.clip(np.floor((t - lo) / h).astype(int), 0, n - 2)
+            u = (t - knots[i]) / h
+            v = 1.0 - u
+            return (v * y[i] + u * y[i + 1]
+                    + (h * h / 6.0) * (mm[i] * (v**3 - v) + mm[i + 1] * (u**3 - u)))
+        return value
+
+    return [spline(vals[a], m[a]) for a in range(vals.shape[0])]
 
 
 def sample_fourier_probe(channels: list[InteractionChannel], grid: TimeGrid,

@@ -39,6 +39,7 @@ psi_tilde = sqrt(1 + S_t) psi, where the dynamics is generated by a single
 from __future__ import annotations
 
 import logging
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -203,7 +204,8 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
     Returns a record with the state trajectory (and the propagator stack
     when ``propagators`` is set; pass ``psi0=None`` with propagators to
     solve for the maps alone). Raises NoConvergence if the update never
-    drops below ``tol`` within ``max_iter`` sweeps.
+    drops below ``tol`` within ``max_iter`` sweeps, or at the first sweep
+    whose update is not finite.
     """
     channels = list(channels)
     dim = h0.shape[0]
@@ -255,7 +257,7 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
     mixes_real = mixes.reshape(2, n_ch, -1).view(np.float64)
 
     residuals: list[float] = []
-    for _ in range(max_iter):
+    for sweep in range(1, max_iter + 1):
         x_old = x.copy()
         np.matmul(coeffs[:, 0], x_real[:win], out=mixes_real[0])
         buf[:dim] = x[reach]
@@ -274,6 +276,9 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
         residuals.append(resid)
         if resid <= tol:
             break
+        if not math.isfinite(resid):
+            raise NoConvergence(
+                f"fixed point lost: residual {resid} at sweep {sweep}")
     else:
         raise NoConvergence(
             f"fixed point not reached: residual {residuals[-1]:.3e} "

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from collapselab.channels import (
     Covariance,
     InteractionChannel,
     KernelProfile,
+    _natural_splines,
     build_channel_operators,
     diagonalize_covariance,
     eigenmode_coupling,
@@ -290,6 +294,26 @@ def test_probe_fields_are_grid_independent(lat4, grid16, probe):
     p2 = probe(chans, grid16.refined(2), seed=9)
     ts = np.linspace(0.1, 1.9, 37)
     assert np.abs(field_value(p1, 0, ts) - field_value(p2, 0, ts)).max() == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 80), h=st.floats(0.05, 2.0), lo=st.floats(-10.0, 10.0),
+       rows=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_natural_spline_matches_scipy(n, h, lo, rows, seed):
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal((rows, n))
+    knots = lo + h * np.arange(n)
+    inner = rng.uniform(knots[0], knots[-1], 64)
+    tol = 1e-12 * (1.0 + np.abs(vals).max())
+    for y, spline in zip(vals, _natural_splines(lo, h, vals)):
+        oracle = CubicSpline(knots, y, bc_type="natural")
+        for t in (knots, inner):
+            assert np.abs(spline(t) - oracle(t)).max() <= tol
+        assert np.abs(spline(knots) - y).max() <= tol
+        # natural ends: the end cubics have zero curvature at the outer knots
+        for end in (knots[0], knots[-1]):
+            s = spline(np.array([end - 0.5 * h, end, end + 0.5 * h]))
+            assert abs(s[0] - 2.0 * s[1] + s[2]) <= tol
 
 
 def test_probe_respects_window(lat4, grid16):

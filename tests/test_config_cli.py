@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -389,6 +393,26 @@ def test_cli_run_non_finite_density_exits_three(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert "hermiticity correction nan" in capsys.readouterr().err
     assert not (out / "summary.json").exists()
+
+
+def test_conservation_runs_without_scipy(tmp_path):
+    # a fresh interpreter: this one has scipy loaded for the oracles
+    code = (
+        "import json, sys\n"
+        "import collapselab\n"
+        "from collapselab.presets import run_preset\n"
+        "run_preset('conservation', out=sys.argv[1])\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m == 'scipy' or m.startswith('scipy.'))))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "cons")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    assert (tmp_path / "cons" / "summary.json").exists()
 
 
 def test_cli_requires_subcommand():

@@ -195,6 +195,15 @@ def test_iteration_budget_exhausted(lat4, h0_4, grid16):
                        tol=1e-14, max_iter=2)
 
 
+def test_non_finite_field_stops_at_first_sweep(lat4, h0_4, grid16):
+    ch = two_channels(lat4, 0.02)
+    noise = sample_noise(ch, grid16, seed=5, window=WIN)
+    noise.samples[0, noise.samples.shape[1] // 2] = np.nan
+    psi0 = random_state(lat4.dim, lat4.spacing, 1)
+    with pytest.raises(NoConvergence, match=r"at sweep 1$"):
+        solve_nonlocal(psi0, grid16, ch, noise, h0_4, lat4.spacing)
+
+
 def test_strong_coupling_warns(lat4, h0_4, grid16):
     ch = two_channels(lat4, 0.5)  # lambda*ell = 0.25
     noise = sample_noise(ch, grid16, seed=5, window=WIN)
