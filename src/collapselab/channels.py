@@ -45,6 +45,9 @@ from .lattice import (
 log = logging.getLogger(__name__)
 
 KERNEL_SHAPES = ("raised_cosine", "gaussian_truncated")
+_RANK_TOL = 1e-12  # relative covariance eigenvalue below which a field drops
+# white-noise samples per evolution step: every node midpoint is a noise node
+_NOISE_REFINE = 2
 
 
 @dataclass(frozen=True)
@@ -242,13 +245,13 @@ class Covariance:
         object.__setattr__(self, "matrix", c)
 
 
-def diagonalize_covariance(cov: Covariance, channels: list[InteractionChannel],
-                           rank_tol: float = 1e-12) -> list[InteractionChannel]:
+def diagonalize_covariance(cov: Covariance, channels: list[InteractionChannel]
+                           ) -> list[InteractionChannel]:
     """Rotate correlated channel fields to independent unit-variance fields.
 
     Eigenvectors of the covariance mix the spatial operators (all channels
     must share one kernel profile); sqrt-eigenvalues are absorbed into the
-    amplitudes. Channels on eigenvalues below ``rank_tol`` (relative) are
+    amplitudes. Channels on eigenvalues below ``_RANK_TOL`` (relative) are
     dropped. Raises NotPSD on a negative eigenvalue beyond tolerance.
     """
     c = cov.matrix
@@ -269,14 +272,14 @@ def diagonalize_covariance(cov: Covariance, channels: list[InteractionChannel],
     out: list[InteractionChannel] = []
     for k in order:
         mu = max(float(vals[k]), 0.0)
-        if mu <= rank_tol * scale:
+        if mu <= _RANK_TOL * scale:
             continue
         weights = np.sqrt(mu) * vecs[:, k]
         raw = sum(
             w * ch.amplitude * ch.spatial_op for w, ch in zip(weights, channels)
         )
         nrm = np.linalg.norm(raw, 2)
-        if nrm <= rank_tol:
+        if nrm <= _RANK_TOL:
             continue
         label = "+".join(ch.label for ch in channels) + f"#{len(out)}"
         out.append(
@@ -296,7 +299,7 @@ class NoiseRealization:
     """One realization of the channel fields on its own time grid.
 
     White realizations store windowed samples of variance 1/h per node
-    (h the noise-grid spacing, half the evolution step by default) and are
+    (h the noise-grid spacing, half the evolution step) and are
     read on grids that subsample the noise grid, which holds for all
     midpoints that arise. Smooth probes store a cubic spline per channel
     and an amplitude; both kinds read zero outside the simulated interval.
@@ -340,22 +343,22 @@ class NoiseRealization:
 
 
 def sample_noise(channels: list[InteractionChannel], grid: TimeGrid,
-                 seed: int | list[int], window: Window | None = None,
-                 refine: int = 2) -> NoiseRealization:
+                 seed: int | list[int], window: Window | None = None
+                 ) -> NoiseRealization:
     """Draw one white-noise realization for every channel.
 
-    Samples are i.i.d. normal with variance 1/h at spacing h = dt/refine
-    (refine=2 puts all evolution-node midpoints on the noise grid), then
-    multiplied by the window. The evolution step must resolve the shortest
-    kernel: dt <= ell_min/8, else GridTooCoarse.
+    Samples are i.i.d. normal with variance 1/h at spacing h = dt/2, so all
+    evolution-node midpoints are on the noise grid, then multiplied by the
+    window. The evolution step must resolve the shortest kernel:
+    dt <= ell_min/8, else GridTooCoarse.
     """
     ell = min(ch.profile.ell_min for ch in channels)
     if grid.dt > ell / 8.0 + 1e-12:
         raise GridTooCoarse(f"dt={grid.dt} exceeds ell_min/8={ell / 8.0}")
     if window is None:
         window = Window.flat()
-    h = grid.dt / refine
-    n = grid.steps * refine + 1
+    h = grid.dt / _NOISE_REFINE
+    n = grid.steps * _NOISE_REFINE + 1
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal((len(channels), n)) / math.sqrt(h)
     times = grid.t0 + h * np.arange(n)
@@ -368,20 +371,18 @@ def sample_noise(channels: list[InteractionChannel], grid: TimeGrid,
 
 def sample_smooth_probe(channels: list[InteractionChannel], grid: TimeGrid,
                         seed: int, window: Window | None = None,
-                        scale: float | None = None,
                         amplitude: float = 1.0) -> NoiseRealization:
     """Band-limited probe field: natural cubic spline through coarse i.i.d. samples.
 
-    The path is a deterministic function of (seed, scale, channel count)
-    alone, so refining the evolution grid leaves the field fixed; this is
-    the field used by finite-difference and dt-refinement checks. Samples
-    have standard deviation ``amplitude`` at spacing ``scale``
-    (default: the shortest kernel range).
+    Samples have standard deviation ``amplitude`` at a spacing of the
+    shortest kernel range. The path is a deterministic function of (seed,
+    kernel ranges, channel count) alone, so refining the evolution grid
+    leaves the field fixed; this is the field used by finite-difference and
+    dt-refinement checks.
     """
     if window is None:
         window = Window.flat()
-    if scale is None:
-        scale = min(ch.profile.ell_min for ch in channels)
+    scale = min(ch.profile.ell_min for ch in channels)
     rng = np.random.default_rng(seed)
     lo = grid.t0 - 2.0 * scale
     n = int(math.ceil((grid.t1 + 2.0 * scale - lo) / scale)) + 1

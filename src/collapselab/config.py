@@ -271,10 +271,12 @@ class ExperimentConfig:
         return _get(ens, "realizations", "ensemble", int, default=2,
                     required=False)
 
-    def tolerance(self, name: str, default: float) -> float:
+    def tolerance(self, name: str) -> float:
         run = self.data.get("run") or {}
         tols = run.get("tolerances") or {}
-        return float(tols.get(name, default))
+        if name not in tols:
+            raise ConfigError(f"missing run.tolerances.{name}")
+        return float(tols[name])
 
     def out_dir(self) -> str | None:
         run = self.data.get("run") or {}

@@ -47,6 +47,7 @@ from .errors import ConfigError, PictureNotRecorded, ScenarioViolation, StepReje
 from .grids import TimeGrid, Window
 
 BLOCK = 256
+CHECKPOINTS = 9  # nodes, both grid ends included, that accumulate sigma
 _TAYLOR_TOL = 2.0**-53  # truncation bound theta^(m+1)/(m+1)! of one sub-step
 _SUBSTEP_THETA = 0.5  # largest theta stepped without splitting
 # degree m serves a sub-step while theta <= _TAYLOR_THETA[m], the theta whose
@@ -102,7 +103,6 @@ class EnsembleConfig:
     t_on: float | None = None
     t_off: float | None = None
     ramp: float = 0.0
-    checkpoints: int = 9
     branch_states: tuple | None = None
 
     def __post_init__(self):
@@ -363,7 +363,7 @@ def run_ensemble(psi0, cfg: EnsembleConfig, model: ModelSetup) -> EnsembleStats:
     n = grid.n_nodes
     nr = cfg.realizations
     dim = model.h0.shape[0]
-    cp_nodes = _checkpoint_nodes(n, cfg.checkpoints)
+    cp_nodes = _checkpoint_nodes(n, CHECKPOINTS)
     stats = EnsembleStats(grid.times, cp_nodes, nr)
     for label, _ in cfg.observables:
         stats.observables[label] = {
@@ -403,10 +403,7 @@ def _variance_with_error(values: np.ndarray) -> tuple[float, float]:
     return var, float(se)
 
 
-def variance_diagnostics(stats: EnsembleStats, label: str,
-                         window: Window | None = None,
-                         grid: TimeGrid | None = None,
-                         ell_min: float | None = None) -> dict:
+def variance_diagnostics(stats: EnsembleStats, label: str) -> dict:
     """Collapse diagnostics for one recorded observable.
 
     Returns the endpoint difference of the ensemble variance of <O> (the
@@ -417,11 +414,6 @@ def variance_diagnostics(stats: EnsembleStats, label: str,
     if label not in stats.observables:
         raise PictureNotRecorded(f"observable {label!r} was not recorded")
     rec = stats.observables[label]
-    if window is not None and grid is not None and ell_min is not None:
-        if not window.vanishes_near_ends(grid, margin=ell_min):
-            raise ScenarioViolation(
-                "field window does not vanish near the grid endpoints; "
-                "endpoint expectation values are picture dependent")
     exp = rec["transformed"]
     var0, se0 = _variance_with_error(exp[:, 0])
     var1, se1 = _variance_with_error(exp[:, -1])
@@ -497,9 +489,7 @@ def scenario_collapse(psi0, cfg: EnsembleConfig, model: ModelSetup) -> dict:
         "branch_variance": (var_series, var_se),
         "final_histogram": (hist, edges),
         "observable_mean": (mean_obs, se_obs),
-        "diagnostics": variance_diagnostics(
-            stats, label, window=window, grid=model.grid,
-            ell_min=model.ell_min),
+        "diagnostics": variance_diagnostics(stats, label),
     }
     return report
 

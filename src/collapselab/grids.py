@@ -75,7 +75,7 @@ class Window:
 
     The envelope is zero outside [t_on, t_off], one on
     [t_on + ramp, t_off - ramp], and rises/falls with a cos^2 ramp.
-    ``flat()`` gives the always-on window, ``off()`` the all-zero one.
+    ``flat()`` gives the always-on window.
     """
 
     t_on: float
@@ -97,11 +97,6 @@ class Window:
     @classmethod
     def flat(cls) -> "Window":
         return cls(t_on=0.0, t_off=0.0, ramp=0.0, always_on=True)
-
-    @classmethod
-    def switched(cls, grid: TimeGrid, margin: float, ramp: float) -> "Window":
-        """Window off within ``margin`` of both grid ends, cos^2 ramps inside."""
-        return cls(t_on=grid.t0 + margin, t_off=grid.t1 - margin, ramp=ramp)
 
     def __call__(self, t: np.ndarray | float) -> np.ndarray | float:
         if self.always_on:

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -8,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collapselab import cli
 from collapselab.config import ExperimentConfig, load_raw, merged
@@ -141,6 +144,61 @@ def test_merge_semantics():
     assert base["a"]["y"] == 2  # the base mapping is never mutated
 
 
+_KEYS = st.sampled_from("abcd")
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                     st.floats(allow_nan=False), st.text(max_size=2))
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(_KEYS, inner, max_size=3)),
+    max_leaves=10)
+_MAPPINGS = st.dictionaries(_KEYS, _VALUES, max_size=4)
+
+
+def _containers(obj):
+    """Every dict and list reachable from obj, obj included."""
+    if isinstance(obj, dict):
+        yield obj
+        for value in obj.values():
+            yield from _containers(value)
+    elif isinstance(obj, list):
+        yield obj
+        for value in obj:
+            yield from _containers(value)
+
+
+def _assert_merged(base, over, out):
+    assert set(out) == set(base) | set(over)
+    for key, value in out.items():
+        if key not in over:
+            assert value == base[key]
+        elif isinstance(base.get(key), dict) and isinstance(over[key], dict):
+            _assert_merged(base[key], over[key], value)
+        else:
+            assert value == over[key]
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=_MAPPINGS, over=_MAPPINGS)
+def test_merged_properties(base, over):
+    before = copy.deepcopy((base, over))
+    out = merged(base, over)
+    _assert_merged(base, over, out)
+    assert (base, over) == before
+    inputs = {id(c) for c in _containers(base)} | {id(c) for c in _containers(over)}
+    assert not inputs & {id(c) for c in _containers(out)}
+
+
+def test_preset_defaults_share_no_containers(tmp_path):
+    seen: dict[int, str] = {}
+    for name, preset in PRESETS.items():
+        for container in _containers(preset.defaults):
+            assert seen.setdefault(id(container), name) == name
+    before = copy.deepcopy(PRESETS["conservation"].defaults)
+    run_preset("conservation", out=tmp_path)
+    assert PRESETS["conservation"].defaults == before
+
+
 def test_echo_drops_output_directory():
     raw = base_config()
     raw["run"] = {"preset": "conservation", "out": "/tmp/somewhere"}
@@ -173,8 +231,9 @@ def test_tolerance_lookup():
     raw = base_config()
     raw["run"] = {"tolerances": {"drift": 0.5}}
     cfg = ExperimentConfig.from_dict(raw)
-    assert cfg.tolerance("drift", 1e-6) == 0.5
-    assert cfg.tolerance("other", 1e-6) == 1e-6
+    assert cfg.tolerance("drift") == 0.5
+    with pytest.raises(ConfigError, match=r"run\.tolerances\.other"):
+        cfg.tolerance("other")
 
 
 # --- reporting ------------------------------------------------------------

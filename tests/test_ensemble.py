@@ -34,7 +34,7 @@ from collapselab.evolution import (
     surface_correction,
     transformed_interaction,
 )
-from collapselab.grids import TimeGrid, Window
+from collapselab.grids import TimeGrid
 from collapselab.lattice import EigenSystem, sqrtmh
 from collapselab.master import compute_A
 from collapselab.presets import run_preset
@@ -188,9 +188,6 @@ def test_variance_diagnostics_sign_and_guards(lat4, h0_4, grid16, ground):
     assert np.all(c12 <= 0.0)
     with pytest.raises(PictureNotRecorded):
         variance_diagnostics(stats, "missing")
-    with pytest.raises(ScenarioViolation):
-        variance_diagnostics(stats, "pointer", window=Window.flat(),
-                             grid=grid16, ell_min=ELL)
 
 
 def test_split_branches(lat4, h0_4, ground):
@@ -223,6 +220,12 @@ def test_collapse_scenario_guards(lat4, h0_4, grid16, ground):
         scenario_collapse(psi0, EnsembleConfig(
             realizations=4, seed=1, observables=(("pointer", obs),),
             t_on=0.7, t_off=1.3, ramp=0.2), model)
+    # ramp long enough, but the window is on within ell_min of the start
+    long_model = make_model(lat4, h0_4, TimeGrid(0.0, 4.0, ELL / 16.0), 0.1)
+    with pytest.raises(ScenarioViolation, match="off near both grid ends"):
+        scenario_collapse(psi0, EnsembleConfig(
+            realizations=4, seed=1, observables=(("pointer", obs),),
+            t_on=0.25, t_off=3.5, ramp=2.0 * ELL), long_model)
 
 
 def test_collapse_scenario_zero_coupling_is_a_martingale_nullcase(
@@ -462,7 +465,7 @@ def oracle_records(model, cfg, psi0):
            ("energy", "norm", "transformed", "square", "c12")}
     out["branches"] = np.empty((nr, n, len(branches)))
     cp = {int(node): c for c, node in
-          enumerate(ensemble._checkpoint_nodes(n, cfg.checkpoints))}
+          enumerate(ensemble._checkpoint_nodes(n, ensemble.CHECKPOINTS))}
     out["sigma"] = np.zeros((len(cp),) + model.h0.shape, dtype=complex)
     for j in range(n):
         w = interaction(node_idx[j])
@@ -515,3 +518,22 @@ def test_adjacent_seeds_give_distinct_ensembles(tmp_path):
                     realizations=400).summary["z_frobenius"]
          for seed in (904, 905, 906)}
     assert len(z) == 3
+
+
+@pytest.mark.parametrize("name", ["no-heating", "csl-contrast", "lindblad-vs-mc",
+                                  "collapse-scenario"])
+def test_preset_tree_independent_of_workers(name, tmp_path, monkeypatch):
+    # 20 realizations in blocks of 8: three blocks, the last one short
+    monkeypatch.setattr(ensemble, "BLOCK", 8)
+    config = ({"run": {"tolerances": {"sweep_realizations": 20}}}
+              if name == "no-heating" else None)
+    outs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("COLLAPSELAB_WORKERS", workers)
+        out = tmp_path / workers
+        run_preset(name, config, out=out, realizations=20)
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for file in names:
+        assert (outs[0] / file).read_bytes() == (outs[1] / file).read_bytes(), file

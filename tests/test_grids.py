@@ -81,10 +81,3 @@ def test_window_vanishes_near_ends():
     assert Window(t_on=1.0, t_off=3.0, ramp=0.5).vanishes_near_ends(g, 1.0)
     assert not Window(t_on=0.5, t_off=3.0, ramp=0.5).vanishes_near_ends(g, 1.0)
     assert not Window.flat().vanishes_near_ends(g, 1.0)
-
-
-def test_switched_window_respects_margin():
-    g = TimeGrid(0.0, 4.0, 0.25)
-    w = Window.switched(g, margin=1.0, ramp=0.5)
-    assert w.t_on == 1.0 and w.t_off == 3.0
-    assert w.vanishes_near_ends(g, 1.0)
