@@ -176,9 +176,9 @@ def eigenmode_difference(cfg: LatticeConfig, first: int, second: int) -> np.ndar
     return cfg.spacing * (np.outer(v1, v1.conj()) - np.outer(v2, v2.conj()))
 
 
-def _require_finite(label: str, op: np.ndarray) -> None:
+def _require_finite(what: str, op: np.ndarray) -> None:
     if not np.isfinite(op).all():
-        raise ConfigError(f"channel {label!r}: spatial operator has non-finite entries")
+        raise ConfigError(f"{what} has non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -195,7 +195,7 @@ class InteractionChannel:
         a = np.asarray(self.spatial_op, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"spatial operator has shape {a.shape}")
-        _require_finite(self.label, a)
+        _require_finite(f"channel {self.label!r}: spatial operator", a)
         dev = np.linalg.norm(a - a.conj().T, np.inf)
         if dev > 1e-12 * max(np.linalg.norm(a, np.inf), 1.0):
             raise ConfigError(f"channel {self.label!r}: spatial operator not hermitian")
@@ -221,7 +221,7 @@ def make_channel(label: str, spatial_op: np.ndarray, profile: KernelProfile,
                  amplitude: float) -> InteractionChannel:
     """Build a channel, absorbing the operator's spectral norm into the amplitude."""
     a = np.asarray(spatial_op, dtype=complex)
-    _require_finite(label, a)
+    _require_finite(f"channel {label!r}: spatial operator", a)
     a = 0.5 * (a + a.conj().T)
     nrm = np.linalg.norm(a, 2)
     if nrm == 0.0:

@@ -16,7 +16,7 @@ import sys
 from .config import ExperimentConfig, load_raw
 from .ensemble import WORKER_ENV
 from .errors import CollapseLabError, ConfigError, ScenarioViolation
-from .presets import PRESETS, run_preset
+from .presets import PRESETS, check_tolerances, run_preset
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -71,6 +71,8 @@ def _cmd_validate(args) -> int:
         raise ConfigError(
             f"run.preset {preset!r} unknown; valid names: "
             f"{', '.join(PRESETS)}")
+    if preset is not None:
+        check_tolerances(preset, cfg)
     print(f"{args.config}: valid")
     return EXIT_PASS
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import ChannelOperatorSet
+from .channels import ChannelOperatorSet, _require_finite
 from .errors import ConfigError, StepRejected
 from .grids import TimeGrid
 from .lattice import require_eigenstate
@@ -58,6 +58,21 @@ def _pair_stacks(opset: ChannelOperatorSet, nu_step: int):
     return left, right, drift
 
 
+def _cross_superoperator(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The sigma-independent part of sum_p L_p sigma R_p as a (D^2, D^2)
+    matrix acting on sigma flattened row-major.
+
+    Built with the same GEMM and copies that numpy's optimized
+    ``einsum("pab,bc,pcd->ad")`` runs for the pair counts of the presets,
+    so applying it reproduces that einsum bit for bit.
+    """
+    p, dim = left.shape[:2]
+    sup = right.reshape(p, dim * dim).T @ left.reshape(p, dim * dim)
+    # sup[(c, d), (a, b)] -> cross[(a, d), (b, c)]
+    return sup.reshape(dim, dim, dim, dim).transpose(2, 1, 3, 0).reshape(
+        dim * dim, dim * dim)
+
+
 class LindbladSpec:
     """One master-equation right-hand side, fully precomputed.
 
@@ -73,19 +88,22 @@ class LindbladSpec:
         self.opset = opset
         self.nu_step = nu_step
         self.jumps = tuple(np.asarray(j, dtype=complex) for j in jumps)
+        _require_finite("master equation h0", self.h0)
         dim = self.h0.shape[0]
         if kind == CFS_KIND:
             if opset is None:
-                self._left = np.zeros((0, dim, dim), dtype=complex)
-                self._right = self._left
                 self.drift = np.zeros((dim, dim), dtype=complex)
+                self._cross = np.zeros((dim * dim, dim * dim), dtype=complex)
             else:
-                self._left, self._right, self.drift = _pair_stacks(
-                    opset, nu_step)
+                _require_finite("master equation channel operator stack",
+                                opset.sym)
+                left, right, self.drift = _pair_stacks(opset, nu_step)
+                self._cross = _cross_superoperator(left, right)
         elif kind == GKSL_KIND:
             for j in self.jumps:
                 if j.shape != self.h0.shape:
                     raise ConfigError("jump operator shape differs from h0")
+                _require_finite("master equation jump operator", j)
             self._kappa = sum(
                 (j.conj().T @ j for j in self.jumps),
                 np.zeros_like(self.h0),
@@ -138,10 +156,9 @@ def cfs_rhs(sigma: np.ndarray, spec: LindbladSpec) -> np.ndarray:
     out = -1j * (spec.h0 @ sigma - sigma @ spec.h0)
     a_op = -spec.drift
     out += a_op @ sigma + sigma @ a_op.conj().T
-    if spec._left.shape[0]:
-        cross = np.einsum("pab,bc,pcd->ad", spec._left, sigma, spec._right,
-                          optimize=True)
-        out += cross + cross.conj().T
+    dim = sigma.shape[0]
+    cross = (spec._cross @ sigma.reshape(dim * dim, 1)).reshape(dim, dim)
+    out += cross + cross.conj().T
     return out
 
 

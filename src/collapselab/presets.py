@@ -810,6 +810,21 @@ PRESETS: dict[str, Preset] = {
 }
 
 
+def check_tolerances(name: str, cfg: ExperimentConfig) -> None:
+    """Reject a ``run.tolerances`` key that preset ``name`` never reads.
+
+    Each runner reads exactly the tolerance names of its defaults, so any
+    other key would be echoed into the summary without bounding anything.
+    """
+    known = PRESETS[name].defaults["run"]["tolerances"]
+    tols = (cfg.data.get("run") or {}).get("tolerances") or {}
+    unknown = sorted(set(tols) - set(known))
+    if unknown:
+        raise ConfigError(
+            f"run.tolerances.{unknown[0]} is not a tolerance of preset "
+            f"{name!r}; it reads: {', '.join(sorted(known)) or 'none'}")
+
+
 def run_preset(name: str, config: dict | ExperimentConfig | None = None, *,
                out: str | Path | None = None, seed: int | None = None,
                realizations: int | None = None) -> PresetResult:
@@ -837,6 +852,7 @@ def run_preset(name: str, config: dict | ExperimentConfig | None = None, *,
     if overrides:
         raw = merged(raw, overrides)
     cfg = ExperimentConfig.from_dict(raw)
+    check_tolerances(name, cfg)
     out_dir = Path(cfg.out_dir() or Path("results") / name)
     checks, extras = preset.runner(cfg, out_dir)
     summary = {

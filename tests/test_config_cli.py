@@ -16,7 +16,7 @@ from collapselab import cli
 from collapselab.config import ExperimentConfig, load_raw, merged
 from collapselab.errors import ConfigError, IOFailure
 from collapselab.master import LindbladSpec
-from collapselab.presets import PRESETS, run_preset
+from collapselab.presets import PRESETS, check_tolerances, run_preset
 from collapselab.reporting import (
     format_number,
     operator_csv,
@@ -236,6 +236,43 @@ def test_tolerance_lookup():
         cfg.tolerance("other")
 
 
+def test_unknown_tolerance_name_rejected(tmp_path):
+    for name, preset in PRESETS.items():
+        check_tolerances(name, ExperimentConfig.from_dict(preset.defaults))
+    out = tmp_path / "res"
+    with pytest.raises(ConfigError, match=r"run\.tolerances\.drfit"):
+        run_preset("conservation", {"run": {"tolerances": {"drfit": 1e-30}}},
+                   out=out)
+    assert not out.exists()
+    # a name another preset reads is still unknown to this one
+    with pytest.raises(ConfigError, match=r"run\.tolerances\.trace"):
+        run_preset("conservation", {"run": {"tolerances": {"trace": 1.0}}},
+                   out=out)
+    assert not out.exists()
+
+
+def test_cli_unknown_tolerance_name_exits_two(tmp_path, capsys):
+    override = tmp_path / "typo.yaml"
+    override.write_text("run:\n  tolerances:\n    drfit: 1.0e-30\n")
+    out = tmp_path / "res"
+    assert cli.main(["run", "conservation", "--config", str(override),
+                     "--out", str(out)]) == 2
+    assert "run.tolerances.drfit" in capsys.readouterr().err
+    assert not out.exists()
+
+    raw = base_config()
+    raw["run"] = {"preset": "conservation", "tolerances": {"drift": 1e-6}}
+    good = tmp_path / "good.yaml"
+    good.write_text(yaml.safe_dump(raw))
+    assert cli.main(["validate", "--config", str(good)]) == 0
+    raw["run"]["tolerances"]["drfit"] = 1e-6
+    typo = tmp_path / "typo_full.yaml"
+    typo.write_text(yaml.safe_dump(raw))
+    capsys.readouterr()
+    assert cli.main(["validate", "--config", str(typo)]) == 2
+    assert "run.tolerances.drfit" in capsys.readouterr().err
+
+
 # --- reporting ------------------------------------------------------------
 
 def test_format_number_round_trips():
@@ -437,13 +474,14 @@ def test_cli_run_solver_failure_exits_three(tmp_path, capsys):
 
 def test_cli_run_non_finite_density_exits_three(tmp_path, capsys, monkeypatch):
     # the free-flow reference of lindblad-vs-mc integrates a GKSL spec; one
-    # NaN jump operator makes its density non-finite at the first step
+    # NaN jump operator, set after the spec's own finite check, makes its
+    # density non-finite at the first step
     gksl = LindbladSpec.gksl
 
     def poisoned(h0, jumps):
-        jump = np.zeros(h0.shape, dtype=complex)
-        jump[0, 1] = np.nan
-        return gksl(h0, [*jumps, jump])
+        spec = gksl(h0, [*jumps, np.zeros(h0.shape, dtype=complex)])
+        spec.jumps[-1][0, 1] = np.nan
+        return spec
 
     monkeypatch.setattr(LindbladSpec, "gksl", staticmethod(poisoned))
     out = tmp_path / "res"

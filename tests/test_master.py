@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,11 +13,13 @@ from collapselab.channels import (
     momentum_function,
     site_projector,
 )
+from collapselab.config import ExperimentConfig
 from collapselab.errors import ConfigError, NotEigenstate, StepRejected
 from collapselab.grids import TimeGrid
 from collapselab.lattice import SPINOR_DIM, EigenSystem, LatticeConfig, build_dirac_h0
 from collapselab.master import (
     LindbladSpec,
+    _pair_stacks,
     cfs_rhs,
     compute_A,
     compute_B,
@@ -26,6 +30,7 @@ from collapselab.master import (
     integrate,
     pure_density,
 )
+from collapselab.presets import PRESETS
 
 from conftest import ELL, random_state, two_channels
 
@@ -61,6 +66,18 @@ def check_invariants(stack):
                           f"deviation {even:.3e}")
 
 
+def cfs_rhs_oracle(sigma, spec):
+    """cfs_rhs with the pair sum contracted by einsum on every call."""
+    out = -1j * (spec.h0 @ sigma - sigma @ spec.h0)
+    a_op = -spec.drift
+    out += a_op @ sigma + sigma @ a_op.conj().T
+    if spec.opset is not None:
+        left, right, _ = _pair_stacks(spec.opset, spec.nu_step)
+        cross = np.einsum("pab,bc,pcd->ad", left, sigma, right, optimize=True)
+        out += cross + cross.conj().T
+    return out
+
+
 def test_spec_validation(h0_4, opset):
     with pytest.raises(ConfigError):
         LindbladSpec(h0_4, "unknown_kind")
@@ -71,6 +88,72 @@ def test_spec_validation(h0_4, opset):
     check_invariants(opset.sym)
     with pytest.raises(ConfigError):
         check_invariants(opset.raw)
+
+
+@pytest.mark.parametrize("kind", ["cfs", "gksl"])
+def test_spec_rejects_non_finite_h0(h0_4, opset, kind):
+    bad = h0_4.copy()
+    bad[2, 3] = np.inf
+    with pytest.raises(ConfigError, match="h0 has non-finite"):
+        if kind == "cfs":
+            LindbladSpec.cfs(bad, opset)
+        else:
+            LindbladSpec.gksl(bad, [])
+
+
+def test_spec_rejects_non_finite_jump(h0_4):
+    jumps = [np.eye(8, dtype=complex), np.eye(8, dtype=complex)]
+    jumps[1][0, 1] = np.nan
+    with pytest.raises(ConfigError, match="jump operator has non-finite"):
+        LindbladSpec.gksl(h0_4, jumps)
+
+
+def test_spec_rejects_non_finite_channel_stack(h0_4, opset):
+    sym = opset.sym.copy()
+    sym[1, 0, 4, 4] = np.nan
+    with pytest.raises(ConfigError, match="channel operator stack"):
+        LindbladSpec.cfs(h0_4, replace(opset, sym=sym))
+
+
+@pytest.mark.parametrize("nu_step", [1, 2])
+def test_cfs_rhs_bitwise_equals_einsum_on_shipped_spec(nu_step):
+    cfg = ExperimentConfig.from_dict(PRESETS["lindblad-vs-mc"].defaults)
+    lattice = cfg.lattice()
+    h0 = cfg.build_h0(lattice)
+    opset = build_channel_operators(list(cfg.channels(lattice)), h0,
+                                    cfg.grid().dt)
+    spec = LindbladSpec.cfs(h0, opset, nu_step=nu_step)
+    for seed in range(3):
+        s = random_density(lattice.dim, seed)
+        got = cfs_rhs(s, spec)
+        assert np.array_equal(got.view(np.float64),
+                              cfs_rhs_oracle(s, spec).view(np.float64))
+
+
+@settings(max_examples=20, deadline=None)
+@given(dim=st.integers(2, 16), n_channels=st.integers(1, 2),
+       nu_step=st.sampled_from([1, 2]), seed=st.integers(0, 2**16))
+def test_cfs_rhs_matches_einsum_on_generated_specs(dim, n_channels, nu_step,
+                                                   seed):
+    rng = np.random.default_rng(seed)
+
+    def hermitian():
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        return 0.5 * (m + m.conj().T)
+
+    h0 = hermitian()
+    channels = [make_channel(f"c{a}", hermitian(), KernelProfile(ell_min=ELL),
+                             rng.uniform(0.05, 0.5))
+                for a in range(n_channels)]
+    opset = build_channel_operators(channels, h0, ELL / 8)
+    spec = LindbladSpec.cfs(h0, opset, nu_step=nu_step)
+    s = random_density(dim, seed)
+    out = cfs_rhs(s, spec)
+    want = cfs_rhs_oracle(s, spec)
+    scale = np.abs(want).max()
+    assert np.abs(out - want).max() <= 1e-13 * scale
+    assert abs(np.trace(out)) < 1e-12 * max(scale, 1.0)
+    assert np.abs(out - out.conj().T).max() < 1e-12 * max(scale, 1.0)
 
 
 def test_rhs_free_limit(lat4, h0_4):
@@ -164,7 +247,8 @@ def test_mean_drift_from_spec_and_empty(h0_4, opset):
     assert np.abs(-spec.drift - compute_A(opset)).max() == 0.0
     empty = LindbladSpec.cfs(h0_4, None)
     assert np.abs(empty.drift).max() == 0.0
-    assert empty._left.shape[0] == 0
+    s = random_density(h0_4.shape[0], 2)
+    assert np.array_equal(cfs_rhs(s, empty), -1j * (h0_4 @ s - s @ h0_4))
 
 
 def test_field_energy_pairing_antihermitian(opset):
@@ -221,9 +305,8 @@ def test_integrate_rejects_unresolved_step(h0_4, sigma0):
 def test_integrate_rejects_non_finite_density(h0_4, sigma0, monitor):
     # a NaN compares false against the hermiticity limit, so only a guard
     # written as "not dev <= limit" stops it
-    jump = np.zeros((8, 8), dtype=complex)
-    jump[0, 1] = np.nan
-    spec = LindbladSpec.gksl(h0_4, [jump])
+    spec = LindbladSpec.gksl(h0_4, [np.zeros((8, 8), dtype=complex)])
+    spec.jumps[0][0, 1] = np.nan  # past the spec's own finite check
     with pytest.raises(StepRejected, match="step 1 "):
         integrate(sigma0, spec, TimeGrid(0.0, 1.0, ELL / 16),
                   monitor_positivity=monitor)
