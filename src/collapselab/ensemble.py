@@ -10,11 +10,13 @@ weights p_a from one narrow GEMM of the field. The exponential acts on the
 state as a truncated Taylor series (Al-Mohy & Higham, SIAM J. Sci. Comput.
 33, 2011), never formed: each realization bounds theta = dt ||h0 + W||_2
 from max|lambda| and max|p_a|, takes ceil(theta / 0.5) sub-steps and the
-first degree m with (theta/s)^(m+1)/(m+1)! <= 2^-53; a non-finite bound
-raises StepRejected naming the realization and step. The untransformed
-picture (a fixed-point solve per realization plus surface corrections, see
-evolution.py) agrees at third order in the coupling; the tests compare the
-two on one field path.
+first degree m with (theta/s)^(m+1)/(m+1)! <= 2^-53. Realizations that
+share s go through one Horner pass from their top degree down, each entering
+at its own degree, so a realization's bits do not depend on its block
+mates. A non-finite bound raises StepRejected naming the realization and
+step. The untransformed picture (a fixed-point solve per realization plus
+surface corrections, see evolution.py) agrees at third order in the
+coupling; the tests compare the two on one field path.
 
 Reproducibility contract: realization r draws its field from the seed
 sequence [master seed, r] (NumPy SeedSequence, NEP 19), so distinct master
@@ -203,13 +205,15 @@ class _Partials:
 def _noise_tables(model: ModelSetup, window: Window, seed: int, rows: range,
                   pad: int) -> np.ndarray:
     """Half-grid field tables of the given realizations, one row set each,
-    zero-padded by `pad` half-steps at both ends."""
-    grid = model.grid
-    m = 2 * (grid.n_nodes - 1) + 1
-    out = np.zeros((len(rows), len(model.channels), m + 2 * pad))
+    zero-padded by `pad` half-steps at both ends. The white samples of
+    realization r already lie on the half grid (spacing dt/2, 2 steps + 1
+    nodes), so they are copied into the table as drawn."""
+    grid, channels = model.grid, list(model.channels)
+    m = 2 * grid.steps + 1
+    out = np.zeros((len(rows), len(channels), m + 2 * pad))
     for i, r in enumerate(rows):
-        noise = sample_noise(list(model.channels), grid, [seed, r], window=window)
-        out[i, :, pad : pad + m] = noise.table(grid.t0, 0.5 * grid.dt, m)
+        out[i, :, pad : pad + m] = sample_noise(channels, grid, [seed, r],
+                                                window=window).samples
     return out
 
 
@@ -219,11 +223,14 @@ def _expm_action(gen: np.ndarray, psi: np.ndarray, dt: float,
 
     theta_r must bound dt ||gen_r||_2. Row r takes
     s_r = ceil(theta_r / _SUBSTEP_THETA) sub-steps, each the Taylor
-    polynomial of the first degree m with (theta_r / s_r)^(m+1) / (m+1)!
-    <= _TAYLOR_TOL, evaluated by Horner's rule. Rows that share (s_r, m) are
-    stepped together and no row is masked, so a row's bits never depend on
-    the other rows of the batch. `rows` and `step` only name a failing
-    realization in the StepRejected raised for a non-finite bound.
+    polynomial of the first degree m_r with (theta_r / s_r)^(m_r+1) / (m_r+1)!
+    <= _TAYLOR_TOL, evaluated by Horner's rule. Rows that share s_r are
+    stepped together in one Horner pass from the group's top degree down;
+    after term k a row with m_r < k is reset to its sub-step's start, so it
+    enters its own top term k = m_r from there, and no row is masked inside
+    a matmul: a row's bits never depend on the other rows of the batch.
+    `rows` and `step` only name a failing realization in the StepRejected
+    raised for a non-finite bound.
     """
     bad = np.flatnonzero(~np.isfinite(theta))
     if bad.size:
@@ -232,21 +239,22 @@ def _expm_action(gen: np.ndarray, psi: np.ndarray, dt: float,
                            f"non-finite step bound theta = {theta[r]}")
     subs = np.maximum(np.ceil(theta / _SUBSTEP_THETA), 1.0).astype(int)
     degree = np.searchsorted(_TAYLOR_THETA, theta / subs)
-    key = subs * _TAYLOR_THETA.size + degree
-    groups = [np.flatnonzero(key == k) for k in sorted(set(key.tolist()))]
     out = np.empty_like(psi)
-    for part in groups:
-        s, m = subs[part[0]], degree[part[0]]
-        idx = slice(None) if len(groups) == 1 else part
-        x, mat, coef = psi[idx], gen[idx], -1j * dt / s
+    counts = np.unique(subs)
+    for s in counts:
+        part = slice(None) if counts.size == 1 else np.flatnonzero(subs == s)
+        x, mat, deg, coef = psi[part], gen[part], degree[part], -1j * dt / s
+        top, low = deg.max(), deg.min()
         for _ in range(s):
             acc = x
-            for k in range(m, 0, -1):
+            for k in range(top, 0, -1):
                 acc = np.matmul(mat, acc[:, :, None])[:, :, 0]
                 acc *= coef / k
                 acc += x
+                if k > low:
+                    np.copyto(acc, x, where=(deg < k)[:, None])
             x = acc
-        out[idx] = x
+        out[part] = x
     return out
 
 

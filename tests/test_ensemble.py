@@ -358,6 +358,55 @@ def test_expm_action_rejects_non_finite_row(bad):
     assert rest.tobytes() == clean[keep].tobytes()
 
 
+# the thetas per sub-step where the Taylor degree steps up (degrees 3-13),
+# and the largest theta stepped without splitting
+_STEP_EDGES = [float(t) for t in ensemble._TAYLOR_THETA[3:14]] + [0.5]
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([8, 16]),
+       edges=st.lists(st.tuples(st.sampled_from(_STEP_EDGES),
+                                st.integers(1, 3),
+                                st.floats(-1e-6, 1e-6)),
+                      min_size=1, max_size=64),
+       spacing=st.floats(0.1, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_expm_action_batch_splits_keep_row_bits(dim, edges, spacing, seed):
+    # thetas just below and above the degree and sub-step thresholds, in
+    # shuffled order, so one batch mixes degrees and sub-step counts
+    rng = np.random.default_rng(seed)
+    dt = 0.05
+    thetas = np.array([s * edge * (1.0 + rel) for edge, s, rel in edges])
+    rng.shuffle(thetas)
+    gen, psi = hermitian_batch(rng, thetas.size, dim, thetas, dt)
+    psi /= np.sqrt(spacing)
+    out = _expm_action(gen, psi, dt, thetas, range(thetas.size), 0)
+    for r in range(thetas.size):
+        alone = _expm_action(gen[r : r + 1], psi[r : r + 1], dt,
+                             thetas[r : r + 1], range(1), 0)
+        assert np.array_equal(alone[0].view(np.float64), out[r].view(np.float64))
+    before = spacing * np.einsum("rb,rb->r", psi.conj(), psi).real
+    after = spacing * np.einsum("rb,rb->r", out.conj(), out).real
+    assert np.abs(after - before).max() <= 1e-12
+
+
+def test_noise_tables_copy_the_drawn_samples(lat4, h0_4, grid16, window_mid):
+    model = make_model(lat4, h0_4, grid16, 0.3)
+    channels, seed, pad = list(model.channels), 17, 4
+    m = 2 * grid16.steps + 1
+    tables = ensemble._noise_tables(model, window_mid, seed, range(3, 8), pad)
+    assert tables.shape == (5, 2, m + 2 * pad)
+    for i, r in enumerate(range(3, 8)):
+        noise = sample_noise(channels, grid16, [seed, r], window=window_mid)
+        middle = tables[i, :, pad : pad + m]
+        assert middle.tobytes() == noise.samples.tobytes()
+        assert middle.tobytes() == noise.table(
+            grid16.t0, 0.5 * grid16.dt, m).tobytes()
+    assert not tables[:, :, :pad].any() and not tables[:, :, pad + m :].any()
+    # the switched window is off at the grid ends and on in the middle
+    assert not tables[:, :, [pad, pad + m - 1]].any()
+    assert tables[:, :, pad + m // 2].all()
+
+
 def test_rows_do_not_depend_on_block_mates(lat4, h0_4, grid16, ground):
     esys, _, _ = ground
     obs = eigenmode_difference(lat4, 0, 1)
