@@ -14,8 +14,8 @@ from .channels import (
     KernelProfile,
     build_channel_operators,
     make_channel,
+    sample_fourier_probe,
     sample_noise,
-    sample_smooth_probe,
 )
 from .config import ExperimentConfig
 from .ensemble import (
@@ -63,8 +63,8 @@ __all__ = [
     "mc_mean_drift",
     "run_ensemble",
     "run_preset",
+    "sample_fourier_probe",
     "sample_noise",
-    "sample_smooth_probe",
     "scenario_collapse",
     "solve_nonlocal",
     "surface_correction",

@@ -9,9 +9,10 @@ Evaluating the field at the midpoint and the kernel at the difference makes
 V(t,t')^dag = V(t',t) hold exactly for real fields. The white-noise field is
 sampled on a grid of half the evolution step, so midpoints of evolution
 nodes are themselves noise nodes and no rounding enters the pairing
-structure. A band-limited "smooth probe" field with the same interface is
-provided for per-realization operator checks, where finite differences and
-grid-refinement ratios need a path with bounded derivatives.
+structure. An analytic probe field with the same interface, a few
+random-phase sinusoids per channel, serves the per-realization operator
+checks, where finite differences and grid-refinement ratios need a path
+with bounded derivatives.
 
 Channel operators condense a channel into a stack over the time difference,
 
@@ -301,29 +302,25 @@ class NoiseRealization:
     White realizations store windowed samples of variance 1/h per node
     (h the noise-grid spacing, half the evolution step) and are
     read on grids that subsample the noise grid, which holds for all
-    midpoints that arise. Smooth probes store a cubic spline per channel
-    and an amplitude; both kinds read zero outside the simulated interval.
+    midpoints that arise. Probe realizations store one analytic path per
+    channel and are windowed when read; both kinds read zero outside the
+    simulated interval.
     """
 
-    seed: int | list[int]  # a master seed, or [master seed, realization]
     t0: float
     t1: float
     h: float
     kind: str  # 'white' | 'smooth'
-    samples: np.ndarray | None = None  # (n_channels, n_nodes), windowed
-    splines: list | None = None
+    samples: np.ndarray | None = None  # (n_channels, noise nodes), windowed
+    paths: list | None = None
     window: Window = field(default_factory=Window.flat)
     n_channels: int = 0
-
-    @property
-    def n_nodes(self) -> int:
-        return int(round((self.t1 - self.t0) / self.h)) + 1
 
     def table(self, t0: float, h: float, n: int) -> np.ndarray:
         """Field values on an external uniform grid, zero outside [t0, t1].
 
         For white realizations the external grid must subsample the noise
-        grid exactly; smooth probes evaluate the spline anywhere.
+        grid exactly; probe paths are evaluated anywhere.
         """
         times = t0 + h * np.arange(n)
         out = np.zeros((self.n_channels, n))
@@ -337,8 +334,8 @@ class NoiseRealization:
         else:
             ok = (times >= self.t0 - 1e-12) & (times <= self.t1 + 1e-12)
             w = np.asarray(self.window(times[ok]), dtype=float)
-            for a, spl in enumerate(self.splines):
-                out[a, ok] = spl(times[ok]) * w
+            for a, path in enumerate(self.paths):
+                out[a, ok] = path(times[ok]) * w
         return out
 
 
@@ -364,68 +361,9 @@ def sample_noise(channels: list[InteractionChannel], grid: TimeGrid,
     times = grid.t0 + h * np.arange(n)
     samples = samples * np.asarray(window(times), dtype=float)[None, :]
     return NoiseRealization(
-        seed=seed, t0=grid.t0, t1=grid.t1, h=h, kind="white",
+        t0=grid.t0, t1=grid.t1, h=h, kind="white",
         samples=samples, window=window, n_channels=len(channels),
     )
-
-
-def sample_smooth_probe(channels: list[InteractionChannel], grid: TimeGrid,
-                        seed: int, window: Window | None = None,
-                        amplitude: float = 1.0) -> NoiseRealization:
-    """Band-limited probe field: natural cubic spline through coarse i.i.d. samples.
-
-    Samples have standard deviation ``amplitude`` at a spacing of the
-    shortest kernel range. The path is a deterministic function of (seed,
-    kernel ranges, channel count) alone, so refining the evolution grid
-    leaves the field fixed; this is the field used by finite-difference and
-    dt-refinement checks.
-    """
-    if window is None:
-        window = Window.flat()
-    scale = min(ch.profile.ell_min for ch in channels)
-    rng = np.random.default_rng(seed)
-    lo = grid.t0 - 2.0 * scale
-    n = int(math.ceil((grid.t1 + 2.0 * scale - lo) / scale)) + 1
-    vals = amplitude * rng.standard_normal((len(channels), n))
-    return NoiseRealization(
-        seed=seed, t0=grid.t0, t1=grid.t1, h=grid.dt / 2.0, kind="smooth",
-        splines=_natural_splines(lo, scale, vals), window=window,
-        n_channels=len(channels),
-    )
-
-
-def _natural_splines(lo: float, h: float, vals: np.ndarray) -> list:
-    """Natural cubic splines through ``vals[a]`` at the knots lo + h*k.
-
-    The second derivatives M vanish at both end knots; the interior ones
-    solve M_{k-1} + 4 M_k + M_{k+1} = 6 (y_{k+1} - 2 y_k + y_{k-1}) / h^2,
-    a diagonally dominant tridiagonal system, by one forward elimination
-    and back substitution over the knots for all rows at once. Returns one
-    callable per row; the end cubics continue past the outer knots.
-    """
-    n = vals.shape[1]
-    knots = lo + h * np.arange(n)
-    rhs = (6.0 / h**2) * (vals[:, 2:] - 2.0 * vals[:, 1:-1] + vals[:, :-2])
-    m = np.zeros_like(vals)
-    ratio = np.empty(n - 2)
-    for k in range(n - 2):
-        pivot = 4.0 - (ratio[k - 1] if k else 0.0)
-        ratio[k] = 1.0 / pivot
-        m[:, k + 1] = (rhs[:, k] - m[:, k]) / pivot
-    for k in range(n - 3, 0, -1):
-        m[:, k] -= ratio[k - 1] * m[:, k + 1]
-
-    def spline(y: np.ndarray, mm: np.ndarray):
-        def value(t) -> np.ndarray:
-            t = np.asarray(t, dtype=float)
-            i = np.clip(np.floor((t - lo) / h).astype(int), 0, n - 2)
-            u = (t - knots[i]) / h
-            v = 1.0 - u
-            return (v * y[i] + u * y[i + 1]
-                    + (h * h / 6.0) * (mm[i] * (v**3 - v) + mm[i + 1] * (u**3 - u)))
-        return value
-
-    return [spline(vals[a], m[a]) for a in range(vals.shape[0])]
 
 
 def sample_fourier_probe(channels: list[InteractionChannel], grid: TimeGrid,
@@ -435,9 +373,9 @@ def sample_fourier_probe(channels: list[InteractionChannel], grid: TimeGrid,
 
     Wavelengths stay at or above twice the shortest kernel range, so the
     field varies on the physical scale while remaining infinitely smooth
-    between window joins. Checks that extrapolate in the step size need
-    this smoothness; the spline probe is only piecewise cubic. The path
-    depends on (seed, modes, channel count) alone, never on the grid.
+    between window joins, as checks that extrapolate in the step size
+    need. The path depends on (seed, modes, channel count, kernel range)
+    alone, never on the grid; ``amplitude=0`` gives the zero field.
     """
     if window is None:
         window = Window.flat()
@@ -453,8 +391,8 @@ def sample_fourier_probe(channels: list[InteractionChannel], grid: TimeGrid,
             np.asarray(t, dtype=float), om) + ph).sum(axis=-1)
 
     return NoiseRealization(
-        seed=seed, t0=grid.t0, t1=grid.t1, h=grid.dt / 2.0, kind="smooth",
-        splines=[path(omegas[a], phases[a]) for a in range(len(channels))],
+        t0=grid.t0, t1=grid.t1, h=grid.dt / 2.0, kind="smooth",
+        paths=[path(omegas[a], phases[a]) for a in range(len(channels))],
         window=window, n_channels=len(channels),
     )
 

@@ -73,7 +73,6 @@ class EvolutionRecord:
 
     grid: TimeGrid
     channels: tuple[InteractionChannel, ...]
-    noise: NoiseRealization
     h0: np.ndarray
     spacing: float
     reach: int
@@ -172,7 +171,7 @@ def _coefficient_table(channels, noise: NoiseRealization, grid: TimeGrid,
     return coeffs, pad
 
 
-def _check_regime(channels, noise: NoiseRealization, grid: TimeGrid) -> None:
+def _check_coupling(channels) -> None:
     strength = max(ch.amplitude * ch.profile.ell_min for ch in channels)
     if strength > COUPLING_ERROR:
         raise NoConvergence(
@@ -183,9 +182,12 @@ def _check_regime(channels, noise: NoiseRealization, grid: TimeGrid) -> None:
         warnings.warn(
             f"coupling strength lambda*ell = {strength:.3f} above "
             f"{COUPLING_WARN}; convergence will be slow", stacklevel=3)
-    ell = max(ch.profile.ell_min for ch in channels)
-    strip = noise.table(grid.t0, grid.dt, grid.n_nodes)
-    k = max(int(round(ell / grid.dt)), 1)
+
+
+def _check_boundary(field_pad: np.ndarray, reach: int) -> None:
+    # the node values are the even half-step entries: (dt/2)*2k rounds as dt*k
+    strip = field_pad[:, reach : field_pad.shape[1] - reach : 2]
+    k = max(reach, 1)
     edge = max(np.abs(strip[:, : k + 1]).max(), np.abs(strip[:, -k - 1 :]).max())
     if edge > 1e-12:
         warnings.warn(
@@ -209,7 +211,7 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
     """
     channels = list(channels)
     dim = h0.shape[0]
-    _check_regime(channels, noise, grid)
+    _check_coupling(channels)
 
     dt = grid.dt
     n = grid.n_nodes
@@ -218,6 +220,7 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
     reach = int(round(ell / dt))
     win = 2 * reach + 1
     coeffs, field_pad = _coefficient_table(channels, noise, grid, reach)
+    _check_boundary(field_pad, reach)
     # weight of each node's own term in its channel mixes, for the refresh
     self_weight = coeffs[:, :, reach].T[:, :, None, None].copy()
 
@@ -286,7 +289,7 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
         )
 
     record = EvolutionRecord(
-        grid=grid, channels=tuple(channels), noise=noise, h0=h0,
+        grid=grid, channels=tuple(channels), h0=h0,
         spacing=spacing, reach=reach, residuals=residuals,
         _free=free, _coeffs=coeffs, _field_pad=field_pad,
     )

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import _positive_modes, sample_fourier_probe, sample_smooth_probe
+from .channels import _positive_modes, sample_fourier_probe
 from .config import ExperimentConfig, merged
 from .ensemble import (
     EnsembleConfig,
@@ -225,9 +225,10 @@ _CONSERVATION_DEFAULTS = {
 def _run_conservation(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict]:
     """Norm drift under the conserved product, on the base and halved grid.
 
-    Uses the band-limited probe field so the drift is a smooth function of
-    the step and the refinement ratio is meaningful; white noise has no
-    per-realization convergence order to measure.
+    Uses the analytic probe field at its default modes and amplitude, so
+    the drift is a smooth function of the step and the refinement ratio is
+    meaningful; white noise has no per-realization convergence order to
+    measure. The zero-noise run reads the same probe at amplitude zero.
     """
     model = _model(cfg)
     grid, h0, spacing, channels = model.grid, model.h0, model.spacing, model.channels
@@ -247,7 +248,7 @@ def _run_conservation(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], di
     drifts = {}
     rec = None
     for tag, g in (("dt", grid), ("dt_half", grid.refined(2))):
-        probe = sample_smooth_probe(channels, g, cfg.seed(), window=window)
+        probe = sample_fourier_probe(channels, g, cfg.seed(), window=window)
         record = solve_nonlocal(psi0, g, channels, probe, h0, spacing,
                                 tol=1e-12, propagators=True)
         times, norms, drift = norm_series(record, g)
@@ -258,8 +259,8 @@ def _run_conservation(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], di
         if tag == "dt":
             rec = record
 
-    probe0 = sample_smooth_probe(channels, grid, cfg.seed(), window=window,
-                                 amplitude=0.0)
+    probe0 = sample_fourier_probe(channels, grid, cfg.seed(), window=window,
+                                  amplitude=0.0)
     record0 = solve_nonlocal(psi0, grid, channels, probe0, h0, spacing,
                              tol=1e-12, propagators=True)
     times0, norms0, drift0 = norm_series(record0, grid)

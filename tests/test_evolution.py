@@ -84,12 +84,12 @@ def oracle_solve(psi0, grid, channels, noise, h0, tol, matrix_mode):
     return x, residuals
 
 
-def oracle_quadrant_coeffs(record, i):
-    """c[a, p, q] rebuilt from a fresh half-step field table."""
+def oracle_quadrant_coeffs(record, noise, i):
+    """c[a, p, q] rebuilt from a fresh half-step table of the solve's field."""
     reach, dt, n = record.reach, record.grid.dt, record.grid.n_nodes
     p = np.arange(i - reach, i + 1)
     q = np.arange(i, i + reach + 1)
-    half = record.noise.table(record.grid.t0, 0.5 * dt, 2 * (n - 1) + 1)
+    half = noise.table(record.grid.t0, 0.5 * dt, 2 * (n - 1) + 1)
     sidx = p[:, None] + q[None, :]
     valid = (sidx >= 0) & (sidx < half.shape[1])
     wp = np.full(p.size, dt)
@@ -104,10 +104,10 @@ def oracle_quadrant_coeffs(record, i):
     return out
 
 
-def oracle_surface_correction(record, i):
+def oracle_surface_correction(record, noise, i):
     y = record.local_propagators(i)
     past, future = y[: record.reach + 1], y[record.reach :]
-    c = oracle_quadrant_coeffs(record, i)
+    c = oracle_quadrant_coeffs(record, noise, i)
     q = sum(np.einsum("pq,pba,bc,qcd->ad", c[a], past.conj(), ch.spatial_op, future)
             for a, ch in enumerate(record.channels))
     return 1j * (q - q.conj().T)
@@ -228,7 +228,10 @@ def _solved(lat, h0, grid, amplitude, psi0=None, propagators=True):
 
 def test_record_accessors(lat4, h0_4, grid16):
     psi0 = random_state(lat4.dim, lat4.spacing, 1)
-    rec = _solved(lat4, h0_4, grid16, 0.04, psi0=psi0)
+    ch = two_channels(lat4, 0.04)
+    noise = probe(ch, grid16)
+    rec = solve_nonlocal(psi0, grid16, ch, noise, h0_4, lat4.spacing,
+                         propagators=True)
     assert np.abs(rec.propagator(0) - np.eye(lat4.dim)).max() == 0.0
     traj = rec.trajectory(psi0)
     assert np.abs(traj - rec.states).max() < 1e-12
@@ -237,8 +240,7 @@ def test_record_accessors(lat4, h0_4, grid16):
     with pytest.raises(OutOfGrid):
         rec.local_propagators(-1)
 
-    plain = solve_nonlocal(psi0, grid16, list(rec.channels), rec.noise,
-                           h0_4, lat4.spacing)
+    plain = solve_nonlocal(psi0, grid16, ch, noise, h0_4, lat4.spacing)
     with pytest.raises(OutOfGrid):
         plain.propagator(0)
     with pytest.raises(OutOfGrid):
@@ -535,7 +537,7 @@ def test_fused_contractions_match_per_channel_oracles(sites, n_channels, propaga
         for i in range(0, grid.n_nodes, 4):
             s = surface_correction(rec, i)
             assert np.array_equal(s, s.conj().T)
-            assert np.abs(s - oracle_surface_correction(rec, i)).max() < 1e-10
+            assert np.abs(s - oracle_surface_correction(rec, noise, i)).max() < 1e-10
         # the layer sum continues the trajectories freely past both ends
         psit = rec.trajectory(psi0)
         phit = rec.trajectory(random_state(d, lat.spacing, seed + 1))
@@ -546,7 +548,6 @@ def test_fused_contractions_match_per_channel_oracles(sites, n_channels, propaga
 
 def test_node_loop_builds_one_noise_table(lat4, h0_4, grid16, monkeypatch):
     psi0 = random_state(lat4.dim, lat4.spacing, 1)
-    rec = _solved(lat4, h0_4, grid16, 0.04, psi0=psi0)
     calls = []
     table = NoiseRealization.table
 
@@ -555,10 +556,13 @@ def test_node_loop_builds_one_noise_table(lat4, h0_4, grid16, monkeypatch):
         return table(self, *args)
 
     monkeypatch.setattr(NoiseRealization, "table", counted)
+    rec = _solved(lat4, h0_4, grid16, 0.04, psi0=psi0)
+    # one half-step table serves the coefficients and the boundary check
+    assert len(calls) == 1
     traj = rec.trajectory(psi0)
     for i in range(grid16.n_nodes):
         surface_correction(rec, i)
         conserved_inner(rec, i, traj[i], traj[i])
         conserved_inner_layer_sum(rec, i, traj, traj)
-    # the solve already built the one table the node loop reads
-    assert len(calls) == 0
+    # the node loop reads the table the solve kept
+    assert len(calls) == 1
