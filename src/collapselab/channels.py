@@ -40,7 +40,6 @@ from .lattice import (
     LatticeConfig,
     _plane_wave_matrix,
     build_dirac_h0,
-    momenta,
 )
 
 log = logging.getLogger(__name__)
@@ -114,22 +113,13 @@ def position_gaussian(cfg: LatticeConfig, center: float, width: float) -> np.nda
 def momentum_function(cfg: LatticeConfig, values) -> np.ndarray:
     """Operator diagonal in the momentum basis, scalar on the spinor index.
 
-    ``values`` is a callable of k, a flat list of one value per lattice
-    momentum (in ``momenta`` order), or a table of (k, value) pairs that is
-    linearly interpolated. Such operators commute with the free Hamiltonian.
+    ``values`` holds one value per lattice momentum, in ``momenta`` order.
+    Such operators commute with the free Hamiltonian.
     """
-    k = momenta(cfg)
-    if callable(values):
-        v = np.asarray([float(values(kk)) for kk in k])
-    else:
-        pts = np.asarray(values, dtype=float)
-        if pts.ndim == 1:
-            if pts.shape[0] != cfg.sites:
-                raise ConfigError(
-                    f"momentum table needs {cfg.sites} values, got {pts.shape[0]}")
-            v = pts
-        else:
-            v = np.interp(k, pts[:, 0], pts[:, 1])
+    v = np.asarray(values, dtype=float)
+    if v.shape != (cfg.sites,):
+        raise ConfigError(
+            f"momentum function needs {cfg.sites} values, got shape {v.shape}")
     f = _plane_wave_matrix(cfg)
     a = np.einsum("jn,n,ln->jl", f, v.astype(complex), f.conj(), optimize=True)
     return np.kron(a, np.eye(SPINOR_DIM))

@@ -10,6 +10,7 @@ enforced by the objects this module constructs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -123,7 +124,10 @@ class ExperimentConfig:
         self.seed()
         ens = self.data.get("ensemble")
         if ens is not None:
-            _get(ens, "realizations", "ensemble", int)
+            realizations = _get(ens, "realizations", "ensemble", int)
+            if realizations < 2:
+                raise ConfigError(
+                    f"ensemble.realizations {realizations} must be at least 2")
             # kept in the schema for the config echo; one picture is stepped
             picture = _get(ens, "picture", "ensemble", str, default="transformed",
                            required=False)
@@ -137,6 +141,9 @@ class ExperimentConfig:
             for key, value in tols.items():
                 if not isinstance(value, (int, float)) or isinstance(value, bool):
                     raise ConfigError(f"run.tolerances.{key} must be a number")
+                if not math.isfinite(value):
+                    raise ConfigError(
+                        f"run.tolerances.{key} must be finite, got {value}")
 
     # section accessors -------------------------------------------------
 
@@ -185,11 +192,7 @@ class ExperimentConfig:
                 first=_get(spec, "first", where, int),
                 second=_get(spec, "second", where, int),
             )
-        values = _get(spec, "values", where, list)
-        if len(values) != lattice.sites:
-            raise ConfigError(
-                f"{where}.values needs {lattice.sites} entries, got {len(values)}")
-        return momentum_function(lattice, np.asarray(values, dtype=float))
+        return momentum_function(lattice, _get(spec, "values", where, list))
 
     def channels(self, lattice: LatticeConfig | None = None
                  ) -> list[InteractionChannel]:

@@ -31,7 +31,6 @@ resampling would condition the ensemble on solver success and bias means.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -136,26 +135,6 @@ class EnsembleStats:
         self.sigma_mean: np.ndarray | None = None
         self.sigma_stderr: np.ndarray | None = None
         self.branch_weights: np.ndarray | None = None
-        self.meta: dict = {}
-
-    @property
-    def realizations(self) -> int:
-        return self.energy.shape[0]
-
-    def digest(self) -> str:
-        """Order-stable content hash used by the determinism checks."""
-        h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.times).tobytes())
-        for label in sorted(self.observables):
-            for key in sorted(self.observables[label]):
-                h.update(label.encode())
-                h.update(key.encode())
-                h.update(np.ascontiguousarray(self.observables[label][key]).tobytes())
-        for arr in (self.energy, self.norm, self.sigma_mean, self.sigma_stderr,
-                    self.branch_weights):
-            if arr is not None:
-                h.update(np.ascontiguousarray(arr).tobytes())
-        return h.hexdigest()
 
 
 def _blocks(total: int) -> list[range]:
@@ -384,12 +363,6 @@ def run_ensemble(psi0, cfg: EnsembleConfig, model: ModelSetup) -> EnsembleStats:
     runner = _TransformedRun(model, cfg, psi0)
     _run_blocks(lambda i: runner.block(i, blocks[i], stats, sigma), len(blocks))
     stats.sigma_mean, stats.sigma_stderr = sigma.moments(nr)
-    stats.meta = {
-        "realizations": nr,
-        "seed": cfg.seed,
-        "checkpoint_nodes": cp_nodes.tolist(),
-        "workers": worker_count(),
-    }
     return stats
 
 

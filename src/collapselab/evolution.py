@@ -20,7 +20,7 @@ strip of width ell_min carries the previous iterate and the residual decays
 geometrically at a rate set by the coupling, not by the interval length.
 
 A sweep updates each node with one real GEMM, the real weights c[a, q]
-against the float64 view of the window of maps or states, giving the next
+against the float64 view of the window of maps, giving the next
 node's stacked channel mixes, and one complex GEMM of a step operator built
 once per solve (free step, channel operators side by side, trapezoid
 weights) against the current node and both nodes' mixes; the next node's
@@ -54,21 +54,21 @@ log = logging.getLogger(__name__)
 
 COUPLING_WARN = 0.2
 COUPLING_ERROR = 0.5
+_TOL = 1e-12  # largest entry change of the maps that ends the fixed point
+_MAX_SWEEPS = 50
 
-# finite-difference stencils for d/dt at the center node, by accuracy order
-_FD_STENCILS = {
-    2: ((-1, 1), (-0.5, 0.5)),
-    4: ((-2, -1, 1, 2), (1.0 / 12.0, -2.0 / 3.0, 2.0 / 3.0, -1.0 / 12.0)),
-}
+# central-difference stencil for d/dt at the center node, fourth order
+_FD_OFFSETS = (-2, -1, 1, 2)
+_FD_WEIGHTS = (1.0 / 12.0, -2.0 / 3.0, 2.0 / 3.0, -1.0 / 12.0)
 
 
 @dataclass
 class EvolutionRecord:
     """Converged solve on one grid for one field realization.
 
-    ``states`` holds psi(t_j) when an initial state was given; ``props``
-    holds the maps X_j from t0 to t_j (with free-extension pads of width
-    ``reach`` on both sides) when the solve tracked propagators.
+    ``props`` holds the maps X_j from t0 to t_j, with free-extension pads of
+    width ``reach`` on both sides; ``states`` holds psi(t_j) = X_j psi0 when
+    an initial state was given.
     """
 
     grid: TimeGrid
@@ -77,43 +77,27 @@ class EvolutionRecord:
     spacing: float
     reach: int
     residuals: list[float]
+    props: np.ndarray  # padded: index j + reach
+    free: FreePropagator = field(repr=False)
+    _coeffs: np.ndarray = field(repr=False)
+    _field_pad: np.ndarray = field(repr=False)
     states: np.ndarray | None = None
-    props: np.ndarray | None = None  # padded: index j + reach
-    _free: FreePropagator | None = field(default=None, repr=False)
-    _coeffs: np.ndarray | None = field(default=None, repr=False)
-    _field_pad: np.ndarray | None = field(default=None, repr=False)
     _quadrant: tuple | None = field(default=None, repr=False)
     _local: tuple | None = field(default=None, repr=False)
-
-    @property
-    def free(self) -> FreePropagator:
-        if self._free is None:
-            self._free = FreePropagator(self.h0)
-        return self._free
 
     def state(self, i: int) -> np.ndarray:
         if self.states is None:
             raise OutOfGrid("record has no state trajectory")
         return self.states[i]
 
-    def propagator(self, j: int) -> np.ndarray:
-        """X_j for j in [-reach, n-1+reach], free-extended past the ends."""
-        if self.props is None:
-            raise OutOfGrid("record was solved without propagators")
-        return self.props[j + self.reach]
-
     def trajectory(self, psi0: np.ndarray) -> np.ndarray:
         """States X_j psi0 on the interior nodes for an arbitrary start."""
-        if self.props is None:
-            raise OutOfGrid("record was solved without propagators")
         interior = self.props[self.reach : self.reach + self.grid.n_nodes]
         return np.einsum("jab,b->ja", interior, psi0)
 
     def local_propagators(self, i: int) -> np.ndarray:
         """Relative maps Y_q = X_q X_i^{-1} for q = i-reach .. i+reach; the
         last window is kept, read-only, so S_t and W of a node share it."""
-        if self.props is None:
-            raise OutOfGrid("record was solved without propagators")
         if not (0 <= i < self.grid.n_nodes):
             raise OutOfGrid(f"node {i} outside the grid")
         if self._local is not None and self._local[0] == i:
@@ -198,16 +182,15 @@ def _check_boundary(field_pad: np.ndarray, reach: int) -> None:
 
 def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
                    channels: list[InteractionChannel],
-                   noise: NoiseRealization, h0: np.ndarray, spacing: float,
-                   tol: float = 1e-10, max_iter: int = 50,
-                   propagators: bool = False) -> EvolutionRecord:
-    """Fixed-point solve of the nonlocal equation on the grid.
+                   noise: NoiseRealization, h0: np.ndarray,
+                   spacing: float) -> EvolutionRecord:
+    """Fixed-point solve of the nonlocal equation on the grid for the maps.
 
-    Returns a record with the state trajectory (and the propagator stack
-    when ``propagators`` is set; pass ``psi0=None`` with propagators to
-    solve for the maps alone). Raises NoConvergence if the update never
-    drops below ``tol`` within ``max_iter`` sweeps, or at the first sweep
-    whose update is not finite.
+    Returns a record with the map stack, and the state trajectory when
+    ``psi0`` is given (``psi0=None`` solves for the maps alone). Raises
+    NoConvergence if the largest entry change of the maps never drops to
+    ``_TOL`` within ``_MAX_SWEEPS`` sweeps, or at the first sweep whose
+    change is not finite.
     """
     channels = list(channels)
     dim = h0.shape[0]
@@ -229,18 +212,11 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
     shifts = np.arange(1, reach + 1) * dt
     right_pad = free.matrix(shifts)  # e^{-i m dt h0}, m = 1..reach
 
-    matrix_mode = propagators or psi0 is None
-    tail = dim if matrix_mode else 1
-    if matrix_mode:
-        x0 = np.eye(dim, dtype=complex)
-    else:
-        x0 = psi0.reshape(dim, 1)
-
     total = n + 2 * reach
-    x = np.empty((total, dim, tail), dtype=complex)
+    x = np.empty((total, dim, dim), dtype=complex)
     # left pad: exact free evolution backwards from the initial node
-    x[:reach] = free.matrix(-shifts[::-1]) @ x0
-    x[reach] = x0
+    x[:reach] = free.matrix(-shifts[::-1])
+    x[reach] = np.eye(dim)
     # first iterate: free evolution forward
     for j in range(1, n + reach):
         np.matmul(e_dt, x[reach + j - 1], out=x[reach + j])
@@ -255,12 +231,12 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
     e_ops = half * (e_dt @ ops_row)
     step = (np.concatenate([e_dt, e_ops, half * ops_row], axis=1),
             np.concatenate([e_dt, half * ops_row, e_ops], axis=1))
-    buf = np.empty(((1 + 2 * n_ch) * dim, tail), dtype=complex)
-    mixes = buf[dim:].reshape(2, n_ch, dim, tail)
+    buf = np.empty(((1 + 2 * n_ch) * dim, dim), dtype=complex)
+    mixes = buf[dim:].reshape(2, n_ch, dim, dim)
     mixes_real = mixes.reshape(2, n_ch, -1).view(np.float64)
 
     residuals: list[float] = []
-    for sweep in range(1, max_iter + 1):
+    for sweep in range(1, _MAX_SWEEPS + 1):
         x_old = x.copy()
         np.matmul(coeffs[:, 0], x_real[:win], out=mixes_real[0])
         buf[:dim] = x[reach]
@@ -277,7 +253,7 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
         np.matmul(right_pad, x[reach + n - 1], out=x[reach + n :])
         resid = float(np.abs(x - x_old).max())
         residuals.append(resid)
-        if resid <= tol:
+        if resid <= _TOL:
             break
         if not math.isfinite(resid):
             raise NoConvergence(
@@ -285,22 +261,16 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
     else:
         raise NoConvergence(
             f"fixed point not reached: residual {residuals[-1]:.3e} "
-            f"after {max_iter} sweeps (tol {tol:.0e})"
+            f"after {_MAX_SWEEPS} sweeps (tol {_TOL:.0e})"
         )
 
     record = EvolutionRecord(
         grid=grid, channels=tuple(channels), h0=h0,
-        spacing=spacing, reach=reach, residuals=residuals,
-        _free=free, _coeffs=coeffs, _field_pad=field_pad,
+        spacing=spacing, reach=reach, residuals=residuals, props=x,
+        free=free, _coeffs=coeffs, _field_pad=field_pad,
     )
-    if matrix_mode:
-        record.props = x
     if psi0 is not None:
-        if matrix_mode:
-            traj = np.einsum("jab,b->ja", x, psi0)
-        else:
-            traj = x.reshape(total, dim)
-        record.states = traj[reach : reach + n]
+        record.states = np.einsum("jab,b->ja", x, psi0)[reach : reach + n]
     return record
 
 
@@ -312,10 +282,7 @@ def equal_time_hamiltonian(record: EvolutionRecord, i: int) -> np.ndarray:
     Generally non-Hermitian; its anti-Hermitian part is what the surface
     correction compensates.
     """
-    coeffs = record._coeffs
-    if coeffs is None:
-        raise OutOfGrid("record is missing its coefficient table")
-    return _channel_sum(_side_by_side(record.channels), coeffs[:, i],
+    return _channel_sum(_side_by_side(record.channels), record._coeffs[:, i],
                         record.local_propagators(i))
 
 
@@ -406,13 +373,13 @@ def _expansion_interaction(w: np.ndarray, s: np.ndarray) -> np.ndarray:
     return 0.5 * (w + w.conj().T) - 0.125 * (anti @ s - s @ anti)
 
 
-def transformed_interaction(record: EvolutionRecord, i: int, mode: str = "exact",
-                            fd_order: int = 2) -> np.ndarray:
+def transformed_interaction(record: EvolutionRecord, i: int,
+                            mode: str = "exact") -> np.ndarray:
     """The generator correction in the transformed picture at node i.
 
     'exact' conjugates h0 + W with sqrt(1 + S_t) and adds the derivative
-    term of the root, with d/dt taken by a central difference of the chosen
-    accuracy order (2 or 4). 'expansion' is the second-order form
+    term of the root, with d/dt taken by the fourth-order central
+    difference over nodes i-2 .. i+2. 'expansion' is the second-order form
 
         (W + W^dag)/2 - (1/8) [W - W^dag, S_t],
 
@@ -424,21 +391,20 @@ def transformed_interaction(record: EvolutionRecord, i: int, mode: str = "exact"
                                      surface_correction(record, i))
     if mode != "exact":
         raise ValueError(f"unknown transformed-interaction mode {mode!r}")
-    offsets, weights = _FD_STENCILS[fd_order]
     n = record.grid.n_nodes
-    if i + min(offsets) < 0 or i + max(offsets) > n - 1:
-        raise OutOfGrid(f"node {i} too close to the ends for the {fd_order}-point stencil")
+    if i + _FD_OFFSETS[0] < 0 or i + _FD_OFFSETS[-1] > n - 1:
+        raise OutOfGrid(f"node {i} too close to the ends for the "
+                        f"{len(_FD_OFFSETS)}-point stencil")
     dim = record.h0.shape[0]
     eye = np.eye(dim)
     s_here = surface_correction(record, i)
     root = sqrtmh(eye + s_here)
     inv_root = sqrtmh(eye + s_here, inverse=True)
     d_inv_root = np.zeros_like(root)
-    for off, wgt in zip(offsets, weights):
+    for off, wgt in zip(_FD_OFFSETS, _FD_WEIGHTS):
         s_off = surface_correction(record, i + off)
         inv_off = sqrtmh(eye + s_off, inverse=True)
         d_inv_root = d_inv_root + (wgt / record.grid.dt) * inv_off
     w = equal_time_hamiltonian(record, i)
     full = root @ (record.h0 + w) @ inv_root - 1j * (root @ d_inv_root)
     return full - record.h0
-

@@ -52,11 +52,12 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n_nodes)
 
-    def node_index(self, t: float, tol: float = 1e-9) -> int:
-        """Index of the node equal to t, or raise if t is off-grid."""
+    def node_index(self, t: float) -> int:
+        """Index of the node within 1e-9 steps of t, or raise if t is
+        off-grid."""
         x = (t - self.t0) / self.dt
         i = int(round(x))
-        if abs(x - i) > tol or i < 0 or i >= self.n_nodes:
+        if abs(x - i) > 1e-9 or i < 0 or i >= self.n_nodes:
             from .errors import OutOfGrid
 
             raise OutOfGrid(f"t={t} is not a node of {self}")

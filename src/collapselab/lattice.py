@@ -112,12 +112,11 @@ class FreePropagator:
         return (self.evecs * phases[..., None, :]) @ self.evecs.conj().T
 
 
-def sqrtmh(m: np.ndarray, inverse: bool = False,
-           floor: float = SQRT_FLOOR) -> np.ndarray:
+def sqrtmh(m: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Hermitian square root of an ndarray, or its inverse. The spectrum must
-    lie above ``floor``; NotPositive otherwise."""
+    lie above ``SQRT_FLOOR``; NotPositive otherwise."""
     vals, vecs = np.linalg.eigh(m)
-    if vals.min() <= floor:
+    if vals.min() <= SQRT_FLOOR:
         kind = "inv_sqrt" if inverse else "sqrt"
         raise NotPositive(f"{kind}: smallest eigenvalue {vals.min():.3e}")
     root = np.sqrt(vals)

@@ -51,11 +51,9 @@ def _pair_stacks(opset: ChannelOperatorSet, nu_step: int):
                 w_nu = dt * nu_step if f == 0 else 2.0 * dt * nu_step
                 lefts.append((dt * w_nu) * stack[a, d + k])
                 rights.append(stack[a, d - 2 * f + k])
-    left = np.stack(lefts) if lefts else np.zeros((0,) + stack.shape[-2:], dtype=complex)
-    right = np.stack(rights) if rights else left
-    drift = np.einsum("pab,pbc->ac", left, right) if len(lefts) else np.zeros(
-        stack.shape[-2:], dtype=complex)
-    return left, right, drift
+    left = np.stack(lefts)
+    right = np.stack(rights)
+    return left, right, np.einsum("pab,pbc->ac", left, right)
 
 
 def _cross_superoperator(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -89,16 +87,10 @@ class LindbladSpec:
         self.nu_step = nu_step
         self.jumps = tuple(np.asarray(j, dtype=complex) for j in jumps)
         _require_finite("master equation h0", self.h0)
-        dim = self.h0.shape[0]
         if kind == CFS_KIND:
-            if opset is None:
-                self.drift = np.zeros((dim, dim), dtype=complex)
-                self._cross = np.zeros((dim * dim, dim * dim), dtype=complex)
-            else:
-                _require_finite("master equation channel operator stack",
-                                opset.sym)
-                left, right, self.drift = _pair_stacks(opset, nu_step)
-                self._cross = _cross_superoperator(left, right)
+            _require_finite("master equation channel operator stack", opset.sym)
+            left, right, self.drift = _pair_stacks(opset, nu_step)
+            self._cross = _cross_superoperator(left, right)
         elif kind == GKSL_KIND:
             for j in self.jumps:
                 if j.shape != self.h0.shape:
@@ -112,7 +104,7 @@ class LindbladSpec:
             raise ConfigError(f"unknown master-equation kind {kind!r}")
 
     @classmethod
-    def cfs(cls, h0: np.ndarray, opset: ChannelOperatorSet | None, *,
+    def cfs(cls, h0: np.ndarray, opset: ChannelOperatorSet, *,
             nu_step=1) -> "LindbladSpec":
         return cls(h0, CFS_KIND, opset=opset, nu_step=nu_step)
 
@@ -198,15 +190,16 @@ class MasterTrajectory:
         return float(np.max(self.trace_drift))
 
 
-def integrate(sigma0: np.ndarray, spec: LindbladSpec, grid: TimeGrid,
-              monitor_positivity: bool = True) -> MasterTrajectory:
+def integrate(sigma0: np.ndarray, spec: LindbladSpec,
+              grid: TimeGrid) -> MasterTrajectory:
     """Classical RK4 integration of the chosen master equation on the grid.
 
     Each step re-symmetrizes the density and records the size of that
     correction; a correction beyond 1e-6 raises StepRejected since it means
-    the step size no longer resolves the flow, and so does a non-finite one. The minimum eigenvalue is
-    recorded when monitoring is on; for the double-commutator variant a
-    negative value is expected behavior, not an error.
+    the step size no longer resolves the flow, and so does a non-finite one.
+    The minimum eigenvalue of every step is recorded; for the
+    double-commutator variant a negative value is expected behavior, not an
+    error.
     """
     s = sigma0
     tr = complex(np.trace(s))
@@ -217,12 +210,11 @@ def integrate(sigma0: np.ndarray, spec: LindbladSpec, grid: TimeGrid,
     sigmas = np.empty((n, dim, dim), dtype=complex)
     trace_drift = np.empty(n)
     herm_corr = np.empty(n)
-    min_eig = np.full(n, np.nan)
+    min_eig = np.empty(n)
     sigmas[0] = s
     trace_drift[0] = abs(np.trace(s) - 1.0)
     herm_corr[0] = 0.0
-    if monitor_positivity:
-        min_eig[0] = float(np.linalg.eigvalsh(s)[0])
+    min_eig[0] = float(np.linalg.eigvalsh(s)[0])
     dt = grid.dt
     for i in range(1, n):
         k1 = master_rhs(s, spec)
@@ -239,8 +231,7 @@ def integrate(sigma0: np.ndarray, spec: LindbladSpec, grid: TimeGrid,
         sigmas[i] = s
         herm_corr[i] = dev
         trace_drift[i] = abs(np.trace(s) - 1.0)
-        if monitor_positivity:
-            min_eig[i] = float(np.linalg.eigvalsh(s)[0])
+        min_eig[i] = float(np.linalg.eigvalsh(s)[0])
     return MasterTrajectory(grid.times, sigmas, trace_drift, herm_corr, min_eig)
 
 
@@ -279,8 +270,6 @@ def heating_rate_cfs(sigma: np.ndarray, spec: LindbladSpec) -> tuple[float, floa
     if spec.kind != CFS_KIND:
         raise ConfigError("heating_rate_cfs needs a cfs_double_commutator spec")
     rate = float(np.trace(spec.h0 @ cfs_rhs(sigma, spec)).real)
-    if spec.opset is None:
-        return rate, 0.0
     coarse = LindbladSpec.cfs(spec.h0, spec.opset, nu_step=2 * spec.nu_step)
     rate_coarse = float(np.trace(spec.h0 @ cfs_rhs(sigma, coarse)).real)
     return rate, abs(rate - rate_coarse)

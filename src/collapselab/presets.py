@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import _positive_modes, sample_fourier_probe
+from .channels import sample_fourier_probe
 from .config import ExperimentConfig, merged
 from .ensemble import (
     EnsembleConfig,
@@ -249,8 +249,7 @@ def _run_conservation(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], di
     rec = None
     for tag, g in (("dt", grid), ("dt_half", grid.refined(2))):
         probe = sample_fourier_probe(channels, g, cfg.seed(), window=window)
-        record = solve_nonlocal(psi0, g, channels, probe, h0, spacing,
-                                tol=1e-12, propagators=True)
+        record = solve_nonlocal(psi0, g, channels, probe, h0, spacing)
         times, norms, drift = norm_series(record, g)
         drifts[tag] = float(drift.max())
         write_csv(out / f"conservation_{tag}.csv",
@@ -261,8 +260,7 @@ def _run_conservation(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], di
 
     probe0 = sample_fourier_probe(channels, grid, cfg.seed(), window=window,
                                   amplitude=0.0)
-    record0 = solve_nonlocal(psi0, grid, channels, probe0, h0, spacing,
-                             tol=1e-12, propagators=True)
+    record0 = solve_nonlocal(psi0, grid, channels, probe0, h0, spacing)
     times0, norms0, drift0 = norm_series(record0, grid)
     write_csv(out / "conservation_zero_noise.csv",
               ["t", "conserved_norm", "drift"],
@@ -361,13 +359,11 @@ def _run_expansion(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict]
             probe = sample_fourier_probe(channels, g, cfg.seed(),
                                          window=window, modes=modes,
                                          amplitude=amp)
-            rec = solve_nonlocal(None, g, channels, probe, h0, spacing,
-                                 tol=1e-12, propagators=True)
+            rec = solve_nonlocal(None, g, channels, probe, h0, spacing)
             row_d, row_a = [], []
             for t in t_eval:
                 i = g.node_index(t)
-                exact = transformed_interaction(rec, i, mode="exact",
-                                                fd_order=4)
+                exact = transformed_interaction(rec, i, mode="exact")
                 series = transformed_interaction(rec, i, mode="expansion")
                 row_d.append(exact - series)
                 row_a.append(exact - exact.conj().T)
@@ -611,7 +607,8 @@ def _run_lindblad_vs_mc(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], 
     model = _model(cfg)
     grid, h0, spacing = model.grid, model.h0, model.spacing
 
-    sys, modes = _positive_modes(cfg.lattice())
+    sys = EigenSystem.of(h0, spacing)
+    modes = np.where(sys.values > 0.0)[0]
     psi0 = normalized(sys.state(modes[0]) + sys.state(modes[1]), spacing)
 
     ecfg = _ensemble_config(cfg)
@@ -711,7 +708,8 @@ def _run_collapse(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict]:
     model = _model(cfg)
     grid = model.grid
 
-    sys, modes = _positive_modes(cfg.lattice())
+    sys = EigenSystem.of(model.h0, model.spacing)
+    modes = np.where(sys.values > 0.0)[0]
     # equal weights with a quarter-wave relative phase, so the hop channel
     # moves weight between the branches instead of only turning the phase
     psi0 = normalized(sys.state(modes[1]) + 1j * sys.state(modes[2]),

@@ -21,7 +21,7 @@ from collapselab.channels import (
 )
 from collapselab.errors import ConfigError, DimensionMismatch, GridTooCoarse, NotPSD
 from collapselab.grids import TimeGrid, Window
-from collapselab.lattice import FreePropagator, LatticeConfig, momenta
+from collapselab.lattice import SPINOR_DIM, FreePropagator, LatticeConfig, momenta
 
 from conftest import ELL, two_channels
 
@@ -111,17 +111,21 @@ def test_position_gaussian(lat4):
 
 def test_momentum_function_commutes_and_variants(lat4, h0_4):
     h = h0_4
-    f = lambda k: np.cos(k) + 0.5
-    a = momentum_function(lat4, f)
+    k = momenta(lat4)
+    values = np.cos(k) + 0.5
+    a = momentum_function(lat4, list(values))
     assert np.abs(a @ h - h @ a).max() < 1e-12
     assert np.abs(a - a.conj().T).max() < 1e-14
-    from_list = momentum_function(lat4, [f(k) for k in momenta(lat4)])
-    assert np.abs(a - from_list).max() < 1e-14
-    ks = np.sort(momenta(lat4))
-    table = np.column_stack([ks, [f(k) for k in ks]])
-    assert np.abs(a - momentum_function(lat4, table)).max() < 1e-14
-    with pytest.raises(ConfigError):
-        momentum_function(lat4, [1.0, 2.0])
+    assert np.array_equal(a, momentum_function(lat4, values))
+    # a plane wave on either spinor component is an eigenvector with its value
+    x = lat4.spacing * np.arange(lat4.sites)
+    for kk, v in zip(k, values):
+        for spin in np.eye(SPINOR_DIM):
+            wave = np.kron(np.exp(1j * kk * x), spin)
+            assert np.abs(a @ wave - v * wave).max() < 1e-13
+    for bad in ([1.0, 2.0], np.column_stack([k, values])):
+        with pytest.raises(ConfigError):
+            momentum_function(lat4, bad)
 
 
 def test_eigenmode_operators(lat4):
@@ -358,7 +362,7 @@ def test_channel_operator_stacks(lat4, h0_4, grid16):
 
 def test_commuting_channel_has_even_raw_stack(lat4, h0_4, grid16):
     prof = KernelProfile(ell_min=ELL)
-    a = momentum_function(lat4, lambda k: np.cos(k) + 0.5)
+    a = momentum_function(lat4, np.cos(momenta(lat4)) + 0.5)
     ops = build_channel_operators([make_channel("mom", a, prof, 0.3)],
                                   h0_4, grid16.dt)
     assert ops.asymmetry.max() < 1e-12

@@ -273,6 +273,40 @@ def test_cli_unknown_tolerance_name_exits_two(tmp_path, capsys):
     assert "run.tolerances.drfit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count", [1, 0, -3])
+def test_cli_too_few_realizations_exits_two(tmp_path, capsys, count):
+    out = tmp_path / "res"
+    assert cli.main(["run", "a-operator", "--realizations", str(count),
+                     "--out", str(out)]) == 2
+    assert "ensemble.realizations" in capsys.readouterr().err
+    assert not out.exists()
+
+    raw = base_config()
+    raw["ensemble"] = {"realizations": count}
+    path = tmp_path / "few.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert cli.main(["validate", "--config", str(path)]) == 2
+    assert "ensemble.realizations" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_cli_non_finite_tolerance_exits_two(tmp_path, capsys, bad):
+    override = tmp_path / "tol.yaml"
+    override.write_text(yaml.safe_dump({"run": {"tolerances": {"drift": bad}}}))
+    out = tmp_path / "res"
+    assert cli.main(["run", "conservation", "--config", str(override),
+                     "--out", str(out)]) == 2
+    assert "run.tolerances.drift" in capsys.readouterr().err
+    assert not out.exists()
+
+    raw = base_config()
+    raw["run"] = {"preset": "conservation", "tolerances": {"drift": bad}}
+    path = tmp_path / "tol_full.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert cli.main(["validate", "--config", str(path)]) == 2
+    assert "run.tolerances.drift" in capsys.readouterr().err
+
+
 # --- reporting ------------------------------------------------------------
 
 def test_format_number_round_trips():

@@ -83,7 +83,7 @@ def test_zero_coupling_ensemble_is_deterministic(lat4, h0_4, grid16, ground):
     assert np.abs(stats.energy - e0).max() < 1e-10
     mean, stderr = mean_series(stats.energy)
     assert stderr.max() < 1e-12
-    assert stats.realizations == 8
+    assert stats.energy.shape[0] == 8
 
 
 def test_transformed_route_conserves_norm_and_trace(lat4, h0_4, grid16, ground):
@@ -124,8 +124,15 @@ def test_block_combination_is_worker_independent(lat4, h0_4, grid16, ground,
     serial = run_ensemble(psi0, cfg, model)
     monkeypatch.setenv("COLLAPSELAB_WORKERS", "3")
     threaded = run_ensemble(psi0, cfg, model)
-    assert serial.digest() == threaded.digest()
-    assert threaded.meta["workers"] == 3
+
+    def bits(stats):
+        arrays = [stats.times, stats.checkpoint_nodes, stats.energy, stats.norm,
+                  stats.sigma_mean, stats.sigma_stderr]
+        arrays += [series[key] for _, series in sorted(stats.observables.items())
+                   for key in sorted(series)]
+        return [(a.shape, a.tobytes()) for a in arrays]
+
+    assert bits(serial) == bits(threaded)
 
 
 def untransformed_oracle(model, cfg, psi0):
@@ -141,7 +148,7 @@ def untransformed_oracle(model, cfg, psi0):
         noise = sample_noise(list(model.channels), grid, [cfg.seed, r],
                              window=cfg.window(grid))
         rec = solve_nonlocal(psi0, grid, list(model.channels), noise, model.h0,
-                             spacing, propagators=True)
+                             spacing)
         for j in range(grid.n_nodes):
             psi = rec.states[j]
             metric = eye + surface_correction(rec, j)

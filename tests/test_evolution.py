@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from collapselab import evolution
 from collapselab.channels import (
     KernelProfile,
     NoiseRealization,
@@ -45,16 +46,16 @@ OFF = Window(t_on=5.0, t_off=7.0, ramp=0.5)
 # of what evolution.py fuses into a few BLAS calls per node
 
 
-def oracle_solve(psi0, grid, channels, noise, h0, tol, matrix_mode):
+def oracle_solve(grid, channels, noise, h0, tol):
     """Gauss-Seidel sweeps of solve_nonlocal, channel by channel; returns
-    the padded iterate (maps or states) and the residual history."""
+    the padded maps and the residual history."""
     dt, n = grid.dt, grid.n_nodes
     reach = int(round(max(ch.profile.ell_min for ch in channels) / dt))
     coeffs, _ = _coefficient_table(channels, noise, grid, reach)
     ops = [ch.spatial_op for ch in channels]
     free = FreePropagator(h0)
     e_dt = free.matrix(dt)
-    x0 = np.eye(h0.shape[0], dtype=complex) if matrix_mode else psi0.astype(complex)
+    x0 = np.eye(h0.shape[0], dtype=complex)
     x = np.empty((n + 2 * reach,) + x0.shape, dtype=complex)
     for m in range(1, reach + 1):
         x[reach - m] = free.matrix(-m * dt) @ x0
@@ -186,13 +187,13 @@ def test_coupling_beyond_fixed_point_regime(lat4, h0_4, grid16):
         solve_nonlocal(psi0, grid16, ch, noise, h0_4, lat4.spacing)
 
 
-def test_iteration_budget_exhausted(lat4, h0_4, grid16):
+def test_iteration_budget_exhausted(lat4, h0_4, grid16, monkeypatch):
     ch = two_channels(lat4, 0.1)
     noise = sample_noise(ch, grid16, seed=5, window=WIN)
     psi0 = random_state(lat4.dim, lat4.spacing, 1)
-    with pytest.raises(NoConvergence):
-        solve_nonlocal(psi0, grid16, ch, noise, h0_4, lat4.spacing,
-                       tol=1e-14, max_iter=2)
+    monkeypatch.setattr(evolution, "_MAX_SWEEPS", 2)
+    with pytest.raises(NoConvergence, match="after 2 sweeps"):
+        solve_nonlocal(psi0, grid16, ch, noise, h0_4, lat4.spacing)
 
 
 def test_non_finite_field_stops_at_first_sweep(lat4, h0_4, grid16):
@@ -220,31 +221,23 @@ def test_active_boundary_warns(lat4, h0_4, grid16):
         solve_nonlocal(psi0, grid16, ch, noise, h0_4, lat4.spacing)
 
 
-def _solved(lat, h0, grid, amplitude, psi0=None, propagators=True):
+def _solved(lat, h0, grid, amplitude, psi0=None):
     ch = two_channels(lat, amplitude)
-    return solve_nonlocal(psi0, grid, ch, probe(ch, grid), h0, lat.spacing,
-                          propagators=propagators)
+    return solve_nonlocal(psi0, grid, ch, probe(ch, grid), h0, lat.spacing)
 
 
 def test_record_accessors(lat4, h0_4, grid16):
     psi0 = random_state(lat4.dim, lat4.spacing, 1)
     ch = two_channels(lat4, 0.04)
     noise = probe(ch, grid16)
-    rec = solve_nonlocal(psi0, grid16, ch, noise, h0_4, lat4.spacing,
-                         propagators=True)
-    assert np.abs(rec.propagator(0) - np.eye(lat4.dim)).max() == 0.0
+    rec = solve_nonlocal(psi0, grid16, ch, noise, h0_4, lat4.spacing)
+    assert np.abs(rec.props[rec.reach] - np.eye(lat4.dim)).max() == 0.0
     traj = rec.trajectory(psi0)
     assert np.abs(traj - rec.states).max() < 1e-12
     y = rec.local_propagators(grid16.n_nodes // 2)
     assert np.abs(y[rec.reach] - np.eye(lat4.dim)).max() < 1e-12
     with pytest.raises(OutOfGrid):
         rec.local_propagators(-1)
-
-    plain = solve_nonlocal(psi0, grid16, ch, noise, h0_4, lat4.spacing)
-    with pytest.raises(OutOfGrid):
-        plain.propagator(0)
-    with pytest.raises(OutOfGrid):
-        plain.trajectory(psi0)
 
     maps_only = _solved(lat4, h0_4, grid16, 0.04, psi0=None)
     with pytest.raises(OutOfGrid):
@@ -269,7 +262,7 @@ def test_adjoint_metric_round_trip(lat4, h0_4, grid16):
     d = lat4.dim
     m0 = lat4.spacing * (np.eye(d) + surface_correction(rec, 0))
     m1 = lat4.spacing * (np.eye(d) + surface_correction(rec, n1))
-    x = rec.propagator(n1)
+    x = rec.props[rec.reach + n1]
     back = np.linalg.solve(m0, x.conj().T @ (m1 @ rec.state(n1)))
     assert np.abs(back - psi0).max() < 1e-10
 
@@ -278,8 +271,7 @@ def test_conserved_inner_free_limit(lat4, h0_4, grid16):
     ch = two_channels(lat4, 0.04)
     noise = sample_noise(ch, grid16, seed=5, window=OFF)
     psi0 = random_state(lat4.dim, lat4.spacing, 1)
-    rec = solve_nonlocal(psi0, grid16, ch, noise, h0_4, lat4.spacing,
-                         propagators=True)
+    rec = solve_nonlocal(psi0, grid16, ch, noise, h0_4, lat4.spacing)
     i = grid16.n_nodes // 2
     phi = random_state(lat4.dim, lat4.spacing, 2)
     got = conserved_inner(rec, i, phi, rec.state(i))
@@ -332,8 +324,7 @@ def test_equal_time_hamiltonian_orders(lat4, h0_4, grid16):
 
     ch = two_channels(lat4, 0.08)
     noise = sample_noise(ch, grid16, seed=5, window=OFF)
-    rec0 = solve_nonlocal(None, grid16, ch, noise, h0_4, lat4.spacing,
-                          propagators=True)
+    rec0 = solve_nonlocal(None, grid16, ch, noise, h0_4, lat4.spacing)
     assert np.abs(equal_time_hamiltonian(rec0, i)).max() == 0.0
 
 
@@ -354,8 +345,7 @@ def test_transform_state_identities(lat4, h0_4, grid16):
 def test_transformed_interaction_zero_field(lat4, h0_4, grid16):
     ch = two_channels(lat4, 0.08)
     noise = sample_noise(ch, grid16, seed=5, window=OFF)
-    rec = solve_nonlocal(None, grid16, ch, noise, h0_4, lat4.spacing,
-                         propagators=True)
+    rec = solve_nonlocal(None, grid16, ch, noise, h0_4, lat4.spacing)
     i = grid16.n_nodes // 2
     assert np.abs(transformed_interaction(rec, i, "expansion")).max() == 0.0
     assert np.abs(transformed_interaction(rec, i, "exact")).max() < 1e-14
@@ -393,7 +383,7 @@ def test_expansion_remainder_is_third_order(lat4, h0_4, grid16):
         for grid in (grid16, grid16.refined(2), grid16.refined(4)):
             rec = _solved(lat4, h0_4, grid, amplitude)
             i = grid.node_index(1.0)
-            wex = transformed_interaction(rec, i, "exact", fd_order=4)
+            wex = transformed_interaction(rec, i, "exact")
             wxp = transformed_interaction(rec, i, "expansion")
             ds.append(np.abs(wex - wxp).max())
         d1, d2, d4 = ds
@@ -418,9 +408,9 @@ def test_node_window_is_solved_once(lat4, h0_4, grid16, monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", counted)
     exact = transformed_interaction(rec, i, "exact")
     series = transformed_interaction(rec, i, "expansion")
-    # node i (S, then W after the stencil), i - 1 and i + 1; the expansion
-    # form reuses the window of node i
-    assert len(calls) == 4
+    # node i (S, then W after the stencil), i - 2, i - 1, i + 1 and i + 2; the
+    # expansion form reuses the window of node i
+    assert len(calls) == 6
     assert not rec.local_propagators(i).flags.writeable
 
     kept = EvolutionRecord.local_propagators
@@ -432,17 +422,20 @@ def test_node_window_is_solved_once(lat4, h0_4, grid16, monkeypatch):
     monkeypatch.setattr(EvolutionRecord, "local_propagators", uncached)
     assert np.array_equal(transformed_interaction(rec, i, "exact"), exact)
     assert np.array_equal(transformed_interaction(rec, i, "expansion"), series)
-    assert len(calls) == 4 + 6
+    assert len(calls) == 6 + 8
 
 
 def test_transformed_interaction_rejects_bad_input(lat4, h0_4, grid16):
     rec = _solved(lat4, h0_4, grid16, 0.04)
     with pytest.raises(ValueError):
         transformed_interaction(rec, 5, "cubic")
-    with pytest.raises(OutOfGrid):
-        transformed_interaction(rec, 0, "exact", fd_order=2)
-    with pytest.raises(OutOfGrid):
-        transformed_interaction(rec, 1, "exact", fd_order=4)
+    n = grid16.n_nodes
+    # the fourth-order stencil reads two nodes on each side
+    for i in (0, 1, n - 2, n - 1):
+        with pytest.raises(OutOfGrid):
+            transformed_interaction(rec, i, "exact")
+    for i in (2, n - 3):
+        assert np.isfinite(transformed_interaction(rec, i, "exact")).all()
 
 
 def test_step_transformed_paths(lat4, h0_4, grid16):
@@ -467,7 +460,7 @@ def test_one_step_picture_equivalence(lat4, h0_4, grid16):
     psi0 = random_state(lat4.dim, lat4.spacing, 1)
     rec = _solved(lat4, h0_4, grid16, 0.04, psi0=psi0)
     i = grid16.node_index(1.0)
-    wt = transformed_interaction(rec, i, "exact", fd_order=4)
+    wt = transformed_interaction(rec, i, "exact")
     tilde_i = transform_state(rec.state(i), surface_correction(rec, i))
     tilde_n = transform_state(rec.state(i + 1), surface_correction(rec, i + 1))
     stepped = step_transformed(tilde_i, h0_4, wt, grid16.dt)
@@ -479,8 +472,7 @@ def test_local_energy_free_eigenstate(lat4, h0_4, grid16):
     noise = sample_noise(ch, grid16, seed=5, window=OFF)
     esys = EigenSystem.of(h0_4, lat4.spacing)
     e0, psi0 = esys.ground_state("positive")
-    rec = solve_nonlocal(psi0, grid16, ch, noise, h0_4, lat4.spacing,
-                         propagators=True)
+    rec = solve_nonlocal(psi0, grid16, ch, noise, h0_4, lat4.spacing)
     for i in (0, grid16.n_nodes // 2):
         val, imag = local_energy(rec, i)
         assert abs(val - e0) < 1e-10
@@ -498,10 +490,10 @@ def reach_and_nodes(draw):
 @pytest.mark.filterwarnings("ignore:field is active")
 @settings(max_examples=20, deadline=None)
 @given(sites=st.sampled_from([2, 4]), n_channels=st.integers(1, 3),
-       propagators=st.booleans(), seed=st.integers(0, 2**16),
-       amplitude=st.floats(0.01, 0.08), shape=reach_and_nodes())
-def test_fused_contractions_match_per_channel_oracles(sites, n_channels, propagators,
-                                                      seed, amplitude, shape):
+       seed=st.integers(0, 2**16), amplitude=st.floats(0.01, 0.08),
+       shape=reach_and_nodes())
+def test_fused_contractions_match_per_channel_oracles(sites, n_channels, seed,
+                                                      amplitude, shape):
     reach, nodes = shape
     lat = LatticeConfig(sites=sites, spacing=1.0, mass=1.0)
     h0 = build_dirac_h0(lat)
@@ -518,29 +510,26 @@ def test_fused_contractions_match_per_channel_oracles(sites, n_channels, propaga
     # a field active up to both ends, so the free-extension pads matter
     noise = sample_fourier_probe(channels, grid, seed=seed)
     psi0 = random_state(d, lat.spacing, seed)
-    rec = solve_nonlocal(psi0, grid, channels, noise, h0, lat.spacing,
-                         tol=1e-12, propagators=propagators)
-    x, residuals = oracle_solve(psi0, grid, channels, noise, h0, 1e-12,
-                                propagators)
+    rec = solve_nonlocal(psi0, grid, channels, noise, h0, lat.spacing)
+    x, residuals = oracle_solve(grid, channels, noise, h0, 1e-12)
     assert rec.reach == reach
     assert len(rec.residuals) == len(residuals)
     # the sweep history is fixed by the in-sweep refresh, not only the limit
     big = np.array(residuals) > 1e-9
     assert np.allclose(np.array(rec.residuals)[big], np.array(residuals)[big],
                        rtol=1e-6, atol=0.0)
+    assert np.abs(rec.props - x).max() < 1e-10
     interior = x[rec.reach : rec.reach + grid.n_nodes]
-    if propagators:
-        assert np.abs(rec.props - x).max() < 1e-10
-        interior = interior @ psi0
-    assert np.abs(rec.states - interior).max() < 1e-10
-    if propagators:
-        for i in range(0, grid.n_nodes, 4):
-            s = surface_correction(rec, i)
-            assert np.array_equal(s, s.conj().T)
-            assert np.abs(s - oracle_surface_correction(rec, noise, i)).max() < 1e-10
-        # the layer sum continues the trajectories freely past both ends
-        psit = rec.trajectory(psi0)
-        phit = rec.trajectory(random_state(d, lat.spacing, seed + 1))
+    assert np.abs(rec.states - interior @ psi0).max() < 1e-10
+    for i in range(0, grid.n_nodes, 4):
+        s = surface_correction(rec, i)
+        assert np.array_equal(s, s.conj().T)
+        assert np.abs(s - oracle_surface_correction(rec, noise, i)).max() < 1e-10
+    # the layer sum continues the trajectories freely past both ends; three
+    # state pairs drawn from the example's seed
+    for k in range(3):
+        phit = rec.trajectory(random_state(d, lat.spacing, [seed, k, 0]))
+        psit = rec.trajectory(random_state(d, lat.spacing, [seed, k, 1]))
         for i in (0, grid.n_nodes // 2, grid.n_nodes - 1):
             assert abs(conserved_inner(rec, i, phit[i], psit[i])
                        - conserved_inner_layer_sum(rec, i, phit, psit)) < 1e-12

@@ -16,7 +16,13 @@ from collapselab.channels import (
 from collapselab.config import ExperimentConfig
 from collapselab.errors import ConfigError, NotEigenstate, StepRejected
 from collapselab.grids import TimeGrid
-from collapselab.lattice import SPINOR_DIM, EigenSystem, LatticeConfig, build_dirac_h0
+from collapselab.lattice import (
+    SPINOR_DIM,
+    EigenSystem,
+    LatticeConfig,
+    build_dirac_h0,
+    momenta,
+)
 from collapselab.master import (
     LindbladSpec,
     _pair_stacks,
@@ -28,6 +34,7 @@ from collapselab.master import (
     heating_rate_cfs,
     heating_rate_standard,
     integrate,
+    master_rhs,
     pure_density,
 )
 from collapselab.presets import PRESETS
@@ -71,10 +78,9 @@ def cfs_rhs_oracle(sigma, spec):
     out = -1j * (spec.h0 @ sigma - sigma @ spec.h0)
     a_op = -spec.drift
     out += a_op @ sigma + sigma @ a_op.conj().T
-    if spec.opset is not None:
-        left, right, _ = _pair_stacks(spec.opset, spec.nu_step)
-        cross = np.einsum("pab,bc,pcd->ad", left, sigma, right, optimize=True)
-        out += cross + cross.conj().T
+    left, right, _ = _pair_stacks(spec.opset, spec.nu_step)
+    cross = np.einsum("pab,bc,pcd->ad", left, sigma, right, optimize=True)
+    out += cross + cross.conj().T
     return out
 
 
@@ -159,8 +165,6 @@ def test_cfs_rhs_matches_einsum_on_generated_specs(dim, n_channels, nu_step,
 def test_rhs_free_limit(lat4, h0_4):
     s = random_density(lat4.dim, 1)
     want = -1j * (h0_4 @ s - s @ h0_4)
-    free_cfs = cfs_rhs(s, LindbladSpec.cfs(h0_4, None))
-    assert np.abs(free_cfs - want).max() < 1e-14
     free_gksl = gksl_rhs(s, LindbladSpec.gksl(h0_4, []))
     assert np.abs(free_gksl - want).max() < 1e-14
 
@@ -206,7 +210,7 @@ def test_mean_drift_herm_part_is_field_integral_square(h0_4, opset):
 
 def test_mean_drift_commuting_closed_form(lat4, h0_4, grid16):
     prof = KernelProfile(ell_min=ELL)
-    am = momentum_function(lat4, lambda k: np.cos(k) + 0.5)
+    am = momentum_function(lat4, np.cos(momenta(lat4)) + 0.5)
     ch = make_channel("mom", am, prof, 0.1)
     ops = build_channel_operators([ch], h0_4, grid16.dt)
     got = compute_A(ops)
@@ -245,10 +249,10 @@ def test_mean_drift_translation_invariance(lat4, h0_4, grid16):
 def test_mean_drift_from_spec_and_empty(h0_4, opset):
     spec = LindbladSpec.cfs(h0_4, opset)
     assert np.abs(-spec.drift - compute_A(opset)).max() == 0.0
-    empty = LindbladSpec.cfs(h0_4, None)
-    assert np.abs(empty.drift).max() == 0.0
+    # free flow is the GKSL spec with no jump operators
+    empty = LindbladSpec.gksl(h0_4, [])
     s = random_density(h0_4.shape[0], 2)
-    assert np.array_equal(cfs_rhs(s, empty), -1j * (h0_4 @ s - s @ h0_4))
+    assert np.array_equal(master_rhs(s, empty), -1j * (h0_4 @ s - s @ h0_4))
 
 
 def test_field_energy_pairing_antihermitian(opset):
@@ -261,7 +265,7 @@ def test_field_energy_pairing_antihermitian(opset):
 
 
 def test_integrate_keeps_stationary_state(h0_4, sigma0):
-    traj = integrate(sigma0, LindbladSpec.cfs(h0_4, None),
+    traj = integrate(sigma0, LindbladSpec.gksl(h0_4, []),
                      TimeGrid(0.0, 1.0, ELL / 16))
     assert np.abs(traj.sigmas[-1] - sigma0).max() < 1e-12
 
@@ -270,8 +274,7 @@ def test_integrate_fourth_order_accuracy(h0_4, opset, sigma0):
     spec = LindbladSpec.cfs(h0_4, opset)
 
     def final(dt_div):
-        return integrate(sigma0, spec, TimeGrid(0.0, 0.5, ELL / dt_div),
-                         monitor_positivity=False).sigmas[-1]
+        return integrate(sigma0, spec, TimeGrid(0.0, 0.5, ELL / dt_div)).sigmas[-1]
 
     ref = final(128)
     e1 = np.abs(final(16) - ref).max()
@@ -284,11 +287,8 @@ def test_integrate_health_monitors(h0_4, opset, sigma0):
     spec = LindbladSpec.cfs(h0_4, opset)
     traj = integrate(sigma0, spec, TimeGrid(0.0, 1.0, ELL / 16))
     assert traj.max_trace_drift < 1e-10
-    assert np.nanmin(traj.min_eigenvalue) > -1e-8
-    assert traj.times.size == traj.sigmas.shape[0]
-    off = integrate(sigma0, spec, TimeGrid(0.0, 1.0, ELL / 16),
-                    monitor_positivity=False)
-    assert np.all(np.isnan(off.min_eigenvalue))
+    assert traj.min_eigenvalue.min() > -1e-8
+    assert traj.times.size == traj.sigmas.shape[0] == traj.min_eigenvalue.size
     with pytest.raises(ConfigError):
         integrate(2.0 * sigma0, spec, TimeGrid(0.0, 1.0, ELL / 16))
 
@@ -301,15 +301,13 @@ def test_integrate_rejects_unresolved_step(h0_4, sigma0):
         integrate(sigma0, spec, TimeGrid(0.0, 10.0, 1.0))
 
 
-@pytest.mark.parametrize("monitor", [True, False])
-def test_integrate_rejects_non_finite_density(h0_4, sigma0, monitor):
+def test_integrate_rejects_non_finite_density(h0_4, sigma0):
     # a NaN compares false against the hermiticity limit, so only a guard
     # written as "not dev <= limit" stops it
     spec = LindbladSpec.gksl(h0_4, [np.zeros((8, 8), dtype=complex)])
     spec.jumps[0][0, 1] = np.nan  # past the spec's own finite check
     with pytest.raises(StepRejected, match="step 1 "):
-        integrate(sigma0, spec, TimeGrid(0.0, 1.0, ELL / 16),
-                  monitor_positivity=monitor)
+        integrate(sigma0, spec, TimeGrid(0.0, 1.0, ELL / 16))
 
 
 def test_pure_density_normalization(lat4, h0_4):
@@ -340,15 +338,13 @@ def test_standard_heating_rate(lat4, h0_4, opset):
         heating_rate_standard(random_state(lat4.dim, lat4.spacing, 4), spec,
                               lat4.spacing)
     with pytest.raises(ConfigError):
-        heating_rate_standard(psi0, LindbladSpec.cfs(h0_4, None), lat4.spacing)
+        heating_rate_standard(psi0, LindbladSpec.cfs(h0_4, opset), lat4.spacing)
 
 
 def test_cfs_heating_rate(h0_4, opset, sigma0):
     spec = LindbladSpec.cfs(h0_4, opset)
     rate, sens = heating_rate_cfs(sigma0, spec)
     assert np.isfinite(rate) and sens >= 0.0
-    rate0, sens0 = heating_rate_cfs(sigma0, LindbladSpec.cfs(h0_4, None))
-    assert abs(rate0) < 1e-14 and sens0 == 0.0
     with pytest.raises(ConfigError):
         heating_rate_cfs(sigma0, LindbladSpec.gksl(h0_4, []))
 
