@@ -4,8 +4,8 @@ Three subcommands: ``run`` executes one preset (optionally under a config
 override file), ``list-presets`` prints the registry, ``validate`` checks a
 full config file without running anything. Exit codes: 0 all checks passed,
 1 at least one check failed, 2 configuration problem, 3 solver or runtime
-failure. Worker count comes from the COLLAPSELAB_WORKERS environment
-variable; the results do not depend on it.
+failure. The number of ensemble worker processes (fork) comes from the
+COLLAPSELAB_WORKERS environment variable; the results do not depend on it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="collapselab",
         description="Desk-scale checks of the nonlocal collapse dynamics.",
-        epilog=f"Set {WORKER_ENV} to parallelize ensembles over threads.",
+        epilog=f"Set {WORKER_ENV} to parallelize ensembles over processes "
+               "(fork).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -23,8 +23,9 @@ sequence [master seed, r] (NumPy SeedSequence, NEP 19), so distinct master
 seeds give independent ensembles; realizations are processed in fixed
 blocks of 256, each block's partial sums are computed sequentially inside
 one task, and block partials are combined in block order. Results are
-therefore bit-identical for a given seed no matter how many workers run
-(COLLAPSELAB_WORKERS, default 1).
+therefore bit-identical for a given seed no matter how many worker processes
+(fork) run them (COLLAPSELAB_WORKERS, default 1); a worker sends each block's
+rows and partial sums back to the calling process.
 A failed realization aborts the whole ensemble with its index attached;
 resampling would condition the ensemble on solver success and bias means.
 """
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -66,6 +66,10 @@ def worker_count() -> int:
         raise ConfigError(f"{WORKER_ENV}={raw!r} is not an integer") from err
     if count < 1:
         raise ConfigError(f"{WORKER_ENV} must be >= 1, got {count}")
+    if count > 1:
+        import multiprocessing
+        if "fork" not in multiprocessing.get_all_start_methods():
+            raise ConfigError(f"{WORKER_ENV}={count} needs fork, which this platform lacks")
     return count
 
 
@@ -136,6 +140,12 @@ class EnsembleStats:
         self.sigma_stderr: np.ndarray | None = None
         self.branch_weights: np.ndarray | None = None
 
+    def series(self) -> list[np.ndarray]:
+        """Every per-realization array, realizations along the first axis."""
+        extra = [] if self.branch_weights is None else [self.branch_weights]
+        return [self.energy, self.norm, *extra,
+                *(a for rec in self.observables.values() for a in rec.values())]
+
 
 def _blocks(total: int) -> list[range]:
     return [range(lo, min(lo + BLOCK, total)) for lo in range(0, total, BLOCK)]
@@ -145,40 +155,53 @@ def _checkpoint_nodes(n: int, count: int) -> np.ndarray:
     return np.unique(np.linspace(0, n - 1, max(2, min(count, n))).round().astype(int))
 
 
-def _run_blocks(task, count: int) -> None:
-    """Call task(i) for every block index, serially or on worker threads."""
-    workers = worker_count()
+_task = None  # the block task, in a forked worker process
+
+
+def _adopt(task) -> None:
+    global _task
+    _task = task
+
+
+def _forked(i: int):
+    return _task(i)
+
+
+def _run_blocks(task, count: int):
+    """Yield task(i) for every block index i in order: run here for one worker,
+    else on forked worker processes that inherit task and send results back."""
+    workers = min(worker_count(), count)
     if workers == 1:
-        for i in range(count):
-            task(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(task, range(count)))
+        yield from map(task, range(count))
+        return
+    import multiprocessing
+    with multiprocessing.get_context("fork").Pool(workers, _adopt, (task,)) as pool:
+        yield from pool.imap(_forked, range(count))
 
 
 class _Partials:
-    """Per-block partial sums of complex values and of their squared real
-    and imaginary parts. Each block adds into its own slot; the slots are
-    combined in block order, so the moments do not depend on the workers."""
+    """One block's sums of complex values and of their squared real and
+    imaginary parts. `_moments` combines blocks in block order."""
 
-    def __init__(self, blocks: int, shape: tuple[int, ...]):
-        self.sums = np.zeros((blocks, *shape), dtype=complex)
-        self.sq_re = np.zeros((blocks, *shape))
-        self.sq_im = np.zeros((blocks, *shape))
+    def __init__(self, shape: tuple[int, ...]):
+        self.sums = np.zeros(shape, dtype=complex)
+        self.sq_re = np.zeros(shape)
+        self.sq_im = np.zeros(shape)
 
-    def add(self, slot, values: np.ndarray) -> None:
-        """Add a block's values, summed over their leading row axis, into
-        the partials at index ``slot``."""
-        self.sums[slot] += values.sum(axis=0)
-        self.sq_re[slot] += (values.real**2).sum(axis=0)
-        self.sq_im[slot] += (values.imag**2).sum(axis=0)
+    def add(self, index, values: np.ndarray) -> None:
+        """Add values, summed over their leading row axis, at ``index``."""
+        self.sums[index] += values.sum(axis=0)
+        self.sq_re[index] += (values.real**2).sum(axis=0)
+        self.sq_im[index] += (values.imag**2).sum(axis=0)
 
-    def moments(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Entrywise mean and standard error over ``count`` realizations."""
-        mean = self.sums.sum(axis=0) / count
-        var = (self.sq_re.sum(axis=0) / count - mean.real**2) + (
-            self.sq_im.sum(axis=0) / count - mean.imag**2)
-        return mean, np.sqrt(np.clip(var, 0.0, None) / max(count - 1, 1))
+
+def _moments(parts: list[_Partials], count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Entrywise mean and standard error over ``count`` realizations."""
+    sums, sq_re, sq_im = (np.stack([getattr(p, k) for p in parts]).sum(axis=0)
+                          for k in ("sums", "sq_re", "sq_im"))
+    mean = sums / count
+    var = (sq_re / count - mean.real**2) + (sq_im / count - mean.imag**2)
+    return mean, np.sqrt(np.clip(var, 0.0, None) / max(count - 1, 1))
 
 
 def _noise_tables(model: ModelSetup, window: Window, seed: int, rows: range,
@@ -296,14 +319,16 @@ class _TransformedRun:
         return (np.einsum("rad,rjd->rj", oy[:, 0].conj() * p, y)
                 + np.einsum("rad,rjad->rj", (p * psi[:, None]).conj(), oy))
 
-    def block(self, slot: int, rows: range, stats: EnsembleStats,
-              sigma: _Partials) -> None:
+    def block(self, rows: range, stats: EnsembleStats) -> tuple[list, _Partials]:
+        """Step the realizations ``rows``, record their series into ``stats``
+        and return those rows (in ``stats.series()`` order) and sigma's sums."""
         grid, spacing = self.model.grid, self.model.spacing
         n, nb, nd = grid.n_nodes, len(rows), self.lam.size
         pads = _noise_tables(self.model, self.window, self.cfg.seed, rows, self.pad)
         psi = np.broadcast_to(self.psi0, (nb, nd)).copy()
         sel = slice(rows.start, rows.stop)
         cp_pos = {int(node): c for c, node in enumerate(stats.checkpoint_nodes)}
+        sigma = _Partials((len(cp_pos), nd, nd))
         for j in range(n):
             o_psi = (psi @ self.obs_t).reshape(nb, -1, nd)
             y = np.concatenate([psi[:, None], o_psi], axis=1)
@@ -326,7 +351,7 @@ class _TransformedRun:
                 c = cp_pos[j]
                 back = psi @ self.vecs.T
                 outer = spacing * np.einsum("rb,rc->rbc", back, back.conj())
-                sigma.add((slot, c), outer)
+                sigma.add(c, outer)
             if j < n - 1:
                 flat = pads[:, :, self.mid_idx[j]].reshape(nb, -1) @ self.mid_table
                 gen = flat[:, : 2 * nd * nd].view(complex)
@@ -338,6 +363,7 @@ class _TransformedRun:
                 theta = grid.dt * (self.lam_max + mag @ self.op_norm)
                 psi = _expm_action(gen.reshape(nb, nd, nd), psi, grid.dt, theta,
                                    rows, j)
+        return [a[sel] for a in stats.series()], sigma
 
 
 def run_ensemble(psi0, cfg: EnsembleConfig, model: ModelSetup) -> EnsembleStats:
@@ -349,7 +375,6 @@ def run_ensemble(psi0, cfg: EnsembleConfig, model: ModelSetup) -> EnsembleStats:
     grid = model.grid
     n = grid.n_nodes
     nr = cfg.realizations
-    dim = model.h0.shape[0]
     cp_nodes = _checkpoint_nodes(n, CHECKPOINTS)
     stats = EnsembleStats(grid.times, cp_nodes, nr)
     for label, _ in cfg.observables:
@@ -359,10 +384,14 @@ def run_ensemble(psi0, cfg: EnsembleConfig, model: ModelSetup) -> EnsembleStats:
         stats.branch_weights = np.empty((nr, n, len(cfg.branch_states)))
 
     blocks = _blocks(nr)
-    sigma = _Partials(len(blocks), (cp_nodes.size, dim, dim))
     runner = _TransformedRun(model, cfg, psi0)
-    _run_blocks(lambda i: runner.block(i, blocks[i], stats, sigma), len(blocks))
-    stats.sigma_mean, stats.sigma_stderr = sigma.moments(nr)
+    sigma = []
+    results = _run_blocks(lambda i: runner.block(blocks[i], stats), len(blocks))
+    for rows, (records, partials) in zip(blocks, results):
+        for a, part in zip(stats.series(), records):
+            a[rows.start : rows.stop] = part  # no-op for a block run here
+        sigma.append(partials)
+    stats.sigma_mean, stats.sigma_stderr = _moments(sigma, nr)
     return stats
 
 
@@ -498,9 +527,7 @@ def mc_mean_drift(model: ModelSetup, realizations: int, seed: int,
     pad = k + 1
     d_off = np.arange(-k, k + 1)
     node_idx = (2 * np.arange(n)[:, None] - d_off[None, :]) + pad
-    dim = model.h0.shape[0]
     blocks = _blocks(realizations)
-    drift = _Partials(len(blocks), (dim, dim))
 
     def task(i):
         pads = _noise_tables(model, window, seed, blocks[i], pad)
@@ -509,7 +536,8 @@ def mc_mean_drift(model: ModelSetup, realizations: int, seed: int,
         trap = np.full(node + 1, grid.dt)
         trap[0] = trap[-1] = 0.5 * grid.dt
         integral = np.einsum("j,rjxy->rxy", trap, w_all)
-        drift.add(i, -np.einsum("rxy,ryz->rxz", w_all[:, node], integral))
+        partials = _Partials(w_all.shape[2:])
+        partials.add(..., -np.einsum("rxy,ryz->rxz", w_all[:, node], integral))
+        return partials
 
-    _run_blocks(task, len(blocks))
-    return drift.moments(realizations)
+    return _moments(list(_run_blocks(task, len(blocks))), realizations)

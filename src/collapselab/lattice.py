@@ -31,6 +31,7 @@ SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 SQRT_FLOOR = 1e-6
+EIGENSTATE_TOL = 1e-8  # largest relative residual |h0 psi - E psi| / |psi|
 
 
 @dataclass(frozen=True)
@@ -165,8 +166,7 @@ class EigenSystem:
         return v @ v.conj().T
 
 
-def require_eigenstate(h0: np.ndarray, psi: np.ndarray, spacing: float,
-                       tol: float = 1e-8) -> float:
+def require_eigenstate(h0: np.ndarray, psi: np.ndarray, spacing: float) -> float:
     """Return the energy of psi, raising NotEigenstate beyond tolerance."""
     nrm = l2_norm(psi, spacing)
     if nrm == 0.0:
@@ -174,6 +174,6 @@ def require_eigenstate(h0: np.ndarray, psi: np.ndarray, spacing: float,
     hpsi = h0 @ psi
     e = (l2_inner(psi, hpsi, spacing) / nrm**2).real
     resid = np.sqrt(l2_inner(hpsi - e * psi, hpsi - e * psi, spacing).real) / nrm
-    if resid > tol:
-        raise NotEigenstate(f"residual {resid:.3e} exceeds {tol:.0e}")
+    if resid > EIGENSTATE_TOL:
+        raise NotEigenstate(f"residual {resid:.3e} exceeds {EIGENSTATE_TOL:.0e}")
     return float(e)

@@ -1,9 +1,11 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collapselab import ensemble
+from collapselab import cli, ensemble
 from collapselab.channels import (
     KernelProfile,
     eigenmode_difference,
@@ -35,7 +37,12 @@ from collapselab.evolution import (
     transformed_interaction,
 )
 from collapselab.grids import TimeGrid
-from collapselab.lattice import EigenSystem, sqrtmh
+from collapselab.lattice import (
+    EigenSystem,
+    LatticeConfig,
+    build_dirac_h0,
+    sqrtmh,
+)
 from collapselab.master import compute_A
 from collapselab.presets import run_preset
 
@@ -54,7 +61,7 @@ def make_model(lat4, h0_4, grid, amplitude):
                       channels=two_channels(lat4, amplitude))
 
 
-def test_worker_count_env(monkeypatch):
+def test_worker_count_env(monkeypatch, tmp_path):
     monkeypatch.delenv("COLLAPSELAB_WORKERS", raising=False)
     assert worker_count() == 1
     monkeypatch.setenv("COLLAPSELAB_WORKERS", "3")
@@ -65,6 +72,19 @@ def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("COLLAPSELAB_WORKERS", "0")
     with pytest.raises(ConfigError):
         worker_count()
+    # workers are forked processes: without fork, more than one is a config
+    # error at the CLI boundary, not a fallback
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    monkeypatch.setenv("COLLAPSELAB_WORKERS", "1")
+    assert worker_count() == 1
+    monkeypatch.setenv("COLLAPSELAB_WORKERS", "2")
+    with pytest.raises(ConfigError, match="fork"):
+        worker_count()
+    out = tmp_path / "res"
+    assert cli.main(["run", "lindblad-vs-mc", "--realizations", "16",
+                     "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_ensemble_config_validation():
@@ -123,16 +143,70 @@ def test_block_combination_is_worker_independent(lat4, h0_4, grid16, ground,
     monkeypatch.setenv("COLLAPSELAB_WORKERS", "1")
     serial = run_ensemble(psi0, cfg, model)
     monkeypatch.setenv("COLLAPSELAB_WORKERS", "3")
-    threaded = run_ensemble(psi0, cfg, model)
+    forked = run_ensemble(psi0, cfg, model)
+    assert stats_bits(serial) == stats_bits(forked)
 
-    def bits(stats):
-        arrays = [stats.times, stats.checkpoint_nodes, stats.energy, stats.norm,
-                  stats.sigma_mean, stats.sigma_stderr]
-        arrays += [series[key] for _, series in sorted(stats.observables.items())
-                   for key in sorted(series)]
-        return [(a.shape, a.tobytes()) for a in arrays]
 
-    assert bits(serial) == bits(threaded)
+def stats_bits(stats):
+    """Shape and bytes of every array an ensemble run records."""
+    arrays = [stats.times, stats.checkpoint_nodes, stats.energy, stats.norm,
+              stats.sigma_mean, stats.sigma_stderr]
+    arrays += [series[key] for _, series in sorted(stats.observables.items())
+               for key in sorted(series)]
+    if stats.branch_weights is not None:
+        arrays.append(stats.branch_weights)
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+@settings(max_examples=15, deadline=None)
+@given(realizations=st.integers(2, 40), block=st.sampled_from([3, 5, 8]),
+       workers=st.sampled_from([2, 3]))
+def test_generated_blocks_are_worker_independent(realizations, block, workers):
+    lat = LatticeConfig(sites=4, spacing=1.0, mass=1.0)
+    h0 = build_dirac_h0(lat)
+    grid = TimeGrid(0.0, 1.0, ELL / 16.0)
+    model = ModelSetup(grid, h0, lat.spacing, two_channels(lat, 0.1))
+    psi0 = EigenSystem.of(h0, lat.spacing).ground_state("positive")[1]
+    cfg = EnsembleConfig(
+        realizations=realizations, seed=7,
+        observables=(("pointer", eigenmode_difference(lat, 0, 1)),),
+        branch_states=(random_state(8, 1.0, 1), random_state(8, 1.0, 2)))
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ensemble, "BLOCK", block)
+        for count in (1, workers):
+            mp.setenv("COLLAPSELAB_WORKERS", str(count))
+            drift = mc_mean_drift(model, realizations, seed=7,
+                                  node=grid.n_nodes // 2)
+            runs.append((stats_bits(run_ensemble(psi0, cfg, model)),
+                         [m.tobytes() for m in drift]))
+    assert runs[0] == runs[1]
+
+
+def test_step_rejected_in_a_worker_process(lat4, h0_4, grid16, ground,
+                                           tmp_path, capsys, monkeypatch):
+    # 20 realizations in blocks of 8: realization 11 sits in block 2 of 3,
+    # and one NaN field sample in its table makes its step bound NaN
+    tables = ensemble._noise_tables
+
+    def poisoned(model, window, seed, rows, pad):
+        out = tables(model, window, seed, rows, pad)
+        if 11 in rows:
+            out[rows.index(11), 0, out.shape[2] // 2] = np.nan
+        return out
+
+    monkeypatch.setattr(ensemble, "BLOCK", 8)
+    monkeypatch.setattr(ensemble, "_noise_tables", poisoned)
+    monkeypatch.setenv("COLLAPSELAB_WORKERS", "2")
+    _, _, psi0 = ground
+    with pytest.raises(StepRejected, match=r"realization 11, step \d+"):
+        run_ensemble(psi0, EnsembleConfig(realizations=20, seed=7),
+                     make_model(lat4, h0_4, grid16, 0.1))
+    out = tmp_path / "res"
+    assert cli.main(["run", "lindblad-vs-mc", "--realizations", "20",
+                     "--out", str(out)]) == 3
+    assert "realization 11, step" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
 
 
 def untransformed_oracle(model, cfg, psi0):
