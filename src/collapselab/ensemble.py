@@ -24,8 +24,8 @@ seeds give independent ensembles; realizations are processed in fixed
 blocks of 256, each block's partial sums are computed sequentially inside
 one task, and block partials are combined in block order. Results are
 therefore bit-identical for a given seed no matter how many worker processes
-(fork) run them (COLLAPSELAB_WORKERS, default 1); a worker sends each block's
-rows and partial sums back to the calling process.
+(fork) run them (COLLAPSELAB_WORKERS, default 1); a worker sends back to
+the calling process only the rows and partial sums its caller requested.
 A failed realization aborts the whole ensemble with its index attached;
 resampling would condition the ensemble on solver success and bias means.
 """
@@ -44,7 +44,7 @@ from .channels import (
     build_channel_operators,
     sample_noise,
 )
-from .errors import ConfigError, PictureNotRecorded, ScenarioViolation, StepRejected
+from .errors import ConfigError, ScenarioViolation, StepRejected
 from .grids import TimeGrid, Window
 
 BLOCK = 256
@@ -56,6 +56,7 @@ _SUBSTEP_THETA = 0.5  # largest theta stepped without splitting
 _TAYLOR_THETA = np.exp([(math.log(_TAYLOR_TOL) + math.lgamma(m + 2)) / (m + 1)
                         for m in range(32)])
 WORKER_ENV = "COLLAPSELAB_WORKERS"
+RECORDS = frozenset({"energy", "sigma"})  # energy includes the norm
 
 
 def worker_count() -> int:
@@ -109,10 +110,13 @@ class EnsembleConfig:
     t_off: float | None = None
     ramp: float = 0.0
     branch_states: tuple | None = None
+    records: frozenset = RECORDS
 
     def __post_init__(self):
         if self.realizations < 2:
             raise ConfigError("an ensemble needs at least 2 realizations")
+        if not RECORDS.issuperset(self.records):
+            raise ConfigError(f"unknown ensemble records in {sorted(self.records)}")
 
     def window(self, grid: TimeGrid) -> Window:
         if self.t_on is None and self.t_off is None:
@@ -125,26 +129,27 @@ class EnsembleConfig:
 class EnsembleStats:
     """Recorded series and reductions of one ensemble run.
 
-    Per-observable raw series are kept per realization so that variance
-    diagnostics and resampling checks can be done after the fact without
-    rerunning. Mean densities are accumulated only on checkpoint nodes.
+    A series the config's records do not name is None. Energy and norm,
+    observables and branch weights are kept per realization, for variance
+    diagnostics after the fact; sigma is summed only on checkpoint nodes.
     """
 
-    def __init__(self, times, checkpoint_nodes, realizations: int):
+    def __init__(self, times, checkpoint_nodes, realizations: int, records: frozenset):
         self.times = times
         self.checkpoint_nodes = checkpoint_nodes
         self.observables: dict[str, dict[str, np.ndarray]] = {}
-        self.energy = np.empty((realizations, times.size))
-        self.norm = np.empty((realizations, times.size))
+        shape = (realizations, times.size)
+        self.energy = np.empty(shape) if "energy" in records else None
+        self.norm = np.empty(shape) if "energy" in records else None
         self.sigma_mean: np.ndarray | None = None
         self.sigma_stderr: np.ndarray | None = None
         self.branch_weights: np.ndarray | None = None
 
     def series(self) -> list[np.ndarray]:
-        """Every per-realization array, realizations along the first axis."""
-        extra = [] if self.branch_weights is None else [self.branch_weights]
-        return [self.energy, self.norm, *extra,
-                *(a for rec in self.observables.values() for a in rec.values())]
+        """Every recorded per-realization array, realizations along the first axis."""
+        kept = (self.energy, self.norm, self.branch_weights)
+        return [a for a in kept if a is not None] + [
+            a for rec in self.observables.values() for a in rec.values()]
 
 
 def _blocks(total: int) -> list[range]:
@@ -319,25 +324,32 @@ class _TransformedRun:
         return (np.einsum("rad,rjd->rj", oy[:, 0].conj() * p, y)
                 + np.einsum("rad,rjad->rj", (p * psi[:, None]).conj(), oy))
 
-    def block(self, rows: range, stats: EnsembleStats) -> tuple[list, _Partials]:
+    def block(self, rows: range,
+              stats: EnsembleStats) -> tuple[list, _Partials | None]:
         """Step the realizations ``rows``, record their series into ``stats``
-        and return those rows (in ``stats.series()`` order) and sigma's sums."""
+        and return those rows (in ``stats.series()`` order) and sigma's sums,
+        None unless sigma is recorded."""
         grid, spacing = self.model.grid, self.model.spacing
         n, nb, nd = grid.n_nodes, len(rows), self.lam.size
         pads = _noise_tables(self.model, self.window, self.cfg.seed, rows, self.pad)
         psi = np.broadcast_to(self.psi0, (nb, nd)).copy()
         sel = slice(rows.start, rows.stop)
         cp_pos = {int(node): c for c, node in enumerate(stats.checkpoint_nodes)}
-        sigma = _Partials((len(cp_pos), nd, nd))
+        sigma = (_Partials((len(cp_pos), nd, nd)) if "sigma" in self.cfg.records
+                 else None)
         for j in range(n):
-            o_psi = (psi @ self.obs_t).reshape(nb, -1, nd)
-            y = np.concatenate([psi[:, None], o_psi], axis=1)
-            w_dots = self._w_dots(self._weights(pads[:, :, self.node_idx[j]]), psi, y)
-            free, norm = ((psi.conj() * psi).real @ self.lam_one).T
-            stats.energy[sel, j] = spacing * (free + w_dots[:, 0].real)
-            stats.norm[sel, j] = spacing * norm
-            o_dots = np.einsum("rb,rkb->rk", psi.conj(), o_psi)
-            o_sq = np.einsum("rkb,rkb->rk", o_psi.conj(), o_psi)
+            if stats.energy is not None or self.labels:
+                o_psi = (psi @ self.obs_t).reshape(nb, -1, nd)
+                y = np.concatenate([psi[:, None], o_psi], axis=1)
+                w_dots = self._w_dots(self._weights(pads[:, :, self.node_idx[j]]),
+                                      psi, y)
+            if stats.energy is not None:
+                free, norm = ((psi.conj() * psi).real @ self.lam_one).T
+                stats.energy[sel, j] = spacing * (free + w_dots[:, 0].real)
+                stats.norm[sel, j] = spacing * norm
+            if self.labels:
+                o_dots = np.einsum("rb,rkb->rk", psi.conj(), o_psi)
+                o_sq = np.einsum("rkb,rkb->rk", o_psi.conj(), o_psi)
             for i, label in enumerate(self.labels):
                 rec = stats.observables[label]
                 rec["transformed"][sel, j] = spacing * o_dots[:, i].real
@@ -347,11 +359,10 @@ class _TransformedRun:
             if self.branches_h is not None:
                 stats.branch_weights[sel, j] = np.abs(
                     spacing * (psi @ self.branches_h)) ** 2
-            if j in cp_pos:
-                c = cp_pos[j]
+            if sigma is not None and j in cp_pos:
                 back = psi @ self.vecs.T
                 outer = spacing * np.einsum("rb,rc->rbc", back, back.conj())
-                sigma.add(c, outer)
+                sigma.add(cp_pos[j], outer)
             if j < n - 1:
                 flat = pads[:, :, self.mid_idx[j]].reshape(nb, -1) @ self.mid_table
                 gen = flat[:, : 2 * nd * nd].view(complex)
@@ -376,7 +387,7 @@ def run_ensemble(psi0, cfg: EnsembleConfig, model: ModelSetup) -> EnsembleStats:
     n = grid.n_nodes
     nr = cfg.realizations
     cp_nodes = _checkpoint_nodes(n, CHECKPOINTS)
-    stats = EnsembleStats(grid.times, cp_nodes, nr)
+    stats = EnsembleStats(grid.times, cp_nodes, nr, cfg.records)
     for label, _ in cfg.observables:
         stats.observables[label] = {
             k: np.empty((nr, n)) for k in ("transformed", "square", "c12")}
@@ -391,7 +402,8 @@ def run_ensemble(psi0, cfg: EnsembleConfig, model: ModelSetup) -> EnsembleStats:
         for a, part in zip(stats.series(), records):
             a[rows.start : rows.stop] = part  # no-op for a block run here
         sigma.append(partials)
-    stats.sigma_mean, stats.sigma_stderr = _moments(sigma, nr)
+    if "sigma" in cfg.records:
+        stats.sigma_mean, stats.sigma_stderr = _moments(sigma, nr)
     return stats
 
 
@@ -421,8 +433,6 @@ def variance_diagnostics(stats: EnsembleStats, label: str) -> dict:
     the raw difference that keeps it), and the per-time derivative
     estimator: the commutator series c12 (pointwise <= 0 by construction).
     """
-    if label not in stats.observables:
-        raise PictureNotRecorded(f"observable {label!r} was not recorded")
     rec = stats.observables[label]
     exp = rec["transformed"]
     var0, se0 = _variance_with_error(exp[:, 0])

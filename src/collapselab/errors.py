@@ -48,10 +48,6 @@ class ScenarioViolation(CollapseLabError):
     """A diagnostic was requested outside its validity scenario."""
 
 
-class PictureNotRecorded(CollapseLabError):
-    """An ensemble statistic needs a series that was not recorded."""
-
-
 class ConfigError(CollapseLabError):
     """A run configuration is malformed or inconsistent."""
 

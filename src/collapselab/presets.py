@@ -122,7 +122,7 @@ def _model(cfg: ExperimentConfig) -> ModelSetup:
                       cfg.channels(lattice))
 
 
-def _ensemble_config(cfg: ExperimentConfig) -> EnsembleConfig:
+def _ensemble_config(cfg: ExperimentConfig, records: set[str]) -> EnsembleConfig:
     wp = cfg.window_params() or {}
     return EnsembleConfig(
         realizations=cfg.realizations(),
@@ -131,6 +131,7 @@ def _ensemble_config(cfg: ExperimentConfig) -> EnsembleConfig:
         t_on=wp.get("t_on"),
         t_off=wp.get("t_off"),
         ramp=wp.get("ramp", 0.0),
+        records=frozenset(records),
     )
 
 
@@ -473,7 +474,7 @@ def _run_no_heating(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict
     model = _model(cfg)
     e0, psi0 = EigenSystem.of(model.h0, model.spacing).ground_state("positive")
 
-    ecfg = _ensemble_config(cfg)
+    ecfg = _ensemble_config(cfg, {"energy"})
     sweep = replace(ecfg, realizations=int(cfg.tolerance("sweep_realizations")))
     stats, rows, (c_fit, c_se, budget) = _energy_flatness(
         psi0, model, ecfg, (0.5, 0.25), sweep)
@@ -551,7 +552,7 @@ def _run_csl_contrast(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], di
     identity_err = abs(total_rate - direct) / max(abs(total_rate), 1.0)
 
     # matched double-commutator run: eigenstate energy stays flat
-    ecfg = _ensemble_config(cfg)
+    ecfg = _ensemble_config(cfg, {"energy"})
     stats, rows, (_, _, budget) = _energy_flatness(psi0, model, ecfg, (0.5,),
                                                    ecfg)
     _, d_mean, d_se = rows[0]
@@ -611,7 +612,7 @@ def _run_lindblad_vs_mc(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], 
     modes = np.where(sys.values > 0.0)[0]
     psi0 = normalized(sys.state(modes[0]) + sys.state(modes[1]), spacing)
 
-    ecfg = _ensemble_config(cfg)
+    ecfg = _ensemble_config(cfg, {"sigma"})
     stats = run_ensemble(psi0, ecfg, model)
     cps = stats.checkpoint_nodes
     start = int(np.argmax(cps >= 2 * model.opset.half_width))
@@ -715,7 +716,8 @@ def _run_collapse(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict]:
     psi0 = normalized(sys.state(modes[1]) + 1j * sys.state(modes[2]),
                       model.spacing)
 
-    ecfg = _ensemble_config(cfg)
+    # the observable's series and the branch weights are all it reads
+    ecfg = _ensemble_config(cfg, set())
     report = scenario_collapse(psi0, ecfg, model)
     label = ecfg.observables[0][0]
     stats = report["stats"]

@@ -24,12 +24,7 @@ from collapselab.ensemble import (
     worker_count,
     _expm_action,
 )
-from collapselab.errors import (
-    ConfigError,
-    PictureNotRecorded,
-    ScenarioViolation,
-    StepRejected,
-)
+from collapselab.errors import ConfigError, ScenarioViolation, StepRejected
 from collapselab.evolution import (
     equal_time_hamiltonian,
     solve_nonlocal,
@@ -92,6 +87,11 @@ def test_ensemble_config_validation():
         EnsembleConfig(realizations=1, seed=0)
     cfg = EnsembleConfig(realizations=4, seed=0)
     assert cfg.window(TimeGrid(0.0, 2.0, 0.5))(np.array([0.0, 2.0])).min() == 1.0
+    assert cfg.records == {"energy", "sigma"}
+    # a bare string is a set of letters, not a record name
+    for records in ({"energy", "rho"}, "sigma"):
+        with pytest.raises(ConfigError, match="unknown ensemble records"):
+            EnsembleConfig(realizations=4, seed=0, records=records)
 
 
 def test_zero_coupling_ensemble_is_deterministic(lat4, h0_4, grid16, ground):
@@ -148,14 +148,50 @@ def test_block_combination_is_worker_independent(lat4, h0_4, grid16, ground,
 
 
 def stats_bits(stats):
-    """Shape and bytes of every array an ensemble run records."""
-    arrays = [stats.times, stats.checkpoint_nodes, stats.energy, stats.norm,
-              stats.sigma_mean, stats.sigma_stderr]
-    arrays += [series[key] for _, series in sorted(stats.observables.items())
-               for key in sorted(series)]
-    if stats.branch_weights is not None:
-        arrays.append(stats.branch_weights)
-    return [(a.shape, a.tobytes()) for a in arrays]
+    """Shape and bytes of every array of an ensemble run by name, None for a
+    series the run did not record."""
+    arrays = {name: getattr(stats, name) for name in (
+        "times", "checkpoint_nodes", "energy", "norm", "sigma_mean",
+        "sigma_stderr", "branch_weights")}
+    arrays.update({(label, key): a for label, series in stats.observables.items()
+                   for key, a in series.items()})
+    return {k: None if a is None else (a.shape, a.tobytes())
+            for k, a in arrays.items()}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("extras", [False, True])
+def test_records_keep_the_bits_of_the_full_record(lat4, h0_4, grid16, ground,
+                                                  extras, workers, monkeypatch):
+    # 300 realizations are two blocks, so at 2 workers a forked process
+    # runs one of them and sends back only what was requested
+    esys, _, _ = ground
+    obs = eigenmode_difference(lat4, 0, 1)
+    sup = esys.state(4) + esys.state(5)
+    sup = sup / np.sqrt(lat4.spacing * np.vdot(sup, sup).real)
+    model = make_model(lat4, h0_4, grid16, 0.1)
+    kw = dict(realizations=300, seed=7)
+    if extras:
+        kw.update(observables=(("pointer", obs),),
+                  branch_states=split_branches(obs, sup, lat4.spacing))
+    monkeypatch.setenv("COLLAPSELAB_WORKERS", "1")
+    full = stats_bits(run_ensemble(sup, EnsembleConfig(**kw), model))
+    monkeypatch.setenv("COLLAPSELAB_WORKERS", workers)
+    series_of = {"energy": ("energy", "norm"), "sigma": ("sigma_mean", "sigma_stderr")}
+    for records in (set(), {"energy"}, {"sigma"}, {"energy", "sigma"}):
+        stats = run_ensemble(sup, EnsembleConfig(records=frozenset(records), **kw),
+                             model)
+        unrequested = {key for name, keys in series_of.items()
+                       if name not in records for key in keys}
+        bits = stats_bits(stats)
+        assert bits.keys() == full.keys()
+        for key, value in bits.items():
+            assert value == (None if key in unrequested else full[key]), (records, key)
+        # what a block sends back: every recorded per-realization array
+        rows = [k for k in bits if k not in ("times", "checkpoint_nodes",
+                                             "sigma_mean", "sigma_stderr")]
+        assert sorted(a.shape for a in stats.series()) == sorted(
+            bits[k][0] for k in rows if bits[k] is not None)
 
 
 @settings(max_examples=15, deadline=None)
@@ -267,7 +303,7 @@ def test_variance_diagnostics_sign_and_guards(lat4, h0_4, grid16, ground):
     report = variance_diagnostics(stats, "pointer")
     c12, _ = report["c12_series"]
     assert np.all(c12 <= 0.0)
-    with pytest.raises(PictureNotRecorded):
+    with pytest.raises(KeyError):
         variance_diagnostics(stats, "missing")
 
 
