@@ -401,7 +401,6 @@ class ChannelOperatorSet:
     raw: np.ndarray  # (n_channels, n_zeta, D, D)
     sym: np.ndarray
     asymmetry: np.ndarray
-    channels: tuple[InteractionChannel, ...]
 
     @property
     def half_width(self) -> int:
@@ -437,6 +436,4 @@ def build_channel_operators(channels: list[InteractionChannel], h0: np.ndarray,
             log.info("channel %s: evenness symmetrization changes M by %.3e",
                      ch.label, asym[a])
     return ChannelOperatorSet(
-        zeta=zeta, dt=dt, raw=raw, sym=sym, asymmetry=asym,
-        channels=tuple(channels),
-    )
+        zeta=zeta, dt=dt, raw=raw, sym=sym, asymmetry=asym)

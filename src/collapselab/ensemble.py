@@ -21,18 +21,20 @@ coupling; the tests compare the two on one field path.
 Reproducibility contract: realization r draws its field from the seed
 sequence [master seed, r] (NumPy SeedSequence, NEP 19), so distinct master
 seeds give independent ensembles; realizations are processed in fixed
-blocks of 256, each block's partial sums are computed sequentially inside
-one task, and block partials are combined in block order. Results are
-therefore bit-identical for a given seed no matter how many worker processes
-(fork) run them (COLLAPSELAB_WORKERS, default 1); a worker sends back to
-the calling process only the rows and partial sums its caller requested.
-A failed realization aborts the whole ensemble with its index attached;
-resampling would condition the ensemble on solver success and bias means.
+blocks of 256, each block sums sequentially into its own slot of a per-block
+table, and the slots are combined in block order. Results are therefore
+bit-identical for a given seed no matter how many worker processes (fork)
+run them (COLLAPSELAB_WORKERS, default 1). The recorded series and tables
+live in anonymous shared mappings made before any worker forks: a block
+writes its rows and sums in place, and nothing is sent back. A failed
+realization aborts the ensemble with its index, from the lowest failing
+block; resampling would condition it on solver success and bias means.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
 from dataclasses import dataclass, replace
 
@@ -126,30 +128,36 @@ class EnsembleConfig:
         return Window(t_on=t_on, t_off=t_off, ramp=self.ramp)
 
 
+def _shared(shape: tuple[int, ...], dtype=float) -> np.ndarray:
+    """Zeros in an anonymous shared mapping, which forked workers write in place."""
+    size, dtype = math.prod(shape), np.dtype(dtype)
+    buf = mmap.mmap(-1, max(size * dtype.itemsize, 1))
+    return np.frombuffer(buf, dtype, count=size).reshape(shape)
+
+
 class EnsembleStats:
     """Recorded series and reductions of one ensemble run.
 
     A series the config's records do not name is None. Energy and norm,
     observables and branch weights are kept per realization, for variance
     diagnostics after the fact; sigma is summed only on checkpoint nodes.
+    Every per-realization series lives in a shared mapping, allocated here
+    before any worker forks, and each block writes its own rows in place.
     """
 
-    def __init__(self, times, checkpoint_nodes, realizations: int, records: frozenset):
+    def __init__(self, times: np.ndarray, cfg: EnsembleConfig):
         self.times = times
-        self.checkpoint_nodes = checkpoint_nodes
-        self.observables: dict[str, dict[str, np.ndarray]] = {}
-        shape = (realizations, times.size)
-        self.energy = np.empty(shape) if "energy" in records else None
-        self.norm = np.empty(shape) if "energy" in records else None
-        self.sigma_mean: np.ndarray | None = None
-        self.sigma_stderr: np.ndarray | None = None
-        self.branch_weights: np.ndarray | None = None
-
-    def series(self) -> list[np.ndarray]:
-        """Every recorded per-realization array, realizations along the first axis."""
-        kept = (self.energy, self.norm, self.branch_weights)
-        return [a for a in kept if a is not None] + [
-            a for rec in self.observables.values() for a in rec.values()]
+        self.checkpoint_nodes = _checkpoint_nodes(times.size, CHECKPOINTS)
+        shape = (cfg.realizations, times.size)
+        energy = "energy" in cfg.records
+        self.energy = _shared(shape) if energy else None
+        self.norm = _shared(shape) if energy else None
+        self.observables = {label: {k: _shared(shape)
+                                    for k in ("transformed", "square", "c12")}
+                            for label, _ in cfg.observables}
+        self.branch_weights = None if cfg.branch_states is None else _shared(
+            (*shape, len(cfg.branch_states)))
+        self.sigma_mean = self.sigma_stderr = None  # sigma's moments, if recorded
 
 
 def _blocks(total: int) -> list[range]:
@@ -172,41 +180,45 @@ def _forked(i: int):
     return _task(i)
 
 
-def _run_blocks(task, count: int):
-    """Yield task(i) for every block index i in order: run here for one worker,
-    else on forked worker processes that inherit task and send results back."""
+def _run_blocks(task, count: int) -> None:
+    """Run task(i) for every block index i: here for one worker, else on
+    forked worker processes that inherit task. Tasks write their results in
+    place; results are awaited in block order, so a failure surfaces from the
+    lowest failing block at any worker count."""
     workers = min(worker_count(), count)
     if workers == 1:
-        yield from map(task, range(count))
+        for i in range(count):
+            task(i)
         return
     import multiprocessing
     with multiprocessing.get_context("fork").Pool(workers, _adopt, (task,)) as pool:
-        yield from pool.imap(_forked, range(count))
+        for _ in pool.imap(_forked, range(count)):
+            pass
 
 
 class _Partials:
-    """One block's sums of complex values and of their squared real and
-    imaginary parts. `_moments` combines blocks in block order."""
+    """Per-block sums of complex values and of their squared real and
+    imaginary parts, one slot per block along the first axis of shared
+    tables. `_moments` combines the slots in block order."""
 
-    def __init__(self, shape: tuple[int, ...]):
-        self.sums = np.zeros(shape, dtype=complex)
-        self.sq_re = np.zeros(shape)
-        self.sq_im = np.zeros(shape)
+    def __init__(self, blocks: int, shape: tuple[int, ...]):
+        self.sums = _shared((blocks, *shape), complex)
+        self.sq_re = _shared((blocks, *shape))
+        self.sq_im = _shared((blocks, *shape))
 
-    def add(self, index, values: np.ndarray) -> None:
-        """Add values, summed over their leading row axis, at ``index``."""
-        self.sums[index] += values.sum(axis=0)
-        self.sq_re[index] += (values.real**2).sum(axis=0)
-        self.sq_im[index] += (values.imag**2).sum(axis=0)
+    def add(self, block: int, index, values: np.ndarray) -> None:
+        """Add values, summed over their leading row axis, at [block, index]."""
+        self.sums[block, index] += values.sum(axis=0)
+        self.sq_re[block, index] += (values.real**2).sum(axis=0)
+        self.sq_im[block, index] += (values.imag**2).sum(axis=0)
 
 
-def _moments(parts: list[_Partials], count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Entrywise mean and standard error over ``count`` realizations."""
-    sums, sq_re, sq_im = (np.stack([getattr(p, k) for p in parts]).sum(axis=0)
-                          for k in ("sums", "sq_re", "sq_im"))
+def _moments(parts: _Partials, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Entrywise mean and standard error over ``count`` >= 2 realizations."""
+    sums, sq_re, sq_im = (t.sum(axis=0) for t in (parts.sums, parts.sq_re, parts.sq_im))
     mean = sums / count
     var = (sq_re / count - mean.real**2) + (sq_im / count - mean.imag**2)
-    return mean, np.sqrt(np.clip(var, 0.0, None) / max(count - 1, 1))
+    return mean, np.sqrt(np.clip(var, 0.0, None) / (count - 1))
 
 
 def _noise_tables(model: ModelSetup, window: Window, seed: int, rows: range,
@@ -324,19 +336,19 @@ class _TransformedRun:
         return (np.einsum("rad,rjd->rj", oy[:, 0].conj() * p, y)
                 + np.einsum("rad,rjad->rj", (p * psi[:, None]).conj(), oy))
 
-    def block(self, rows: range,
-              stats: EnsembleStats) -> tuple[list, _Partials | None]:
-        """Step the realizations ``rows``, record their series into ``stats``
-        and return those rows (in ``stats.series()`` order) and sigma's sums,
-        None unless sigma is recorded."""
+    def block(self, b: int, rows: range, stats: EnsembleStats,
+              sigma: _Partials | None) -> None:
+        """Step the realizations ``rows`` of block ``b``, write their series
+        into ``stats`` and, unless it is None, sigma's sums into slot ``b``
+        of ``sigma``."""
         grid, spacing = self.model.grid, self.model.spacing
         n, nb, nd = grid.n_nodes, len(rows), self.lam.size
         pads = _noise_tables(self.model, self.window, self.cfg.seed, rows, self.pad)
         psi = np.broadcast_to(self.psi0, (nb, nd)).copy()
         sel = slice(rows.start, rows.stop)
         cp_pos = {int(node): c for c, node in enumerate(stats.checkpoint_nodes)}
-        sigma = (_Partials((len(cp_pos), nd, nd)) if "sigma" in self.cfg.records
-                 else None)
+        # one buffer for every step's GEMM product: fresh ones churn the heap
+        flat = np.empty((nb, self.mid_table.shape[1]))
         for j in range(n):
             if stats.energy is not None or self.labels:
                 o_psi = (psi @ self.obs_t).reshape(nb, -1, nd)
@@ -362,9 +374,10 @@ class _TransformedRun:
             if sigma is not None and j in cp_pos:
                 back = psi @ self.vecs.T
                 outer = spacing * np.einsum("rb,rc->rbc", back, back.conj())
-                sigma.add(cp_pos[j], outer)
+                sigma.add(b, cp_pos[j], outer)
             if j < n - 1:
-                flat = pads[:, :, self.mid_idx[j]].reshape(nb, -1) @ self.mid_table
+                np.matmul(pads[:, :, self.mid_idx[j]].reshape(nb, -1), self.mid_table,
+                          out=flat)
                 gen = flat[:, : 2 * nd * nd].view(complex)
                 gen[:, :: nd + 1] += self.lam
                 p = flat[:, 2 * nd * nd :].view(complex).reshape(nb, -1, nd)
@@ -374,7 +387,6 @@ class _TransformedRun:
                 theta = grid.dt * (self.lam_max + mag @ self.op_norm)
                 psi = _expm_action(gen.reshape(nb, nd, nd), psi, grid.dt, theta,
                                    rows, j)
-        return [a[sel] for a in stats.series()], sigma
 
 
 def run_ensemble(psi0, cfg: EnsembleConfig, model: ModelSetup) -> EnsembleStats:
@@ -383,27 +395,15 @@ def run_ensemble(psi0, cfg: EnsembleConfig, model: ModelSetup) -> EnsembleStats:
     Deterministic for fixed (seed, config, model); see the module docstring
     for the reproducibility contract.
     """
-    grid = model.grid
-    n = grid.n_nodes
-    nr = cfg.realizations
-    cp_nodes = _checkpoint_nodes(n, CHECKPOINTS)
-    stats = EnsembleStats(grid.times, cp_nodes, nr, cfg.records)
-    for label, _ in cfg.observables:
-        stats.observables[label] = {
-            k: np.empty((nr, n)) for k in ("transformed", "square", "c12")}
-    if cfg.branch_states is not None:
-        stats.branch_weights = np.empty((nr, n, len(cfg.branch_states)))
-
-    blocks = _blocks(nr)
+    stats = EnsembleStats(model.grid.times, cfg)
+    blocks = _blocks(cfg.realizations)
     runner = _TransformedRun(model, cfg, psi0)
-    sigma = []
-    results = _run_blocks(lambda i: runner.block(blocks[i], stats), len(blocks))
-    for rows, (records, partials) in zip(blocks, results):
-        for a, part in zip(stats.series(), records):
-            a[rows.start : rows.stop] = part  # no-op for a block run here
-        sigma.append(partials)
-    if "sigma" in cfg.records:
-        stats.sigma_mean, stats.sigma_stderr = _moments(sigma, nr)
+    d = runner.lam.size
+    sigma = (_Partials(len(blocks), (stats.checkpoint_nodes.size, d, d))
+             if "sigma" in cfg.records else None)
+    _run_blocks(lambda i: runner.block(i, blocks[i], stats, sigma), len(blocks))
+    if sigma is not None:
+        stats.sigma_mean, stats.sigma_stderr = _moments(sigma, cfg.realizations)
     return stats
 
 
@@ -529,6 +529,8 @@ def mc_mean_drift(model: ModelSetup, realizations: int, seed: int,
         window = Window.flat()
     grid = model.grid
     n = grid.n_nodes
+    if realizations < 2:
+        raise ConfigError("an ensemble needs at least 2 realizations")
     if not (0 < node < n):
         raise ConfigError(f"evaluation node {node} outside the grid interior")
     opset = model.opset
@@ -538,6 +540,7 @@ def mc_mean_drift(model: ModelSetup, realizations: int, seed: int,
     d_off = np.arange(-k, k + 1)
     node_idx = (2 * np.arange(n)[:, None] - d_off[None, :]) + pad
     blocks = _blocks(realizations)
+    partials = _Partials(len(blocks), wstack.shape[2:])
 
     def task(i):
         pads = _noise_tables(model, window, seed, blocks[i], pad)
@@ -546,8 +549,7 @@ def mc_mean_drift(model: ModelSetup, realizations: int, seed: int,
         trap = np.full(node + 1, grid.dt)
         trap[0] = trap[-1] = 0.5 * grid.dt
         integral = np.einsum("j,rjxy->rxy", trap, w_all)
-        partials = _Partials(w_all.shape[2:])
-        partials.add(..., -np.einsum("rxy,ryz->rxz", w_all[:, node], integral))
-        return partials
+        partials.add(i, ..., -np.einsum("rxy,ryz->rxz", w_all[:, node], integral))
 
-    return _moments(list(_run_blocks(task, len(blocks))), realizations)
+    _run_blocks(task, len(blocks))
+    return _moments(partials, realizations)

@@ -164,7 +164,7 @@ def stats_bits(stats):
 def test_records_keep_the_bits_of_the_full_record(lat4, h0_4, grid16, ground,
                                                   extras, workers, monkeypatch):
     # 300 realizations are two blocks, so at 2 workers a forked process
-    # runs one of them and sends back only what was requested
+    # runs one of them and writes only the requested series in place
     esys, _, _ = ground
     obs = eigenmode_difference(lat4, 0, 1)
     sup = esys.state(4) + esys.state(5)
@@ -187,11 +187,6 @@ def test_records_keep_the_bits_of_the_full_record(lat4, h0_4, grid16, ground,
         assert bits.keys() == full.keys()
         for key, value in bits.items():
             assert value == (None if key in unrequested else full[key]), (records, key)
-        # what a block sends back: every recorded per-realization array
-        rows = [k for k in bits if k not in ("times", "checkpoint_nodes",
-                                             "sigma_mean", "sigma_stderr")]
-        assert sorted(a.shape for a in stats.series()) == sorted(
-            bits[k][0] for k in rows if bits[k] is not None)
 
 
 @settings(max_examples=15, deadline=None)
@@ -219,29 +214,34 @@ def test_generated_blocks_are_worker_independent(realizations, block, workers):
     assert runs[0] == runs[1]
 
 
-def test_step_rejected_in_a_worker_process(lat4, h0_4, grid16, ground,
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
+def test_step_rejected_in_a_worker_process(lat4, h0_4, grid16, ground, workers,
                                            tmp_path, capsys, monkeypatch):
-    # 20 realizations in blocks of 8: realization 11 sits in block 2 of 3,
-    # and one NaN field sample in its table makes its step bound NaN
+    # 20 realizations in blocks of 8: realization 5 sits in block 0 and 17 in
+    # block 2. One NaN field sample in a table makes that row's step bound
+    # NaN, read near the last step for 5 and at the first step for 17. So at
+    # 3 workers block 2 fails first, and only waiting for the blocks in order
+    # names realization 5
     tables = ensemble._noise_tables
 
     def poisoned(model, window, seed, rows, pad):
         out = tables(model, window, seed, rows, pad)
-        if 11 in rows:
-            out[rows.index(11), 0, out.shape[2] // 2] = np.nan
+        for r, col in ((5, out.shape[2] - pad - 2), (17, pad + 1)):
+            if r in rows:
+                out[rows.index(r), 0, col] = np.nan
         return out
 
     monkeypatch.setattr(ensemble, "BLOCK", 8)
     monkeypatch.setattr(ensemble, "_noise_tables", poisoned)
-    monkeypatch.setenv("COLLAPSELAB_WORKERS", "2")
+    monkeypatch.setenv("COLLAPSELAB_WORKERS", workers)
     _, _, psi0 = ground
-    with pytest.raises(StepRejected, match=r"realization 11, step \d+"):
+    with pytest.raises(StepRejected, match=r"realization 5, step \d+"):
         run_ensemble(psi0, EnsembleConfig(realizations=20, seed=7),
                      make_model(lat4, h0_4, grid16, 0.1))
     out = tmp_path / "res"
     assert cli.main(["run", "lindblad-vs-mc", "--realizations", "20",
                      "--out", str(out)]) == 3
-    assert "realization 11, step" in capsys.readouterr().err
+    assert "realization 5, step" in capsys.readouterr().err
     assert not (out / "summary.json").exists()
 
 
@@ -376,6 +376,9 @@ def test_mc_mean_drift_matches_quadrature(lat4, h0_4, grid16):
         mc_mean_drift(model, 100, seed=11, node=0)
     with pytest.raises(ConfigError):
         mc_mean_drift(model, 100, seed=11, node=grid16.n_nodes)
+    for count in (0, 1):
+        with pytest.raises(ConfigError, match="at least 2 realizations"):
+            mc_mean_drift(model, count, seed=11, node=grid16.node_index(1.5))
 
 
 def eigh_step(gen, psi, dt):

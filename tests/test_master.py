@@ -190,7 +190,7 @@ def test_rhs_preserves_trace_and_hermiticity(sites, n_channels, seed):
     assert abs(np.trace(out)) < 1e-12 * max(scale, 1.0)
     assert np.abs(out - out.conj().T).max() < 1e-12 * max(scale, 1.0)
 
-    jumps = csl_jump_operators(opset.channels)
+    jumps = csl_jump_operators(channels)
     gout = gksl_rhs(s, LindbladSpec.gksl(h0, jumps))
     gscale = np.abs(gout).max()
     assert abs(np.trace(gout)) < 1e-12 * max(gscale, 1.0)
@@ -321,7 +321,7 @@ def test_standard_heating_rate(lat4, h0_4, opset):
     esys = EigenSystem.of(h0_4, lat4.spacing)
     e0, psi0 = esys.ground_state("positive")
     proj = esys.positive_projector()
-    jumps = csl_jump_operators(opset.channels, projector=proj)
+    jumps = csl_jump_operators(two_channels(lat4, 0.1), projector=proj)
     spec = LindbladSpec.gksl(h0_4, jumps)
     rate = heating_rate_standard(psi0, spec, lat4.spacing)
     # bottom of the projected spectrum: every term is nonnegative
@@ -349,8 +349,8 @@ def test_cfs_heating_rate(h0_4, opset, sigma0):
         heating_rate_cfs(sigma0, LindbladSpec.gksl(h0_4, []))
 
 
-def test_csl_jump_scaling(lat4, opset):
-    chans = list(opset.channels)
+def test_csl_jump_scaling(lat4):
+    chans = two_channels(lat4, 0.1)
     jumps = csl_jump_operators(chans)
     for j, ch in zip(jumps, chans):
         assert np.abs(j - 0.5 * ch.amplitude * ch.spatial_op).max() == 0.0
