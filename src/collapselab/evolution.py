@@ -14,17 +14,22 @@ approximation rather than an identity.
 
 The interval [t0, t1] maps to nodes 0..n-1. All propagator bookkeeping is
 relative to the initial node: X_j sends psi(t0) to psi(t_j), and two-time
-maps are X_q X_i^{-1}. The fixed-point sweep marches forward using already
-updated nodes for the past (Gauss-Seidel), so only the genuinely noncausal
-strip of width ell_min carries the previous iterate and the residual decays
-geometrically at a rate set by the coupling, not by the interval length.
+maps are X_q X_i^{-1}. The fixed-point sweep marches forward in blocks of
+``_BLOCK`` nodes, each using the already updated nodes before it for the
+past (block Gauss-Seidel), so only the strip of width ell_min ahead of a
+block and the block itself carry the previous iterate, and the residual
+decays geometrically at a rate set by the coupling, not by the interval
+length.
 
-A sweep updates each node with one real GEMM, the real weights c[a, q]
-against the float64 view of the window of maps, giving the next
-node's stacked channel mixes, and one complex GEMM of a step operator built
-once per solve (free step, channel operators side by side, trapezoid
-weights) against the current node and both nodes' mixes; the next node's
-mixes are then refreshed in place. Outside the sweep every channel sum
+A block works in the eigenbasis U of h0, with eigenvalues E, where the free
+step is the phase e^{-i dt E}, and in the interaction picture z_k = e^{i k dt E} U^dag X_{s+k} relative
+to its first node s. There the trapezoid step of the Duhamel form is a
+cumulative sum of V_k = e^{i k dt E} U^dag O m_{s+k}, with O the channel
+operators side by side and m the stacked channel mixes sum_q c[a, q] X_q.
+One real GEMM of the weights, laid on a band, against the float64 view of
+the maps gives the mixes of every node in the block; one batched product
+applies O, U^dag and the phases, one cumsum steps, and one batched product
+maps the block back into the maps. Outside the sweep every channel sum
 costs two BLAS calls. The solve keeps its padded half-step field table on
 the record, so node loops of surface corrections cost linear time.
 
@@ -56,6 +61,7 @@ COUPLING_WARN = 0.2
 COUPLING_ERROR = 0.5
 _TOL = 1e-12  # largest entry change of the maps that ends the fixed point
 _MAX_SWEEPS = 50
+_BLOCK = 32  # nodes a sweep steps from one set of channel mixes
 
 # central-difference stencil for d/dt at the center node, fourth order
 _FD_OFFSETS = (-2, -1, 1, 2)
@@ -104,8 +110,11 @@ class EvolutionRecord:
             return self._local[1]
         xi = self.props[i + self.reach]
         window = self.props[i : i + 2 * self.reach + 1]
-        # Y_q = X_q X_i^{-1}  <=>  Y_q^T = solve(X_i^T, X_q^T)
-        y = np.linalg.solve(xi.T[None], window.transpose(0, 2, 1)).transpose(0, 2, 1)
+        n_q, dim = window.shape[:2]
+        # Y_q = X_q X_i^{-1}  <=>  Y_q^T = solve(X_i^T, X_q^T), one LU of
+        # X_i^T against every X_q^T side by side
+        rhs = window.transpose(2, 0, 1).reshape(dim, n_q * dim)
+        y = np.linalg.solve(xi.T, rhs).reshape(dim, n_q, dim).transpose(1, 2, 0)
         y.flags.writeable = False
         self._local = (i, y)
         return y
@@ -204,11 +213,8 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
     win = 2 * reach + 1
     coeffs, field_pad = _coefficient_table(channels, noise, grid, reach)
     _check_boundary(field_pad, reach)
-    # weight of each node's own term in its channel mixes, for the refresh
-    self_weight = coeffs[:, :, reach].T[:, :, None, None].copy()
 
     free = FreePropagator(h0)
-    e_dt = free.matrix(dt)
     shifts = np.arange(1, reach + 1) * dt
     right_pad = free.matrix(shifts)  # e^{-i m dt h0}, m = 1..reach
 
@@ -216,40 +222,46 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
     x = np.empty((total, dim, dim), dtype=complex)
     # left pad: exact free evolution backwards from the initial node
     x[:reach] = free.matrix(-shifts[::-1])
-    x[reach] = np.eye(dim)
     # first iterate: free evolution forward
-    for j in range(1, n + reach):
-        np.matmul(e_dt, x[reach + j - 1], out=x[reach + j])
+    x[reach:] = free.matrix(np.arange(n + reach) * dt)
+    x[reach] = np.eye(dim)
     x_real = x.reshape(total, -1).view(np.float64)
+    assert np.shares_memory(x_real, x)
 
-    # x_{j+1} = E x_j - (i dt/2) (E O m_j + O m_{j+1}) with O the operators
-    # side by side and m_j the stacked channel mixes of node j, as one GEMM
-    # of a step operator against buf = [x_j; mixes]. The two mix slots swap
-    # roles every node, so there is one step operator per slot order.
-    ops_row = _side_by_side(channels)
-    half = -0.5j * dt
-    e_ops = half * (e_dt @ ops_row)
-    step = (np.concatenate([e_dt, e_ops, half * ops_row], axis=1),
-            np.concatenate([e_dt, half * ops_row, e_ops], axis=1))
-    buf = np.empty(((1 + 2 * n_ch) * dim, dim), dtype=complex)
-    mixes = buf[dim:].reshape(2, n_ch, dim, dim)
-    mixes_real = mixes.reshape(2, n_ch, -1).view(np.float64)
+    # with E the eigenvalues of h0, a block of nodes s..e steps
+    # z_k = e^{i k dt E} U^dag x_{s+k} by the trapezoid rule
+    # z_{k+1} = z_k - (i dt/2)(V_k + V_{k+1}), V_k = e^{i k dt E} U^dag O m_{s+k};
+    # to_z[k] @ m_{s+k} is -(i dt/2) V_k and from_z[k-1] @ z_k is x_{s+k}
+    u = free.evecs
+    u_dag = u.conj().T
+    k_dt = np.arange(_BLOCK + 1)[:, None] * dt
+    to_z = np.exp(1j * k_dt * free.evals)[:, :, None] * (
+        -0.5j * dt * (u_dag @ _side_by_side(channels)))
+    from_z = u * np.exp(-1j * k_dt[1:] * free.evals)[:, None, :]
+    # band[k, a, k + q] = c[a, s + k, q], so the block's mixes are one GEMM
+    # against the map rows s .. e + 2 reach (padded index)
+    band = np.zeros((_BLOCK + 1, n_ch, _BLOCK + win))
+    st = band.strides
+    band_diag = np.lib.stride_tricks.as_strided(
+        band, shape=(_BLOCK + 1, n_ch, win), strides=(st[0] + st[2], st[1], st[2]))
+    mix_real = np.empty(((_BLOCK + 1) * n_ch, 2 * dim * dim))
 
     residuals: list[float] = []
     for sweep in range(1, _MAX_SWEEPS + 1):
         x_old = x.copy()
-        np.matmul(coeffs[:, 0], x_real[:win], out=mixes_real[0])
-        buf[:dim] = x[reach]
-        for j in range(n - 1):
-            here = j & 1
-            # node j+1 still holds the old iterate
-            np.matmul(coeffs[:, j + 1], x_real[j + 1 : j + 1 + win],
-                      out=mixes_real[1 - here])
-            new = x[reach + j + 1]
-            np.matmul(step[here], buf, out=new)
-            # refresh the diagonal term of node j+1's mixes with the update
-            mixes[1 - here] += self_weight[j + 1] * (new - x_old[reach + j + 1])
-            buf[:dim] = new
+        for s in range(0, n - 1, _BLOCK):
+            e = min(s + _BLOCK, n - 1)
+            nb = e - s
+            # node s holds this sweep's value, later nodes the last sweep's
+            band_diag[: nb + 1] = coeffs[:, s : e + 1].transpose(1, 0, 2)
+            mix = np.matmul(band[: nb + 1, :, : nb + win].reshape(-1, nb + win),
+                            x_real[s : e + win], out=mix_real[: (nb + 1) * n_ch])
+            v = np.matmul(to_z[: nb + 1],
+                          mix.view(complex).reshape(nb + 1, n_ch * dim, dim))
+            z = v[:-1] + v[1:]
+            np.cumsum(z, axis=0, out=z)
+            z += u_dag @ x[reach + s]
+            np.matmul(from_z[:nb], z, out=x[reach + s + 1 : reach + e + 1])
         np.matmul(right_pad, x[reach + n - 1], out=x[reach + n :])
         resid = float(np.abs(x - x_old).max())
         residuals.append(resid)

@@ -108,6 +108,39 @@ def test_criterion_3_expansion_orders(runs):
     assert 2.5 <= asymmetry.observed <= 3.5
 
 
+# Observed values at shipped defaults, each with its relative tolerance: 10x
+# the largest spread of that value across OpenBLAS kernels
+# (OPENBLAS_CORETYPE Haswell, Sandybridge, Nehalem, Core2, Prescott and the
+# default) and one or two BLAS threads, at least 1e-9. The fixed-point solve
+# stops within 1e-12 of its limit, and the kernel moves where. A tolerance
+# of None marks a check at the rounding floor, which pins only its scale:
+# observed <= 10x the pinned value.
+PINNED = {
+    "conservation": {
+        "drift_at_dt": (7.113869138208884e-08, 7e-7),
+        "refinement_ratio": (3.9949736780852234, 7e-6),
+        "zero_noise_drift": (4.440892098500626e-16, None),
+        "dual_formula": (1.6653345369377348e-16, None),
+    },
+    "expansion": {
+        "remainder_slope": (3.390495703227588, 3.4e-7),
+        "asymmetry_slope": (2.2310030540523598, 0.7),
+    },
+}
+
+
+@pytest.mark.parametrize("preset, name", [
+    (preset, name) for preset, table in PINNED.items() for name in table])
+def test_pinned_value(runs, preset, name):
+    result, _ = runs(preset)
+    observed = _check(result, name).observed
+    pinned, rtol = PINNED[preset][name]
+    if rtol is None:
+        assert observed <= 10.0 * pinned
+    else:
+        assert abs(observed - pinned) <= rtol * abs(pinned)
+
+
 def test_criterion_4_drift_operator(runs):
     result, secs = runs("a-operator")
     agreement = _check(result, "mc_agreement")

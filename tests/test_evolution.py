@@ -43,12 +43,15 @@ OFF = Window(t_on=5.0, t_off=7.0, ramp=0.5)
 
 # ---------------------------------------------------------------------------
 # per-channel oracles: one contraction per channel and node, the plain form
-# of what evolution.py fuses into a few BLAS calls per node
+# of what evolution.py fuses into a few BLAS calls per block of nodes
 
 
-def oracle_solve(grid, channels, noise, h0, tol):
-    """Gauss-Seidel sweeps of solve_nonlocal, channel by channel; returns
-    the padded maps and the residual history."""
+def oracle_solve(grid, channels, noise, h0, tol, block):
+    """Block Gauss-Seidel sweeps of solve_nonlocal, channel by channel: a
+    block of nodes s..s+block takes every node's interaction from the maps
+    as they stand at the block's start (node s already updated), then steps
+    the trapezoid rule node by node; block=1 is node-by-node Gauss-Seidel.
+    Returns the padded maps and the residual history."""
     dt, n = grid.dt, grid.n_nodes
     reach = int(round(max(ch.profile.ell_min for ch in channels) / dt))
     coeffs, _ = _coefficient_table(channels, noise, grid, reach)
@@ -71,14 +74,12 @@ def oracle_solve(grid, channels, noise, h0, tol):
     residuals = []
     while not residuals or residuals[-1] > tol:
         x_old = x.copy()
-        g_here = interaction_at(0)
-        for j in range(n - 1):
-            g_next = interaction_at(j + 1)
-            x[reach + j + 1] = e_dt @ x[reach + j] - 0.5j * dt * (e_dt @ g_here + g_next)
-            delta = x[reach + j + 1] - x_old[reach + j + 1]
-            for a in range(len(ops)):
-                g_next = g_next + coeffs[a, j + 1, reach] * (ops[a] @ delta)
-            g_here = g_next
+        for s in range(0, n - 1, block):
+            e = min(s + block, n - 1)
+            g = [interaction_at(j) for j in range(s, e + 1)]
+            for j in range(s, e):
+                x[reach + j + 1] = (e_dt @ x[reach + j]
+                                    - 0.5j * dt * (e_dt @ g[j - s] + g[j + 1 - s]))
         for m in range(1, reach + 1):
             x[reach + n - 1 + m] = free.matrix(m * dt) @ x[reach + n - 1]
         residuals.append(float(np.abs(x - x_old).max()))
@@ -196,10 +197,14 @@ def test_iteration_budget_exhausted(lat4, h0_4, grid16, monkeypatch):
         solve_nonlocal(psi0, grid16, ch, noise, h0_4, lat4.spacing)
 
 
-def test_non_finite_field_stops_at_first_sweep(lat4, h0_4, grid16):
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_non_finite_field_stops_at_first_sweep(lat4, h0_4, grid16, where):
     ch = two_channels(lat4, 0.02)
     noise = sample_noise(ch, grid16, seed=5, window=WIN)
-    noise.samples[0, noise.samples.shape[1] // 2] = np.nan
+    m = noise.samples.shape[1]
+    # grid16 sweeps two blocks; the last sample reaches only the second
+    # block and the right pad
+    noise.samples[0, {"first": 0, "middle": m // 2, "last": m - 1}[where]] = np.nan
     psi0 = random_state(lat4.dim, lat4.spacing, 1)
     with pytest.raises(NoConvergence, match=r"at sweep 1$"):
         solve_nonlocal(psi0, grid16, ch, noise, h0_4, lat4.spacing)
@@ -510,29 +515,35 @@ def test_fused_contractions_match_per_channel_oracles(sites, n_channels, seed,
     # a field active up to both ends, so the free-extension pads matter
     noise = sample_fourier_probe(channels, grid, seed=seed)
     psi0 = random_state(d, lat.spacing, seed)
-    rec = solve_nonlocal(psi0, grid, channels, noise, h0, lat.spacing)
-    x, residuals = oracle_solve(grid, channels, noise, h0, 1e-12)
-    assert rec.reach == reach
-    assert len(rec.residuals) == len(residuals)
-    # the sweep history is fixed by the in-sweep refresh, not only the limit
-    big = np.array(residuals) > 1e-9
-    assert np.allclose(np.array(rec.residuals)[big], np.array(residuals)[big],
-                       rtol=1e-6, atol=0.0)
-    assert np.abs(rec.props - x).max() < 1e-10
-    interior = x[rec.reach : rec.reach + grid.n_nodes]
-    assert np.abs(rec.states - interior @ psi0).max() < 1e-10
-    for i in range(0, grid.n_nodes, 4):
-        s = surface_correction(rec, i)
-        assert np.array_equal(s, s.conj().T)
-        assert np.abs(s - oracle_surface_correction(rec, noise, i)).max() < 1e-10
-    # the layer sum continues the trajectories freely past both ends; three
-    # state pairs drawn from the example's seed
-    for k in range(3):
-        phit = rec.trajectory(random_state(d, lat.spacing, [seed, k, 0]))
-        psit = rec.trajectory(random_state(d, lat.spacing, [seed, k, 1]))
-        for i in (0, grid.n_nodes // 2, grid.n_nodes - 1):
-            assert abs(conserved_inner(rec, i, phit[i], psit[i])
-                       - conserved_inner_layer_sum(rec, i, phit, psit)) < 1e-12
+    # the shipped block, node-by-node Gauss-Seidel, and a block that leaves
+    # a short last block on most grids
+    for block in (evolution._BLOCK, 1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evolution, "_BLOCK", block)
+            rec = solve_nonlocal(psi0, grid, channels, noise, h0, lat.spacing)
+        x, residuals = oracle_solve(grid, channels, noise, h0, 1e-12, block)
+        assert rec.reach == reach
+        assert len(rec.residuals) == len(residuals)
+        # the sweep history is fixed by the block order, not only the limit
+        big = np.array(residuals) > 1e-9
+        assert np.allclose(np.array(rec.residuals)[big],
+                           np.array(residuals)[big], rtol=1e-6, atol=0.0)
+        assert np.abs(rec.props - x).max() < 1e-10
+        interior = x[rec.reach : rec.reach + grid.n_nodes]
+        assert np.abs(rec.states - interior @ psi0).max() < 1e-10
+        for i in range(0, grid.n_nodes, 4):
+            s = surface_correction(rec, i)
+            assert np.array_equal(s, s.conj().T)
+            assert np.abs(s - oracle_surface_correction(rec, noise, i)
+                          ).max() < 1e-10
+        # the layer sum continues the trajectories freely past both ends;
+        # three state pairs drawn from the example's seed
+        for k in range(3):
+            phit = rec.trajectory(random_state(d, lat.spacing, [seed, k, 0]))
+            psit = rec.trajectory(random_state(d, lat.spacing, [seed, k, 1]))
+            for i in (0, grid.n_nodes // 2, grid.n_nodes - 1):
+                assert abs(conserved_inner(rec, i, phit[i], psit[i])
+                           - conserved_inner_layer_sum(rec, i, phit, psit)) < 1e-12
 
 
 def test_node_loop_builds_one_noise_table(lat4, h0_4, grid16, monkeypatch):
