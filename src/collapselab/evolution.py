@@ -19,26 +19,37 @@ maps are X_q X_i^{-1}. The fixed-point sweep marches forward in blocks of
 past (block Gauss-Seidel), so only the strip of width ell_min ahead of a
 block and the block itself carry the previous iterate, and the residual
 decays geometrically at a rate set by the coupling, not by the interval
-length.
+length. A block records the largest change of the nodes it writes, so the
+stop rule needs no copy of the maps.
 
 A block works in the eigenbasis U of h0, with eigenvalues E, where the free
-step is the phase e^{-i dt E}, and in the interaction picture z_k = e^{i k dt E} U^dag X_{s+k} relative
-to its first node s. There the trapezoid step of the Duhamel form is a
-cumulative sum of V_k = e^{i k dt E} U^dag O m_{s+k}, with O the channel
-operators side by side and m the stacked channel mixes sum_q c[a, q] X_q.
-One real GEMM of the weights, laid on a band, against the float64 view of
-the maps gives the mixes of every node in the block; one batched product
-applies O, U^dag and the phases, one cumsum steps, and one batched product
-maps the block back into the maps. Outside the sweep every channel sum
-costs two BLAS calls. The solve keeps its padded half-step field table on
-the record, so node loops of surface corrections cost linear time.
+step is the phase e^{-i dt E}, and in the interaction picture
+z_k = e^{i k dt E} U^dag X_{s+k} relative to its first node s. There the
+trapezoid step of the Duhamel form sums V_k = e^{i k dt E} U^dag O m_{s+k},
+with O the channel operators side by side and m the stacked channel mixes
+sum_q c[a, q] X_q. One real GEMM of the weights, laid on a band, against
+the float64 view of the maps gives the mixes of every node in the block;
+one batched product applies O, U^dag and the phases, one real GEMM of the
+trapezoid weights sums them, and one batched product maps the block back
+into the maps. Outside the sweep every channel sum costs two BLAS calls.
+The solve keeps its padded half-step field table on the record, so node
+loops of surface corrections cost linear time.
+
+A solve may start from the record of the same problem on the grid with
+twice the step (nested iteration): its maps fill the even nodes, and each
+odd node is the midpoint of its neighbours in the interaction picture. The
+first iterate is then as close to the fixed point as the coarse grid's
+discretization error, not as the coupling, and the solve takes fewer
+sweeps to the same fixed point.
 
 On top of the solved record this module builds the equal-time objects: the
 one-time interaction operator, the surface correction that makes the
 two-time inner product conserved, the related direct strip-sum form of that
 product, and the generator correction in the transformed picture
 psi_tilde = sqrt(1 + S_t) psi, where the dynamics is generated by a single
-(nearly Hermitian) operator.
+(nearly Hermitian) operator. The inverse X_i^{-1} of the two-time maps
+factors out of their channel sums, so W and S_t of a node cost one and two
+(D, D) linear solves.
 """
 
 from __future__ import annotations
@@ -84,12 +95,12 @@ class EvolutionRecord:
     reach: int
     residuals: list[float]
     props: np.ndarray  # padded: index j + reach
-    free: FreePropagator = field(repr=False)
     _coeffs: np.ndarray = field(repr=False)
     _field_pad: np.ndarray = field(repr=False)
+    _right_free: np.ndarray = field(repr=False)  # e^{-i m dt h0}, m = 1..reach
     states: np.ndarray | None = None
     _quadrant: tuple | None = field(default=None, repr=False)
-    _local: tuple | None = field(default=None, repr=False)
+    _surfaces: dict = field(default_factory=dict, repr=False)
 
     def state(self, i: int) -> np.ndarray:
         if self.states is None:
@@ -100,24 +111,6 @@ class EvolutionRecord:
         """States X_j psi0 on the interior nodes for an arbitrary start."""
         interior = self.props[self.reach : self.reach + self.grid.n_nodes]
         return np.einsum("jab,b->ja", interior, psi0)
-
-    def local_propagators(self, i: int) -> np.ndarray:
-        """Relative maps Y_q = X_q X_i^{-1} for q = i-reach .. i+reach; the
-        last window is kept, read-only, so S_t and W of a node share it."""
-        if not (0 <= i < self.grid.n_nodes):
-            raise OutOfGrid(f"node {i} outside the grid")
-        if self._local is not None and self._local[0] == i:
-            return self._local[1]
-        xi = self.props[i + self.reach]
-        window = self.props[i : i + 2 * self.reach + 1]
-        n_q, dim = window.shape[:2]
-        # Y_q = X_q X_i^{-1}  <=>  Y_q^T = solve(X_i^T, X_q^T), one LU of
-        # X_i^T against every X_q^T side by side
-        rhs = window.transpose(2, 0, 1).reshape(dim, n_q * dim)
-        y = np.linalg.solve(xi.T, rhs).reshape(dim, n_q, dim).transpose(1, 2, 0)
-        y.flags.writeable = False
-        self._local = (i, y)
-        return y
 
 
 def _side_by_side(channels) -> np.ndarray:
@@ -192,7 +185,8 @@ def _check_boundary(field_pad: np.ndarray, reach: int) -> None:
 def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
                    channels: list[InteractionChannel],
                    noise: NoiseRealization, h0: np.ndarray,
-                   spacing: float) -> EvolutionRecord:
+                   spacing: float, *,
+                   start: EvolutionRecord | None = None) -> EvolutionRecord:
     """Fixed-point solve of the nonlocal equation on the grid for the maps.
 
     Returns a record with the map stack, and the state trajectory when
@@ -200,6 +194,11 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
     NoConvergence if the largest entry change of the maps never drops to
     ``_TOL`` within ``_MAX_SWEEPS`` sweeps, or at the first sweep whose
     change is not finite.
+
+    ``start``, if given, is a record on the same interval with twice this
+    step and half this reach (``start.grid.refined(2) == grid``), whose
+    maps give the first iterate in place of free evolution; any other
+    record raises ValueError.
     """
     channels = list(channels)
     dim = h0.shape[0]
@@ -211,6 +210,11 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
     ell = max(ch.profile.ell_min for ch in channels)
     reach = int(round(ell / dt))
     win = 2 * reach + 1
+    if start is not None and (start.grid.refined(2) != grid
+                              or 2 * start.reach != reach):
+        raise ValueError(
+            f"start record on {start.grid} with reach {start.reach} is not "
+            f"the half-resolution solve of {grid} with reach {reach}")
     coeffs, field_pad = _coefficient_table(channels, noise, grid, reach)
     _check_boundary(field_pad, reach)
 
@@ -222,8 +226,19 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
     x = np.empty((total, dim, dim), dtype=complex)
     # left pad: exact free evolution backwards from the initial node
     x[:reach] = free.matrix(-shifts[::-1])
-    # first iterate: free evolution forward
-    x[reach:] = free.matrix(np.arange(n + reach) * dt)
+    if start is None:
+        # first iterate: free evolution forward
+        x[reach:] = free.matrix(np.arange(n + reach) * dt)
+    else:
+        # first iterate: the coarse maps on the even nodes, and on each odd
+        # node the midpoint (z_{j-1} + z_{j+1}) / 2 of its neighbours in the
+        # interaction picture z_j = e^{i t_j E} U^dag X_j, which maps back
+        # to (e^{-i dt h0} X_{j-1} + e^{i dt h0} X_{j+1}) / 2
+        even = start.props[start.reach : start.reach + start.grid.n_nodes]
+        x[reach : reach + n : 2] = even
+        x[reach + 1 : reach + n : 2] = 0.5 * (free.matrix(dt) @ even[:-1]
+                                              + free.matrix(-dt) @ even[1:])
+        np.matmul(right_pad, x[reach + n - 1], out=x[reach + n :])
     x[reach] = np.eye(dim)
     x_real = x.reshape(total, -1).view(np.float64)
     assert np.shares_memory(x_real, x)
@@ -231,13 +246,16 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
     # with E the eigenvalues of h0, a block of nodes s..e steps
     # z_k = e^{i k dt E} U^dag x_{s+k} by the trapezoid rule
     # z_{k+1} = z_k - (i dt/2)(V_k + V_{k+1}), V_k = e^{i k dt E} U^dag O m_{s+k};
-    # to_z[k] @ m_{s+k} is -(i dt/2) V_k and from_z[k-1] @ z_k is x_{s+k}
+    # to_z[k] @ m_{s+k} is -(i dt/2) V_k, trap[k-1] sums those into z_k - z_0
+    # (weight 1 on V_0 and V_k, 2 between) and from_z[k-1] @ z_k is x_{s+k}
     u = free.evecs
     u_dag = u.conj().T
     k_dt = np.arange(_BLOCK + 1)[:, None] * dt
     to_z = np.exp(1j * k_dt * free.evals)[:, :, None] * (
         -0.5j * dt * (u_dag @ _side_by_side(channels)))
     from_z = u * np.exp(-1j * k_dt[1:] * free.evals)[:, None, :]
+    trap = np.tri(_BLOCK, _BLOCK + 1) + np.tri(_BLOCK, _BLOCK + 1, 1)
+    trap[:, 0] = 1.0
     # band[k, a, k + q] = c[a, s + k, q], so the block's mixes are one GEMM
     # against the map rows s .. e + 2 reach (padded index)
     band = np.zeros((_BLOCK + 1, n_ch, _BLOCK + win))
@@ -248,7 +266,7 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
 
     residuals: list[float] = []
     for sweep in range(1, _MAX_SWEEPS + 1):
-        x_old = x.copy()
+        resid = 0.0  # np.maximum below keeps a NaN where max() would drop it
         for s in range(0, n - 1, _BLOCK):
             e = min(s + _BLOCK, n - 1)
             nb = e - s
@@ -258,12 +276,16 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
                             x_real[s : e + win], out=mix_real[: (nb + 1) * n_ch])
             v = np.matmul(to_z[: nb + 1],
                           mix.view(complex).reshape(nb + 1, n_ch * dim, dim))
-            z = v[:-1] + v[1:]
-            np.cumsum(z, axis=0, out=z)
+            z = (trap[:nb, : nb + 1] @ v.reshape(nb + 1, -1).view(np.float64)
+                 ).view(complex).reshape(nb, dim, dim)
             z += u_dag @ x[reach + s]
-            np.matmul(from_z[:nb], z, out=x[reach + s + 1 : reach + e + 1])
-        np.matmul(right_pad, x[reach + n - 1], out=x[reach + n :])
-        resid = float(np.abs(x - x_old).max())
+            new = from_z[:nb] @ z
+            block = x[reach + s + 1 : reach + e + 1]
+            resid = np.maximum(resid, np.abs(new - block).max())
+            block[...] = new
+        pad = right_pad @ x[reach + n - 1]
+        resid = float(np.maximum(resid, np.abs(pad - x[reach + n :]).max()))
+        x[reach + n :] = pad
         residuals.append(resid)
         if resid <= _TOL:
             break
@@ -279,11 +301,18 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
     record = EvolutionRecord(
         grid=grid, channels=tuple(channels), h0=h0,
         spacing=spacing, reach=reach, residuals=residuals, props=x,
-        free=free, _coeffs=coeffs, _field_pad=field_pad,
+        _coeffs=coeffs, _field_pad=field_pad, _right_free=right_pad,
     )
     if psi0 is not None:
         record.states = np.einsum("jab,b->ja", x, psi0)[reach : reach + n]
     return record
+
+
+def _node_maps(record: EvolutionRecord, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """X_i and the window X_{i-reach} .. X_{i+reach} of node i."""
+    if not (0 <= i < record.grid.n_nodes):
+        raise OutOfGrid(f"node {i} outside the grid")
+    return record.props[i + record.reach], record.props[i : i + 2 * record.reach + 1]
 
 
 def equal_time_hamiltonian(record: EvolutionRecord, i: int) -> np.ndarray:
@@ -294,8 +323,10 @@ def equal_time_hamiltonian(record: EvolutionRecord, i: int) -> np.ndarray:
     Generally non-Hermitian; its anti-Hermitian part is what the surface
     correction compensates.
     """
-    return _channel_sum(_side_by_side(record.channels), record._coeffs[:, i],
-                        record.local_propagators(i))
+    xi, window = _node_maps(record, i)
+    # sum_q c O (X_q X_i^{-1}) = (sum_q c O X_q) X_i^{-1}, solved transposed
+    m = _channel_sum(_side_by_side(record.channels), record._coeffs[:, i], window)
+    return np.linalg.solve(xi.T, m.T).T
 
 
 def _quadrant_coeffs(record: EvolutionRecord, i: int) -> np.ndarray:
@@ -333,16 +364,24 @@ def surface_correction(record: EvolutionRecord, i: int) -> np.ndarray:
     Assembled as i(Q - Q^dag) with Q the past-future quadrant integral of
     (U^tau_t)^dag V(tau, tau') U^tau'_t; hermiticity is exact by
     construction. Vanishes when the field is off throughout the strip
-    [t - ell, t + ell].
+    [t - ell, t + ell]. The correction of each node is formed once and
+    kept on the record, read-only.
     """
+    if i in record._surfaces:
+        return record._surfaces[i]
+    xi, window = _node_maps(record, i)
     reach = record.reach
-    y = record.local_propagators(i)
-    dim = y.shape[1]
-    # O Y_q summed over the future and the channels, one (D, D) per past node
+    dim = xi.shape[0]
+    # O X_q summed over the future and the channels, one (D, D) per past node
     mixed = _channel_sum(_side_by_side(record.channels),
-                         _quadrant_coeffs(record, i), y[reach:])
-    q = y[: reach + 1].reshape(-1, dim).conj().T @ mixed.reshape(-1, dim)
-    return 1j * (q - q.conj().T)
+                         _quadrant_coeffs(record, i), window[reach:])
+    m = window[: reach + 1].reshape(-1, dim).conj().T @ mixed.reshape(-1, dim)
+    # with Y_p = X_p X_i^{-1}: Q = sum_pq c Y_p^dag O Y_q = X_i^{-dag} m X_i^{-1}
+    q = np.linalg.solve(xi.conj().T, np.linalg.solve(xi.T, m.T).T)
+    s = 1j * (q - q.conj().T)
+    s.flags.writeable = False
+    record._surfaces[i] = s
+    return s
 
 
 def conserved_inner(record: EvolutionRecord, i: int, phi: np.ndarray,
@@ -362,11 +401,11 @@ def conserved_inner_layer_sum(record: EvolutionRecord, i: int,
     """
     reach = record.reach
     n = record.grid.n_nodes
-    shifts = record.grid.dt * np.arange(1, reach + 1)
 
+    # the left pad of the maps is the free evolution back from node 0
     def padded(traj: np.ndarray) -> np.ndarray:
-        return np.concatenate([record.free.matrix(-shifts[::-1]) @ traj[0], traj[:n],
-                               record.free.matrix(shifts) @ traj[n - 1]])
+        return np.concatenate([record.props[:reach] @ traj[0], traj[:n],
+                               record._right_free @ traj[n - 1]])
 
     phi, psi = padded(phi_traj), padded(psi_traj)
     past, future = slice(i, i + reach + 1), slice(i + reach, i + 2 * reach + 1)

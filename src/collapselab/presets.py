@@ -356,11 +356,13 @@ def _run_expansion(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict]
     for target in _EXPANSION_COUPLINGS:
         channels = _scaled_channels(base, target / g0)
         diffs, antis = [], []
+        rec = None
         for g in (grid, grid.refined(2), grid.refined(4)):
             probe = sample_fourier_probe(channels, g, cfg.seed(),
                                          window=window, modes=modes,
                                          amplitude=amp)
-            rec = solve_nonlocal(None, g, channels, probe, h0, spacing)
+            # each refinement starts from the coarser grid's fixed point
+            rec = solve_nonlocal(None, g, channels, probe, h0, spacing, start=rec)
             row_d, row_a = [], []
             for t in t_eval:
                 i = g.node_index(t)

@@ -14,7 +14,6 @@ from collapselab.channels import (
 )
 from collapselab.errors import NoConvergence, OutOfGrid
 from collapselab.evolution import (
-    EvolutionRecord,
     _coefficient_table,
     conserved_inner,
     conserved_inner_layer_sum,
@@ -106,8 +105,20 @@ def oracle_quadrant_coeffs(record, noise, i):
     return out
 
 
+def oracle_relative_maps(record, i):
+    """Y_q = X_q X_i^{-1} for q = i-reach .. i+reach, one inverse per node."""
+    xi_inv = np.linalg.inv(record.props[i + record.reach])
+    return np.stack([xq @ xi_inv for xq in record.props[i : i + 2 * record.reach + 1]])
+
+
+def oracle_equal_time_hamiltonian(record, i):
+    y = oracle_relative_maps(record, i)
+    return sum(ch.spatial_op @ np.tensordot(record._coeffs[a, i], y, axes=(0, 0))
+               for a, ch in enumerate(record.channels))
+
+
 def oracle_surface_correction(record, noise, i):
-    y = record.local_propagators(i)
+    y = oracle_relative_maps(record, i)
     past, future = y[: record.reach + 1], y[record.reach :]
     c = oracle_quadrant_coeffs(record, noise, i)
     q = sum(np.einsum("pq,pba,bc,qcd->ad", c[a], past.conj(), ch.spatial_op, future)
@@ -118,7 +129,8 @@ def oracle_surface_correction(record, noise, i):
 def equal_time_hamiltonian_first_order(record, i):
     """W(t_i) contracted with free two-time maps; differs at second order."""
     dt, reach = record.grid.dt, record.reach
-    y = np.stack([record.free.matrix(d * dt) for d in range(-reach, reach + 1)])
+    free = FreePropagator(record.h0)
+    y = np.stack([free.matrix(d * dt) for d in range(-reach, reach + 1)])
     return sum(ch.spatial_op @ np.tensordot(record._coeffs[a, i], y, axes=(0, 0))
                for a, ch in enumerate(record.channels))
 
@@ -226,6 +238,33 @@ def test_active_boundary_warns(lat4, h0_4, grid16):
         solve_nonlocal(psi0, grid16, ch, noise, h0_4, lat4.spacing)
 
 
+def test_warm_start_reaches_the_cold_fixed_point(lat4, h0_4, grid16):
+    ch = two_channels(lat4, 0.08)
+    fine = grid16.refined(2)
+    coarse = solve_nonlocal(None, grid16, ch, probe(ch, grid16), h0_4, lat4.spacing)
+    cold = solve_nonlocal(None, fine, ch, probe(ch, fine), h0_4, lat4.spacing)
+    warm = solve_nonlocal(None, fine, ch, probe(ch, fine), h0_4, lat4.spacing,
+                          start=coarse)
+    assert np.abs(warm.props - cold.props).max() < 1e-11
+    assert warm.residuals[0] <= 1e-3 < cold.residuals[0]
+    assert len(warm.residuals) < len(cold.residuals)
+    reach = warm.reach
+    assert np.array_equal(warm.props[reach], np.eye(lat4.dim))
+    assert np.array_equal(warm.props[:reach], cold.props[:reach])
+
+
+def test_warm_start_rejects_other_grids(lat4, h0_4, grid16):
+    ch = two_channels(lat4, 0.04)
+    fine = grid16.refined(2)
+    others = (fine, TimeGrid(0.0, 2.0, 2 * grid16.dt),
+              TimeGrid(0.0, 2.5, grid16.dt), TimeGrid(-0.5, 2.0, grid16.dt))
+    for other in others:
+        start = solve_nonlocal(None, other, ch, probe(ch, other), h0_4, lat4.spacing)
+        with pytest.raises(ValueError, match="not the half-resolution solve"):
+            solve_nonlocal(None, fine, ch, probe(ch, fine), h0_4, lat4.spacing,
+                           start=start)
+
+
 def _solved(lat, h0, grid, amplitude, psi0=None):
     ch = two_channels(lat, amplitude)
     return solve_nonlocal(psi0, grid, ch, probe(ch, grid), h0, lat.spacing)
@@ -239,10 +278,11 @@ def test_record_accessors(lat4, h0_4, grid16):
     assert np.abs(rec.props[rec.reach] - np.eye(lat4.dim)).max() == 0.0
     traj = rec.trajectory(psi0)
     assert np.abs(traj - rec.states).max() < 1e-12
-    y = rec.local_propagators(grid16.n_nodes // 2)
-    assert np.abs(y[rec.reach] - np.eye(lat4.dim)).max() < 1e-12
-    with pytest.raises(OutOfGrid):
-        rec.local_propagators(-1)
+    for i in (-1, grid16.n_nodes):
+        with pytest.raises(OutOfGrid):
+            equal_time_hamiltonian(rec, i)
+        with pytest.raises(OutOfGrid):
+            surface_correction(rec, i)
 
     maps_only = _solved(lat4, h0_4, grid16, 0.04, psi0=None)
     with pytest.raises(OutOfGrid):
@@ -400,34 +440,38 @@ def test_expansion_remainder_is_third_order(lat4, h0_4, grid16):
     assert 5.0 < r1 / r2 < 11.0
 
 
-def test_node_window_is_solved_once(lat4, h0_4, grid16, monkeypatch):
+def test_node_objects_take_d_by_d_solves_and_one_surface_each(
+        lat4, h0_4, grid16, monkeypatch):
     rec = _solved(lat4, h0_4, grid16, 0.08)
     i = grid16.n_nodes // 2
-    calls = []
-    solve = np.linalg.solve
+    d = lat4.dim
+    rhs_shapes, formed = [], []
+    solve, quadrant = np.linalg.solve, evolution._quadrant_coeffs
 
-    def counted(*args):
-        calls.append(args)
-        return solve(*args)
+    def counted_solve(a, b):
+        rhs_shapes.append(b.shape)
+        return solve(a, b)
 
-    monkeypatch.setattr(np.linalg, "solve", counted)
+    def counted_quadrant(record, j):
+        formed.append(j)
+        return quadrant(record, j)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(evolution, "_quadrant_coeffs", counted_quadrant)
     exact = transformed_interaction(rec, i, "exact")
     series = transformed_interaction(rec, i, "expansion")
-    # node i (S, then W after the stencil), i - 2, i - 1, i + 1 and i + 2; the
-    # expansion form reuses the window of node i
-    assert len(calls) == 6
-    assert not rec.local_propagators(i).flags.writeable
-
-    kept = EvolutionRecord.local_propagators
-
-    def uncached(self, j):
-        self._local = None
-        return kept(self, j)
-
-    monkeypatch.setattr(EvolutionRecord, "local_propagators", uncached)
+    # S_t of i - 2 .. i + 2 is formed once each, two solves apiece; W of node
+    # i is one solve in each mode
+    assert sorted(formed) == list(range(i - 2, i + 3))
+    assert rhs_shapes == [(d, d)] * (2 * 5 + 2)
+    s = surface_correction(rec, i)
+    assert not s.flags.writeable
+    assert len(formed) == 5
+    # forming them again gives the same bits
+    rec._surfaces.clear()
     assert np.array_equal(transformed_interaction(rec, i, "exact"), exact)
     assert np.array_equal(transformed_interaction(rec, i, "expansion"), series)
-    assert len(calls) == 6 + 8
+    assert len(formed) == 10
 
 
 def test_transformed_interaction_rejects_bad_input(lat4, h0_4, grid16):
@@ -536,6 +580,8 @@ def test_fused_contractions_match_per_channel_oracles(sites, n_channels, seed,
             assert np.array_equal(s, s.conj().T)
             assert np.abs(s - oracle_surface_correction(rec, noise, i)
                           ).max() < 1e-10
+            assert np.abs(equal_time_hamiltonian(rec, i)
+                          - oracle_equal_time_hamiltonian(rec, i)).max() < 1e-10
         # the layer sum continues the trajectories freely past both ends;
         # three state pairs drawn from the example's seed
         for k in range(3):
