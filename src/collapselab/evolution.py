@@ -100,7 +100,6 @@ class EvolutionRecord:
     _right_free: np.ndarray = field(repr=False)  # e^{-i m dt h0}, m = 1..reach
     states: np.ndarray | None = None
     _quadrant: tuple | None = field(default=None, repr=False)
-    _surfaces: dict = field(default_factory=dict, repr=False)
 
     def state(self, i: int) -> np.ndarray:
         if self.states is None:
@@ -196,9 +195,10 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
     change is not finite.
 
     ``start``, if given, is a record on the same interval with twice this
-    step and half this reach (``start.grid.refined(2) == grid``), whose
-    maps give the first iterate in place of free evolution; any other
-    record raises ValueError.
+    step (``start.grid.refined(2) == grid``), whose interior maps give the
+    first iterate in place of free evolution; any other record raises
+    ValueError. Only its interior nodes are read, so its reach may differ
+    from half this one where ell/dt is not a whole number.
     """
     channels = list(channels)
     dim = h0.shape[0]
@@ -210,11 +210,10 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
     ell = max(ch.profile.ell_min for ch in channels)
     reach = int(round(ell / dt))
     win = 2 * reach + 1
-    if start is not None and (start.grid.refined(2) != grid
-                              or 2 * start.reach != reach):
+    if start is not None and start.grid.refined(2) != grid:
         raise ValueError(
-            f"start record on {start.grid} with reach {start.reach} is not "
-            f"the half-resolution solve of {grid} with reach {reach}")
+            f"start record on {start.grid} is not the half-resolution solve "
+            f"of {grid}")
     coeffs, field_pad = _coefficient_table(channels, noise, grid, reach)
     _check_boundary(field_pad, reach)
 
@@ -364,11 +363,8 @@ def surface_correction(record: EvolutionRecord, i: int) -> np.ndarray:
     Assembled as i(Q - Q^dag) with Q the past-future quadrant integral of
     (U^tau_t)^dag V(tau, tau') U^tau'_t; hermiticity is exact by
     construction. Vanishes when the field is off throughout the strip
-    [t - ell, t + ell]. The correction of each node is formed once and
-    kept on the record, read-only.
+    [t - ell, t + ell].
     """
-    if i in record._surfaces:
-        return record._surfaces[i]
     xi, window = _node_maps(record, i)
     reach = record.reach
     dim = xi.shape[0]
@@ -378,10 +374,7 @@ def surface_correction(record: EvolutionRecord, i: int) -> np.ndarray:
     m = window[: reach + 1].reshape(-1, dim).conj().T @ mixed.reshape(-1, dim)
     # with Y_p = X_p X_i^{-1}: Q = sum_pq c Y_p^dag O Y_q = X_i^{-dag} m X_i^{-1}
     q = np.linalg.solve(xi.conj().T, np.linalg.solve(xi.T, m.T).T)
-    s = 1j * (q - q.conj().T)
-    s.flags.writeable = False
-    record._surfaces[i] = s
-    return s
+    return 1j * (q - q.conj().T)
 
 
 def conserved_inner(record: EvolutionRecord, i: int, phi: np.ndarray,

@@ -199,6 +199,18 @@ def test_preset_defaults_share_no_containers(tmp_path):
     assert PRESETS["conservation"].defaults == before
 
 
+def test_expansion_runs_where_ell_over_dt_is_not_whole(tmp_path):
+    # ell_min/dt = 12.5: the grids' reaches are 12, 25 and 50, so each
+    # refinement warm-starts from a record whose reach is not half its own
+    result = run_preset("expansion",
+                        {"time": {"t0": 0.0, "t1": 5.0, "dt": 0.04},
+                         "noise": {"window": {"t_on": 0.5, "t_off": 4.5,
+                                              "ramp": 0.5}}},
+                        out=tmp_path)
+    assert [c.name for c in result.checks] == ["remainder_slope",
+                                               "asymmetry_slope"]
+
+
 def test_echo_drops_output_directory():
     raw = base_config()
     raw["run"] = {"preset": "conservation", "out": "/tmp/somewhere"}

@@ -238,13 +238,18 @@ def test_active_boundary_warns(lat4, h0_4, grid16):
         solve_nonlocal(psi0, grid16, ch, noise, h0_4, lat4.spacing)
 
 
-def test_warm_start_reaches_the_cold_fixed_point(lat4, h0_4, grid16):
+# ell/dt = 12.5 on the second coarse grid rounds to reach 12, and the fine
+# reach is 25, not twice that
+@pytest.mark.parametrize("dt, reaches", [(ELL / 16.0, (16, 32)), (0.04, (12, 25))])
+def test_warm_start_reaches_the_cold_fixed_point(lat4, h0_4, dt, reaches):
     ch = two_channels(lat4, 0.08)
-    fine = grid16.refined(2)
-    coarse = solve_nonlocal(None, grid16, ch, probe(ch, grid16), h0_4, lat4.spacing)
+    grid = TimeGrid(0.0, 2.0, dt)
+    fine = grid.refined(2)
+    coarse = solve_nonlocal(None, grid, ch, probe(ch, grid), h0_4, lat4.spacing)
     cold = solve_nonlocal(None, fine, ch, probe(ch, fine), h0_4, lat4.spacing)
     warm = solve_nonlocal(None, fine, ch, probe(ch, fine), h0_4, lat4.spacing,
                           start=coarse)
+    assert (coarse.reach, warm.reach) == reaches
     assert np.abs(warm.props - cold.props).max() < 1e-11
     assert warm.residuals[0] <= 1e-3 < cold.residuals[0]
     assert len(warm.residuals) < len(cold.residuals)
@@ -440,8 +445,7 @@ def test_expansion_remainder_is_third_order(lat4, h0_4, grid16):
     assert 5.0 < r1 / r2 < 11.0
 
 
-def test_node_objects_take_d_by_d_solves_and_one_surface_each(
-        lat4, h0_4, grid16, monkeypatch):
+def test_node_objects_take_d_by_d_solves(lat4, h0_4, grid16, monkeypatch):
     rec = _solved(lat4, h0_4, grid16, 0.08)
     i = grid16.n_nodes // 2
     d = lat4.dim
@@ -459,19 +463,16 @@ def test_node_objects_take_d_by_d_solves_and_one_surface_each(
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
     monkeypatch.setattr(evolution, "_quadrant_coeffs", counted_quadrant)
     exact = transformed_interaction(rec, i, "exact")
-    series = transformed_interaction(rec, i, "expansion")
-    # S_t of i - 2 .. i + 2 is formed once each, two solves apiece; W of node
-    # i is one solve in each mode
+    # the exact mode forms S_t of i - 2 .. i + 2 once each, two solves
+    # apiece, and W of node i in one solve
     assert sorted(formed) == list(range(i - 2, i + 3))
-    assert rhs_shapes == [(d, d)] * (2 * 5 + 2)
-    s = surface_correction(rec, i)
-    assert not s.flags.writeable
-    assert len(formed) == 5
+    assert rhs_shapes == [(d, d)] * (2 * 5 + 1)
+    series = transformed_interaction(rec, i, "expansion")
+    assert formed[5:] == [i]
+    assert rhs_shapes == [(d, d)] * (2 * 6 + 2)
     # forming them again gives the same bits
-    rec._surfaces.clear()
     assert np.array_equal(transformed_interaction(rec, i, "exact"), exact)
     assert np.array_equal(transformed_interaction(rec, i, "expansion"), series)
-    assert len(formed) == 10
 
 
 def test_transformed_interaction_rejects_bad_input(lat4, h0_4, grid16):
