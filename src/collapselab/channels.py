@@ -389,18 +389,12 @@ def sample_fourier_probe(channels: list[InteractionChannel], grid: TimeGrid,
 
 @dataclass(frozen=True)
 class ChannelOperatorSet:
-    """Stacks M_a(z) on the difference grid, raw and symmetrized.
-
-    The dynamics reads ``sym``. ``asymmetry`` records
-    max_z |M_a(z) - M_a(-z)| / 2 per channel from ``raw``, the
-    operator-level cost of enforcing evenness when [A_a, h0] != 0.
-    """
+    """Stacks M_a(z) on the difference grid, symmetrized to be even in z,
+    shape (n_channels, n_zeta, D, D)."""
 
     zeta: np.ndarray
     dt: float
-    raw: np.ndarray  # (n_channels, n_zeta, D, D)
     sym: np.ndarray
-    asymmetry: np.ndarray
 
     @property
     def half_width(self) -> int:
@@ -428,6 +422,7 @@ def build_channel_operators(channels: list[InteractionChannel], h0: np.ndarray,
                 ch.spatial_op @ ep + ep.conj().T @ ch.spatial_op
             )
     sym = 0.5 * (raw + raw[:, ::-1])
+    # max_z |M_a(z) - M_a(-z)| / 2, the cost of evenness when [A_a, h0] != 0
     asym = np.max(
         np.abs(raw - sym).reshape(len(channels), -1), axis=1
     )
@@ -435,5 +430,4 @@ def build_channel_operators(channels: list[InteractionChannel], h0: np.ndarray,
         if asym[a] > 1e-13:
             log.info("channel %s: evenness symmetrization changes M by %.3e",
                      ch.label, asym[a])
-    return ChannelOperatorSet(
-        zeta=zeta, dt=dt, raw=raw, sym=sym, asymmetry=asym)
+    return ChannelOperatorSet(zeta=zeta, dt=dt, sym=sym)

@@ -27,13 +27,14 @@ step is the phase e^{-i dt E}, and in the interaction picture
 z_k = e^{i k dt E} U^dag X_{s+k} relative to its first node s. There the
 trapezoid step of the Duhamel form sums V_k = e^{i k dt E} U^dag O m_{s+k},
 with O the channel operators side by side and m the stacked channel mixes
-sum_q c[a, q] X_q. One real GEMM of the weights, laid on a band, against
-the float64 view of the maps gives the mixes of every node in the block;
-one batched product applies O, U^dag and the phases, one real GEMM of the
-trapezoid weights sums them, and one batched product maps the block back
-into the maps. Outside the sweep every channel sum costs two BLAS calls.
-The solve keeps its padded half-step field table on the record, so node
-loops of surface corrections cost linear time.
+sum_q c[a, q] X_q. Each weight is a kernel value times a field value (a
+Nystrom rule), so a block forms its weights on a band from the kernel rows
+and a strided view of the padded half-step field table, and one real GEMM
+of the band against the float64 view of the maps gives the mixes of every
+node in the block; one batched product applies O, U^dag and the phases,
+one real GEMM of the trapezoid weights sums them, and one batched product
+maps the block back into the maps. Outside the sweep every channel sum
+costs two BLAS calls. The record keeps the kernel rows and the field table.
 
 A solve may start from the record of the same problem on the grid with
 twice the step (nested iteration): its maps fill the even nodes, and each
@@ -95,7 +96,7 @@ class EvolutionRecord:
     reach: int
     residuals: list[float]
     props: np.ndarray  # padded: index j + reach
-    _coeffs: np.ndarray = field(repr=False)
+    _kernel: np.ndarray = field(repr=False)  # (A, 2 reach + 1) kernel rows
     _field_pad: np.ndarray = field(repr=False)
     _right_free: np.ndarray = field(repr=False)  # e^{-i m dt h0}, m = 1..reach
     states: np.ndarray | None = None
@@ -136,11 +137,10 @@ def _channel_sum(ops_row: np.ndarray, weights: np.ndarray,
 
 def _coefficient_table(channels, noise: NoiseRealization, grid: TimeGrid,
                        reach: int) -> tuple[np.ndarray, np.ndarray]:
-    """c[a, j, d] = amplitude_a * L_a(d dt) * field_a(midpoint(j, j+d)) * dt,
-    and the half-step field table it reads, zero-padded by ``reach``.
-
-    Midpoints (t_j + t_{j+d})/2 sit on the half-step grid at index 2j + d;
-    indices beyond the simulated interval contribute zero.
+    """The factors of c[a, j, d] = dt amplitude_a L_a(d dt) field_a(midpoint
+    of t_j, t_{j+d}): kernel rows over d = -reach..reach, and the half-step
+    field table, zero-padded by ``reach``, in which node j's field row is
+    pad[:, 2j : 2j + 2 reach + 1]; midpoints past the interval read zero.
     """
     n = grid.n_nodes
     dt = grid.dt
@@ -148,12 +148,8 @@ def _coefficient_table(channels, noise: NoiseRealization, grid: TimeGrid,
     pad = np.zeros((half.shape[0], half.shape[1] + 2 * reach))
     pad[:, reach : reach + half.shape[1]] = half
     d = np.arange(-reach, reach + 1)
-    gather = 2 * np.arange(n)[:, None] + d[None, :] + reach
-    coeffs = np.empty((len(channels), n, 2 * reach + 1))
-    for a, ch in enumerate(channels):
-        lz = ch.profile.value(d * dt)
-        coeffs[a] = dt * ch.amplitude * lz[None, :] * pad[a][gather]
-    return coeffs, pad
+    kern = np.stack([dt * ch.amplitude * ch.profile.value(d * dt) for ch in channels])
+    return kern, pad
 
 
 def _check_coupling(channels) -> None:
@@ -214,8 +210,11 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
         raise ValueError(
             f"start record on {start.grid} is not the half-resolution solve "
             f"of {grid}")
-    coeffs, field_pad = _coefficient_table(channels, noise, grid, reach)
+    kern, field_pad = _coefficient_table(channels, noise, grid, reach)
     _check_boundary(field_pad, reach)
+    # node j's field row as a read-only view rows[j, a, q] = field_pad[a, 2j + q]
+    rows = np.lib.stride_tricks.sliding_window_view(
+        field_pad, win, axis=1)[:, ::2].transpose(1, 0, 2)
 
     free = FreePropagator(h0)
     shifts = np.arange(1, reach + 1) * dt
@@ -255,8 +254,8 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
     from_z = u * np.exp(-1j * k_dt[1:] * free.evals)[:, None, :]
     trap = np.tri(_BLOCK, _BLOCK + 1) + np.tri(_BLOCK, _BLOCK + 1, 1)
     trap[:, 0] = 1.0
-    # band[k, a, k + q] = c[a, s + k, q], so the block's mixes are one GEMM
-    # against the map rows s .. e + 2 reach (padded index)
+    # band[k, a, k + q] = c[a, s + k, q] = kern[a, q] rows[s + k, a, q], so the
+    # block's mixes are one GEMM against the map rows s .. e + 2 reach (padded)
     band = np.zeros((_BLOCK + 1, n_ch, _BLOCK + win))
     st = band.strides
     band_diag = np.lib.stride_tricks.as_strided(
@@ -270,7 +269,7 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
             e = min(s + _BLOCK, n - 1)
             nb = e - s
             # node s holds this sweep's value, later nodes the last sweep's
-            band_diag[: nb + 1] = coeffs[:, s : e + 1].transpose(1, 0, 2)
+            np.multiply(kern, rows[s : e + 1], out=band_diag[: nb + 1])
             mix = np.matmul(band[: nb + 1, :, : nb + win].reshape(-1, nb + win),
                             x_real[s : e + win], out=mix_real[: (nb + 1) * n_ch])
             v = np.matmul(to_z[: nb + 1],
@@ -300,7 +299,7 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
     record = EvolutionRecord(
         grid=grid, channels=tuple(channels), h0=h0,
         spacing=spacing, reach=reach, residuals=residuals, props=x,
-        _coeffs=coeffs, _field_pad=field_pad, _right_free=right_pad,
+        _kernel=kern, _field_pad=field_pad, _right_free=right_pad,
     )
     if psi0 is not None:
         record.states = np.einsum("jab,b->ja", x, psi0)[reach : reach + n]
@@ -323,8 +322,9 @@ def equal_time_hamiltonian(record: EvolutionRecord, i: int) -> np.ndarray:
     correction compensates.
     """
     xi, window = _node_maps(record, i)
+    c = record._kernel * record._field_pad[:, 2 * i : 2 * i + window.shape[0]]
     # sum_q c O (X_q X_i^{-1}) = (sum_q c O X_q) X_i^{-1}, solved transposed
-    m = _channel_sum(_side_by_side(record.channels), record._coeffs[:, i], window)
+    m = _channel_sum(_side_by_side(record.channels), c, window)
     return np.linalg.solve(xi.T, m.T).T
 
 
@@ -334,9 +334,9 @@ def _quadrant_coeffs(record: EvolutionRecord, i: int) -> np.ndarray:
     p runs over i-reach..i, q over i..i+reach (both inclusive); trapezoid
     weights give the shared corner p = q = i a quarter weight. The kernel
     vanishes on the outer edges so only the inner boundary needs halving.
-    The field values come from the padded half-step table the solve kept
-    on the record; the kernel weights are built on the first call and kept
-    there too.
+    The field values are a strided view of the padded half-step table the
+    solve kept on the record; the kernel weights and that view are built
+    on the first call and kept there too.
     """
     reach = record.reach
     if record._quadrant is None:
@@ -349,11 +349,12 @@ def _quadrant_coeffs(record: EvolutionRecord, i: int) -> np.ndarray:
         kern = np.stack([
             ch.amplitude * ch.profile.value(diff) * wp[:, None] * wq[None, :]
             for ch in record.channels])
-        record._quadrant = (kern, off[:, None] + off[None, :])
-    kern, off_sum = record._quadrant
-    # the midpoint of (t_p, t_q) sits at half-grid index p + q, which is
-    # 2i - reach + off_sum; the pad shifts it by reach
-    return kern * record._field_pad[:, 2 * i + off_sum]
+        # the midpoint of (t_p, t_q) sits at half-grid index p + q, padded
+        # 2i + (p - i + reach) + (q - i); sums[a, m, k] = field_pad[a, m + k]
+        record._quadrant = (kern, np.lib.stride_tricks.sliding_window_view(
+            record._field_pad, reach + 1, axis=1))
+    kern, sums = record._quadrant
+    return kern * sums[:, 2 * i : 2 * i + reach + 1]
 
 
 def surface_correction(record: EvolutionRecord, i: int) -> np.ndarray:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from collapselab.channels import KernelProfile, make_channel, site_projector
 from collapselab.grids import TimeGrid, Window
@@ -57,3 +58,24 @@ def random_state(dim: int, spacing: float, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return normalized(v, spacing)
+
+
+def raw_channel_stack(channels, h0: np.ndarray, dt: float) -> np.ndarray:
+    """The unsymmetrized stacks M_a(z) = (amplitude_a L_a(z) / 2)
+    (A_a e^{i z h0} + e^{-i z h0} A_a) on the difference grid of step dt
+    out to the longest kernel range, shape (n_channels, n_zeta, D, D), from
+    scipy's expm."""
+    k = int(round(max(ch.profile.ell_min for ch in channels) / dt))
+    zeta = dt * np.arange(-k, k + 1)
+    out = np.zeros((len(channels), zeta.size) + h0.shape, dtype=complex)
+    for a, ch in enumerate(channels):
+        for i, z in enumerate(zeta):
+            ep = expm(1j * z * h0)
+            out[a, i] = 0.5 * ch.amplitude * float(ch.profile.value(z)) * (
+                ch.spatial_op @ ep + ep.conj().T @ ch.spatial_op)
+    return out
+
+
+def stack_asymmetry(stack: np.ndarray) -> np.ndarray:
+    """max_z |M_a(z) - M_a(-z)| / 2 per channel."""
+    return 0.5 * np.abs(stack - stack[:, ::-1]).reshape(stack.shape[0], -1).max(axis=1)

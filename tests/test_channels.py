@@ -23,7 +23,7 @@ from collapselab.errors import ConfigError, DimensionMismatch, GridTooCoarse, No
 from collapselab.grids import TimeGrid, Window
 from collapselab.lattice import SPINOR_DIM, FreePropagator, LatticeConfig, momenta
 
-from conftest import ELL, two_channels
+from conftest import ELL, raw_channel_stack, stack_asymmetry, two_channels
 
 
 def field_value(noise, channel, t):
@@ -348,14 +348,17 @@ def test_channel_operator_stacks(lat4, h0_4, grid16):
     assert abs(ops.zeta[k]) == 0.0
     prof = chans[0].profile
     m0 = chans[0].amplitude * float(prof.value(0.0)) * chans[0].spatial_op
-    assert np.abs(ops.raw[0, k] - m0).max() < 1e-12
+    raw = raw_channel_stack(chans, h0_4, grid16.dt)
+    assert np.abs(raw[0, k] - m0).max() < 1e-12
+    # the set holds the even part of the raw stack
+    assert np.abs(ops.sym - 0.5 * (raw + raw[:, ::-1])).max() < 1e-12
     # symmetrized stack is hermitian and even in z by construction
     n = ops.zeta.size
     for a in range(2):
         for i in range(n):
             assert np.array_equal(ops.sym[a, i], ops.sym[a, n - 1 - i])
             assert np.abs(ops.sym[a, i] - ops.sym[a, i].conj().T).max() == 0.0
-    assert np.all(ops.asymmetry > 1e-3)  # neither operator commutes with h0
+    assert np.all(stack_asymmetry(raw) > 1e-3)  # neither operator commutes with h0
     with pytest.raises(GridTooCoarse):
         build_channel_operators(chans, h0_4, 0.25)
 
@@ -363,9 +366,12 @@ def test_channel_operator_stacks(lat4, h0_4, grid16):
 def test_commuting_channel_has_even_raw_stack(lat4, h0_4, grid16):
     prof = KernelProfile(ell_min=ELL)
     a = momentum_function(lat4, np.cos(momenta(lat4)) + 0.5)
-    ops = build_channel_operators([make_channel("mom", a, prof, 0.3)],
-                                  h0_4, grid16.dt)
-    assert ops.asymmetry.max() < 1e-12
+    chans = [make_channel("mom", a, prof, 0.3)]
+    ops = build_channel_operators(chans, h0_4, grid16.dt)
+    raw = raw_channel_stack(chans, h0_4, grid16.dt)
+    assert stack_asymmetry(raw).max() < 1e-12
+    # so symmetrizing it changes nothing
+    assert np.abs(ops.sym - raw).max() < 1e-12
 
 
 def linearized_interaction(opset, stack, noise, t):
@@ -389,7 +395,7 @@ def test_linearized_interaction_matches_direct_sum(lat4, h0_4, grid16):
     for z in ops.zeta:
         v = interaction_kernel(t, t - z, chans, noise)
         direct += ops.dt * 0.5 * (v @ free.matrix(-z) + free.matrix(z) @ v)
-    lin = linearized_interaction(ops, ops.raw, noise, t)
+    lin = linearized_interaction(ops, raw_channel_stack(chans, h0_4, grid16.dt), noise, t)
     assert np.abs(lin - direct).max() < 1e-12
     sym = linearized_interaction(ops, ops.sym, noise, t)
     assert np.abs(sym - sym.conj().T).max() < 1e-12

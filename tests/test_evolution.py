@@ -1,6 +1,9 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -14,7 +17,6 @@ from collapselab.channels import (
 )
 from collapselab.errors import NoConvergence, OutOfGrid
 from collapselab.evolution import (
-    _coefficient_table,
     conserved_inner,
     conserved_inner_layer_sum,
     equal_time_hamiltonian,
@@ -45,6 +47,24 @@ OFF = Window(t_on=5.0, t_off=7.0, ramp=0.5)
 # of what evolution.py fuses into a few BLAS calls per block of nodes
 
 
+def oracle_coeffs(grid, channels, noise, reach):
+    """c[a, j, d + reach] = dt amplitude_a L_a(d dt) times the field at the
+    midpoint of t_j and t_{j+d}, entry by entry from a fresh half-step
+    table of the field; midpoints past either grid end weigh zero. The
+    product is taken in the solver's order, so the weights agree to the bit."""
+    dt, n = grid.dt, grid.n_nodes
+    half = noise.table(grid.t0, 0.5 * dt, 2 * (n - 1) + 1)
+    offsets = np.arange(-reach, reach + 1)
+    out = np.zeros((len(channels), n, offsets.size))
+    for a, ch in enumerate(channels):
+        kern = dt * ch.amplitude * ch.profile.value(offsets * dt)
+        for j in range(n):
+            for k, d in enumerate(offsets):
+                if 0 <= 2 * j + d < half.shape[1]:
+                    out[a, j, k] = kern[k] * half[a, 2 * j + d]
+    return out
+
+
 def oracle_solve(grid, channels, noise, h0, tol, block):
     """Block Gauss-Seidel sweeps of solve_nonlocal, channel by channel: a
     block of nodes s..s+block takes every node's interaction from the maps
@@ -53,7 +73,7 @@ def oracle_solve(grid, channels, noise, h0, tol, block):
     Returns the padded maps and the residual history."""
     dt, n = grid.dt, grid.n_nodes
     reach = int(round(max(ch.profile.ell_min for ch in channels) / dt))
-    coeffs, _ = _coefficient_table(channels, noise, grid, reach)
+    coeffs = oracle_coeffs(grid, channels, noise, reach)
     ops = [ch.spatial_op for ch in channels]
     free = FreePropagator(h0)
     e_dt = free.matrix(dt)
@@ -111,9 +131,10 @@ def oracle_relative_maps(record, i):
     return np.stack([xq @ xi_inv for xq in record.props[i : i + 2 * record.reach + 1]])
 
 
-def oracle_equal_time_hamiltonian(record, i):
+def oracle_equal_time_hamiltonian(record, noise, i):
     y = oracle_relative_maps(record, i)
-    return sum(ch.spatial_op @ np.tensordot(record._coeffs[a, i], y, axes=(0, 0))
+    c = oracle_coeffs(record.grid, record.channels, noise, record.reach)[:, i]
+    return sum(ch.spatial_op @ np.tensordot(c[a], y, axes=(0, 0))
                for a, ch in enumerate(record.channels))
 
 
@@ -126,12 +147,13 @@ def oracle_surface_correction(record, noise, i):
     return 1j * (q - q.conj().T)
 
 
-def equal_time_hamiltonian_first_order(record, i):
+def equal_time_hamiltonian_first_order(record, noise, i):
     """W(t_i) contracted with free two-time maps; differs at second order."""
     dt, reach = record.grid.dt, record.reach
     free = FreePropagator(record.h0)
     y = np.stack([free.matrix(d * dt) for d in range(-reach, reach + 1)])
-    return sum(ch.spatial_op @ np.tensordot(record._coeffs[a, i], y, axes=(0, 0))
+    c = oracle_coeffs(record.grid, record.channels, noise, reach)[:, i]
+    return sum(ch.spatial_op @ np.tensordot(c[a], y, axes=(0, 0))
                for a, ch in enumerate(record.channels))
 
 
@@ -258,6 +280,27 @@ def test_warm_start_reaches_the_cold_fixed_point(lat4, h0_4, dt, reaches):
     assert np.array_equal(warm.props[:reach], cold.props[:reach])
 
 
+def test_refined_solves_hold_little_beyond_their_maps(lat4, h0_4):
+    # expansion's ladder: a cold solve at reach 32, then warm solves at
+    # reach 64 and 128 (449 and 897 nodes); the weights are formed per
+    # block, so no (A, n, 2 reach + 1) table or gather index is allocated
+    ch = two_channels(lat4, 0.04)
+    grid = TimeGrid(0.0, 3.5, ELL / 32.0)
+    window = Window(t_on=0.7, t_off=2.8, ramp=0.2)
+    rec = None
+    for g in (grid, grid.refined(2), grid.refined(4)):
+        noise = sample_fourier_probe(ch, g, seed=9, window=window, amplitude=2.0)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            rec = solve_nonlocal(None, g, ch, noise, h0_4, lat4.spacing, start=rec)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        if rec.reach >= 64:
+            assert peak <= 3 * rec.props.nbytes
+
+
 def test_warm_start_rejects_other_grids(lat4, h0_4, grid16):
     ch = two_channels(lat4, 0.04)
     fine = grid16.refined(2)
@@ -361,9 +404,11 @@ def test_equal_time_hamiltonian_orders(lat4, h0_4, grid16):
     i = grid16.n_nodes // 2
 
     def diff(amplitude):
-        rec = _solved(lat4, h0_4, grid16, amplitude)
+        ch = two_channels(lat4, amplitude)
+        noise = probe(ch, grid16)
+        rec = solve_nonlocal(None, grid16, ch, noise, h0_4, lat4.spacing)
         w = equal_time_hamiltonian(rec, i)
-        w1 = equal_time_hamiltonian_first_order(rec, i)
+        w1 = equal_time_hamiltonian_first_order(rec, noise, i)
         return np.abs(w - w1).max(), w
 
     d1, w = diff(0.08)
@@ -542,6 +587,10 @@ def reach_and_nodes(draw):
 @given(sites=st.sampled_from([2, 4]), n_channels=st.integers(1, 3),
        seed=st.integers(0, 2**16), amplitude=st.floats(0.01, 0.08),
        shape=reach_and_nodes())
+# at block 1 the solver's eighth residual is 9.9986e-13 and the oracle's,
+# rounded differently, 1.0001e-12
+@example(sites=4, n_channels=1, seed=7, amplitude=0.06383900404512938,
+         shape=(1, 7))
 def test_fused_contractions_match_per_channel_oracles(sites, n_channels, seed,
                                                       amplitude, shape):
     reach, nodes = shape
@@ -566,7 +615,14 @@ def test_fused_contractions_match_per_channel_oracles(sites, n_channels, seed,
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(evolution, "_BLOCK", block)
             rec = solve_nonlocal(psi0, grid, channels, noise, h0, lat.spacing)
-        x, residuals = oracle_solve(grid, channels, noise, h0, 1e-12, block)
+        # the solver stops at its first residual at or below 1e-12; the
+        # oracle's maps round differently, so it stops midway (in log)
+        # between the solver's last two residuals, where rounding cannot
+        # put the two on different sides of its tolerance
+        r = rec.residuals
+        assert r[-1] <= 1e-12 < min(r[:-1])
+        x, residuals = oracle_solve(grid, channels, noise, h0,
+                                    math.sqrt(r[-2] * r[-1]), block)
         assert rec.reach == reach
         assert len(rec.residuals) == len(residuals)
         # the sweep history is fixed by the block order, not only the limit
@@ -576,13 +632,14 @@ def test_fused_contractions_match_per_channel_oracles(sites, n_channels, seed,
         assert np.abs(rec.props - x).max() < 1e-10
         interior = x[rec.reach : rec.reach + grid.n_nodes]
         assert np.abs(rec.states - interior @ psi0).max() < 1e-10
-        for i in range(0, grid.n_nodes, 4):
+        # the first and last nodes' windows reach into the zero pad
+        for i in sorted({*range(0, grid.n_nodes, 4), grid.n_nodes - 1}):
             s = surface_correction(rec, i)
             assert np.array_equal(s, s.conj().T)
             assert np.abs(s - oracle_surface_correction(rec, noise, i)
                           ).max() < 1e-10
             assert np.abs(equal_time_hamiltonian(rec, i)
-                          - oracle_equal_time_hamiltonian(rec, i)).max() < 1e-10
+                          - oracle_equal_time_hamiltonian(rec, noise, i)).max() < 1e-10
         # the layer sum continues the trajectories freely past both ends;
         # three state pairs drawn from the example's seed
         for k in range(3):

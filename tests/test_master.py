@@ -39,7 +39,7 @@ from collapselab.master import (
 )
 from collapselab.presets import PRESETS
 
-from conftest import ELL, random_state, two_channels
+from conftest import ELL, random_state, raw_channel_stack, two_channels
 
 
 @pytest.fixture
@@ -84,7 +84,7 @@ def cfs_rhs_oracle(sigma, spec):
     return out
 
 
-def test_spec_validation(h0_4, opset):
+def test_spec_validation(lat4, h0_4, grid16, opset):
     with pytest.raises(ConfigError):
         LindbladSpec(h0_4, "unknown_kind")
     with pytest.raises(ConfigError):
@@ -93,7 +93,7 @@ def test_spec_validation(h0_4, opset):
     # stack of non-commuting channels is not even
     check_invariants(opset.sym)
     with pytest.raises(ConfigError):
-        check_invariants(opset.raw)
+        check_invariants(raw_channel_stack(two_channels(lat4, 0.1), h0_4, grid16.dt))
 
 
 @pytest.mark.parametrize("kind", ["cfs", "gksl"])
