@@ -6,15 +6,19 @@ full config file without running anything. Exit codes: 0 all checks passed,
 1 at least one check failed, 2 configuration problem, 3 solver or runtime
 failure. The number of ensemble worker processes (fork) comes from the
 COLLAPSELAB_WORKERS environment variable; the results do not depend on it.
+With more than one worker and no BLAS thread limit in the environment,
+``run`` warns once on stderr: each process's BLAS would start a thread per
+CPU, and the workers would oversubscribe the CPUs.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .config import ExperimentConfig, load_raw
-from .ensemble import WORKER_ENV
+from .ensemble import WORKER_ENV, worker_count
 from .errors import CollapseLabError, ConfigError, ScenarioViolation
 from .presets import PRESETS, check_tolerances, run_preset
 
@@ -22,6 +26,8 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
+
+BLAS_THREAD_ENVS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,7 +55,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warn_unbounded_blas() -> None:
+    try:
+        workers = worker_count()
+    except ConfigError:
+        return  # reported by the ensemble, if the preset runs one
+    if workers > 1 and not any(name in os.environ for name in BLAS_THREAD_ENVS):
+        print(f"warning: {WORKER_ENV}={workers} without a BLAS thread limit; "
+              "each worker's BLAS may start a thread per CPU. Set "
+              "OPENBLAS_NUM_THREADS=1 (or OMP_NUM_THREADS / MKL_NUM_THREADS).",
+              file=sys.stderr)
+
+
 def _cmd_run(args) -> int:
+    _warn_unbounded_blas()
     overrides = load_raw(args.config) if args.config else None
     result = run_preset(args.preset, overrides, out=args.out, seed=args.seed,
                         realizations=args.realizations)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .channels import (
     Covariance,
@@ -306,6 +305,8 @@ def load_raw(path) -> dict:
     Used where the file is a partial override merged onto preset defaults;
     the merged result still goes through the full validation.
     """
+    import yaml  # here, not at module level: only YAML text needs it
+
     try:
         text = Path(path).read_text()
     except OSError as err:

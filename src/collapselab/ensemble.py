@@ -20,15 +20,19 @@ coupling; the tests compare the two on one field path.
 
 Reproducibility contract: realization r draws its field from the seed
 sequence [master seed, r] (NumPy SeedSequence, NEP 19), so distinct master
-seeds give independent ensembles; realizations are processed in fixed
+seeds give independent ensembles; a block draws its rows one realization at
+a time and scales them together. Realizations are processed in fixed
 blocks of 256, each block sums sequentially into its own slot of a per-block
 table, and the slots are combined in block order. Results are therefore
-bit-identical for a given seed no matter how many worker processes (fork)
-run them (COLLAPSELAB_WORKERS, default 1). The recorded series and tables
-live in anonymous shared mappings made before any worker forks: a block
-writes its rows and sums in place, and nothing is sent back. A failed
-realization aborts the ensemble with its index, from the lowest failing
-block; resampling would condition it on solver success and bias means.
+bit-identical for a given seed no matter how many processes run them
+(COLLAPSELAB_WORKERS, default 1): with w workers the caller and w - 1
+forked children each take every w-th block. The recorded series and tables
+live in anonymous shared mappings made before any child forks: a block
+writes its rows and sums in place, and a child sends back only a pickled
+report through a pipe. A failed realization aborts the ensemble with its
+index, from the lowest failing block; resampling would condition it on
+solver success and bias means. A child that ends without a report (killed
+by a signal, say) raises WorkerLost; no child outlives the call.
 """
 
 from __future__ import annotations
@@ -36,17 +40,13 @@ from __future__ import annotations
 import math
 import mmap
 import os
+import pickle
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import (
-    ChannelOperatorSet,
-    InteractionChannel,
-    build_channel_operators,
-    sample_noise,
-)
-from .errors import ConfigError, ScenarioViolation, StepRejected
+from .channels import ChannelOperatorSet, InteractionChannel, build_channel_operators
+from .errors import ConfigError, ScenarioViolation, StepRejected, WorkerLost
 from .grids import TimeGrid, Window
 
 BLOCK = 256
@@ -168,32 +168,78 @@ def _checkpoint_nodes(n: int, count: int) -> np.ndarray:
     return np.unique(np.linspace(0, n - 1, max(2, min(count, n))).round().astype(int))
 
 
-_task = None  # the block task, in a forked worker process
+def _run_share(task, first: int, workers: int, count: int):
+    """Run task(i) for blocks first, first + workers, ... in order; return
+    (block, exception) for the first that raises, else None."""
+    for i in range(first, count, workers):
+        try:
+            task(i)
+        except Exception as err:
+            return i, err
+    return None
 
 
-def _adopt(task) -> None:
-    global _task
-    _task = task
+def _child(task, first: int, workers: int, count: int, fd: int) -> None:
+    """Body of a forked worker: run its share, send one pickled report (None,
+    or its first failure as (block, exception)) through fd, and leave with
+    os._exit, never returning into the caller's code."""
+    try:
+        report = _run_share(task, first, workers, count)
+        try:
+            data = pickle.dumps(report)
+            pickle.loads(data)
+        except Exception:  # an exception that does not survive pickling
+            block, err = report
+            data = pickle.dumps((block, RuntimeError(f"{type(err).__name__}: {err}")))
+        with os.fdopen(fd, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        os._exit(0)
 
 
-def _forked(i: int):
-    return _task(i)
+def _reap(pid: int, fd: int, blocks: range):
+    """Read a child's report to the end of its pipe, wait for the child, and
+    return its failure as (block, exception), or None."""
+    with os.fdopen(fd, "rb") as pipe:
+        data = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    if data:
+        return pickle.loads(data)
+    code = os.waitstatus_to_exitcode(status)
+    how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+    return blocks[0], WorkerLost(
+        f"worker process for blocks {list(blocks)} ended without a report ({how})")
 
 
 def _run_blocks(task, count: int) -> None:
-    """Run task(i) for every block index i: here for one worker, else on
-    forked worker processes that inherit task. Tasks write their results in
-    place; results are awaited in block order, so a failure surfaces from the
-    lowest failing block at any worker count."""
+    """Run task(i) for every block index i; tasks write their results in place.
+
+    With w workers, w - 1 forked children and the caller each run every w-th
+    block (process k, the caller being k = 0, runs blocks k, k + w, ...) in
+    order and stop at their first failure. A child reports through a pipe;
+    the caller runs its own share, then reads every pipe and waits for every
+    child, on every path. The failure of the lowest block is raised, so the
+    same realization is named at any worker count: every block below it ran
+    and passed. A child that ends without a report raises WorkerLost.
+    """
     workers = min(worker_count(), count)
-    if workers == 1:
-        for i in range(count):
-            task(i)
-        return
-    import multiprocessing
-    with multiprocessing.get_context("fork").Pool(workers, _adopt, (task,)) as pool:
-        for _ in pool.imap(_forked, range(count)):
-            pass
+    children = []
+    failures = []
+    try:
+        for k in range(1, workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                _child(task, k, workers, count, write)
+            os.close(write)
+            children.append((pid, read, range(k, count, workers)))
+        failures.append(_run_share(task, 0, workers, count))
+    finally:
+        failures.extend(_reap(*child) for child in children)
+    failures = [f for f in failures if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
 
 
 class _Partials:
@@ -224,15 +270,25 @@ def _moments(parts: _Partials, count: int) -> tuple[np.ndarray, np.ndarray]:
 def _noise_tables(model: ModelSetup, window: Window, seed: int, rows: range,
                   pad: int) -> np.ndarray:
     """Half-grid field tables of the given realizations, one row set each,
-    zero-padded by `pad` half-steps at both ends. The white samples of
-    realization r already lie on the half grid (spacing dt/2, 2 steps + 1
-    nodes), so they are copied into the table as drawn."""
-    grid, channels = model.grid, list(model.channels)
+    zero-padded by `pad` half-steps at both ends.
+
+    Row i holds realization r = rows[i]: white samples from the seed
+    sequence [seed, r], of variance 1/h at the noise spacing h = dt/2 (2
+    steps + 1 nodes, so every node midpoint is a noise node), times the
+    window. The same floats as ``sample_noise(channels, grid, [seed, r],
+    window=window).samples``, drawn and scaled in the same order, with the
+    window evaluated once per block. The step's GridTooCoarse check is
+    made once per run, by ``model.opset``.
+    """
+    grid = model.grid
     m = 2 * grid.steps + 1
-    out = np.zeros((len(rows), len(channels), m + 2 * pad))
+    h = grid.dt / 2
+    out = np.zeros((len(rows), len(model.channels), m + 2 * pad))
+    body = out[:, :, pad : pad + m]
     for i, r in enumerate(rows):
-        out[i, :, pad : pad + m] = sample_noise(channels, grid, [seed, r],
-                                                window=window).samples
+        body[i] = np.random.default_rng([seed, r]).standard_normal(body.shape[1:])
+    body /= math.sqrt(h)
+    body *= np.asarray(window(grid.t0 + h * np.arange(m)), dtype=float)
     return out
 
 

@@ -40,6 +40,10 @@ class StepRejected(CollapseLabError):
     non-finite generator."""
 
 
+class WorkerLost(CollapseLabError):
+    """An ensemble worker process ended without reporting on its blocks."""
+
+
 class NotEigenstate(CollapseLabError):
     """A state required to be an eigenstate is not one."""
 

@@ -217,6 +217,8 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
         field_pad, win, axis=1)[:, ::2].transpose(1, 0, 2)
 
     free = FreePropagator(h0)
+    u = free.evecs
+    u_dag = u.conj().T
     shifts = np.arange(1, reach + 1) * dt
     right_pad = free.matrix(shifts)  # e^{-i m dt h0}, m = 1..reach
 
@@ -225,8 +227,13 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
     # left pad: exact free evolution backwards from the initial node
     x[:reach] = free.matrix(-shifts[::-1])
     if start is None:
-        # first iterate: free evolution forward
-        x[reach:] = free.matrix(np.arange(n + reach) * dt)
+        # first iterate: free evolution forward, U e^{-i t E} U^dag, formed
+        # _BLOCK nodes at a time in place (free.matrix over all nodes would
+        # hold two temporaries the size of the maps)
+        phases = np.exp(-1j * np.multiply.outer(np.arange(n + reach) * dt, free.evals))
+        for lo in range(0, n + reach, _BLOCK):
+            np.matmul(u * phases[lo : lo + _BLOCK, None, :], u_dag,
+                      out=x[reach + lo : reach + lo + _BLOCK])
     else:
         # first iterate: the coarse maps on the even nodes, and on each odd
         # node the midpoint (z_{j-1} + z_{j+1}) / 2 of its neighbours in the
@@ -246,8 +253,6 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
     # z_{k+1} = z_k - (i dt/2)(V_k + V_{k+1}), V_k = e^{i k dt E} U^dag O m_{s+k};
     # to_z[k] @ m_{s+k} is -(i dt/2) V_k, trap[k-1] sums those into z_k - z_0
     # (weight 1 on V_0 and V_k, 2 between) and from_z[k-1] @ z_k is x_{s+k}
-    u = free.evecs
-    u_dag = u.conj().T
     k_dt = np.arange(_BLOCK + 1)[:, None] * dt
     to_z = np.exp(1j * k_dt * free.evals)[:, :, None] * (
         -0.5j * dt * (u_dag @ _side_by_side(channels)))

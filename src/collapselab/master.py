@@ -41,18 +41,16 @@ def _pair_stacks(opset: ChannelOperatorSet, nu_step: int):
     stack = opset.sym
     k = opset.half_width
     dt = opset.dt
-    lefts = []
-    rights = []
-    for a in range(stack.shape[0]):
-        for d in range(-k, k + 1):
-            for f in range(0, k + 1, nu_step):
-                if d - 2 * f < -k:
-                    break
-                w_nu = dt * nu_step if f == 0 else 2.0 * dt * nu_step
-                lefts.append((dt * w_nu) * stack[a, d + k])
-                rights.append(stack[a, d - 2 * f + k])
-    left = np.stack(lefts)
-    right = np.stack(rights)
+    # pairs (z, z - v) with z = d dt and v = 2 f dt, f = 0, nu_step, ... while
+    # z - v stays on the grid, ordered by channel, then d, then f
+    d, f = np.meshgrid(np.arange(-k, k + 1), np.arange(0, k + 1, nu_step),
+                       indexing="ij")
+    keep = d - 2 * f >= -k
+    d, f = d[keep], f[keep]
+    w_nu = np.where(f == 0, dt * nu_step, 2.0 * dt * nu_step)
+    dim = stack.shape[-1]
+    left = ((dt * w_nu)[:, None, None] * stack[:, d + k]).reshape(-1, dim, dim)
+    right = stack[:, d - 2 * f + k].reshape(-1, dim, dim)
     return left, right, np.einsum("pab,pbc->ac", left, right)
 
 

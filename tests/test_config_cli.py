@@ -590,3 +590,41 @@ def test_config_echo_reproduces_run(tmp_path):
     second = run_preset("a-operator", config=echo, out=tmp_path / "b")
     assert ((tmp_path / "a" / "summary.json").read_bytes()
             == (tmp_path / "b" / "summary.json").read_bytes())
+
+
+@pytest.mark.parametrize("env, warned", [
+    ({"COLLAPSELAB_WORKERS": "2"}, True),
+    ({"COLLAPSELAB_WORKERS": "2", "OPENBLAS_NUM_THREADS": "1"}, False),
+    ({"COLLAPSELAB_WORKERS": "2", "OMP_NUM_THREADS": "1"}, False),
+    ({"COLLAPSELAB_WORKERS": "2", "MKL_NUM_THREADS": "1"}, False),
+    ({"COLLAPSELAB_WORKERS": "1"}, False),
+    ({}, False),
+])
+def test_cli_warns_once_on_workers_without_a_blas_limit(tmp_path, capsys,
+                                                        monkeypatch, env, warned):
+    for name in ("COLLAPSELAB_WORKERS", *cli.BLAS_THREAD_ENVS):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    # a config error: the warning comes first and the exit code is unchanged
+    out = tmp_path / "few"
+    assert cli.main(["run", "a-operator", "--realizations", "1",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("without a BLAS thread limit") == int(warned)
+    assert "config error" in err
+    assert not out.exists()
+
+
+def test_presets_import_without_yaml():
+    # a fresh interpreter: this one imported yaml for the override files
+    code = ("import sys\n"
+            "import collapselab.presets, collapselab.cli\n"
+            "print('yaml' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

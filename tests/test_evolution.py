@@ -283,7 +283,8 @@ def test_warm_start_reaches_the_cold_fixed_point(lat4, h0_4, dt, reaches):
 def test_refined_solves_hold_little_beyond_their_maps(lat4, h0_4):
     # expansion's ladder: a cold solve at reach 32, then warm solves at
     # reach 64 and 128 (449 and 897 nodes); the weights are formed per
-    # block, so no (A, n, 2 reach + 1) table or gather index is allocated
+    # block, so no (A, n, 2 reach + 1) table or gather index is allocated,
+    # and the cold solve forms its free first iterate in place
     ch = two_channels(lat4, 0.04)
     grid = TimeGrid(0.0, 3.5, ELL / 32.0)
     window = Window(t_on=0.7, t_off=2.8, ramp=0.2)
@@ -297,8 +298,7 @@ def test_refined_solves_hold_little_beyond_their_maps(lat4, h0_4):
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
-        if rec.reach >= 64:
-            assert peak <= 3 * rec.props.nbytes
+        assert peak <= 3 * rec.props.nbytes
 
 
 def test_warm_start_rejects_other_grids(lat4, h0_4, grid16):

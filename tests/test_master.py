@@ -84,6 +84,42 @@ def cfs_rhs_oracle(sigma, spec):
     return out
 
 
+def loop_pair_stacks(opset, nu_step):
+    """The pair stacks by the triple loop over channel, z and v."""
+    stack, k, dt = opset.sym, opset.half_width, opset.dt
+    lefts, rights = [], []
+    for a in range(stack.shape[0]):
+        for d in range(-k, k + 1):
+            for f in range(0, k + 1, nu_step):
+                if d - 2 * f < -k:
+                    break
+                w_nu = dt * nu_step if f == 0 else 2.0 * dt * nu_step
+                lefts.append((dt * w_nu) * stack[a, d + k])
+                rights.append(stack[a, d - 2 * f + k])
+    left, right = np.stack(lefts), np.stack(rights)
+    return left, right, np.einsum("pab,pbc->ac", left, right)
+
+
+@pytest.mark.parametrize("preset", ["lindblad-vs-mc", "collapse-scenario", None])
+@pytest.mark.parametrize("nu_step", [1, 2, 3])
+def test_pair_stacks_match_the_loop(lat4, h0_4, grid16, preset, nu_step):
+    if preset is None:
+        # two kernel ranges and shapes: the shorter kernel is zero at the
+        # outer z of the longer one's grid
+        chans = [two_channels(lat4, 0.3)[0], make_channel(
+            "g", site_projector(lat4, 2),
+            KernelProfile(ell_min=0.75 * ELL, shape="gaussian_truncated"), 0.2)]
+        opset = build_channel_operators(chans, h0_4, grid16.dt)
+    else:
+        cfg = ExperimentConfig.from_dict(PRESETS[preset].defaults)
+        lat = cfg.lattice()
+        h0 = cfg.build_h0(lat)
+        opset = build_channel_operators(cfg.channels(lat), h0, cfg.grid().dt)
+    got = _pair_stacks(opset, nu_step)
+    want = loop_pair_stacks(opset, nu_step)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 def test_spec_validation(lat4, h0_4, grid16, opset):
     with pytest.raises(ConfigError):
         LindbladSpec(h0_4, "unknown_kind")
