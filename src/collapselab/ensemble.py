@@ -6,7 +6,10 @@ interaction W. The field lives on the half-step grid, so the interaction at
 step midpoints is supported exactly and the ensemble mean follows the
 matched double-commutator equation by construction. The step works in the
 eigenbasis of h0, where W = sum_a O'_a diag(p_a) + diag(conj p_a) O'_a with
-weights p_a from one narrow GEMM of the field. The exponential acts on the
+weights p_a from one narrow GEMM of the field. The GEMM's tables are even in
+the time difference z, so they keep the rows z >= 0 and take the folded
+field f(z) + f(-z), added from two strided views of the block's table. The
+exponential acts on the
 state as a truncated Taylor series (Al-Mohy & Higham, SIAM J. Sci. Comput.
 33, 2011), never formed: each realization bounds theta = dt ||h0 + W||_2
 from max|lambda| and max|p_a|, takes ceil(theta / 0.5) sub-steps and the
@@ -228,7 +231,12 @@ def _run_blocks(task, count: int) -> None:
     try:
         for k in range(1, workers):
             read, write = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
             if pid == 0:
                 os.close(read)
                 _child(task, k, workers, count, write)
@@ -352,24 +360,27 @@ class _TransformedRun:
                        for ch in model.channels])
         q = lz[:, :, None] * np.exp(1j * np.multiply.outer(opset.zeta, self.lam))
         q = 0.5 * (q + q[:, ::-1])
+        # both tables are even in z: keep the rows z >= 0, which the folded
+        # field f(z) + f(-z) multiplies, and halve the row z = 0, which it
+        # meets twice
+        k = opset.half_width
+        q = q[:, k:]
+        q[:, 0] *= 0.5
         na, nz, d = q.shape
         table = np.zeros((na, nz, na, d), dtype=complex)
         table[np.arange(na), :, np.arange(na)] = q
         self.table = table.reshape(na * nz, na * d).view(np.float64)
-        # one real GEMM takes the field to the rotated dt-scaled stack and p
-        stack = vh @ (dt * opset.sym) @ self.vecs
+        # one real GEMM takes the folded field to the rotated dt-scaled stack and p
+        stack = vh @ (dt * opset.sym[:, k:]) @ self.vecs
+        stack[:, 0] *= 0.5
         self.mid_table = np.concatenate(
             [stack.reshape(na * nz, -1).view(np.float64), self.table], axis=1)
         self.ocat = ops.transpose(2, 0, 1).reshape(d, na * d)  # y -> (O'_a y)_a
         self.op_norm = 2.0 * np.linalg.norm(ops, 2, axis=(1, 2))
         self.lam_max = float(np.abs(self.lam).max())
         self.lam_one = np.stack([self.lam, np.ones(d)], axis=1)
-        n = model.grid.n_nodes
-        d_off = np.arange(-opset.half_width, opset.half_width + 1)
-        self.pad = opset.half_width + 1
-        # half-grid indices of (t_j + t_{j+1})/2 - zeta/2 and t_j - zeta/2
-        self.mid_idx = (2 * np.arange(n - 1)[:, None] + 1 - d_off[None, :]) + self.pad
-        self.node_idx = (2 * np.arange(n)[:, None] - d_off[None, :]) + self.pad
+        self.half_width = k
+        self.pad = k + 1
         self.psi0 = vh @ psi0
         self.labels = [label for label, _ in cfg.observables]
         # psi @ obs_t gives O' psi for every observable side by side
@@ -380,7 +391,8 @@ class _TransformedRun:
             vh @ np.stack(cfg.branch_states, axis=1)).conj()
 
     def _weights(self, w: np.ndarray) -> np.ndarray:
-        """The (B, A, D) weights p of W' from the (B, A, 2K+1) field samples."""
+        """The (B, A, D) weights p of W' from the (B, A, K+1) folded field
+        samples f(z) + f(-z), z >= 0."""
         flat = w.reshape(w.shape[0], -1) @ self.table
         return flat.view(complex).reshape(w.shape[0], w.shape[1], -1)
 
@@ -399,18 +411,26 @@ class _TransformedRun:
         of ``sigma``."""
         grid, spacing = self.model.grid, self.model.spacing
         n, nb, nd = grid.n_nodes, len(rows), self.lam.size
+        k = self.half_width
         pads = _noise_tables(self.model, self.window, self.cfg.seed, rows, self.pad)
+        # win[:, :, s] holds the samples at half-grid indices s .. s + K, so
+        # around index c, f(c + z) is win[:, :, c] and f(c - z) is
+        # win[:, :, c - K, ::-1], z = 0..K: two strided views, no gather
+        win = np.lib.stride_tricks.sliding_window_view(pads, k + 1, axis=2)
         psi = np.broadcast_to(self.psi0, (nb, nd)).copy()
         sel = slice(rows.start, rows.stop)
         cp_pos = {int(node): c for c, node in enumerate(stats.checkpoint_nodes)}
-        # one buffer for every step's GEMM product: fresh ones churn the heap
+        # one buffer for every step's folded field and GEMM product: fresh
+        # ones churn the heap
+        fold = np.empty((nb, len(self.model.channels), k + 1))
         flat = np.empty((nb, self.mid_table.shape[1]))
         for j in range(n):
             if stats.energy is not None or self.labels:
                 o_psi = (psi @ self.obs_t).reshape(nb, -1, nd)
                 y = np.concatenate([psi[:, None], o_psi], axis=1)
-                w_dots = self._w_dots(self._weights(pads[:, :, self.node_idx[j]]),
-                                      psi, y)
+                c = 2 * j + self.pad  # node t_j
+                np.add(win[:, :, c], win[:, :, c - k, ::-1], out=fold)
+                w_dots = self._w_dots(self._weights(fold), psi, y)
             if stats.energy is not None:
                 free, norm = ((psi.conj() * psi).real @ self.lam_one).T
                 stats.energy[sel, j] = spacing * (free + w_dots[:, 0].real)
@@ -432,8 +452,9 @@ class _TransformedRun:
                 outer = spacing * np.einsum("rb,rc->rbc", back, back.conj())
                 sigma.add(b, cp_pos[j], outer)
             if j < n - 1:
-                np.matmul(pads[:, :, self.mid_idx[j]].reshape(nb, -1), self.mid_table,
-                          out=flat)
+                c = 2 * j + 1 + self.pad  # midpoint (t_j + t_{j+1}) / 2
+                np.add(win[:, :, c], win[:, :, c - k, ::-1], out=fold)
+                np.matmul(fold.reshape(nb, -1), self.mid_table, out=flat)
                 gen = flat[:, : 2 * nd * nd].view(complex)
                 gen[:, :: nd + 1] += self.lam
                 p = flat[:, 2 * nd * nd :].view(complex).reshape(nb, -1, nd)

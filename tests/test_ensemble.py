@@ -705,14 +705,18 @@ def test_kernel_table_matches_rotated_stack(dim, count, name):
                        atol=1e-13)
     oracle = vecs.conj().T @ np.einsum("raz,azxy->rxy", w, stack) @ vecs
     scale = np.abs(oracle).max()
+    # the tables are even in z and keep the rows z >= 0; they take the
+    # folded samples f(z) + f(-z)
+    k = opset.half_width
+    folded = w[:, :, k:] + w[:, :, k::-1]
     # W' = sum_a O'_a diag(p_a) + diag(conj p_a) O'_a
-    p = run._weights(w)
+    p = run._weights(folded)
     ops = vecs.conj().T @ np.stack([ch.spatial_op for ch in model.channels]) @ vecs
     p_form = np.einsum("axy,ray->rxy", ops, p) + np.einsum(
         "rax,axy->rxy", p.conj(), ops)
     assert np.abs(p_form - oracle).max() <= 1e-13 * scale
     # the step's generator comes from the rotated stack in one GEMM
-    gen = (w.reshape(5, -1) @ run.mid_table)[:, : 2 * dim * dim]
+    gen = (folded.reshape(5, -1) @ run.mid_table)[:, : 2 * dim * dim]
     gen = np.ascontiguousarray(gen).view(complex).reshape(5, dim, dim)
     assert np.abs(gen - oracle).max() <= 1e-13 * scale
     # the records' inner products <psi, W' y> from p alone
