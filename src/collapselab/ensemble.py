@@ -9,14 +9,13 @@ eigenbasis of h0, where W = sum_a O'_a diag(p_a) + diag(conj p_a) O'_a with
 weights p_a from one narrow GEMM of the field. The GEMM's tables are even in
 the time difference z, so they keep the rows z >= 0 and take the folded
 field f(z) + f(-z), added from two strided views of the block's table. The
-exponential acts on the
-state as a truncated Taylor series (Al-Mohy & Higham, SIAM J. Sci. Comput.
-33, 2011), never formed: each realization bounds theta = dt ||h0 + W||_2
-from max|lambda| and max|p_a|, takes ceil(theta / 0.5) sub-steps and the
-first degree m with (theta/s)^(m+1)/(m+1)! <= 2^-53. Realizations that
-share s go through one Horner pass from their top degree down, each entering
-at its own degree, so a realization's bits do not depend on its block
-mates. A non-finite bound raises StepRejected naming the realization and
+exponential acts on the state as a truncated Taylor series (Al-Mohy &
+Higham, SIAM J. Sci. Comput. 33, 2011), never formed: each realization
+bounds theta = dt ||h0 + W||_2 from max|lambda| and max|p_a|, takes
+ceil(theta / 0.5) sub-steps and the first degree m with
+(theta/s)^(m+1)/(m+1)! <= 2^-53. Realizations that share s go through one
+Horner pass from their top degree down, each entering at its own degree, so
+a realization's bits do not depend on its block mates. A non-finite bound raises StepRejected naming the realization and
 step. The untransformed picture (a fixed-point solve per realization plus
 surface corrections, see evolution.py) agrees at third order in the
 coupling; the tests compare the two on one field path.
@@ -48,7 +47,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import ChannelOperatorSet, InteractionChannel, build_channel_operators
+# sample_noise is not called here (_noise_tables draws the same rows per
+# block); it stays importable from this module, where perfbench's tracer
+# wraps it
+from .channels import (  # noqa: F401
+    ChannelOperatorSet,
+    InteractionChannel,
+    build_channel_operators,
+    sample_noise,
+)
 from .errors import ConfigError, ScenarioViolation, StepRejected, WorkerLost
 from .grids import TimeGrid, Window
 

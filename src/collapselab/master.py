@@ -227,8 +227,9 @@ def integrate(sigma0: np.ndarray, spec: LindbladSpec,
     fixed polynomial P = I + hL(I + hL/2(I + hL/3(I + hL/4))) of its
     Liouvillian L (``_liouvillian``), built once; each step is the one
     mat-vec P vec(sigma). Each step re-symmetrizes the density and records
-    the size of that correction; a correction beyond 1e-6 raises StepRejected since it means
-    the step size no longer resolves the flow, and so does a non-finite one.
+    the size of that correction; a correction beyond 1e-6 raises
+    StepRejected since it means the step size no longer resolves the flow,
+    and so does a non-finite one.
     The minimum eigenvalue of every step is recorded; for the
     double-commutator variant a negative value is expected behavior, not an
     error.

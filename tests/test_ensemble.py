@@ -35,7 +35,7 @@ from collapselab.evolution import (
     surface_correction,
     transformed_interaction,
 )
-from collapselab.grids import TimeGrid
+from collapselab.grids import TimeGrid, Window
 from collapselab.lattice import (
     EigenSystem,
     LatticeConfig,
@@ -250,40 +250,28 @@ def test_step_rejected_in_a_worker_process(lat4, h0_4, grid16, ground, workers,
 
 
 # Run in a fresh interpreter under a timeout: a lost worker must fail the
-# run, not hang the test. Blocks of 8 over 20 realizations are blocks 0, 1, 2.
-_WORKER_SCRIPT_HEAD = """
+# run, not hang the test. Blocks of 8 over 20 realizations are blocks 0, 1,
+# 2. The arguments are the output directory, then "kill" (block 1 kills its
+# process) or the realizations whose field gets a NaN sample.
+_FAULTY_RUN = """
 import os, signal, sys
 import numpy as np
 from collapselab import cli, ensemble
 
 ensemble.BLOCK = 8
 tables = ensemble._noise_tables
-"""
+faults = sys.argv[2:]
 
-_KILLED_WORKER = _WORKER_SCRIPT_HEAD + """
-def killed(model, window, seed, rows, pad):
-    if rows.start == 8:  # block 1, a forked child's at 2 workers
+def faulty(model, window, seed, rows, pad):
+    if faults == ["kill"] and rows.start == 8:
         os.kill(os.getpid(), signal.SIGKILL)
-    return tables(model, window, seed, rows, pad)
-
-ensemble._noise_tables = killed
-print("exit", cli.main(["run", "lindblad-vs-mc", "--realizations", "20",
-                        "--out", sys.argv[1]]))
-try:
-    os.waitpid(-1, os.WNOHANG)
-except ChildProcessError:
-    print("no child left")
-"""
-
-_REJECTED_IN_WORKERS = _WORKER_SCRIPT_HEAD + """
-def poisoned(model, window, seed, rows, pad):
     out = tables(model, window, seed, rows, pad)
-    for r in map(int, sys.argv[2:]):
+    for r in map(int, faults if faults != ["kill"] else []):
         if r in rows:
             out[rows.index(r), 0, pad + 1] = np.nan
     return out
 
-ensemble._noise_tables = poisoned
+ensemble._noise_tables = faulty
 print("exit", cli.main(["run", "lindblad-vs-mc", "--realizations", "20",
                         "--out", sys.argv[1]]))
 try:
@@ -293,17 +281,17 @@ except ChildProcessError:
 """
 
 
-def run_script(code, workers, *args):
+def run_faulty(workers, *args):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "COLLAPSELAB_WORKERS": str(workers),
            "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+    return subprocess.run([sys.executable, "-c", _FAULTY_RUN, *map(str, args)],
                           capture_output=True, text=True, env=env, timeout=120)
 
 
 def test_killed_worker_fails_the_run(tmp_path):
-    proc = run_script(_KILLED_WORKER, 2, tmp_path / "res")
+    proc = run_faulty(2, tmp_path / "res", "kill")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:2] == ["exit 3", "no child left"]
     assert ("solver error: worker process for blocks [1] ended without a "
@@ -311,11 +299,11 @@ def test_killed_worker_fails_the_run(tmp_path):
     assert not (tmp_path / "res" / "summary.json").exists()
 
 
-@pytest.mark.parametrize("rows", [[5, 17], [17], [12, 17]])
+@pytest.mark.parametrize("rows", [[5, 17], [12, 17]])
 def test_rejected_step_in_workers_leaves_no_child(tmp_path, rows):
     # at 3 workers the caller runs block 0 (realization 5), the children
     # blocks 1 (12) and 2 (17); the lowest failing block names the run
-    proc = run_script(_REJECTED_IN_WORKERS, 3, tmp_path / "res", *rows)
+    proc = run_faulty(3, tmp_path / "res", *rows)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:2] == ["exit 3", "no child left"]
     assert f"solver error: realization {rows[0]}, step" in proc.stderr
@@ -611,9 +599,15 @@ def test_noise_tables_copy_the_drawn_samples(lat4, h0_4, grid16, window_mid):
     model = make_model(lat4, h0_4, grid16, 0.3)
     channels, seed, pad = list(model.channels), 17, 4
     m = 2 * grid16.steps + 1
+    # a block draws its rows one realization at a time and scales them
+    # together: the floats sample_noise draws, bit for bit, for a flat and a
+    # switched window
+    flat = ensemble._noise_tables(model, Window.flat(), seed, range(3, 8), pad)
     tables = ensemble._noise_tables(model, window_mid, seed, range(3, 8), pad)
     assert tables.shape == (5, 2, m + 2 * pad)
     for i, r in enumerate(range(3, 8)):
+        noise = sample_noise(channels, grid16, [seed, r])
+        assert flat[i, :, pad : pad + m].tobytes() == noise.samples.tobytes()
         noise = sample_noise(channels, grid16, [seed, r], window=window_mid)
         middle = tables[i, :, pad : pad + m]
         assert middle.tobytes() == noise.samples.tobytes()
@@ -623,21 +617,6 @@ def test_noise_tables_copy_the_drawn_samples(lat4, h0_4, grid16, window_mid):
     # the switched window is off at the grid ends and on in the middle
     assert not tables[:, :, [pad, pad + m - 1]].any()
     assert tables[:, :, pad + m // 2].all()
-
-
-def test_block_draw_matches_sample_noise_rows(lat4, h0_4, grid16, window_mid):
-    # a whole block of rows, flat and switched windows: each row holds the
-    # floats sample_noise draws for its realization, bit for bit
-    model = make_model(lat4, h0_4, grid16, 0.3)
-    m = 2 * grid16.steps + 1
-    rows = range(ensemble.BLOCK, 2 * ensemble.BLOCK)
-    for window in (None, window_mid):
-        tables = ensemble._noise_tables(model, window or ensemble.Window.flat(),
-                                        1913, rows, 2)
-        for i, r in enumerate(rows):
-            noise = sample_noise(list(model.channels), grid16, [1913, r],
-                                 window=window)
-            assert tables[i, :, 2 : 2 + m].tobytes() == noise.samples.tobytes()
 
 
 def test_rows_do_not_depend_on_block_mates(lat4, h0_4, grid16, ground):
