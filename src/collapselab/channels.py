@@ -19,8 +19,9 @@ Channel operators condense a channel into a stack over the time difference,
     M_a(z) = (1/2) * lambda_a * L_a(z) * (A_a e^{i z h0} + e^{-i z h0} A_a),
 
 which is Hermitian for every z but even in z only when [A_a, h0] = 0. The
-set carries both the raw stack and the symmetrized stack
-0.5*(M(z) + M(-z)) and records their discrepancy.
+set holds only the symmetrized stack 0.5*(M(z) + M(-z)); how far that
+moves each channel's stack is logged (at info level, above 1e-13) when
+the set is built, not stored.
 """
 
 from __future__ import annotations
@@ -180,7 +181,6 @@ class InteractionChannel:
     spatial_op: np.ndarray
     profile: KernelProfile
     amplitude: float
-    mixing: np.ndarray | None = None  # field-space weights after a covariance rotation
 
     def __post_init__(self) -> None:
         a = np.asarray(self.spatial_op, dtype=complex)
@@ -279,7 +279,6 @@ def diagonalize_covariance(cov: Covariance, channels: list[InteractionChannel]
                 spatial_op=raw / nrm,
                 profile=prof,
                 amplitude=nrm,
-                mixing=weights,
             )
         )
     return out

@@ -15,10 +15,11 @@ bounds theta = dt ||h0 + W||_2 from max|lambda| and max|p_a|, takes
 ceil(theta / 0.5) sub-steps and the first degree m with
 (theta/s)^(m+1)/(m+1)! <= 2^-53. Realizations that share s go through one
 Horner pass from their top degree down, each entering at its own degree, so
-a realization's bits do not depend on its block mates. A non-finite bound raises StepRejected naming the realization and
-step. The untransformed picture (a fixed-point solve per realization plus
-surface corrections, see evolution.py) agrees at third order in the
-coupling; the tests compare the two on one field path.
+a realization's bits do not depend on its block mates. A non-finite bound
+raises StepRejected naming the realization and step. The untransformed
+picture (a fixed-point solve per realization plus surface corrections, see
+evolution.py) agrees at third order in the coupling; the tests compare the
+two on one field path.
 
 Reproducibility contract: realization r draws its field from the seed
 sequence [master seed, r] (NumPy SeedSequence, NEP 19), so distinct master

@@ -142,22 +142,18 @@ class EigenSystem:
     def state(self, index: int) -> np.ndarray:
         return self.vectors[:, index].copy()
 
-    def ground_state(self, convention: str = "global") -> tuple[float, np.ndarray]:
+    def ground_state(self, convention: str = "positive") -> tuple[float, np.ndarray]:
         """Lowest-energy state under the chosen spectrum convention.
 
-        'global' takes the minimum of the full spectrum; 'positive' takes
-        the smallest strictly positive eigenvalue (the bottom of the
-        positive branch).
+        'positive', the only one, takes the smallest strictly positive
+        eigenvalue (the bottom of the positive branch).
         """
-        if convention == "global":
-            i = int(np.argmin(self.values))
-        elif convention == "positive":
-            pos = np.where(self.values > 0.0)[0]
-            if pos.size == 0:
-                raise NotPositive("spectrum has no positive part")
-            i = int(pos[np.argmin(self.values[pos])])
-        else:
+        if convention != "positive":
             raise ValueError(f"unknown spectrum convention {convention!r}")
+        pos = np.where(self.values > 0.0)[0]
+        if pos.size == 0:
+            raise NotPositive("spectrum has no positive part")
+        i = int(pos[np.argmin(self.values[pos])])
         return float(self.values[i]), self.state(i)
 
     def positive_projector(self) -> np.ndarray:

@@ -11,16 +11,21 @@ over the difference grid with weight dt, v over the doubled grid 0, 2dt,
 4dt, ... with weight 2dt and half weight at v = 0. With that choice the
 equation is the exact expectation of the Monte Carlo stepping, not merely a
 continuum limit of it. The standard GKSL equation with explicit jump
-operators is implemented alongside for the heating contrast.
+operators is the heating contrast.
 
+Both equations take one form,
+
+    d sigma/dt = -i [h0, sigma] + K sigma + sigma K^dag + X(sigma) + X(sigma)^dag,
+
+with K = A and X the pair sum over (z, v) for the double-commutator
+equation, and K = -sum L^dag L and X(sigma) = sum L sigma L^dag for GKSL.
 The mean-drift operator A (minus the single-pair sum M(z) M(z - v)) and the
 field-energy pairing B (which comes out exactly anti-Hermitian) are the two
 operators whose structure carries the no-heating argument.
 
-Both equations are linear and time independent, so ``integrate`` takes the
-right-hand side once as a (D^2, D^2) Liouvillian on the flattened density
-and steps RK4 as one precomputed propagator; ``cfs_rhs`` and ``gksl_rhs``
-remain the stagewise reference.
+Both equations are linear and time independent, so a ``LindbladSpec`` is
+its right-hand side as one (D^2, D^2) Liouvillian on the flattened density,
+and ``integrate`` steps RK4 with it as one precomputed propagator.
 """
 
 from __future__ import annotations
@@ -33,10 +38,6 @@ from .grids import TimeGrid
 from .lattice import require_eigenstate
 
 HERM_CORRECTION_LIMIT = 1e-6
-
-CFS_KIND = "cfs_double_commutator"
-GKSL_KIND = "standard_gksl"
-
 
 def _pair_stacks(opset: ChannelOperatorSet, nu_step: int):
     """Concatenated (weighted left factor, right factor) stacks of the
@@ -75,45 +76,53 @@ def _cross_superoperator(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 class LindbladSpec:
-    """One master-equation right-hand side, fully precomputed.
+    """One master equation of the module's form, held as its Liouvillian.
 
-    Build with :meth:`cfs` (double-commutator variant over the symmetrized
-    stack of a channel operator set) or :meth:`gksl` (explicit jump
-    operators).
+    ``liouvillian`` is the whole right-hand side for the drift K and the
+    cross term X (a (D^2, D^2) matrix on sigma flattened row-major); build
+    with :meth:`cfs` or :meth:`gksl`. Row-major, vec(A sigma B) =
+    (A kron B^T) vec(sigma). The adjoint term X(sigma)^dag is antilinear in
+    sigma; on Hermitian sigma it is the linear Pi conj(X) Pi, Pi the
+    transposition of the flattened indices, so L maps Hermitian densities
+    to Hermitian ones.
     """
 
-    def __init__(self, h0: np.ndarray, kind, *, opset=None, nu_step=1,
-                 jumps=()):
-        self.h0 = h0
-        self.kind = kind
-        self.opset = opset
-        self.nu_step = nu_step
-        self.jumps = tuple(np.asarray(j, dtype=complex) for j in jumps)
-        _require_finite("master equation h0", self.h0)
-        if kind == CFS_KIND:
-            _require_finite("master equation channel operator stack", opset.sym)
-            left, right, self.drift = _pair_stacks(opset, nu_step)
-            self._cross = _cross_superoperator(left, right)
-        elif kind == GKSL_KIND:
-            for j in self.jumps:
-                if j.shape != self.h0.shape:
-                    raise ConfigError("jump operator shape differs from h0")
-                _require_finite("master equation jump operator", j)
-            self._kappa = sum(
-                (j.conj().T @ j for j in self.jumps),
-                np.zeros_like(self.h0),
-            )
-        else:
-            raise ConfigError(f"unknown master-equation kind {kind!r}")
+    def __init__(self, h0: np.ndarray, drift: np.ndarray, cross: np.ndarray):
+        _require_finite("master equation h0", h0)
+        dim = h0.shape[0]
+        eye = np.eye(dim)
+        free = -1j * h0
+        out = cross + cross.conj().reshape(dim, dim, dim, dim).transpose(
+            1, 0, 3, 2).reshape(dim * dim, dim * dim)
+        out += np.kron(free + drift, eye) + np.kron(eye, (drift.conj().T - free).T)
+        self.liouvillian = out
 
     @classmethod
     def cfs(cls, h0: np.ndarray, opset: ChannelOperatorSet, *,
             nu_step=1) -> "LindbladSpec":
-        return cls(h0, CFS_KIND, opset=opset, nu_step=nu_step)
+        """K = A = -G and X = sum_p L_p sigma R_p over the quadrature pairs."""
+        _require_finite("master equation channel operator stack", opset.sym)
+        left, right, drift = _pair_stacks(opset, nu_step)
+        return cls(h0, -drift, _cross_superoperator(left, right))
 
     @classmethod
     def gksl(cls, h0: np.ndarray, jumps) -> "LindbladSpec":
-        return cls(h0, GKSL_KIND, jumps=jumps)
+        """K = -sum_k L_k^dag L_k and X = sum_k L_k sigma L_k^dag."""
+        jumps = [np.asarray(j, dtype=complex) for j in jumps]
+        for j in jumps:
+            if j.shape != h0.shape:
+                raise ConfigError("jump operator shape differs from h0")
+            _require_finite("master equation jump operator", j)
+        dim = h0.shape[0]
+        kappa = sum((j.conj().T @ j for j in jumps), np.zeros_like(h0))
+        cross = sum((np.kron(j, j.conj()) for j in jumps),
+                    np.zeros((dim * dim, dim * dim), dtype=complex))
+        return cls(h0, -kappa, cross)
+
+    def rhs(self, sigma: np.ndarray) -> np.ndarray:
+        """The right-hand side at a Hermitian sigma, as one mat-vec."""
+        dim = sigma.shape[0]
+        return (self.liouvillian @ sigma.reshape(dim * dim)).reshape(dim, dim)
 
 
 def compute_A(opset: ChannelOperatorSet) -> np.ndarray:
@@ -141,68 +150,6 @@ def compute_B(opset: ChannelOperatorSet) -> np.ndarray:
     return 2j * opset.dt * sq
 
 
-def cfs_rhs(sigma: np.ndarray, spec: LindbladSpec) -> np.ndarray:
-    """Right-hand side of the double-commutator equation at sigma.
-
-    Traceless and Hermitian exactly (up to roundoff) for Hermitian sigma;
-    positivity of sigma is not protected and is only monitored during
-    integration.
-    """
-    out = -1j * (spec.h0 @ sigma - sigma @ spec.h0)
-    a_op = -spec.drift
-    out += a_op @ sigma + sigma @ a_op.conj().T
-    dim = sigma.shape[0]
-    cross = (spec._cross @ sigma.reshape(dim * dim, 1)).reshape(dim, dim)
-    out += cross + cross.conj().T
-    return out
-
-
-def gksl_rhs(sigma: np.ndarray, spec: LindbladSpec) -> np.ndarray:
-    """Right-hand side of the standard GKSL equation,
-
-        -i[h0, sigma] - sum_k (L^dag L sigma - 2 L sigma L^dag + sigma L^dag L),
-
-    in the trace-preserving operator ordering (the coefficient convention
-    keeps the factor 2 on the sandwich term)."""
-    out = -1j * (spec.h0 @ sigma - sigma @ spec.h0)
-    out -= spec._kappa @ sigma + sigma @ spec._kappa
-    for j in spec.jumps:
-        out += 2.0 * (j @ sigma @ j.conj().T)
-    return out
-
-
-def master_rhs(sigma, spec: LindbladSpec) -> np.ndarray:
-    if spec.kind == CFS_KIND:
-        return cfs_rhs(sigma, spec)
-    return gksl_rhs(sigma, spec)
-
-
-def _liouvillian(spec: LindbladSpec) -> np.ndarray:
-    """The right-hand side of ``master_rhs`` as a (D^2, D^2) matrix L on
-    sigma flattened row-major, exact for Hermitian sigma.
-
-    Row-major, vec(A sigma B) = (A kron B^T) vec(sigma). The adjoint term
-    (X sigma)^dag of the cfs variant is antilinear in sigma; on Hermitian
-    sigma it is the linear Pi conj(X) Pi, Pi the transposition of the
-    flattened indices, so L maps Hermitian densities to Hermitian ones.
-    """
-    dim = spec.h0.shape[0]
-    eye = np.eye(dim)
-    if spec.kind == CFS_KIND:
-        left = -spec.drift  # sigma -> A sigma + sigma A^dag, A = -G
-        right = left.conj().T
-        out = spec._cross + spec._cross.conj().reshape(dim, dim, dim, dim).transpose(
-            1, 0, 3, 2).reshape(dim * dim, dim * dim)
-    else:
-        left = right = -spec._kappa
-        out = np.zeros((dim * dim, dim * dim), dtype=complex)
-        for j in spec.jumps:
-            out += 2.0 * np.kron(j, j.conj())
-    free = -1j * spec.h0
-    out += np.kron(free + left, eye) + np.kron(eye, (right - free).T)
-    return out
-
-
 class MasterTrajectory:
     """Integrated density trajectory with its per-step health diagnostics."""
 
@@ -225,7 +172,7 @@ def integrate(sigma0: np.ndarray, spec: LindbladSpec,
 
     The equation is linear and time independent, so one RK4 step is the
     fixed polynomial P = I + hL(I + hL/2(I + hL/3(I + hL/4))) of its
-    Liouvillian L (``_liouvillian``), built once; each step is the one
+    Liouvillian L (``spec.liouvillian``), built once; each step is the one
     mat-vec P vec(sigma). Each step re-symmetrizes the density and records
     the size of that correction; a correction beyond 1e-6 raises
     StepRejected since it means the step size no longer resolves the flow,
@@ -248,7 +195,7 @@ def integrate(sigma0: np.ndarray, spec: LindbladSpec,
     trace_drift[0] = abs(np.trace(s) - 1.0)
     herm_corr[0] = 0.0
     min_eig[0] = float(np.linalg.eigvalsh(s)[0])
-    step = grid.dt * _liouvillian(spec)
+    step = grid.dt * spec.liouvillian
     one = np.eye(dim * dim)
     prop = one + step / 4.0
     for k in (3.0, 2.0, 1.0):
@@ -273,7 +220,7 @@ def pure_density(psi: np.ndarray, spacing: float) -> np.ndarray:
     return spacing * np.outer(psi, psi.conj())
 
 
-def heating_rate_standard(psi: np.ndarray, spec: LindbladSpec,
+def heating_rate_standard(psi: np.ndarray, h0: np.ndarray, jumps,
                           spacing: float) -> float:
     """Energy drift rate d/dt <H0> for an H0-eigenstate under the GKSL flow:
 
@@ -282,29 +229,26 @@ def heating_rate_standard(psi: np.ndarray, spec: LindbladSpec,
     Nonnegative whenever E is the bottom of the spectrum of H0 restricted
     to the subspace the jumps act within.
     """
-    if spec.kind != GKSL_KIND:
-        raise ConfigError("heating_rate_standard needs a standard_gksl spec")
-    energy = require_eigenstate(spec.h0, psi, spacing)
+    energy = require_eigenstate(h0, psi, spacing)
     rate = 0.0
-    for j in spec.jumps:
+    for j in jumps:
         jv = j @ psi
         rate += 2.0 * spacing * float(
-            (np.vdot(jv, spec.h0 @ jv) - energy * np.vdot(jv, jv)).real)
+            (np.vdot(jv, h0 @ jv) - energy * np.vdot(jv, jv)).real)
     return rate
 
 
-def heating_rate_cfs(sigma: np.ndarray, spec: LindbladSpec) -> tuple[float, float]:
+def heating_rate_cfs(sigma: np.ndarray, h0: np.ndarray,
+                     opset: ChannelOperatorSet) -> tuple[float, float]:
     """Instantaneous d/dt Tr(H0 sigma) under the double-commutator flow.
 
     Returns the rate and a quadrature sensitivity estimate obtained by
     coarsening the v grid by a factor two; the free part contributes
     nothing by cyclicity.
     """
-    if spec.kind != CFS_KIND:
-        raise ConfigError("heating_rate_cfs needs a cfs_double_commutator spec")
-    rate = float(np.trace(spec.h0 @ cfs_rhs(sigma, spec)).real)
-    coarse = LindbladSpec.cfs(spec.h0, spec.opset, nu_step=2 * spec.nu_step)
-    rate_coarse = float(np.trace(spec.h0 @ cfs_rhs(sigma, coarse)).real)
+    rate, rate_coarse = (
+        float(np.trace(h0 @ LindbladSpec.cfs(h0, opset, nu_step=nu).rhs(sigma)).real)
+        for nu in (1, 2))
     return rate, abs(rate - rate_coarse)
 
 

@@ -47,7 +47,6 @@ from .master import (
     compute_A,
     compute_B,
     csl_jump_operators,
-    gksl_rhs,
     heating_rate_cfs,
     heating_rate_standard,
     integrate,
@@ -340,7 +339,11 @@ def _run_expansion(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict]
                           "probe is smooth and off near the grid ends")
     window = Window(**params)
     amp = cfg.tolerance("probe_amplitude")
-    modes = int(cfg.tolerance("probe_modes"))
+    modes = cfg.tolerance("probe_modes")
+    if modes < 1 or not modes.is_integer():
+        raise ConfigError(f"run.tolerances.probe_modes must be a whole count "
+                          f"of at least 1, got {modes:g}")
+    modes = int(modes)
 
     mid = grid.times[grid.n_nodes // 2]
     spread = 12 * grid.dt
@@ -530,16 +533,15 @@ def _run_csl_contrast(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], di
     # jumps act on, so the textbook rate is a sum of nonnegative terms
     jumps = csl_jump_operators(channels, projector=esys.positive_projector())
     gspec = LindbladSpec.gksl(h0, jumps)
-    total_rate = heating_rate_standard(psi0, gspec, spacing)
-    sea_rate = heating_rate_standard(
-        psi0, LindbladSpec.gksl(h0, csl_jump_operators(channels)), spacing)
+    total_rate = heating_rate_standard(psi0, h0, jumps, spacing)
+    sea_rate = heating_rate_standard(psi0, h0, csl_jump_operators(channels),
+                                     spacing)
 
     labels, comm_norms, rates = [], [], []
     for ch, jump in zip(channels, jumps):
         labels.append(ch.label)
         comm_norms.append(float(np.linalg.norm(jump @ h0 - h0 @ jump, 2)))
-        rates.append(heating_rate_standard(
-            psi0, LindbladSpec.gksl(h0, [jump]), spacing))
+        rates.append(heating_rate_standard(psi0, h0, [jump], spacing))
     write_csv(out / "heating_rates.csv",
               ["channel", "commutator_norm", "heating_rate"],
               [np.array(labels), np.array(comm_norms), np.array(rates)])
@@ -550,7 +552,7 @@ def _run_csl_contrast(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], di
 
     # independent route to the same number through the generator itself
     sigma = pure_density(psi0, spacing)
-    direct = float(np.trace(h0 @ gksl_rhs(sigma, gspec)).real)
+    direct = float(np.trace(h0 @ gspec.rhs(sigma)).real)
     identity_err = abs(total_rate - direct) / max(abs(total_rate), 1.0)
 
     # matched double-commutator run: eigenstate energy stays flat
@@ -560,8 +562,7 @@ def _run_csl_contrast(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], di
     _, d_mean, d_se = rows[0]
     _energy_csv(out / "cfs_energy.csv", stats)
 
-    cfs_rate, cfs_rate_err = heating_rate_cfs(
-        sigma, LindbladSpec.cfs(h0, model.opset))
+    cfs_rate, cfs_rate_err = heating_rate_cfs(sigma, h0, model.opset)
 
     checks = [
         _geq("gksl_rate_floor", total_rate, cfg.tolerance("rate_floor")),

@@ -187,6 +187,21 @@ def _three_site_channels(lat):
             for i in range(3)]
 
 
+def field_weights(rotated, channels):
+    """Each rotated field's real weights on the input channels, shape
+    (fields, channels), by least squares of its amplitude * spatial_op
+    against theirs."""
+    size = channels[0].dim ** 2
+
+    def couplings(chs):  # (D^2, len(chs)), also for no rotated fields
+        return np.array([ch.amplitude * ch.spatial_op for ch in chs],
+                        dtype=complex).reshape(len(chs), size).T
+
+    weights = np.linalg.lstsq(couplings(channels), couplings(rotated),
+                              rcond=None)[0]
+    return weights.real.T
+
+
 def test_covariance_validation():
     with pytest.raises(DimensionMismatch):
         Covariance(np.zeros((2, 3)))
@@ -210,8 +225,11 @@ def test_rank_one_covariance_collapses_to_one_field(lat4):
     assert len(out) == 1
     # site projectors are orthogonal, so the combined norm is max|u_a|
     assert abs(out[0].amplitude - 2.0) < 1e-12
+    (weights,) = field_weights(out, chans)
+    # the one field carries u, up to the eigenvector's sign
+    assert np.abs(np.abs(weights) - u).max() < 1e-12
     combo = sum(w * ch.amplitude * ch.spatial_op
-                for w, ch in zip(out[0].mixing, chans))
+                for w, ch in zip(weights, chans))
     assert np.abs(out[0].amplitude * out[0].spatial_op - combo).max() < 1e-12
 
 
@@ -231,7 +249,8 @@ def test_covariance_rotation_preserves_second_moments(c):
     lat = LatticeConfig(sites=4, spacing=1.0, mass=1.0)
     chans = _three_site_channels(lat)[: c.shape[0]]
     out = diagonalize_covariance(Covariance(c), chans)
-    recon = sum((np.outer(ch.mixing, ch.mixing) for ch in out), np.zeros_like(c))
+    recon = sum((np.outer(w, w) for w in field_weights(out, chans)),
+                np.zeros_like(c))
     assert np.abs(recon - c).max() <= 1e-10 * max(1.0, np.abs(c).max())
 
 
@@ -248,7 +267,7 @@ def test_rotated_fields_reproduce_covariance_by_sampling(lat4, grid16):
     c = np.array([[1.0, 0.5], [0.5, 1.0]])
     chans = _three_site_channels(lat4)[:2]
     rot = diagonalize_covariance(Covariance(c), chans)
-    mix = np.array([ch.mixing for ch in rot])  # (fields, channels)
+    mix = field_weights(rot, chans)  # (fields, channels)
     acc = []
     for seed in range(5):
         noise = sample_noise(rot, grid16, seed=seed)

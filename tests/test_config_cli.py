@@ -319,6 +319,19 @@ def test_cli_non_finite_tolerance_exits_two(tmp_path, capsys, bad):
     assert "run.tolerances.drift" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("modes", [0, -1, 2.5])
+def test_cli_bad_probe_modes_exits_two(tmp_path, capsys, modes):
+    # the probe needs a whole count of at least one sinusoid per channel
+    override = tmp_path / "modes.yaml"
+    override.write_text(yaml.safe_dump(
+        {"run": {"tolerances": {"probe_modes": modes}}}))
+    out = tmp_path / "res"
+    assert cli.main(["run", "expansion", "--config", str(override),
+                     "--out", str(out)]) == 2
+    assert "run.tolerances.probe_modes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- reporting ------------------------------------------------------------
 
 def test_format_number_round_trips():
@@ -520,13 +533,13 @@ def test_cli_run_solver_failure_exits_three(tmp_path, capsys):
 
 def test_cli_run_non_finite_density_exits_three(tmp_path, capsys, monkeypatch):
     # the free-flow reference of lindblad-vs-mc integrates a GKSL spec; one
-    # NaN jump operator, set after the spec's own finite check, makes its
-    # density non-finite at the first step
+    # NaN Liouvillian entry, set after the spec's own finite checks, makes
+    # its density non-finite at the first step
     gksl = LindbladSpec.gksl
 
     def poisoned(h0, jumps):
-        spec = gksl(h0, [*jumps, np.zeros(h0.shape, dtype=complex)])
-        spec.jumps[-1][0, 1] = np.nan
+        spec = gksl(h0, jumps)
+        spec.liouvillian[0, 1] = np.nan
         return spec
 
     monkeypatch.setattr(LindbladSpec, "gksl", staticmethod(poisoned))

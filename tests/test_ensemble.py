@@ -30,6 +30,7 @@ from collapselab.ensemble import (
 )
 from collapselab.errors import ConfigError, ScenarioViolation, StepRejected
 from collapselab.evolution import (
+    COUPLING_WARN,
     equal_time_hamiltonian,
     solve_nonlocal,
     surface_correction,
@@ -122,6 +123,32 @@ def test_transformed_route_conserves_norm_and_trace(lat4, h0_4, grid16, ground):
         assert np.abs(sig - sig.conj().T).max() < 1e-14
         assert abs(np.trace(sig) - 1.0) < 1e-10
     assert np.all(stats.sigma_stderr >= 0.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(sites=st.sampled_from([2, 4, 6, 8]), spacing=st.floats(0.25, 2.0),
+       mass=st.floats(0.0, 2.0), strength=st.floats(0.0, COUPLING_WARN),
+       window=st.one_of(st.none(), st.tuples(st.floats(0.0, 0.5),
+                                             st.floats(0.0, 0.25),
+                                             st.floats(0.0, 0.5))),
+       seed=st.integers(0, 2**32 - 1))
+def test_generated_transformed_runs_conserve_norm(sites, spacing, mass, strength,
+                                                  window, seed):
+    # the bound of test_transformed_route_conserves_norm_and_trace, over
+    # generated lattices, couplings lambda * ell up to the warn limit, flat
+    # or switched windows (t_on, ramp, plateau) and seeds
+    lat = LatticeConfig(sites=sites, spacing=spacing, mass=mass)
+    h0 = build_dirac_h0(lat)
+    grid = TimeGrid(0.0, 1.0, ELL / 8.0)
+    model = ModelSetup(grid, h0, spacing, two_channels(lat, strength / ELL))
+    switch = {}
+    if window is not None:
+        t_on, ramp, plateau = window
+        switch = dict(t_on=t_on, t_off=t_on + 2.0 * ramp + plateau, ramp=ramp)
+    cfg = EnsembleConfig(realizations=8, seed=seed, **switch)
+    stats = run_ensemble(random_state(lat.dim, spacing, seed), cfg, model)
+    assert stats.norm.shape == (8, grid.n_nodes)
+    assert np.abs(stats.norm - 1.0).max() <= 1e-10
 
 
 def test_stderr_shrinks_with_ensemble_size(lat4, h0_4, grid16, ground):

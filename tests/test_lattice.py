@@ -111,14 +111,15 @@ def test_l2_norm_and_normalized():
 
 def test_ground_state_conventions(h0_4):
     sys = EigenSystem.of(h0_4, 1.0)
-    e_glob, psi_glob = sys.ground_state("global")
-    assert abs(e_glob - sys.values.min()) < 1e-14
     e_pos, psi_pos = sys.ground_state("positive")
     assert e_pos > 0.0
     assert abs(e_pos - sys.values[sys.values > 0].min()) < 1e-14
     assert abs(l2_norm(psi_pos, 1.0) - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        sys.ground_state("lowest")
+    e_def, psi_def = sys.ground_state()
+    assert e_def == e_pos and np.array_equal(psi_def, psi_pos)
+    for other in ("lowest", "global"):
+        with pytest.raises(ValueError):
+            sys.ground_state(other)
 
 
 def test_positive_projector(h0_4):
@@ -128,7 +129,7 @@ def test_positive_projector(h0_4):
     assert np.linalg.norm(p @ p - p, 2) < 1e-12
     _, psi = sys.ground_state("positive")
     assert np.linalg.norm(p @ psi - psi) < 1e-10
-    _, bottom = sys.ground_state("global")
+    bottom = sys.state(int(np.argmin(sys.values)))
     assert np.linalg.norm(p @ bottom) < 1e-10
 
 

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,16 +26,14 @@ from collapselab.lattice import (
 )
 from collapselab.master import (
     LindbladSpec,
+    _cross_superoperator,
     _pair_stacks,
-    cfs_rhs,
     compute_A,
     compute_B,
     csl_jump_operators,
-    gksl_rhs,
     heating_rate_cfs,
     heating_rate_standard,
     integrate,
-    master_rhs,
     pure_density,
 )
 from collapselab.presets import PRESETS
@@ -73,14 +72,24 @@ def check_invariants(stack):
                           f"deviation {even:.3e}")
 
 
-def cfs_rhs_oracle(sigma, spec):
-    """cfs_rhs with the pair sum contracted by einsum on every call."""
-    out = -1j * (spec.h0 @ sigma - sigma @ spec.h0)
-    a_op = -spec.drift
-    out += a_op @ sigma + sigma @ a_op.conj().T
-    left, right, _ = _pair_stacks(spec.opset, spec.nu_step)
+def cfs_rhs_oracle(sigma, h0, opset, nu_step=1):
+    """The double-commutator right-hand side stage by stage, with the pair
+    sum contracted by einsum on every call."""
+    out = -1j * (h0 @ sigma - sigma @ h0)
+    left, right, drift = _pair_stacks(opset, nu_step)
+    out -= drift @ sigma + sigma @ drift.conj().T
     cross = np.einsum("pab,bc,pcd->ad", left, sigma, right, optimize=True)
     out += cross + cross.conj().T
+    return out
+
+
+def gksl_rhs_oracle(sigma, h0, jumps):
+    """The GKSL right-hand side stage by stage,
+    -i[h0, sigma] - sum_k (L^dag L sigma - 2 L sigma L^dag + sigma L^dag L)."""
+    out = -1j * (h0 @ sigma - sigma @ h0)
+    for j in jumps:
+        kappa = j.conj().T @ j
+        out += 2.0 * (j @ sigma @ j.conj().T) - kappa @ sigma - sigma @ kappa
     return out
 
 
@@ -122,8 +131,6 @@ def test_pair_stacks_match_the_loop(lat4, h0_4, grid16, preset, nu_step):
 
 def test_spec_validation(lat4, h0_4, grid16, opset):
     with pytest.raises(ConfigError):
-        LindbladSpec(h0_4, "unknown_kind")
-    with pytest.raises(ConfigError):
         LindbladSpec.gksl(h0_4, [np.eye(3)])
     # the cfs variant reads the symmetrized stack, which passes; the raw
     # stack of non-commuting channels is not even
@@ -164,12 +171,14 @@ def test_cfs_rhs_bitwise_equals_einsum_on_shipped_spec(nu_step):
     h0 = cfg.build_h0(lattice)
     opset = build_channel_operators(list(cfg.channels(lattice)), h0,
                                     cfg.grid().dt)
-    spec = LindbladSpec.cfs(h0, opset, nu_step=nu_step)
+    left, right, _ = _pair_stacks(opset, nu_step)
+    cross = _cross_superoperator(left, right)
+    dim = lattice.dim
     for seed in range(3):
-        s = random_density(lattice.dim, seed)
-        got = cfs_rhs(s, spec)
-        assert np.array_equal(got.view(np.float64),
-                              cfs_rhs_oracle(s, spec).view(np.float64))
+        s = random_density(dim, seed)
+        got = (cross @ s.reshape(dim * dim, 1)).reshape(dim, dim)
+        want = np.einsum("pab,bc,pcd->ad", left, s, right, optimize=True)
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
 
 
 @settings(max_examples=20, deadline=None)
@@ -190,8 +199,8 @@ def test_cfs_rhs_matches_einsum_on_generated_specs(dim, n_channels, nu_step,
     opset = build_channel_operators(channels, h0, ELL / 8)
     spec = LindbladSpec.cfs(h0, opset, nu_step=nu_step)
     s = random_density(dim, seed)
-    out = cfs_rhs(s, spec)
-    want = cfs_rhs_oracle(s, spec)
+    out = spec.rhs(s)
+    want = cfs_rhs_oracle(s, h0, opset, nu_step)
     scale = np.abs(want).max()
     assert np.abs(out - want).max() <= 1e-13 * scale
     assert abs(np.trace(out)) < 1e-12 * max(scale, 1.0)
@@ -201,7 +210,7 @@ def test_cfs_rhs_matches_einsum_on_generated_specs(dim, n_channels, nu_step,
 def test_rhs_free_limit(lat4, h0_4):
     s = random_density(lat4.dim, 1)
     want = -1j * (h0_4 @ s - s @ h0_4)
-    free_gksl = gksl_rhs(s, LindbladSpec.gksl(h0_4, []))
+    free_gksl = LindbladSpec.gksl(h0_4, []).rhs(s)
     assert np.abs(free_gksl - want).max() < 1e-14
 
 
@@ -221,13 +230,13 @@ def test_rhs_preserves_trace_and_hermiticity(sites, n_channels, seed):
     opset = build_channel_operators(channels, h0, ELL / 16)
     s = random_density(lat.dim, seed)
     spec = LindbladSpec.cfs(h0, opset)
-    out = cfs_rhs(s, spec)
+    out = spec.rhs(s)
     scale = np.abs(out).max()
     assert abs(np.trace(out)) < 1e-12 * max(scale, 1.0)
     assert np.abs(out - out.conj().T).max() < 1e-12 * max(scale, 1.0)
 
     jumps = csl_jump_operators(channels)
-    gout = gksl_rhs(s, LindbladSpec.gksl(h0, jumps))
+    gout = LindbladSpec.gksl(h0, jumps).rhs(s)
     gscale = np.abs(gout).max()
     assert abs(np.trace(gout)) < 1e-12 * max(gscale, 1.0)
     assert np.abs(gout - gout.conj().T).max() < 1e-12 * max(gscale, 1.0)
@@ -283,12 +292,16 @@ def test_mean_drift_translation_invariance(lat4, h0_4, grid16):
 
 
 def test_mean_drift_from_spec_and_empty(h0_4, opset):
+    # the cfs spec's drift is compute_A's operator
+    left, right, _ = _pair_stacks(opset, 1)
     spec = LindbladSpec.cfs(h0_4, opset)
-    assert np.abs(-spec.drift - compute_A(opset)).max() == 0.0
+    want = LindbladSpec(h0_4, compute_A(opset), _cross_superoperator(left, right))
+    assert np.array_equal(spec.liouvillian, want.liouvillian)
     # free flow is the GKSL spec with no jump operators
     empty = LindbladSpec.gksl(h0_4, [])
-    s = random_density(h0_4.shape[0], 2)
-    assert np.array_equal(master_rhs(s, empty), -1j * (h0_4 @ s - s @ h0_4))
+    eye = np.eye(h0_4.shape[0])
+    free = np.kron(-1j * h0_4, eye) + np.kron(eye, (1j * h0_4).T)
+    assert np.array_equal(empty.liouvillian, free)
 
 
 def test_field_energy_pairing_antihermitian(opset):
@@ -319,12 +332,12 @@ def test_integrate_fourth_order_accuracy(h0_4, opset, sigma0):
     assert 10.0 < e1 / e2 < 24.0
 
 
-def stagewise_rk4(sigma, spec, dt):
-    """One classical RK4 step from four master_rhs calls."""
-    k1 = master_rhs(sigma, spec)
-    k2 = master_rhs(sigma + 0.5 * dt * k1, spec)
-    k3 = master_rhs(sigma + 0.5 * dt * k2, spec)
-    k4 = master_rhs(sigma + dt * k3, spec)
+def stagewise_rk4(sigma, rhs, dt):
+    """One classical RK4 step from four stagewise right-hand sides."""
+    k1 = rhs(sigma)
+    k2 = rhs(sigma + 0.5 * dt * k1)
+    k3 = rhs(sigma + 0.5 * dt * k2)
+    k4 = rhs(sigma + dt * k3)
     return sigma + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -332,23 +345,27 @@ def stagewise_rk4(sigma, spec, dt):
 @given(kind=st.sampled_from(["cfs", "gksl", "free"]), seed=st.integers(0, 2**32 - 1),
        rank=st.integers(1, 8))
 def test_propagator_step_matches_stagewise_rk4(kind, seed, rank):
-    # integrate's one mat-vec per step against the four right-hand sides it
-    # replaces, at lindblad-vs-mc's step on generated Hermitian densities;
+    # integrate's one mat-vec per step against four stagewise right-hand
+    # sides, at lindblad-vs-mc's step on generated Hermitian densities;
     # measured up to 5.4e-16 of the density's Frobenius norm
     lat = LatticeConfig(sites=4, spacing=1.0, mass=1.0)
     h0 = build_dirac_h0(lat)
     grid = TimeGrid(0.0, 0.0625, ELL / 16)
     channels = two_channels(lat, 0.3)
-    spec = {"cfs": lambda: LindbladSpec.cfs(
-                h0, build_channel_operators(channels, h0, grid.dt)),
-            "gksl": lambda: LindbladSpec.gksl(h0, csl_jump_operators(channels)),
-            "free": lambda: LindbladSpec.gksl(h0, [])}[kind]()
+    if kind == "cfs":
+        opset = build_channel_operators(channels, h0, grid.dt)
+        spec = LindbladSpec.cfs(h0, opset)
+        rhs = partial(cfs_rhs_oracle, h0=h0, opset=opset)
+    else:
+        jumps = csl_jump_operators(channels) if kind == "gksl" else []
+        spec = LindbladSpec.gksl(h0, jumps)
+        rhs = partial(gksl_rhs_oracle, h0=h0, jumps=jumps)
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((8, rank)) + 1j * rng.standard_normal((8, rank))
     sigma = m @ m.conj().T
     sigma /= np.trace(sigma).real
     got = integrate(sigma, spec, grid).sigmas[1]
-    want = stagewise_rk4(sigma, spec, grid.dt)
+    want = stagewise_rk4(sigma, rhs, grid.dt)
     assert np.abs(got - 0.5 * (want + want.conj().T)).max() <= 1e-15 * np.linalg.norm(sigma)
 
 
@@ -374,7 +391,7 @@ def test_integrate_rejects_non_finite_density(h0_4, sigma0):
     # a NaN compares false against the hermiticity limit, so only a guard
     # written as "not dev <= limit" stops it
     spec = LindbladSpec.gksl(h0_4, [np.zeros((8, 8), dtype=complex)])
-    spec.jumps[0][0, 1] = np.nan  # past the spec's own finite check
+    spec.liouvillian[0, 1] = np.nan  # past the spec's own finite check
     with pytest.raises(StepRejected, match="step 1 "):
         integrate(sigma0, spec, TimeGrid(0.0, 1.0, ELL / 16))
 
@@ -391,31 +408,29 @@ def test_standard_heating_rate(lat4, h0_4, opset):
     e0, psi0 = esys.ground_state("positive")
     proj = esys.positive_projector()
     jumps = csl_jump_operators(two_channels(lat4, 0.1), projector=proj)
-    spec = LindbladSpec.gksl(h0_4, jumps)
-    rate = heating_rate_standard(psi0, spec, lat4.spacing)
+    rate = heating_rate_standard(psi0, h0_4, jumps, lat4.spacing)
     # bottom of the projected spectrum: every term is nonnegative
     assert rate > 1e-8
 
     # dual route: trace of h0 against the full right-hand side
     sig = pure_density(psi0, lat4.spacing)
-    trace_rate = float(np.trace(h0_4 @ gksl_rhs(sig, spec)).real)
+    trace_rate = float(np.trace(h0_4 @ LindbladSpec.gksl(h0_4, jumps).rhs(sig)).real)
     assert abs(rate - trace_rate) < 1e-10
 
-    assert heating_rate_standard(psi0, LindbladSpec.gksl(h0_4, []),
-                                 lat4.spacing) == 0.0
+    assert heating_rate_standard(psi0, h0_4, [], lat4.spacing) == 0.0
     with pytest.raises(NotEigenstate):
-        heating_rate_standard(random_state(lat4.dim, lat4.spacing, 4), spec,
-                              lat4.spacing)
-    with pytest.raises(ConfigError):
-        heating_rate_standard(psi0, LindbladSpec.cfs(h0_4, opset), lat4.spacing)
+        heating_rate_standard(random_state(lat4.dim, lat4.spacing, 4), h0_4,
+                              jumps, lat4.spacing)
 
 
 def test_cfs_heating_rate(h0_4, opset, sigma0):
-    spec = LindbladSpec.cfs(h0_4, opset)
-    rate, sens = heating_rate_cfs(sigma0, spec)
+    rate, sens = heating_rate_cfs(sigma0, h0_4, opset)
     assert np.isfinite(rate) and sens >= 0.0
-    with pytest.raises(ConfigError):
-        heating_rate_cfs(sigma0, LindbladSpec.gksl(h0_4, []))
+    # the same trace against the stagewise right-hand sides
+    want = [float(np.trace(h0_4 @ cfs_rhs_oracle(sigma0, h0_4, opset, nu)).real)
+            for nu in (1, 2)]
+    assert abs(rate - want[0]) < 1e-12
+    assert abs(sens - abs(want[0] - want[1])) < 1e-12
 
 
 def test_csl_jump_scaling(lat4):
