@@ -323,15 +323,14 @@ def _expm_action(gen: np.ndarray, psi: np.ndarray, dt: float,
     `rows` and `step` only name a failing realization in the StepRejected
     raised for a non-finite bound.
     """
-    bad = np.flatnonzero(~np.isfinite(theta))
-    if bad.size:
-        r = bad[0]
+    if not np.isfinite(theta).all():
+        r = np.flatnonzero(~np.isfinite(theta))[0]
         raise StepRejected(f"realization {rows[r]}, step {step}: "
                            f"non-finite step bound theta = {theta[r]}")
     subs = np.maximum(np.ceil(theta / _SUBSTEP_THETA), 1.0).astype(int)
     degree = np.searchsorted(_TAYLOR_THETA, theta / subs)
     out = np.empty_like(psi)
-    counts = np.unique(subs)
+    counts = subs[:1] if subs.min() == subs.max() else np.unique(subs)
     for s in counts:
         part = slice(None) if counts.size == 1 else np.flatnonzero(subs == s)
         x, mat, deg, coef = psi[part], gen[part], degree[part], -1j * dt / s

@@ -33,15 +33,18 @@ and a strided view of the padded half-step field table, and one real GEMM
 of the band against the float64 view of the maps gives the mixes of every
 node in the block; one batched product applies O, U^dag and the phases,
 one real GEMM of the trapezoid weights sums them, and one batched product
-maps the block back into the maps. Outside the sweep every channel sum
-costs two BLAS calls. The record keeps the kernel rows and the field table.
+maps the block back into the maps. A block whose weights are all zero only
+free-propagates its first node. Outside the sweep every channel sum costs
+two BLAS calls. The record keeps the kernel rows and the field table.
 
 A solve may start from the record of the same problem on the grid with
 twice the step (nested iteration): its maps fill the even nodes, and each
-odd node is the midpoint of its neighbours in the interaction picture. The
-first iterate is then as close to the fixed point as the coarse grid's
-discretization error, not as the coupling, and the solve takes fewer
-sweeps to the same fixed point.
+odd node interpolates its neighbours in the interaction picture with the
+4-point rule. The first iterate is then as close to the fixed point as the
+coarse grid's discretization error, not as the coupling. Given the record
+on the grid with four times the step as well, a Richardson step removes
+the leading dt^2 part of that error from the even nodes, and the solve
+takes fewer sweeps still to the same fixed point.
 
 On top of the solved record this module builds the equal-time objects: the
 one-time interaction operator, the surface correction that makes the
@@ -177,11 +180,52 @@ def _check_boundary(field_pad: np.ndarray, reach: int) -> None:
             stacklevel=3)
 
 
+def _nested_start(fine: np.ndarray, free: FreePropagator, dt: float,
+                  coarse: EvolutionRecord,
+                  coarser: EvolutionRecord | None = None) -> None:
+    """Write the first iterate of a refined solve into its interior maps.
+
+    The even nodes take the maps of ``coarse``, solved with twice the step;
+    given ``coarser`` too (four times the step), they take the Richardson
+    estimate X_2h + (X_2h - X_4h)/4, which removes the leading c dt^2 error
+    of the trapezoid/Nystrom rule. The correction is formed on the coarser
+    nodes and interpolated linearly in between. Each odd node interpolates
+    its even neighbours in the interaction picture z_j = e^{i t_j E} U^dag X_j
+    with the 4-point rule (9 (z_{j-1} + z_{j+1}) - (z_{j-3} + z_{j+3})) / 16,
+    the first and last odd node with the midpoint (z_{j-1} + z_{j+1}) / 2;
+    z_{j+m} maps back to e^{i m dt h0} X_{j+m}. Everything is written in
+    place, _BLOCK nodes at a time.
+    """
+    evens = fine[::2]
+    evens[...] = coarse.props[coarse.reach : coarse.reach + coarse.grid.n_nodes]
+    if coarser is not None:
+        base = coarser.props[coarser.reach : coarser.reach + coarser.grid.n_nodes]
+        last = base.shape[0] - 1
+        # corrections at coarser nodes lo..hi: written there and on the
+        # midpoints after them up to node hi, whose turn comes next
+        for lo in range(0, last, _BLOCK):
+            hi = min(lo + _BLOCK, last)
+            corr = 0.25 * (evens[2 * lo : 2 * hi + 1 : 2] - base[lo : hi + 1])
+            evens[2 * lo + 1 : 2 * hi : 2] += 0.5 * (corr[:-1] + corr[1:])
+            evens[2 * lo : 2 * hi : 2] += corr[:-1]
+        evens[-1] += 0.25 * (evens[-1] - base[-1])
+    odds = fine[1::2]
+    fwd1, bwd1, fwd3, bwd3 = free.matrix(np.array([1.0, -1.0, 3.0, -3.0]) * dt)
+    odds[0] = 0.5 * (fwd1 @ evens[0] + bwd1 @ evens[1])
+    odds[-1] = 0.5 * (fwd1 @ evens[-2] + bwd1 @ evens[-1])
+    for lo in range(1, odds.shape[0] - 1, _BLOCK):
+        hi = min(lo + _BLOCK, odds.shape[0] - 1)
+        odds[lo:hi] = (9.0 * (fwd1 @ evens[lo:hi] + bwd1 @ evens[lo + 1 : hi + 1])
+                       - (fwd3 @ evens[lo - 1 : hi - 1] + bwd3 @ evens[lo + 2 : hi + 2])
+                       ) / 16.0
+
+
 def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
                    channels: list[InteractionChannel],
                    noise: NoiseRealization, h0: np.ndarray,
                    spacing: float, *,
-                   start: EvolutionRecord | None = None) -> EvolutionRecord:
+                   start: EvolutionRecord | tuple[EvolutionRecord, ...] | None = None
+                   ) -> EvolutionRecord:
     """Fixed-point solve of the nonlocal equation on the grid for the maps.
 
     Returns a record with the map stack, and the state trajectory when
@@ -192,9 +236,12 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
 
     ``start``, if given, is a record on the same interval with twice this
     step (``start.grid.refined(2) == grid``), whose interior maps give the
-    first iterate in place of free evolution; any other record raises
-    ValueError. Only its interior nodes are read, so its reach may differ
-    from half this one where ell/dt is not a whole number.
+    first iterate in place of free evolution, or a pair ``(rec_2h, rec_4h)``,
+    finest first, that adds that record's own half-resolution solve for a
+    Richardson-extrapolated first iterate (see ``_nested_start``). Records
+    whose grids are not nested this way raise ValueError. Only their
+    interior nodes are read, so their reach may differ from half this one
+    where ell/dt is not a whole number.
     """
     channels = list(channels)
     dim = h0.shape[0]
@@ -206,10 +253,21 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
     ell = max(ch.profile.ell_min for ch in channels)
     reach = int(round(ell / dt))
     win = 2 * reach + 1
-    if start is not None and start.grid.refined(2) != grid:
-        raise ValueError(
-            f"start record on {start.grid} is not the half-resolution solve "
-            f"of {grid}")
+    if start is None:
+        starts = ()
+    elif isinstance(start, EvolutionRecord):
+        starts = (start,)
+    else:
+        starts = tuple(start)
+    if len(starts) > 2:
+        raise ValueError(f"start takes one or two records, got {len(starts)}")
+    finer = grid
+    for rec in starts:
+        if rec.grid.refined(2) != finer:
+            raise ValueError(
+                f"start record on {rec.grid} is not the half-resolution solve "
+                f"of {finer}")
+        finer = rec.grid
     kern, field_pad = _coefficient_table(channels, noise, grid, reach)
     _check_boundary(field_pad, reach)
     # node j's field row as a read-only view rows[j, a, q] = field_pad[a, 2j + q]
@@ -226,7 +284,7 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
     x = np.empty((total, dim, dim), dtype=complex)
     # left pad: exact free evolution backwards from the initial node
     x[:reach] = free.matrix(-shifts[::-1])
-    if start is None:
+    if not starts:
         # first iterate: free evolution forward, U e^{-i t E} U^dag, formed
         # _BLOCK nodes at a time in place (free.matrix over all nodes would
         # hold two temporaries the size of the maps)
@@ -235,14 +293,7 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
             np.matmul(u * phases[lo : lo + _BLOCK, None, :], u_dag,
                       out=x[reach + lo : reach + lo + _BLOCK])
     else:
-        # first iterate: the coarse maps on the even nodes, and on each odd
-        # node the midpoint (z_{j-1} + z_{j+1}) / 2 of its neighbours in the
-        # interaction picture z_j = e^{i t_j E} U^dag X_j, which maps back
-        # to (e^{-i dt h0} X_{j-1} + e^{i dt h0} X_{j+1}) / 2
-        even = start.props[start.reach : start.reach + start.grid.n_nodes]
-        x[reach : reach + n : 2] = even
-        x[reach + 1 : reach + n : 2] = 0.5 * (free.matrix(dt) @ even[:-1]
-                                              + free.matrix(-dt) @ even[1:])
+        _nested_start(x[reach : reach + n], free, dt, *starts)
         np.matmul(right_pad, x[reach + n - 1], out=x[reach + n :])
     x[reach] = np.eye(dim)
     x_real = x.reshape(total, -1).view(np.float64)
@@ -267,22 +318,29 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
         band, shape=(_BLOCK + 1, n_ch, win), strides=(st[0] + st[2], st[1], st[2]))
     mix_real = np.empty(((_BLOCK + 1) * n_ch, 2 * dim * dim))
 
+    # a block whose weights are all zero (a NaN weight is not) has zero
+    # mixes, so its nodes only free-propagate node s
+    blocks = [(s, min(s + _BLOCK, n - 1)) for s in range(0, n - 1, _BLOCK)]
+    idle = [not np.any(kern * rows[s : e + 1]) for s, e in blocks]
+
     residuals: list[float] = []
     for sweep in range(1, _MAX_SWEEPS + 1):
         resid = 0.0  # np.maximum below keeps a NaN where max() would drop it
-        for s in range(0, n - 1, _BLOCK):
-            e = min(s + _BLOCK, n - 1)
+        for (s, e), quiet in zip(blocks, idle):
             nb = e - s
-            # node s holds this sweep's value, later nodes the last sweep's
-            np.multiply(kern, rows[s : e + 1], out=band_diag[: nb + 1])
-            mix = np.matmul(band[: nb + 1, :, : nb + win].reshape(-1, nb + win),
-                            x_real[s : e + win], out=mix_real[: (nb + 1) * n_ch])
-            v = np.matmul(to_z[: nb + 1],
-                          mix.view(complex).reshape(nb + 1, n_ch * dim, dim))
-            z = (trap[:nb, : nb + 1] @ v.reshape(nb + 1, -1).view(np.float64)
-                 ).view(complex).reshape(nb, dim, dim)
-            z += u_dag @ x[reach + s]
-            new = from_z[:nb] @ z
+            if quiet:
+                new = from_z[:nb] @ (u_dag @ x[reach + s])
+            else:
+                # node s holds this sweep's value, later nodes the last sweep's
+                np.multiply(kern, rows[s : e + 1], out=band_diag[: nb + 1])
+                mix = np.matmul(band[: nb + 1, :, : nb + win].reshape(-1, nb + win),
+                                x_real[s : e + win], out=mix_real[: (nb + 1) * n_ch])
+                v = np.matmul(to_z[: nb + 1],
+                              mix.view(complex).reshape(nb + 1, n_ch * dim, dim))
+                z = (trap[:nb, : nb + 1] @ v.reshape(nb + 1, -1).view(np.float64)
+                     ).view(complex).reshape(nb, dim, dim)
+                z += u_dag @ x[reach + s]
+                new = from_z[:nb] @ z
             block = x[reach + s + 1 : reach + e + 1]
             resid = np.maximum(resid, np.abs(new - block).max())
             block[...] = new
@@ -384,9 +442,12 @@ def surface_correction(record: EvolutionRecord, i: int) -> np.ndarray:
 
 
 def conserved_inner(record: EvolutionRecord, i: int, phi: np.ndarray,
-                    psi: np.ndarray) -> complex:
-    """The conserved product <phi|psi>_t = (phi, (1 + S_t) psi) at node i."""
-    s = surface_correction(record, i)
+                    psi: np.ndarray, *, surface: np.ndarray | None = None) -> complex:
+    """The conserved product <phi|psi>_t = (phi, (1 + S_t) psi) at node i.
+
+    ``surface`` is S_t at node i when the caller has already formed it.
+    """
+    s = surface_correction(record, i) if surface is None else surface
     return complex(record.spacing * np.vdot(phi, psi + s @ psi))
 
 

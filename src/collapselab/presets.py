@@ -38,6 +38,7 @@ from .evolution import (
     conserved_inner,
     conserved_inner_layer_sum,
     solve_nonlocal,
+    surface_correction,
     transformed_interaction,
 )
 from .grids import TimeGrid, Window
@@ -268,12 +269,13 @@ def _run_conservation(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], di
 
     # dual formulas on the base-grid propagator record, fresh state pairs
     i_mid = grid.n_nodes // 2
+    s_mid = surface_correction(rec, i_mid)
     diffs = np.empty(100)
     for p in range(diffs.size):
         phi_traj = rec.trajectory(_random_state(rng, h0.shape[0], spacing))
         psi_traj = rec.trajectory(_random_state(rng, h0.shape[0], spacing))
         equal_time = conserved_inner(rec, i_mid, phi_traj[i_mid],
-                                     psi_traj[i_mid])
+                                     psi_traj[i_mid], surface=s_mid)
         layer_sum = conserved_inner_layer_sum(rec, i_mid, phi_traj, psi_traj)
         diffs[p] = abs(equal_time - layer_sum)
     write_csv(out / "conservation_dual.csv", ["pair", "difference"],
@@ -339,11 +341,7 @@ def _run_expansion(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict]
                           "probe is smooth and off near the grid ends")
     window = Window(**params)
     amp = cfg.tolerance("probe_amplitude")
-    modes = cfg.tolerance("probe_modes")
-    if modes < 1 or not modes.is_integer():
-        raise ConfigError(f"run.tolerances.probe_modes must be a whole count "
-                          f"of at least 1, got {modes:g}")
-    modes = int(modes)
+    modes = int(cfg.tolerance("probe_modes"))  # whole, by check_tolerances
 
     mid = grid.times[grid.n_nodes // 2]
     spread = 12 * grid.dt
@@ -359,13 +357,15 @@ def _run_expansion(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict]
     for target in _EXPANSION_COUPLINGS:
         channels = _scaled_channels(base, target / g0)
         diffs, antis = [], []
-        rec = None
+        ladder: list = []  # the solved records, finest first
         for g in (grid, grid.refined(2), grid.refined(4)):
             probe = sample_fourier_probe(channels, g, cfg.seed(),
                                          window=window, modes=modes,
                                          amplitude=amp)
-            # each refinement starts from the coarser grid's fixed point
-            rec = solve_nonlocal(None, g, channels, probe, h0, spacing, start=rec)
+            # each refinement starts from the coarser grids' fixed points
+            rec = solve_nonlocal(None, g, channels, probe, h0, spacing,
+                                 start=tuple(ladder[:2]) or None)
+            ladder.insert(0, rec)
             row_d, row_a = [], []
             for t in t_eval:
                 i = g.node_index(t)
@@ -815,10 +815,12 @@ PRESETS: dict[str, Preset] = {
 
 
 def check_tolerances(name: str, cfg: ExperimentConfig) -> None:
-    """Reject a ``run.tolerances`` key that preset ``name`` never reads.
+    """Reject a ``run.tolerances`` key that preset ``name`` never reads, and
+    a ``probe_modes`` that is not a whole count of at least one.
 
     Each runner reads exactly the tolerance names of its defaults, so any
     other key would be echoed into the summary without bounding anything.
+    Both ``run`` and ``validate`` come through here.
     """
     known = PRESETS[name].defaults["run"]["tolerances"]
     tols = (cfg.data.get("run") or {}).get("tolerances") or {}
@@ -827,6 +829,11 @@ def check_tolerances(name: str, cfg: ExperimentConfig) -> None:
         raise ConfigError(
             f"run.tolerances.{unknown[0]} is not a tolerance of preset "
             f"{name!r}; it reads: {', '.join(sorted(known)) or 'none'}")
+    if "probe_modes" in tols:
+        modes = cfg.tolerance("probe_modes")
+        if modes < 1 or not modes.is_integer():
+            raise ConfigError(f"run.tolerances.probe_modes must be a whole count "
+                              f"of at least 1, got {modes:g}")
 
 
 def run_preset(name: str, config: dict | ExperimentConfig | None = None, *,

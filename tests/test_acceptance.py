@@ -123,8 +123,8 @@ PINNED = {
         "dual_formula": (1.6653345369377348e-16, None),
     },
     "expansion": {
-        "remainder_slope": (3.3904956963455053, 3.4e-7),
-        "asymmetry_slope": (2.2283788063889403, 0.7),
+        "remainder_slope": (3.390495724523713, 3.4e-7),
+        "asymmetry_slope": (2.242038494648462, 0.7),
     },
 }
 

@@ -331,6 +331,16 @@ def test_cli_bad_probe_modes_exits_two(tmp_path, capsys, modes):
     assert "run.tolerances.probe_modes" in capsys.readouterr().err
     assert not out.exists()
 
+    raw = base_config()
+    raw["run"] = {"preset": "expansion", "tolerances": {"probe_modes": modes}}
+    path = tmp_path / "modes_full.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert cli.main(["validate", "--config", str(path)]) == 2
+    assert "run.tolerances.probe_modes" in capsys.readouterr().err
+    raw["run"]["tolerances"]["probe_modes"] = 3
+    path.write_text(yaml.safe_dump(raw))
+    assert cli.main(["validate", "--config", str(path)]) == 0
+
 
 # --- reporting ------------------------------------------------------------
 

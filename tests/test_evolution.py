@@ -15,6 +15,7 @@ from collapselab.channels import (
     sample_fourier_probe,
     sample_noise,
 )
+from collapselab.config import ExperimentConfig
 from collapselab.errors import NoConvergence, OutOfGrid
 from collapselab.evolution import (
     conserved_inner,
@@ -34,6 +35,7 @@ from collapselab.lattice import (
     l2_norm,
     sqrtmh,
 )
+from collapselab.presets import PRESETS
 
 from conftest import ELL, random_state, two_channels
 
@@ -281,24 +283,80 @@ def test_warm_start_reaches_the_cold_fixed_point(lat4, h0_4, dt, reaches):
 
 
 def test_refined_solves_hold_little_beyond_their_maps(lat4, h0_4):
-    # expansion's ladder: a cold solve at reach 32, then warm solves at
-    # reach 64 and 128 (449 and 897 nodes); the weights are formed per
-    # block, so no (A, n, 2 reach + 1) table or gather index is allocated,
-    # and the cold solve forms its free first iterate in place
+    # expansion's ladder: a cold solve at reach 32, a warm solve at reach 64
+    # (449 nodes) and an extrapolated one at reach 128 (897 nodes); the
+    # weights are formed per block, so no (A, n, 2 reach + 1) table or
+    # gather index is allocated, and every first iterate is formed in place
     ch = two_channels(lat4, 0.04)
     grid = TimeGrid(0.0, 3.5, ELL / 32.0)
     window = Window(t_on=0.7, t_off=2.8, ramp=0.2)
-    rec = None
+    ladder = []
     for g in (grid, grid.refined(2), grid.refined(4)):
         noise = sample_fourier_probe(ch, g, seed=9, window=window, amplitude=2.0)
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            rec = solve_nonlocal(None, g, ch, noise, h0_4, lat4.spacing, start=rec)
+            rec = solve_nonlocal(None, g, ch, noise, h0_4, lat4.spacing,
+                                 start=tuple(ladder[:2]) or None)
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
         assert peak <= 3 * rec.props.nbytes
+        ladder.insert(0, rec)
+
+
+def expansion_ladder():
+    """The three nested grids of the expansion preset at its first coupling,
+    0.04, with the channels, h0 and probe fields it solves them with."""
+    cfg = ExperimentConfig.from_dict(PRESETS["expansion"].defaults)
+    lattice = cfg.lattice()
+    channels = cfg.channels(lattice)
+    assert max(ch.amplitude * ch.profile.ell_min for ch in channels) == 0.04
+    window = Window(**cfg.window_params())
+    grids = (cfg.grid(), cfg.grid().refined(2), cfg.grid().refined(4))
+    probes = [sample_fourier_probe(channels, g, cfg.seed(), window=window,
+                                   modes=int(cfg.tolerance("probe_modes")),
+                                   amplitude=cfg.tolerance("probe_amplitude"))
+              for g in grids]
+    return grids, channels, cfg.build_h0(lattice), lattice.spacing, probes
+
+
+def test_extrapolated_start_saves_sweeps_on_expansions_ladder():
+    grids, ch, h0, spacing, probes = expansion_ladder()
+    coarsest = solve_nonlocal(None, grids[0], ch, probes[0], h0, spacing)
+    middle = solve_nonlocal(None, grids[1], ch, probes[1], h0, spacing,
+                            start=coarsest)
+    nested = solve_nonlocal(None, grids[2], ch, probes[2], h0, spacing,
+                            start=middle)
+    extrapolated = solve_nonlocal(None, grids[2], ch, probes[2], h0, spacing,
+                                  start=(middle, coarsest))
+    assert (extrapolated.grid.n_nodes, extrapolated.reach) == (897, 128)
+    # the Richardson step removes the middle grid's O(dt^2) error from the
+    # first iterate (start residuals 2.2e-8 and 1.2e-5)
+    assert extrapolated.residuals[0] < 1e-2 * nested.residuals[0]
+    assert len(extrapolated.residuals) < len(nested.residuals)
+    assert np.abs(extrapolated.props - nested.props).max() < 1e-10
+
+
+def test_extrapolated_start_rejects_non_nested_ladders(lat4, h0_4, grid16):
+    ch = two_channels(lat4, 0.04)
+    fine = grid16.refined(2)
+    solved = {}
+    for g in (grid16, TimeGrid(0.0, 2.0, 2 * grid16.dt),
+              TimeGrid(0.0, 2.0, 4 * grid16.dt), TimeGrid(0.0, 2.5, 2 * grid16.dt)):
+        solved[g.dt, g.t1] = solve_nonlocal(None, g, ch, probe(ch, g), h0_4,
+                                            lat4.spacing)
+    middle = solved[grid16.dt, 2.0]
+    for ladder in ((middle, solved[4 * grid16.dt, 2.0]),
+                   (middle, solved[2 * grid16.dt, 2.5]),
+                   (middle, middle),
+                   (solved[2 * grid16.dt, 2.0], middle)):
+        with pytest.raises(ValueError, match="not the half-resolution solve"):
+            solve_nonlocal(None, fine, ch, probe(ch, fine), h0_4, lat4.spacing,
+                           start=ladder)
+    with pytest.raises(ValueError, match="one or two records"):
+        solve_nonlocal(None, fine, ch, probe(ch, fine), h0_4, lat4.spacing,
+                       start=(middle, solved[2 * grid16.dt, 2.0], middle))
 
 
 def test_warm_start_rejects_other_grids(lat4, h0_4, grid16):
@@ -648,6 +706,33 @@ def test_fused_contractions_match_per_channel_oracles(sites, n_channels, seed,
             for i in (0, grid.n_nodes // 2, grid.n_nodes - 1):
                 assert abs(conserved_inner(rec, i, phit[i], psit[i])
                            - conserved_inner_layer_sum(rec, i, phit, psit)) < 1e-12
+
+
+@pytest.mark.parametrize("block", [evolution._BLOCK, 4])
+def test_idle_blocks_match_the_oracle(lat4, h0_4, monkeypatch, block):
+    # the field is off outside [0.7, 1.3], so on [0, 4] the blocks whose
+    # weights all vanish (before it at block 4, after it at both sizes)
+    # only free-propagate their first node
+    ch = two_channels(lat4, 0.06)
+    grid = TimeGrid(0.0, 4.0, ELL / 8.0)
+    noise = probe(ch, grid)
+    n, reach = grid.n_nodes, 8
+    weights = oracle_coeffs(grid, ch, noise, reach)
+    idle = [not weights[:, s : min(s + block, n - 1) + 1].any()
+            for s in range(0, n - 1, block)]
+    assert any(idle) and not all(idle)
+    psi0 = random_state(lat4.dim, lat4.spacing, 3)
+    monkeypatch.setattr(evolution, "_BLOCK", block)
+    rec = solve_nonlocal(psi0, grid, ch, noise, h0_4, lat4.spacing)
+    r = rec.residuals
+    assert r[-1] <= 1e-12 < min(r[:-1])
+    x, residuals = oracle_solve(grid, ch, noise, h0_4, math.sqrt(r[-2] * r[-1]),
+                                block)
+    assert len(r) == len(residuals)
+    big = np.array(residuals) > 1e-9
+    assert np.allclose(np.array(r)[big], np.array(residuals)[big],
+                       rtol=1e-6, atol=0.0)
+    assert np.abs(rec.props - x).max() < 1e-10
 
 
 def test_node_loop_builds_one_noise_table(lat4, h0_4, grid16, monkeypatch):
