@@ -9,10 +9,12 @@ Evaluating the field at the midpoint and the kernel at the difference makes
 V(t,t')^dag = V(t',t) hold exactly for real fields. The white-noise field is
 sampled on a grid of half the evolution step, so midpoints of evolution
 nodes are themselves noise nodes and no rounding enters the pairing
-structure. An analytic probe field with the same interface, a few
-random-phase sinusoids per channel, serves the per-realization operator
-checks, where finite differences and grid-refinement ratios need a path
-with bounded derivatives.
+structure. An analytic probe field, a few random-phase sinusoids per
+channel, serves the per-realization operator checks, where finite
+differences and grid-refinement ratios need a path with bounded
+derivatives; it comes as the same half-step table, a plain array of
+shape (n_channels, 2 * steps + 1), which is what the fixed-point solver
+takes.
 
 Channel operators condense a channel into a stack over the time difference,
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -286,45 +288,28 @@ def diagonalize_covariance(cov: Covariance, channels: list[InteractionChannel]
 
 @dataclass
 class NoiseRealization:
-    """One realization of the channel fields on its own time grid.
+    """One white-noise realization of the channel fields.
 
-    White realizations store windowed samples of variance 1/h per node
-    (h the noise-grid spacing, half the evolution step) and are
-    read on grids that subsample the noise grid, which holds for all
-    midpoints that arise. Probe realizations store one analytic path per
-    channel and are windowed when read; both kinds read zero outside the
-    simulated interval.
+    ``samples`` holds windowed samples of variance 1/h per node (h the
+    noise-grid spacing, half the evolution step): the half-step field table
+    of the grid it was drawn for, shape (n_channels, 2 * steps + 1).
     """
 
     t0: float
-    t1: float
     h: float
-    kind: str  # 'white' | 'smooth'
-    samples: np.ndarray | None = None  # (n_channels, noise nodes), windowed
-    paths: list | None = None
-    window: Window = field(default_factory=Window.flat)
-    n_channels: int = 0
+    samples: np.ndarray
 
     def table(self, t0: float, h: float, n: int) -> np.ndarray:
-        """Field values on an external uniform grid, zero outside [t0, t1].
-
-        For white realizations the external grid must subsample the noise
-        grid exactly; probe paths are evaluated anywhere.
-        """
+        """Field values on an external uniform grid that subsamples the
+        noise grid exactly; zero outside the drawn nodes."""
         times = t0 + h * np.arange(n)
-        out = np.zeros((self.n_channels, n))
-        if self.kind == "white":
-            q = (times - self.t0) / self.h
-            qi = np.rint(q).astype(int)
-            if np.abs(q - qi).max() > 1e-6:
-                raise ConfigError("external grid is not aligned with the noise grid")
-            ok = (qi >= 0) & (qi < self.samples.shape[1])
-            out[:, ok] = self.samples[:, qi[ok]]
-        else:
-            ok = (times >= self.t0 - 1e-12) & (times <= self.t1 + 1e-12)
-            w = np.asarray(self.window(times[ok]), dtype=float)
-            for a, path in enumerate(self.paths):
-                out[a, ok] = path(times[ok]) * w
+        out = np.zeros((self.samples.shape[0], n))
+        q = (times - self.t0) / self.h
+        qi = np.rint(q).astype(int)
+        if np.abs(q - qi).max() > 1e-6:
+            raise ConfigError("external grid is not aligned with the noise grid")
+        ok = (qi >= 0) & (qi < self.samples.shape[1])
+        out[:, ok] = self.samples[:, qi[ok]]
         return out
 
 
@@ -349,22 +334,22 @@ def sample_noise(channels: list[InteractionChannel], grid: TimeGrid,
     samples = rng.standard_normal((len(channels), n)) / math.sqrt(h)
     times = grid.t0 + h * np.arange(n)
     samples = samples * np.asarray(window(times), dtype=float)[None, :]
-    return NoiseRealization(
-        t0=grid.t0, t1=grid.t1, h=h, kind="white",
-        samples=samples, window=window, n_channels=len(channels),
-    )
+    return NoiseRealization(t0=grid.t0, h=h, samples=samples)
 
 
 def sample_fourier_probe(channels: list[InteractionChannel], grid: TimeGrid,
                          seed: int, window: Window | None = None,
-                         modes: int = 4, amplitude: float = 1.0) -> NoiseRealization:
+                         modes: int = 4, amplitude: float = 1.0) -> np.ndarray:
     """Analytic probe field: a few random-phase sinusoids per channel.
 
-    Wavelengths stay at or above twice the shortest kernel range, so the
-    field varies on the physical scale while remaining infinitely smooth
-    between window joins, as checks that extrapolate in the step size
-    need. The path depends on (seed, modes, channel count, kernel range)
-    alone, never on the grid; ``amplitude=0`` gives the zero field.
+    Returns its half-step table on ``grid``, shape (n_channels,
+    2 * steps + 1): the windowed paths at t0 + k dt/2, zero outside
+    [t0, t1]. Wavelengths stay at or above twice the shortest kernel range,
+    so the field varies on the physical scale while remaining infinitely
+    smooth between window joins, as checks that extrapolate in the step
+    size need. The paths depend on (seed, modes, channel count, kernel
+    range) alone, never on the grid, so the tables of nested grids agree
+    on their shared times; ``amplitude=0`` gives the zero field.
     """
     if window is None:
         window = Window.flat()
@@ -374,16 +359,15 @@ def sample_fourier_probe(channels: list[InteractionChannel], grid: TimeGrid,
                          (len(channels), modes))
     phases = rng.uniform(0.0, 2.0 * math.pi, (len(channels), modes))
     amp = amplitude * math.sqrt(2.0 / modes)
-
-    def path(om, ph):
-        return lambda t: amp * np.cos(np.multiply.outer(
-            np.asarray(t, dtype=float), om) + ph).sum(axis=-1)
-
-    return NoiseRealization(
-        t0=grid.t0, t1=grid.t1, h=grid.dt / 2.0, kind="smooth",
-        paths=[path(omegas[a], phases[a]) for a in range(len(channels))],
-        window=window, n_channels=len(channels),
-    )
+    h = grid.dt / _NOISE_REFINE
+    times = grid.t0 + h * np.arange(grid.steps * _NOISE_REFINE + 1)
+    out = np.zeros((len(channels), times.size))
+    ok = (times >= grid.t0 - 1e-12) & (times <= grid.t1 + 1e-12)
+    w = np.asarray(window(times[ok]), dtype=float)
+    for a in range(len(channels)):
+        out[a, ok] = amp * np.cos(np.multiply.outer(
+            times[ok], omegas[a]) + phases[a]).sum(axis=-1) * w
+    return out
 
 
 @dataclass(frozen=True)

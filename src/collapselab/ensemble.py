@@ -599,18 +599,16 @@ def scenario_collapse(psi0, cfg: EnsembleConfig, model: ModelSetup) -> dict:
 
 
 def mc_mean_drift(model: ModelSetup, realizations: int, seed: int,
-                  node: int, window: Window | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
+                  node: int) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo pairing estimate of the mean-drift operator:
 
         mean over realizations of (-i W(t)) (-i integral_{t0}^t W(tau) dtau)
 
     with W the linearized transformed interaction and the trapezoid rule on
     the inner integral. Converges to the quadrature operator A as the
-    ensemble grows. Returns the entrywise mean and standard error.
+    ensemble grows. The field is on throughout the grid (flat window).
+    Returns the entrywise mean and standard error.
     """
-    if window is None:
-        window = Window.flat()
     grid = model.grid
     n = grid.n_nodes
     if realizations < 2:
@@ -627,7 +625,7 @@ def mc_mean_drift(model: ModelSetup, realizations: int, seed: int,
     partials = _Partials(len(blocks), wstack.shape[2:])
 
     def task(i):
-        pads = _noise_tables(model, window, seed, blocks[i], pad)
+        pads = _noise_tables(model, Window.flat(), seed, blocks[i], pad)
         w_all = np.einsum("rajd,adxy->rjxy", pads[:, :, node_idx[: node + 1]],
                           wstack, optimize=True)
         trap = np.full(node + 1, grid.dt)

@@ -65,8 +65,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import InteractionChannel, NoiseRealization
-from .errors import NoConvergence, OutOfGrid
+from .channels import InteractionChannel
+from .errors import DimensionMismatch, NoConvergence, OutOfGrid
 from .grids import TimeGrid
 from .lattice import FreePropagator, sqrtmh
 
@@ -88,8 +88,8 @@ class EvolutionRecord:
     """Converged solve on one grid for one field realization.
 
     ``props`` holds the maps X_j from t0 to t_j, with free-extension pads of
-    width ``reach`` on both sides; ``states`` holds psi(t_j) = X_j psi0 when
-    an initial state was given.
+    width ``reach`` on both sides; ``trajectory(psi0)`` gives the states
+    psi(t_j) = X_j psi0 of any initial state.
     """
 
     grid: TimeGrid
@@ -102,16 +102,10 @@ class EvolutionRecord:
     _kernel: np.ndarray = field(repr=False)  # (A, 2 reach + 1) kernel rows
     _field_pad: np.ndarray = field(repr=False)
     _right_free: np.ndarray = field(repr=False)  # e^{-i m dt h0}, m = 1..reach
-    states: np.ndarray | None = None
     _quadrant: tuple | None = field(default=None, repr=False)
 
-    def state(self, i: int) -> np.ndarray:
-        if self.states is None:
-            raise OutOfGrid("record has no state trajectory")
-        return self.states[i]
-
     def trajectory(self, psi0: np.ndarray) -> np.ndarray:
-        """States X_j psi0 on the interior nodes for an arbitrary start."""
+        """States X_j psi0 on the interior nodes."""
         interior = self.props[self.reach : self.reach + self.grid.n_nodes]
         return np.einsum("jab,b->ja", interior, psi0)
 
@@ -138,18 +132,21 @@ def _channel_sum(ops_row: np.ndarray, weights: np.ndarray,
     return out.reshape(weights.shape[1:-1] + window.shape[1:])
 
 
-def _coefficient_table(channels, noise: NoiseRealization, grid: TimeGrid,
+def _coefficient_table(channels, field: np.ndarray, grid: TimeGrid,
                        reach: int) -> tuple[np.ndarray, np.ndarray]:
     """The factors of c[a, j, d] = dt amplitude_a L_a(d dt) field_a(midpoint
     of t_j, t_{j+d}): kernel rows over d = -reach..reach, and the half-step
     field table, zero-padded by ``reach``, in which node j's field row is
     pad[:, 2j : 2j + 2 reach + 1]; midpoints past the interval read zero.
     """
-    n = grid.n_nodes
     dt = grid.dt
-    half = noise.table(grid.t0, 0.5 * dt, 2 * (n - 1) + 1)
-    pad = np.zeros((half.shape[0], half.shape[1] + 2 * reach))
-    pad[:, reach : reach + half.shape[1]] = half
+    shape = (len(channels), 2 * grid.steps + 1)
+    if np.shape(field) != shape:
+        raise DimensionMismatch(
+            f"field table has shape {np.shape(field)}, not {shape}: one row per "
+            f"channel over the {shape[1]} half-step nodes of {grid}")
+    pad = np.zeros((shape[0], shape[1] + 2 * reach))
+    pad[:, reach : reach + shape[1]] = field
     d = np.arange(-reach, reach + 1)
     kern = np.stack([dt * ch.amplitude * ch.profile.value(d * dt) for ch in channels])
     return kern, pad
@@ -220,28 +217,28 @@ def _nested_start(fine: np.ndarray, free: FreePropagator, dt: float,
                        ) / 16.0
 
 
-def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
-                   channels: list[InteractionChannel],
-                   noise: NoiseRealization, h0: np.ndarray,
-                   spacing: float, *,
-                   start: EvolutionRecord | tuple[EvolutionRecord, ...] | None = None
-                   ) -> EvolutionRecord:
+def solve_nonlocal(grid: TimeGrid, channels: list[InteractionChannel],
+                   field: np.ndarray, h0: np.ndarray, spacing: float, *,
+                   start: tuple[EvolutionRecord, ...] = ()) -> EvolutionRecord:
     """Fixed-point solve of the nonlocal equation on the grid for the maps.
 
-    Returns a record with the map stack, and the state trajectory when
-    ``psi0`` is given (``psi0=None`` solves for the maps alone). Raises
-    NoConvergence if the largest entry change of the maps never drops to
-    ``_TOL`` within ``_MAX_SWEEPS`` sweeps, or at the first sweep whose
-    change is not finite.
+    ``field`` is the half-step field table, shape (n_channels,
+    2 * grid.steps + 1): row a holds channel a's field at t0 + k dt/2, as
+    ``sample_fourier_probe`` returns it and as a white realization's
+    ``samples`` hold it; any other shape raises DimensionMismatch. Returns
+    the record of the map stack; ``record.trajectory(psi0)`` gives the
+    states. Raises NoConvergence if the largest entry change of the maps
+    never drops to ``_TOL`` within ``_MAX_SWEEPS`` sweeps, or at the first
+    sweep whose change is not finite.
 
-    ``start``, if given, is a record on the same interval with twice this
-    step (``start.grid.refined(2) == grid``), whose interior maps give the
-    first iterate in place of free evolution, or a pair ``(rec_2h, rec_4h)``,
-    finest first, that adds that record's own half-resolution solve for a
-    Richardson-extrapolated first iterate (see ``_nested_start``). Records
-    whose grids are not nested this way raise ValueError. Only their
-    interior nodes are read, so their reach may differ from half this one
-    where ell/dt is not a whole number.
+    ``start`` holds zero, one or two records, finest first. The first is a
+    record on the same interval with twice this step
+    (``start[0].grid.refined(2) == grid``), whose interior maps give the
+    first iterate in place of free evolution; the second, that record's own
+    half-resolution solve, adds a Richardson-extrapolated first iterate
+    (see ``_nested_start``). Records whose grids are not nested this way
+    raise ValueError. Only their interior nodes are read, so their reach
+    may differ from half this one where ell/dt is not a whole number.
     """
     channels = list(channels)
     dim = h0.shape[0]
@@ -253,22 +250,16 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
     ell = max(ch.profile.ell_min for ch in channels)
     reach = int(round(ell / dt))
     win = 2 * reach + 1
-    if start is None:
-        starts = ()
-    elif isinstance(start, EvolutionRecord):
-        starts = (start,)
-    else:
-        starts = tuple(start)
-    if len(starts) > 2:
-        raise ValueError(f"start takes one or two records, got {len(starts)}")
+    if len(start) > 2:
+        raise ValueError(f"start takes one or two records, got {len(start)}")
     finer = grid
-    for rec in starts:
+    for rec in start:
         if rec.grid.refined(2) != finer:
             raise ValueError(
                 f"start record on {rec.grid} is not the half-resolution solve "
                 f"of {finer}")
         finer = rec.grid
-    kern, field_pad = _coefficient_table(channels, noise, grid, reach)
+    kern, field_pad = _coefficient_table(channels, field, grid, reach)
     _check_boundary(field_pad, reach)
     # node j's field row as a read-only view rows[j, a, q] = field_pad[a, 2j + q]
     rows = np.lib.stride_tricks.sliding_window_view(
@@ -284,7 +275,7 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
     x = np.empty((total, dim, dim), dtype=complex)
     # left pad: exact free evolution backwards from the initial node
     x[:reach] = free.matrix(-shifts[::-1])
-    if not starts:
+    if not start:
         # first iterate: free evolution forward, U e^{-i t E} U^dag, formed
         # _BLOCK nodes at a time in place (free.matrix over all nodes would
         # hold two temporaries the size of the maps)
@@ -293,7 +284,7 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
             np.matmul(u * phases[lo : lo + _BLOCK, None, :], u_dag,
                       out=x[reach + lo : reach + lo + _BLOCK])
     else:
-        _nested_start(x[reach : reach + n], free, dt, *starts)
+        _nested_start(x[reach : reach + n], free, dt, *start)
         np.matmul(right_pad, x[reach + n - 1], out=x[reach + n :])
     x[reach] = np.eye(dim)
     x_real = x.reshape(total, -1).view(np.float64)
@@ -359,14 +350,11 @@ def solve_nonlocal(psi0: np.ndarray | None, grid: TimeGrid,
             f"after {_MAX_SWEEPS} sweeps (tol {_TOL:.0e})"
         )
 
-    record = EvolutionRecord(
+    return EvolutionRecord(
         grid=grid, channels=tuple(channels), h0=h0,
         spacing=spacing, reach=reach, residuals=residuals, props=x,
         _kernel=kern, _field_pad=field_pad, _right_free=right_pad,
     )
-    if psi0 is not None:
-        record.states = np.einsum("jab,b->ja", x, psi0)[reach : reach + n]
-    return record
 
 
 def _node_maps(record: EvolutionRecord, i: int) -> tuple[np.ndarray, np.ndarray]:

@@ -240,8 +240,9 @@ def _run_conservation(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], di
 
     def norm_series(record, g):
         lo, hi = record.reach, g.n_nodes - record.reach
+        traj = record.trajectory(psi0)
         norms = np.array([
-            conserved_inner(record, i, record.state(i), record.state(i)).real
+            conserved_inner(record, i, traj[i], traj[i]).real
             for i in range(lo, hi)
         ])
         return g.times[lo:hi], norms, np.abs(norms - norms[0])
@@ -250,7 +251,7 @@ def _run_conservation(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], di
     rec = None
     for tag, g in (("dt", grid), ("dt_half", grid.refined(2))):
         probe = sample_fourier_probe(channels, g, cfg.seed(), window=window)
-        record = solve_nonlocal(psi0, g, channels, probe, h0, spacing)
+        record = solve_nonlocal(g, channels, probe, h0, spacing)
         times, norms, drift = norm_series(record, g)
         drifts[tag] = float(drift.max())
         write_csv(out / f"conservation_{tag}.csv",
@@ -261,7 +262,7 @@ def _run_conservation(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], di
 
     probe0 = sample_fourier_probe(channels, grid, cfg.seed(), window=window,
                                   amplitude=0.0)
-    record0 = solve_nonlocal(psi0, grid, channels, probe0, h0, spacing)
+    record0 = solve_nonlocal(grid, channels, probe0, h0, spacing)
     times0, norms0, drift0 = norm_series(record0, grid)
     write_csv(out / "conservation_zero_noise.csv",
               ["t", "conserved_norm", "drift"],
@@ -363,8 +364,8 @@ def _run_expansion(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict]
                                          window=window, modes=modes,
                                          amplitude=amp)
             # each refinement starts from the coarser grids' fixed points
-            rec = solve_nonlocal(None, g, channels, probe, h0, spacing,
-                                 start=tuple(ladder[:2]) or None)
+            rec = solve_nonlocal(g, channels, probe, h0, spacing,
+                                 start=tuple(ladder[:2]))
             ladder.insert(0, rec)
             row_d, row_a = [], []
             for t in t_eval:

@@ -14,7 +14,18 @@ import time
 import numpy as np
 import pytest
 
-from collapselab.presets import run_preset
+from collapselab.channels import sample_fourier_probe
+from collapselab.config import ExperimentConfig
+from collapselab.evolution import solve_nonlocal, transformed_interaction
+from collapselab.grids import Window
+from collapselab.presets import (
+    _EXPANSION_COUPLINGS,
+    PRESETS,
+    _coupling,
+    _fit_slope,
+    _scaled_channels,
+    run_preset,
+)
 
 
 class _Runner:
@@ -106,6 +117,62 @@ def test_criterion_3_expansion_orders(runs):
     # and the failure is the recorded outcome (see the check detail in
     # summary.json for the measured norms)
     assert 2.5 <= asymmetry.observed <= 3.5
+
+
+def _romberg(d1, d2, d4):
+    """expansion's two-level extrapolation in dt, in the preset's order."""
+    return (16.0 * (4.0 * d4 - d2) / 3.0 - (4.0 * d2 - d1) / 3.0) / 15.0
+
+
+def test_criterion_3_third_extrapolation_level(runs):
+    # expansion's ladder at the shipped seed plus a fourth grid, dt/8,
+    # started from the dt/4 and dt/2 solves, and a third extrapolation
+    # level (factor 64): the asymmetry is a floor near 3e-12 with no trend
+    # in the coupling, and the remainder slope does not move, so the
+    # two-level asymmetry slope is an O(dt^6) term two levels leave
+    result, _ = runs("expansion")
+    cfg = ExperimentConfig.from_dict(PRESETS["expansion"].defaults)
+    lattice = cfg.lattice()
+    base, h0, grid = cfg.channels(lattice), cfg.build_h0(lattice), cfg.grid()
+    window = Window(**cfg.window_params())
+    mid = grid.times[grid.n_nodes // 2]
+    t_eval = (mid - 12 * grid.dt, mid, mid + 12 * grid.dt)
+    norms = {(level, kind): [] for level in (2, 3)
+             for kind in ("remainder", "asymmetry")}
+    for target in _EXPANSION_COUPLINGS:
+        channels = _scaled_channels(base, target / _coupling(base))
+        diffs, antis, ladder = [], [], []
+        for factor in (1, 2, 4, 8):
+            g = grid.refined(factor)
+            probe = sample_fourier_probe(
+                channels, g, cfg.seed(), window=window,
+                modes=int(cfg.tolerance("probe_modes")),
+                amplitude=cfg.tolerance("probe_amplitude"))
+            rec = solve_nonlocal(g, channels, probe, h0, lattice.spacing,
+                                 start=tuple(ladder[:2]))
+            ladder.insert(0, rec)
+            exact = [transformed_interaction(rec, g.node_index(t), "exact")
+                     for t in t_eval]
+            series = [transformed_interaction(rec, g.node_index(t), "expansion")
+                      for t in t_eval]
+            diffs.append([e - x for e, x in zip(exact, series)])
+            antis.append([e - e.conj().T for e in exact])
+        for kind, stack in (("remainder", diffs), ("asymmetry", antis)):
+            two = [_romberg(*(stack[f][k] for f in range(3))) for k in range(3)]
+            three = [(64.0 * _romberg(*(stack[f][k] for f in range(1, 4)))
+                      - two[k]) / 63.0 for k in range(3)]
+            norms[2, kind].append(max(float(np.linalg.norm(d, 2)) for d in two))
+            norms[3, kind].append(max(float(np.linalg.norm(d, 2)) for d in three))
+    # the first three grids are the preset's own solves
+    assert norms[2, "remainder"] == result.summary["remainder_norms"]
+    assert norms[2, "asymmetry"] == result.summary["asymmetry_norms"]
+    slopes = {key: _fit_slope(_EXPANSION_COUPLINGS, y) for key, y in norms.items()}
+    print("three-level asymmetry norms "
+          + ", ".join(f"{v:.2e}" for v in norms[3, "asymmetry"])
+          + f", slope {slopes[3, 'asymmetry']:.3f}; remainder slope "
+          f"{slopes[2, 'remainder']:.7f} -> {slopes[3, 'remainder']:.7f}")
+    assert max(norms[3, "asymmetry"]) <= 1e-11
+    assert abs(slopes[3, "remainder"] - slopes[2, "remainder"]) <= 1e-3
 
 
 # Observed values at shipped defaults, each with its relative tolerance: 10x

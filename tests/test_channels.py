@@ -27,19 +27,19 @@ from conftest import ELL, raw_channel_stack, stack_asymmetry, two_channels
 
 
 def field_value(noise, channel, t):
-    """Field value(s) of one channel at arbitrary times: the nearest
-    noise node of a white realization, the windowed path of a probe."""
+    """Field value(s) of one channel of a white realization at arbitrary
+    times: the nearest noise node, zero beyond the drawn nodes."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
+    qi = np.rint((t - noise.t0) / noise.h).astype(int)
+    ok = (qi >= 0) & (qi < noise.samples.shape[1])
     out = np.zeros_like(t)
-    ok = (t >= noise.t0 - 1e-12) & (t <= noise.t1 + 1e-12)
-    if noise.kind == "white":
-        qi = np.clip(np.rint((t[ok] - noise.t0) / noise.h).astype(int), 0,
-                     noise.samples.shape[1] - 1)
-        out[ok] = noise.samples[channel, qi]
-    else:
-        w = np.asarray(noise.window(t[ok]), dtype=float)
-        out[ok] = noise.paths[channel](t[ok]) * w
+    out[ok] = noise.samples[channel, qi[ok]]
     return out if out.shape != (1,) else out[0]
+
+
+def half_step_times(grid):
+    """t0 + k dt/2, the times of a half-step field table's columns."""
+    return grid.t0 + 0.5 * grid.dt * np.arange(2 * grid.steps + 1)
 
 
 def interaction_kernel(t, s, channels, noise):
@@ -324,21 +324,36 @@ def test_probe_fields_are_grid_independent(lat4, grid16, probe):
     chans = two_channels(lat4, 0.5)
     p1 = probe(chans, grid16, seed=9)
     p2 = probe(chans, grid16.refined(2), seed=9)
-    ts = np.linspace(0.1, 1.9, 37)
-    assert np.abs(field_value(p1, 0, ts) - field_value(p2, 0, ts)).max() == 0.0
+    assert p1.shape == (2, 2 * grid16.steps + 1)
+    assert p2.shape == (2, 4 * grid16.steps + 1)
+    # the finer table holds the coarser one on every second half-step node
+    assert np.abs(p1 - p2[:, ::2]).max() == 0.0
+    # each row is sqrt(2 / modes) times a sum of random-phase cosines with
+    # wavelengths of 2 to 8 kernel ranges, drawn from the seed alone
+    rng = np.random.default_rng(9)
+    omegas = rng.uniform(0.25 * np.pi / ELL, np.pi / ELL, (2, 4))
+    phases = rng.uniform(0.0, 2.0 * np.pi, (2, 4))
+    t = half_step_times(grid16)
+    paths = np.sqrt(0.5) * np.cos(t[None, :, None] * omegas[:, None, :]
+                                  + phases[:, None, :]).sum(axis=-1)
+    assert np.abs(p1 - paths).max() < 1e-12
     # amplitude zero is the zero field on every grid, as conservation's
     # zero-noise run needs
     for g in (grid16, grid16.refined(2)):
         zero = probe(chans, g, seed=9, amplitude=0.0)
-        assert np.all(zero.table(g.t0, 0.5 * g.dt, 2 * g.steps + 1) == 0.0)
+        assert zero.shape == (2, 2 * g.steps + 1)
+        assert np.all(zero == 0.0)
 
 
 def test_probe_respects_window(lat4, grid16):
     chans = two_channels(lat4, 0.5)
     w = Window(t_on=0.5, t_off=1.5, ramp=0.2)
     p = sample_fourier_probe(chans, grid16, seed=9, window=w)
-    assert np.abs(field_value(p, 0, np.array([0.1, 0.3, 1.7, 1.9]))).max() == 0.0
-    assert abs(field_value(p, 0, 1.0)) > 0.0
+    t = half_step_times(grid16)
+    assert np.abs(p[:, (t < 0.5) | (t > 1.5)]).max() == 0.0
+    assert np.abs(p[:, t == 1.0]).min() > 0.0
+    flat = sample_fourier_probe(chans, grid16, seed=9)
+    assert np.array_equal(p, flat * w(t))
 
 
 def test_interaction_kernel_symmetries(lat4, grid16):

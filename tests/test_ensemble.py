@@ -370,10 +370,11 @@ def untransformed_oracle(model, cfg, psi0):
     for r in range(cfg.realizations):
         noise = sample_noise(list(model.channels), grid, [cfg.seed, r],
                              window=cfg.window(grid))
-        rec = solve_nonlocal(psi0, grid, list(model.channels), noise, model.h0,
+        rec = solve_nonlocal(grid, list(model.channels), noise.samples, model.h0,
                              spacing)
+        traj = rec.trajectory(psi0)
         for j in range(grid.n_nodes):
-            psi = rec.states[j]
+            psi = traj[j]
             metric = eye + surface_correction(rec, j)
             h_psi = (model.h0 + equal_time_hamiltonian(rec, j)) @ psi
             out["energy"][r, j] = (spacing * np.vdot(psi, metric @ h_psi)).real

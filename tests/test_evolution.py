@@ -10,13 +10,12 @@ from scipy.linalg import expm
 from collapselab import evolution
 from collapselab.channels import (
     KernelProfile,
-    NoiseRealization,
     make_channel,
     sample_fourier_probe,
     sample_noise,
 )
 from collapselab.config import ExperimentConfig
-from collapselab.errors import NoConvergence, OutOfGrid
+from collapselab.errors import DimensionMismatch, NoConvergence, OutOfGrid
 from collapselab.evolution import (
     conserved_inner,
     conserved_inner_layer_sum,
@@ -49,13 +48,12 @@ OFF = Window(t_on=5.0, t_off=7.0, ramp=0.5)
 # of what evolution.py fuses into a few BLAS calls per block of nodes
 
 
-def oracle_coeffs(grid, channels, noise, reach):
+def oracle_coeffs(grid, channels, half, reach):
     """c[a, j, d + reach] = dt amplitude_a L_a(d dt) times the field at the
-    midpoint of t_j and t_{j+d}, entry by entry from a fresh half-step
-    table of the field; midpoints past either grid end weigh zero. The
-    product is taken in the solver's order, so the weights agree to the bit."""
+    midpoint of t_j and t_{j+d}, entry by entry from the half-step table of
+    the field; midpoints past either grid end weigh zero. The product is
+    taken in the solver's order, so the weights agree to the bit."""
     dt, n = grid.dt, grid.n_nodes
-    half = noise.table(grid.t0, 0.5 * dt, 2 * (n - 1) + 1)
     offsets = np.arange(-reach, reach + 1)
     out = np.zeros((len(channels), n, offsets.size))
     for a, ch in enumerate(channels):
@@ -67,7 +65,7 @@ def oracle_coeffs(grid, channels, noise, reach):
     return out
 
 
-def oracle_solve(grid, channels, noise, h0, tol, block):
+def oracle_solve(grid, channels, half, h0, tol, block):
     """Block Gauss-Seidel sweeps of solve_nonlocal, channel by channel: a
     block of nodes s..s+block takes every node's interaction from the maps
     as they stand at the block's start (node s already updated), then steps
@@ -75,7 +73,7 @@ def oracle_solve(grid, channels, noise, h0, tol, block):
     Returns the padded maps and the residual history."""
     dt, n = grid.dt, grid.n_nodes
     reach = int(round(max(ch.profile.ell_min for ch in channels) / dt))
-    coeffs = oracle_coeffs(grid, channels, noise, reach)
+    coeffs = oracle_coeffs(grid, channels, half, reach)
     ops = [ch.spatial_op for ch in channels]
     free = FreePropagator(h0)
     e_dt = free.matrix(dt)
@@ -107,12 +105,11 @@ def oracle_solve(grid, channels, noise, h0, tol, block):
     return x, residuals
 
 
-def oracle_quadrant_coeffs(record, noise, i):
-    """c[a, p, q] rebuilt from a fresh half-step table of the solve's field."""
-    reach, dt, n = record.reach, record.grid.dt, record.grid.n_nodes
+def oracle_quadrant_coeffs(record, half, i):
+    """c[a, p, q] rebuilt from the half-step table of the solve's field."""
+    reach, dt = record.reach, record.grid.dt
     p = np.arange(i - reach, i + 1)
     q = np.arange(i, i + reach + 1)
-    half = noise.table(record.grid.t0, 0.5 * dt, 2 * (n - 1) + 1)
     sidx = p[:, None] + q[None, :]
     valid = (sidx >= 0) & (sidx < half.shape[1])
     wp = np.full(p.size, dt)
@@ -133,37 +130,36 @@ def oracle_relative_maps(record, i):
     return np.stack([xq @ xi_inv for xq in record.props[i : i + 2 * record.reach + 1]])
 
 
-def oracle_equal_time_hamiltonian(record, noise, i):
+def oracle_equal_time_hamiltonian(record, half, i):
     y = oracle_relative_maps(record, i)
-    c = oracle_coeffs(record.grid, record.channels, noise, record.reach)[:, i]
+    c = oracle_coeffs(record.grid, record.channels, half, record.reach)[:, i]
     return sum(ch.spatial_op @ np.tensordot(c[a], y, axes=(0, 0))
                for a, ch in enumerate(record.channels))
 
 
-def oracle_surface_correction(record, noise, i):
+def oracle_surface_correction(record, half, i):
     y = oracle_relative_maps(record, i)
     past, future = y[: record.reach + 1], y[record.reach :]
-    c = oracle_quadrant_coeffs(record, noise, i)
+    c = oracle_quadrant_coeffs(record, half, i)
     q = sum(np.einsum("pq,pba,bc,qcd->ad", c[a], past.conj(), ch.spatial_op, future)
             for a, ch in enumerate(record.channels))
     return 1j * (q - q.conj().T)
 
 
-def equal_time_hamiltonian_first_order(record, noise, i):
+def equal_time_hamiltonian_first_order(record, half, i):
     """W(t_i) contracted with free two-time maps; differs at second order."""
     dt, reach = record.grid.dt, record.reach
     free = FreePropagator(record.h0)
     y = np.stack([free.matrix(d * dt) for d in range(-reach, reach + 1)])
-    c = oracle_coeffs(record.grid, record.channels, noise, reach)[:, i]
+    c = oracle_coeffs(record.grid, record.channels, half, reach)[:, i]
     return sum(ch.spatial_op @ np.tensordot(c[a], y, axes=(0, 0))
                for a, ch in enumerate(record.channels))
 
 
-def local_energy(record, i):
-    """Energy <psi|(h0 + W)psi>_t at node i as (real part, imag part); the
-    imaginary part measures the failure of h0 + W to be symmetric under the
-    conserved product at fixed t."""
-    psi = record.state(i)
+def local_energy(record, psi, i):
+    """Energy <psi|(h0 + W)psi>_t of the state psi at node i as (real part,
+    imag part); the imaginary part measures the failure of h0 + W to be
+    symmetric under the conserved product at fixed t."""
     hpsi = record.h0 @ psi + equal_time_hamiltonian(record, i) @ psi
     s = surface_correction(record, i)
     val = record.spacing * np.vdot(psi, hpsi + s @ hpsi)
@@ -194,13 +190,14 @@ def probe(channels, grid, amplitude=2.0):
 
 def test_zero_field_gives_free_evolution(lat4, h0_4, grid16):
     ch = two_channels(lat4, 0.04)
-    noise = sample_noise(ch, grid16, seed=5, window=OFF)
+    noise = sample_noise(ch, grid16, seed=5, window=OFF).samples
     psi0 = random_state(lat4.dim, lat4.spacing, 1)
-    rec = solve_nonlocal(psi0, grid16, ch, noise, h0_4, lat4.spacing)
+    rec = solve_nonlocal(grid16, ch, noise, h0_4, lat4.spacing)
     assert len(rec.residuals) == 1
     free = FreePropagator(h0_4)
+    traj = rec.trajectory(psi0)
     err = max(
-        np.abs(rec.state(i) - free.matrix(i * grid16.dt) @ psi0).max()
+        np.abs(traj[i] - free.matrix(i * grid16.dt) @ psi0).max()
         for i in range(grid16.n_nodes)
     )
     assert err < 1e-12
@@ -208,9 +205,8 @@ def test_zero_field_gives_free_evolution(lat4, h0_4, grid16):
 
 def test_fixed_point_contracts_geometrically(lat4, h0_4, grid16):
     ch = two_channels(lat4, 0.02)  # lambda*ell = 0.01
-    noise = sample_noise(ch, grid16, seed=5, window=WIN)
-    psi0 = random_state(lat4.dim, lat4.spacing, 1)
-    rec = solve_nonlocal(psi0, grid16, ch, noise, h0_4, lat4.spacing)
+    noise = sample_noise(ch, grid16, seed=5, window=WIN).samples
+    rec = solve_nonlocal(grid16, ch, noise, h0_4, lat4.spacing)
     assert len(rec.residuals) <= 8
     r = rec.residuals
     assert all(r[k + 1] / r[k] < 0.1 for k in range(len(r) - 1))
@@ -218,48 +214,44 @@ def test_fixed_point_contracts_geometrically(lat4, h0_4, grid16):
 
 def test_coupling_beyond_fixed_point_regime(lat4, h0_4, grid16):
     ch = two_channels(lat4, 1.2)
-    noise = sample_noise(ch, grid16, seed=5, window=WIN)
-    psi0 = random_state(lat4.dim, lat4.spacing, 1)
+    noise = sample_noise(ch, grid16, seed=5, window=WIN).samples
     with pytest.raises(NoConvergence):
-        solve_nonlocal(psi0, grid16, ch, noise, h0_4, lat4.spacing)
+        solve_nonlocal(grid16, ch, noise, h0_4, lat4.spacing)
 
 
 def test_iteration_budget_exhausted(lat4, h0_4, grid16, monkeypatch):
     ch = two_channels(lat4, 0.1)
-    noise = sample_noise(ch, grid16, seed=5, window=WIN)
-    psi0 = random_state(lat4.dim, lat4.spacing, 1)
+    noise = sample_noise(ch, grid16, seed=5, window=WIN).samples
     monkeypatch.setattr(evolution, "_MAX_SWEEPS", 2)
     with pytest.raises(NoConvergence, match="after 2 sweeps"):
-        solve_nonlocal(psi0, grid16, ch, noise, h0_4, lat4.spacing)
+        solve_nonlocal(grid16, ch, noise, h0_4, lat4.spacing)
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 def test_non_finite_field_stops_at_first_sweep(lat4, h0_4, grid16, where):
     ch = two_channels(lat4, 0.02)
-    noise = sample_noise(ch, grid16, seed=5, window=WIN)
-    m = noise.samples.shape[1]
+    noise = sample_noise(ch, grid16, seed=5, window=WIN).samples
+    m = noise.shape[1]
     # grid16 sweeps two blocks; the last sample reaches only the second
     # block and the right pad
-    noise.samples[0, {"first": 0, "middle": m // 2, "last": m - 1}[where]] = np.nan
-    psi0 = random_state(lat4.dim, lat4.spacing, 1)
+    noise[0, {"first": 0, "middle": m // 2, "last": m - 1}[where]] = np.nan
     with pytest.raises(NoConvergence, match=r"at sweep 1$"):
-        solve_nonlocal(psi0, grid16, ch, noise, h0_4, lat4.spacing)
+        solve_nonlocal(grid16, ch, noise, h0_4, lat4.spacing)
 
 
 def test_strong_coupling_warns(lat4, h0_4, grid16):
     ch = two_channels(lat4, 0.5)  # lambda*ell = 0.25
-    noise = sample_noise(ch, grid16, seed=5, window=WIN)
-    psi0 = random_state(lat4.dim, lat4.spacing, 1)
+    noise = sample_noise(ch, grid16, seed=5, window=WIN).samples
     with pytest.warns(UserWarning, match="convergence will be slow"):
-        solve_nonlocal(psi0, grid16, ch, noise, h0_4, lat4.spacing)
+        solve_nonlocal(grid16, ch, noise, h0_4, lat4.spacing)
 
 
 def test_active_boundary_warns(lat4, h0_4, grid16):
     ch = two_channels(lat4, 0.02)
-    noise = sample_noise(ch, grid16, seed=5)  # flat window reaches the ends
-    psi0 = random_state(lat4.dim, lat4.spacing, 1)
+    # the flat window reaches the ends
+    noise = sample_noise(ch, grid16, seed=5).samples
     with pytest.warns(UserWarning, match="boundary"):
-        solve_nonlocal(psi0, grid16, ch, noise, h0_4, lat4.spacing)
+        solve_nonlocal(grid16, ch, noise, h0_4, lat4.spacing)
 
 
 # ell/dt = 12.5 on the second coarse grid rounds to reach 12, and the fine
@@ -269,10 +261,10 @@ def test_warm_start_reaches_the_cold_fixed_point(lat4, h0_4, dt, reaches):
     ch = two_channels(lat4, 0.08)
     grid = TimeGrid(0.0, 2.0, dt)
     fine = grid.refined(2)
-    coarse = solve_nonlocal(None, grid, ch, probe(ch, grid), h0_4, lat4.spacing)
-    cold = solve_nonlocal(None, fine, ch, probe(ch, fine), h0_4, lat4.spacing)
-    warm = solve_nonlocal(None, fine, ch, probe(ch, fine), h0_4, lat4.spacing,
-                          start=coarse)
+    coarse = solve_nonlocal(grid, ch, probe(ch, grid), h0_4, lat4.spacing)
+    cold = solve_nonlocal(fine, ch, probe(ch, fine), h0_4, lat4.spacing)
+    warm = solve_nonlocal(fine, ch, probe(ch, fine), h0_4, lat4.spacing,
+                          start=(coarse,))
     assert (coarse.reach, warm.reach) == reaches
     assert np.abs(warm.props - cold.props).max() < 1e-11
     assert warm.residuals[0] <= 1e-3 < cold.residuals[0]
@@ -296,8 +288,8 @@ def test_refined_solves_hold_little_beyond_their_maps(lat4, h0_4):
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            rec = solve_nonlocal(None, g, ch, noise, h0_4, lat4.spacing,
-                                 start=tuple(ladder[:2]) or None)
+            rec = solve_nonlocal(g, ch, noise, h0_4, lat4.spacing,
+                                 start=tuple(ladder[:2]))
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
@@ -323,12 +315,12 @@ def expansion_ladder():
 
 def test_extrapolated_start_saves_sweeps_on_expansions_ladder():
     grids, ch, h0, spacing, probes = expansion_ladder()
-    coarsest = solve_nonlocal(None, grids[0], ch, probes[0], h0, spacing)
-    middle = solve_nonlocal(None, grids[1], ch, probes[1], h0, spacing,
-                            start=coarsest)
-    nested = solve_nonlocal(None, grids[2], ch, probes[2], h0, spacing,
-                            start=middle)
-    extrapolated = solve_nonlocal(None, grids[2], ch, probes[2], h0, spacing,
+    coarsest = solve_nonlocal(grids[0], ch, probes[0], h0, spacing)
+    middle = solve_nonlocal(grids[1], ch, probes[1], h0, spacing,
+                            start=(coarsest,))
+    nested = solve_nonlocal(grids[2], ch, probes[2], h0, spacing,
+                            start=(middle,))
+    extrapolated = solve_nonlocal(grids[2], ch, probes[2], h0, spacing,
                                   start=(middle, coarsest))
     assert (extrapolated.grid.n_nodes, extrapolated.reach) == (897, 128)
     # the Richardson step removes the middle grid's O(dt^2) error from the
@@ -344,7 +336,7 @@ def test_extrapolated_start_rejects_non_nested_ladders(lat4, h0_4, grid16):
     solved = {}
     for g in (grid16, TimeGrid(0.0, 2.0, 2 * grid16.dt),
               TimeGrid(0.0, 2.0, 4 * grid16.dt), TimeGrid(0.0, 2.5, 2 * grid16.dt)):
-        solved[g.dt, g.t1] = solve_nonlocal(None, g, ch, probe(ch, g), h0_4,
+        solved[g.dt, g.t1] = solve_nonlocal(g, ch, probe(ch, g), h0_4,
                                             lat4.spacing)
     middle = solved[grid16.dt, 2.0]
     for ladder in ((middle, solved[4 * grid16.dt, 2.0]),
@@ -352,10 +344,10 @@ def test_extrapolated_start_rejects_non_nested_ladders(lat4, h0_4, grid16):
                    (middle, middle),
                    (solved[2 * grid16.dt, 2.0], middle)):
         with pytest.raises(ValueError, match="not the half-resolution solve"):
-            solve_nonlocal(None, fine, ch, probe(ch, fine), h0_4, lat4.spacing,
+            solve_nonlocal(fine, ch, probe(ch, fine), h0_4, lat4.spacing,
                            start=ladder)
     with pytest.raises(ValueError, match="one or two records"):
-        solve_nonlocal(None, fine, ch, probe(ch, fine), h0_4, lat4.spacing,
+        solve_nonlocal(fine, ch, probe(ch, fine), h0_4, lat4.spacing,
                        start=(middle, solved[2 * grid16.dt, 2.0], middle))
 
 
@@ -365,34 +357,42 @@ def test_warm_start_rejects_other_grids(lat4, h0_4, grid16):
     others = (fine, TimeGrid(0.0, 2.0, 2 * grid16.dt),
               TimeGrid(0.0, 2.5, grid16.dt), TimeGrid(-0.5, 2.0, grid16.dt))
     for other in others:
-        start = solve_nonlocal(None, other, ch, probe(ch, other), h0_4, lat4.spacing)
+        start = solve_nonlocal(other, ch, probe(ch, other), h0_4, lat4.spacing)
         with pytest.raises(ValueError, match="not the half-resolution solve"):
-            solve_nonlocal(None, fine, ch, probe(ch, fine), h0_4, lat4.spacing,
-                           start=start)
+            solve_nonlocal(fine, ch, probe(ch, fine), h0_4, lat4.spacing,
+                           start=(start,))
 
 
-def _solved(lat, h0, grid, amplitude, psi0=None):
+def _solved(lat, h0, grid, amplitude):
     ch = two_channels(lat, amplitude)
-    return solve_nonlocal(psi0, grid, ch, probe(ch, grid), h0, lat.spacing)
+    return solve_nonlocal(grid, ch, probe(ch, grid), h0, lat.spacing)
 
 
 def test_record_accessors(lat4, h0_4, grid16):
-    psi0 = random_state(lat4.dim, lat4.spacing, 1)
-    ch = two_channels(lat4, 0.04)
-    noise = probe(ch, grid16)
-    rec = solve_nonlocal(psi0, grid16, ch, noise, h0_4, lat4.spacing)
+    rec = _solved(lat4, h0_4, grid16, 0.04)
     assert np.abs(rec.props[rec.reach] - np.eye(lat4.dim)).max() == 0.0
-    traj = rec.trajectory(psi0)
-    assert np.abs(traj - rec.states).max() < 1e-12
     for i in (-1, grid16.n_nodes):
         with pytest.raises(OutOfGrid):
             equal_time_hamiltonian(rec, i)
         with pytest.raises(OutOfGrid):
             surface_correction(rec, i)
 
-    maps_only = _solved(lat4, h0_4, grid16, 0.04, psi0=None)
-    with pytest.raises(OutOfGrid):
-        maps_only.state(0)
+
+def test_field_table_of_another_shape_is_rejected(lat4, h0_4, grid16):
+    ch = two_channels(lat4, 0.04)
+    table = probe(ch, grid16)
+    for wrong in (table[:1],  # one channel's row for two channels
+                  probe(ch, grid16.refined(2)),  # the table of another grid
+                  probe(ch, TimeGrid(0.0, 2.5, grid16.dt)),
+                  table[:, :-1], table[None]):
+        with pytest.raises(DimensionMismatch, match="field table has shape"):
+            solve_nonlocal(grid16, ch, wrong, h0_4, lat4.spacing)
+    # a white realization's samples are the half-step table of its grid
+    white = sample_noise(ch, grid16.refined(2), seed=5, window=WIN).samples
+    with pytest.raises(DimensionMismatch):
+        solve_nonlocal(grid16, ch, white, h0_4, lat4.spacing)
+    rec = solve_nonlocal(grid16.refined(2), ch, white, h0_4, lat4.spacing)
+    assert rec.grid == grid16.refined(2)
 
 
 def test_surface_correction_shape(lat4, h0_4, grid16):
@@ -408,31 +408,32 @@ def test_surface_correction_shape(lat4, h0_4, grid16):
 
 def test_adjoint_metric_round_trip(lat4, h0_4, grid16):
     psi0 = random_state(lat4.dim, lat4.spacing, 1)
-    rec = _solved(lat4, h0_4, grid16, 0.04, psi0=psi0)
+    rec = _solved(lat4, h0_4, grid16, 0.04)
     n1 = grid16.n_nodes - 1
     d = lat4.dim
     m0 = lat4.spacing * (np.eye(d) + surface_correction(rec, 0))
     m1 = lat4.spacing * (np.eye(d) + surface_correction(rec, n1))
     x = rec.props[rec.reach + n1]
-    back = np.linalg.solve(m0, x.conj().T @ (m1 @ rec.state(n1)))
+    back = np.linalg.solve(m0, x.conj().T @ (m1 @ rec.trajectory(psi0)[n1]))
     assert np.abs(back - psi0).max() < 1e-10
 
 
 def test_conserved_inner_free_limit(lat4, h0_4, grid16):
     ch = two_channels(lat4, 0.04)
-    noise = sample_noise(ch, grid16, seed=5, window=OFF)
+    noise = sample_noise(ch, grid16, seed=5, window=OFF).samples
     psi0 = random_state(lat4.dim, lat4.spacing, 1)
-    rec = solve_nonlocal(psi0, grid16, ch, noise, h0_4, lat4.spacing)
+    rec = solve_nonlocal(grid16, ch, noise, h0_4, lat4.spacing)
     i = grid16.n_nodes // 2
     phi = random_state(lat4.dim, lat4.spacing, 2)
-    got = conserved_inner(rec, i, phi, rec.state(i))
-    want = l2_inner(phi, rec.state(i), lat4.spacing)
+    psi = rec.trajectory(psi0)[i]
+    got = conserved_inner(rec, i, phi, psi)
+    want = l2_inner(phi, psi, lat4.spacing)
     assert abs(got - want) < 1e-13
 
 
 def test_conserved_inner_dual_formula(lat4, h0_4, grid16):
     psi0 = random_state(lat4.dim, lat4.spacing, 1)
-    rec = _solved(lat4, h0_4, grid16, 0.04, psi0=psi0)
+    rec = _solved(lat4, h0_4, grid16, 0.04)
     psit = rec.trajectory(psi0)
     for seed in (2, 3, 4):
         phit = rec.trajectory(random_state(lat4.dim, lat4.spacing, seed))
@@ -446,9 +447,10 @@ def test_conservation_drift_is_quadratic_in_dt(lat4, h0_4, grid16):
     psi0 = random_state(lat4.dim, lat4.spacing, 1)
 
     def drift(grid):
-        rec = _solved(lat4, h0_4, grid, 0.04, psi0=psi0)
+        rec = _solved(lat4, h0_4, grid, 0.04)
+        traj = rec.trajectory(psi0)
         step = max(1, grid.steps // 32)
-        vals = [conserved_inner(rec, i, rec.state(i), rec.state(i))
+        vals = [conserved_inner(rec, i, traj[i], traj[i])
                 for i in range(0, grid.n_nodes, step)]
         return max(abs(v - vals[0]) for v in vals)
 
@@ -464,7 +466,7 @@ def test_equal_time_hamiltonian_orders(lat4, h0_4, grid16):
     def diff(amplitude):
         ch = two_channels(lat4, amplitude)
         noise = probe(ch, grid16)
-        rec = solve_nonlocal(None, grid16, ch, noise, h0_4, lat4.spacing)
+        rec = solve_nonlocal(grid16, ch, noise, h0_4, lat4.spacing)
         w = equal_time_hamiltonian(rec, i)
         w1 = equal_time_hamiltonian_first_order(rec, noise, i)
         return np.abs(w - w1).max(), w
@@ -476,17 +478,17 @@ def test_equal_time_hamiltonian_orders(lat4, h0_4, grid16):
     assert np.abs(w - w.conj().T).max() > 1e-3
 
     ch = two_channels(lat4, 0.08)
-    noise = sample_noise(ch, grid16, seed=5, window=OFF)
-    rec0 = solve_nonlocal(None, grid16, ch, noise, h0_4, lat4.spacing)
+    noise = sample_noise(ch, grid16, seed=5, window=OFF).samples
+    rec0 = solve_nonlocal(grid16, ch, noise, h0_4, lat4.spacing)
     assert np.abs(equal_time_hamiltonian(rec0, i)).max() == 0.0
 
 
 def test_transform_state_identities(lat4, h0_4, grid16):
     psi0 = random_state(lat4.dim, lat4.spacing, 1)
-    rec = _solved(lat4, h0_4, grid16, 0.04, psi0=psi0)
+    rec = _solved(lat4, h0_4, grid16, 0.04)
     i = grid16.n_nodes // 2
     s = surface_correction(rec, i)
-    psi = rec.state(i)
+    psi = rec.trajectory(psi0)[i]
     tilde = transform_state(psi, np.zeros_like(s))
     assert np.abs(tilde - psi).max() < 1e-14
     tilde = transform_state(psi, s)
@@ -497,8 +499,8 @@ def test_transform_state_identities(lat4, h0_4, grid16):
 
 def test_transformed_interaction_zero_field(lat4, h0_4, grid16):
     ch = two_channels(lat4, 0.08)
-    noise = sample_noise(ch, grid16, seed=5, window=OFF)
-    rec = solve_nonlocal(None, grid16, ch, noise, h0_4, lat4.spacing)
+    noise = sample_noise(ch, grid16, seed=5, window=OFF).samples
+    rec = solve_nonlocal(grid16, ch, noise, h0_4, lat4.spacing)
     i = grid16.n_nodes // 2
     assert np.abs(transformed_interaction(rec, i, "expansion")).max() == 0.0
     assert np.abs(transformed_interaction(rec, i, "exact")).max() < 1e-14
@@ -611,23 +613,25 @@ def test_step_transformed_paths(lat4, h0_4, grid16):
 
 def test_one_step_picture_equivalence(lat4, h0_4, grid16):
     psi0 = random_state(lat4.dim, lat4.spacing, 1)
-    rec = _solved(lat4, h0_4, grid16, 0.04, psi0=psi0)
+    rec = _solved(lat4, h0_4, grid16, 0.04)
+    traj = rec.trajectory(psi0)
     i = grid16.node_index(1.0)
     wt = transformed_interaction(rec, i, "exact")
-    tilde_i = transform_state(rec.state(i), surface_correction(rec, i))
-    tilde_n = transform_state(rec.state(i + 1), surface_correction(rec, i + 1))
+    tilde_i = transform_state(traj[i], surface_correction(rec, i))
+    tilde_n = transform_state(traj[i + 1], surface_correction(rec, i + 1))
     stepped = step_transformed(tilde_i, h0_4, wt, grid16.dt)
     assert np.abs(stepped - tilde_n).max() < grid16.dt ** 2
 
 
 def test_local_energy_free_eigenstate(lat4, h0_4, grid16):
     ch = two_channels(lat4, 0.04)
-    noise = sample_noise(ch, grid16, seed=5, window=OFF)
+    noise = sample_noise(ch, grid16, seed=5, window=OFF).samples
     esys = EigenSystem.of(h0_4, lat4.spacing)
     e0, psi0 = esys.ground_state("positive")
-    rec = solve_nonlocal(psi0, grid16, ch, noise, h0_4, lat4.spacing)
+    rec = solve_nonlocal(grid16, ch, noise, h0_4, lat4.spacing)
+    traj = rec.trajectory(psi0)
     for i in (0, grid16.n_nodes // 2):
-        val, imag = local_energy(rec, i)
+        val, imag = local_energy(rec, traj[i], i)
         assert abs(val - e0) < 1e-10
         assert abs(imag) < 1e-12
 
@@ -672,7 +676,7 @@ def test_fused_contractions_match_per_channel_oracles(sites, n_channels, seed,
     for block in (evolution._BLOCK, 1, 3):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(evolution, "_BLOCK", block)
-            rec = solve_nonlocal(psi0, grid, channels, noise, h0, lat.spacing)
+            rec = solve_nonlocal(grid, channels, noise, h0, lat.spacing)
         # the solver stops at its first residual at or below 1e-12; the
         # oracle's maps round differently, so it stops midway (in log)
         # between the solver's last two residuals, where rounding cannot
@@ -689,7 +693,7 @@ def test_fused_contractions_match_per_channel_oracles(sites, n_channels, seed,
                            np.array(residuals)[big], rtol=1e-6, atol=0.0)
         assert np.abs(rec.props - x).max() < 1e-10
         interior = x[rec.reach : rec.reach + grid.n_nodes]
-        assert np.abs(rec.states - interior @ psi0).max() < 1e-10
+        assert np.abs(rec.trajectory(psi0) - interior @ psi0).max() < 1e-10
         # the first and last nodes' windows reach into the zero pad
         for i in sorted({*range(0, grid.n_nodes, 4), grid.n_nodes - 1}):
             s = surface_correction(rec, i)
@@ -721,9 +725,8 @@ def test_idle_blocks_match_the_oracle(lat4, h0_4, monkeypatch, block):
     idle = [not weights[:, s : min(s + block, n - 1) + 1].any()
             for s in range(0, n - 1, block)]
     assert any(idle) and not all(idle)
-    psi0 = random_state(lat4.dim, lat4.spacing, 3)
     monkeypatch.setattr(evolution, "_BLOCK", block)
-    rec = solve_nonlocal(psi0, grid, ch, noise, h0_4, lat4.spacing)
+    rec = solve_nonlocal(grid, ch, noise, h0_4, lat4.spacing)
     r = rec.residuals
     assert r[-1] <= 1e-12 < min(r[:-1])
     x, residuals = oracle_solve(grid, ch, noise, h0_4, math.sqrt(r[-2] * r[-1]),
@@ -735,23 +738,24 @@ def test_idle_blocks_match_the_oracle(lat4, h0_4, monkeypatch, block):
     assert np.abs(rec.props - x).max() < 1e-10
 
 
-def test_node_loop_builds_one_noise_table(lat4, h0_4, grid16, monkeypatch):
-    psi0 = random_state(lat4.dim, lat4.spacing, 1)
-    calls = []
-    table = NoiseRealization.table
+def test_node_objects_read_the_table_the_solve_kept(lat4, h0_4, grid16):
+    ch = two_channels(lat4, 0.04)
+    table = probe(ch, grid16)
+    rec = solve_nonlocal(grid16, ch, table, h0_4, lat4.spacing)
+    traj = rec.trajectory(random_state(lat4.dim, lat4.spacing, 1))
 
-    def counted(self, *args):
-        calls.append(args)
-        return table(self, *args)
+    def node_objects():
+        return [(surface_correction(rec, i), equal_time_hamiltonian(rec, i),
+                 conserved_inner(rec, i, traj[i], traj[i]),
+                 conserved_inner_layer_sum(rec, i, traj, traj))
+                for i in range(grid16.n_nodes)]
 
-    monkeypatch.setattr(NoiseRealization, "table", counted)
-    rec = _solved(lat4, h0_4, grid16, 0.04, psi0=psi0)
-    # one half-step table serves the coefficients and the boundary check
-    assert len(calls) == 1
-    traj = rec.trajectory(psi0)
-    for i in range(grid16.n_nodes):
-        surface_correction(rec, i)
-        conserved_inner(rec, i, traj[i], traj[i])
-        conserved_inner_layer_sum(rec, i, traj, traj)
-    # the node loop reads the table the solve kept
-    assert len(calls) == 1
+    before = node_objects()
+    # the record keeps its own padded copy of the caller's table, and the
+    # node loop reads that copy: a later change to the caller's array is
+    # not seen
+    table[...] = np.nan
+    after = node_objects()
+    assert all(np.array_equal(a, b) for old, new in zip(before, after)
+               for a, b in zip(old, new))
+    assert np.shares_memory(rec._quadrant[1], rec._field_pad)
