@@ -51,6 +51,7 @@ KERNEL_SHAPES = ("raised_cosine", "gaussian_truncated")
 _RANK_TOL = 1e-12  # relative covariance eigenvalue below which a field drops
 # white-noise samples per evolution step: every node midpoint is a noise node
 _NOISE_REFINE = 2
+_PROBE_MODES = 4  # sinusoids per channel of the analytic probe field
 
 
 @dataclass(frozen=True)
@@ -339,26 +340,26 @@ def sample_noise(channels: list[InteractionChannel], grid: TimeGrid,
 
 def sample_fourier_probe(channels: list[InteractionChannel], grid: TimeGrid,
                          seed: int, window: Window | None = None,
-                         modes: int = 4, amplitude: float = 1.0) -> np.ndarray:
-    """Analytic probe field: a few random-phase sinusoids per channel.
+                         amplitude: float = 1.0) -> np.ndarray:
+    """Analytic probe field: four random-phase sinusoids per channel.
 
     Returns its half-step table on ``grid``, shape (n_channels,
     2 * steps + 1): the windowed paths at t0 + k dt/2, zero outside
     [t0, t1]. Wavelengths stay at or above twice the shortest kernel range,
     so the field varies on the physical scale while remaining infinitely
     smooth between window joins, as checks that extrapolate in the step
-    size need. The paths depend on (seed, modes, channel count, kernel
-    range) alone, never on the grid, so the tables of nested grids agree
-    on their shared times; ``amplitude=0`` gives the zero field.
+    size need. The paths depend on (seed, channel count, kernel range)
+    alone, never on the grid, so the tables of nested grids agree on their
+    shared times; ``amplitude=0`` gives the zero field.
     """
     if window is None:
         window = Window.flat()
     ell = min(ch.profile.ell_min for ch in channels)
     rng = np.random.default_rng(seed)
     omegas = rng.uniform(0.25 * math.pi / ell, math.pi / ell,
-                         (len(channels), modes))
-    phases = rng.uniform(0.0, 2.0 * math.pi, (len(channels), modes))
-    amp = amplitude * math.sqrt(2.0 / modes)
+                         (len(channels), _PROBE_MODES))
+    phases = rng.uniform(0.0, 2.0 * math.pi, (len(channels), _PROBE_MODES))
+    amp = amplitude * math.sqrt(2.0 / _PROBE_MODES)
     h = grid.dt / _NOISE_REFINE
     times = grid.t0 + h * np.arange(grid.steps * _NOISE_REFINE + 1)
     out = np.zeros((len(channels), times.size))

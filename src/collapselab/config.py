@@ -45,7 +45,7 @@ _SECTION_KEYS = {
     "kernel": {"ell_min", "profile", "channels", "covariance"},
     "time": {"t0", "t1", "dt"},
     "noise": {"seed", "window"},
-    "ensemble": {"realizations", "observables", "picture"},
+    "ensemble": {"realizations", "observables"},
     "run": {"preset", "out", "tolerances"},
 }
 
@@ -127,13 +127,6 @@ class ExperimentConfig:
             if realizations < 2:
                 raise ConfigError(
                     f"ensemble.realizations {realizations} must be at least 2")
-            # kept in the schema for the config echo; one picture is stepped
-            picture = _get(ens, "picture", "ensemble", str, default="transformed",
-                           required=False)
-            if picture != "transformed":
-                raise ConfigError(
-                    f"ensemble.picture {picture!r} unknown; the only picture "
-                    "is 'transformed'")
         run = self.data.get("run")
         if run is not None:
             tols = _get(run, "tolerances", "run", dict, default={}, required=False)
@@ -230,10 +223,9 @@ class ExperimentConfig:
 
     def window_params(self) -> dict | None:
         sec = self.data["noise"]
-        window = sec.get("window", "flat")
-        if window == "flat" or window is None:
+        if "window" not in sec:
             return None
-        window = _require_mapping(window, "noise.window")
+        window = _require_mapping(sec["window"], "noise.window")
         _reject_unknown(window, _WINDOW_KEYS, "noise.window")
         return {
             "t_on": _get(window, "t_on", "noise.window", float),

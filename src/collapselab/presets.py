@@ -226,8 +226,8 @@ _CONSERVATION_DEFAULTS = {
 def _run_conservation(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict]:
     """Norm drift under the conserved product, on the base and halved grid.
 
-    Uses the analytic probe field at its default modes and amplitude, so
-    the drift is a smooth function of the step and the refinement ratio is
+    Uses the analytic probe field at its default amplitude, so the drift
+    is a smooth function of the step and the refinement ratio is
     meaningful; white noise has no per-realization convergence order to
     measure. The zero-noise run reads the same probe at amplitude zero.
     """
@@ -309,12 +309,12 @@ _EXPANSION_DEFAULTS = {
               "window": {"t_on": 0.5, "t_off": 3.0, "ramp": 0.5}},
     "run": {
         "preset": "expansion",
-        "tolerances": {"slope_low": 2.5, "slope_high": 3.5,
-                       "probe_amplitude": 8.0, "probe_modes": 4},
+        "tolerances": {"slope_low": 2.5, "slope_high": 3.5},
     },
 }
 
 _EXPANSION_COUPLINGS = (0.04, 0.02, 0.01)
+_EXPANSION_PROBE_AMPLITUDE = 8.0
 
 
 def _run_expansion(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict]:
@@ -341,8 +341,6 @@ def _run_expansion(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict]
         raise ConfigError("the expansion preset needs noise.window so the "
                           "probe is smooth and off near the grid ends")
     window = Window(**params)
-    amp = cfg.tolerance("probe_amplitude")
-    modes = int(cfg.tolerance("probe_modes"))  # whole, by check_tolerances
 
     mid = grid.times[grid.n_nodes // 2]
     spread = 12 * grid.dt
@@ -361,8 +359,8 @@ def _run_expansion(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict]
         ladder: list = []  # the solved records, finest first
         for g in (grid, grid.refined(2), grid.refined(4)):
             probe = sample_fourier_probe(channels, g, cfg.seed(),
-                                         window=window, modes=modes,
-                                         amplitude=amp)
+                                         window=window,
+                                         amplitude=_EXPANSION_PROBE_AMPLITUDE)
             # each refinement starts from the coarser grids' fixed points
             rec = solve_nonlocal(g, channels, probe, h0, spacing,
                                  start=tuple(ladder[:2]))
@@ -466,22 +464,23 @@ _NO_HEATING_DEFAULTS = {
     "time": {"t0": 0.0, "t1": 4.0, "dt": 0.03125},
     "noise": {"seed": 905,
               "window": {"t_on": 0.75, "t_off": 3.25, "ramp": 1.0}},
-    "ensemble": {"realizations": 10000, "picture": "transformed"},
+    "ensemble": {"realizations": 10000},
     "run": {
         "preset": "no-heating",
-        "tolerances": {"b_ratio": 1.0e-8, "sweep_realizations": 2500},
+        "tolerances": {"b_ratio": 1.0e-8},
     },
 }
 
 
 def _run_no_heating(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict]:
     """Ensemble energy of an eigenstate stays flat within noise plus a
-    cubic budget extrapolated from two weaker couplings."""
+    cubic budget extrapolated from two weaker couplings, each run on a
+    quarter of the realizations."""
     model = _model(cfg)
     e0, psi0 = EigenSystem.of(model.h0, model.spacing).ground_state("positive")
 
     ecfg = _ensemble_config(cfg, {"energy"})
-    sweep = replace(ecfg, realizations=int(cfg.tolerance("sweep_realizations")))
+    sweep = replace(ecfg, realizations=max(2, ecfg.realizations // 4))
     stats, rows, (c_fit, c_se, budget) = _energy_flatness(
         psi0, model, ecfg, (0.5, 0.25), sweep)
     _, d_mean, d_se = rows[0]
@@ -502,6 +501,7 @@ def _run_no_heating(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict
     ]
     extras = {"initial_energy": e0, "delta_e": (d_mean, d_se),
               "cubic_coefficient": (c_fit, c_se), "budget": budget,
+              "sweep_realizations": sweep.realizations,
               "files": ["energy.csv", "coupling_sweep.csv"]}
     return checks, extras
 
@@ -514,7 +514,7 @@ _CSL_DEFAULTS = {
     "time": {"t0": 0.0, "t1": 3.0, "dt": 0.03125},
     "noise": {"seed": 417,
               "window": {"t_on": 0.5, "t_off": 2.5, "ramp": 0.5}},
-    "ensemble": {"realizations": 2000, "picture": "transformed"},
+    "ensemble": {"realizations": 2000},
     "run": {
         "preset": "csl-contrast",
         "tolerances": {"rate_floor": -1.0e-10, "identity": 1.0e-10},
@@ -590,7 +590,7 @@ _LINDBLAD_DEFAULTS = {
     **_probe_sections(0.2),
     "time": {"t0": 0.0, "t1": 3.0, "dt": 0.03125},
     "noise": {"seed": 1913},
-    "ensemble": {"realizations": 10000, "picture": "transformed"},
+    "ensemble": {"realizations": 10000},
     "run": {
         "preset": "lindblad-vs-mc",
         # the measured excess stays below 0.2 up to three times this
@@ -690,7 +690,6 @@ _COLLAPSE_DEFAULTS = {
               "window": {"t_on": 0.5, "t_off": 5.5, "ramp": 1.0}},
     "ensemble": {
         "realizations": 4000,
-        "picture": "transformed",
         "observables": [
             {"label": "branch", "operator": {"type": "eigenmode_difference",
                                              "first": 1, "second": 2}},
@@ -816,8 +815,7 @@ PRESETS: dict[str, Preset] = {
 
 
 def check_tolerances(name: str, cfg: ExperimentConfig) -> None:
-    """Reject a ``run.tolerances`` key that preset ``name`` never reads, and
-    a ``probe_modes`` that is not a whole count of at least one.
+    """Reject a ``run.tolerances`` key that preset ``name`` never reads.
 
     Each runner reads exactly the tolerance names of its defaults, so any
     other key would be echoed into the summary without bounding anything.
@@ -830,11 +828,6 @@ def check_tolerances(name: str, cfg: ExperimentConfig) -> None:
         raise ConfigError(
             f"run.tolerances.{unknown[0]} is not a tolerance of preset "
             f"{name!r}; it reads: {', '.join(sorted(known)) or 'none'}")
-    if "probe_modes" in tols:
-        modes = cfg.tolerance("probe_modes")
-        if modes < 1 or not modes.is_integer():
-            raise ConfigError(f"run.tolerances.probe_modes must be a whole count "
-                              f"of at least 1, got {modes:g}")
 
 
 def run_preset(name: str, config: dict | ExperimentConfig | None = None, *,

@@ -20,6 +20,7 @@ from collapselab.evolution import solve_nonlocal, transformed_interaction
 from collapselab.grids import Window
 from collapselab.presets import (
     _EXPANSION_COUPLINGS,
+    _EXPANSION_PROBE_AMPLITUDE,
     PRESETS,
     _coupling,
     _fit_slope,
@@ -146,8 +147,7 @@ def test_criterion_3_third_extrapolation_level(runs):
             g = grid.refined(factor)
             probe = sample_fourier_probe(
                 channels, g, cfg.seed(), window=window,
-                modes=int(cfg.tolerance("probe_modes")),
-                amplitude=cfg.tolerance("probe_amplitude"))
+                amplitude=_EXPANSION_PROBE_AMPLITUDE)
             rec = solve_nonlocal(g, channels, probe, h0, lattice.spacing,
                                  start=tuple(ladder[:2]))
             ladder.insert(0, rec)

@@ -112,14 +112,6 @@ def test_bad_window_rejected_at_load():
         ExperimentConfig.from_dict(raw)
 
 
-@pytest.mark.parametrize("picture", ["diagonal", "both", "untransformed"])
-def test_bad_picture_rejected(picture):
-    raw = base_config()
-    raw["ensemble"] = {"realizations": 4, "picture": picture}
-    with pytest.raises(ConfigError, match="picture"):
-        ExperimentConfig.from_dict(raw)
-
-
 def test_covariance_rotates_channels():
     raw = base_config()
     raw["kernel"]["channels"] = [
@@ -319,27 +311,38 @@ def test_cli_non_finite_tolerance_exits_two(tmp_path, capsys, bad):
     assert "run.tolerances.drift" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("modes", [0, -1, 2.5])
-def test_cli_bad_probe_modes_exits_two(tmp_path, capsys, modes):
-    # the probe needs a whole count of at least one sinusoid per channel
-    override = tmp_path / "modes.yaml"
-    override.write_text(yaml.safe_dump(
-        {"run": {"tolerances": {"probe_modes": modes}}}))
+@pytest.mark.parametrize("preset, override, message", [
+    ("lindblad-vs-mc", {"ensemble": {"picture": "transformed"}},
+     "unknown keys in ensemble: ['picture']"),
+    ("expansion", {"run": {"tolerances": {"probe_amplitude": 8.0}}},
+     "run.tolerances.probe_amplitude is not a tolerance of preset "
+     "'expansion'; it reads: slope_high, slope_low"),
+    ("expansion", {"run": {"tolerances": {"probe_modes": 4}}},
+     "run.tolerances.probe_modes is not a tolerance of preset "
+     "'expansion'; it reads: slope_high, slope_low"),
+    ("no-heating", {"run": {"tolerances": {"sweep_realizations": 2500}}},
+     "run.tolerances.sweep_realizations is not a tolerance of preset "
+     "'no-heating'; it reads: b_ratio"),
+], ids=["picture", "probe_amplitude", "probe_modes", "sweep_realizations"])
+def test_cli_retired_key_exits_two(tmp_path, capsys, preset, override, message):
+    # settings with one value in use are constants, and no-heating's sweep
+    # size is a quarter of its realizations: a config that still sets one,
+    # even to its old value, is refused rather than silently ignored
+    path = tmp_path / "old.yaml"
+    path.write_text(yaml.safe_dump(override))
     out = tmp_path / "res"
-    assert cli.main(["run", "expansion", "--config", str(override),
+    assert cli.main(["run", preset, "--config", str(path),
                      "--out", str(out)]) == 2
-    assert "run.tolerances.probe_modes" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
-    raw = base_config()
-    raw["run"] = {"preset": "expansion", "tolerances": {"probe_modes": modes}}
-    path = tmp_path / "modes_full.yaml"
-    path.write_text(yaml.safe_dump(raw))
-    assert cli.main(["validate", "--config", str(path)]) == 2
-    assert "run.tolerances.probe_modes" in capsys.readouterr().err
-    raw["run"]["tolerances"]["probe_modes"] = 3
-    path.write_text(yaml.safe_dump(raw))
-    assert cli.main(["validate", "--config", str(path)]) == 0
+    raw = merged(base_config(), override)
+    raw = merged(raw, {"ensemble": {"realizations": 4},
+                       "run": {"preset": preset}})
+    full = tmp_path / "old_full.yaml"
+    full.write_text(yaml.safe_dump(raw))
+    assert cli.main(["validate", "--config", str(full)]) == 2
+    assert message in capsys.readouterr().err
 
 
 # --- reporting ------------------------------------------------------------
@@ -439,7 +442,7 @@ def test_cli_validate(tmp_path, capsys):
     both.write_text(yaml.safe_dump(raw))
     capsys.readouterr()
     assert cli.main(["validate", "--config", str(both)]) == 2
-    assert "ensemble.picture" in capsys.readouterr().err
+    assert "unknown keys in ensemble: ['picture']" in capsys.readouterr().err
 
     assert cli.main(["validate", "--config", str(tmp_path / "nope.yaml")]) == 2
 
@@ -451,7 +454,7 @@ def test_cli_run_rejects_untransformed_picture(tmp_path, capsys):
     code = cli.main(["run", "csl-contrast", "--config", str(override),
                      "--out", str(out)])
     assert code == 2
-    assert "ensemble.picture" in capsys.readouterr().err
+    assert "unknown keys in ensemble: ['picture']" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -488,6 +491,8 @@ def test_cli_run_non_finite_channel_exits_two(tmp_path, capsys, channel):
     {"kernel": {"channels": [{"amplitude": 0.04, "operator": {
         "type": "position_gaussian", "center": 2.0, "width": math.inf}}]}},
     {"noise": {"seed": -1}},
+    {"noise": {"window": "flat"}},  # no window is spelled by leaving it out
+    {"noise": {"window": None}},
 ])
 def test_cli_run_non_finite_or_out_of_range_exits_two(tmp_path, capsys, override):
     path = tmp_path / "bad.yaml"
@@ -498,6 +503,11 @@ def test_cli_run_non_finite_or_out_of_range_exits_two(tmp_path, capsys, override
     assert code == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+    full = tmp_path / "bad_full.yaml"
+    full.write_text(yaml.safe_dump(merged(base_config(), override)))
+    assert cli.main(["validate", "--config", str(full)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_cli_unknown_preset(capsys):

@@ -816,15 +816,16 @@ def test_adjacent_seeds_give_distinct_ensembles(tmp_path):
 @pytest.mark.parametrize("name", ["no-heating", "csl-contrast", "lindblad-vs-mc",
                                   "collapse-scenario"])
 def test_preset_tree_independent_of_workers(name, tmp_path, monkeypatch):
-    # 20 realizations in blocks of 8: three blocks, the last one short
+    # 20 realizations in blocks of 8: three blocks, the last one short;
+    # no-heating's weak-coupling sweeps run a quarter of its realizations,
+    # so it takes 36 for a sweep of 9, again over two blocks
     monkeypatch.setattr(ensemble, "BLOCK", 8)
-    config = ({"run": {"tolerances": {"sweep_realizations": 20}}}
-              if name == "no-heating" else None)
+    realizations = 36 if name == "no-heating" else 20
     outs = []
     for workers in ("1", "2"):
         monkeypatch.setenv("COLLAPSELAB_WORKERS", workers)
         out = tmp_path / workers
-        run_preset(name, config, out=out, realizations=20)
+        run_preset(name, out=out, realizations=realizations)
         outs.append(out)
     names = sorted(p.name for p in outs[0].iterdir())
     assert names == sorted(p.name for p in outs[1].iterdir())

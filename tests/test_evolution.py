@@ -34,7 +34,7 @@ from collapselab.lattice import (
     l2_norm,
     sqrtmh,
 )
-from collapselab.presets import PRESETS
+from collapselab.presets import _EXPANSION_PROBE_AMPLITUDE, PRESETS
 
 from conftest import ELL, random_state, two_channels
 
@@ -307,8 +307,7 @@ def expansion_ladder():
     window = Window(**cfg.window_params())
     grids = (cfg.grid(), cfg.grid().refined(2), cfg.grid().refined(4))
     probes = [sample_fourier_probe(channels, g, cfg.seed(), window=window,
-                                   modes=int(cfg.tolerance("probe_modes")),
-                                   amplitude=cfg.tolerance("probe_amplitude"))
+                                   amplitude=_EXPANSION_PROBE_AMPLITUDE)
               for g in grids]
     return grids, channels, cfg.build_h0(lattice), lattice.spacing, probes
 
