@@ -112,6 +112,15 @@ def test_bad_window_rejected_at_load():
         ExperimentConfig.from_dict(raw)
 
 
+@pytest.mark.parametrize("picture", ["diagonal", "both", "untransformed"])
+def test_bad_picture_rejected(picture):
+    # the interaction picture is the only one; any picture key is refused
+    raw = base_config()
+    raw["ensemble"] = {"realizations": 4, "picture": picture}
+    with pytest.raises(ConfigError, match="picture"):
+        ExperimentConfig.from_dict(raw)
+
+
 def test_covariance_rotates_channels():
     raw = base_config()
     raw["kernel"]["channels"] = [
@@ -309,6 +318,29 @@ def test_cli_non_finite_tolerance_exits_two(tmp_path, capsys, bad):
     path.write_text(yaml.safe_dump(raw))
     assert cli.main(["validate", "--config", str(path)]) == 2
     assert "run.tolerances.drift" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("modes", [0, -1, 2.5])
+def test_cli_bad_probe_modes_exits_two(tmp_path, capsys, modes):
+    # the probe's mode count is fixed; a config that sets one is refused
+    override = tmp_path / "modes.yaml"
+    override.write_text(yaml.safe_dump(
+        {"run": {"tolerances": {"probe_modes": modes}}}))
+    out = tmp_path / "res"
+    assert cli.main(["run", "expansion", "--config", str(override),
+                     "--out", str(out)]) == 2
+    assert "run.tolerances.probe_modes" in capsys.readouterr().err
+    assert not out.exists()
+
+    raw = base_config()
+    raw["run"] = {"preset": "expansion", "tolerances": {"probe_modes": modes}}
+    path = tmp_path / "modes_full.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert cli.main(["validate", "--config", str(path)]) == 2
+    assert "run.tolerances.probe_modes" in capsys.readouterr().err
+    del raw["run"]["tolerances"]["probe_modes"]
+    path.write_text(yaml.safe_dump(raw))
+    assert cli.main(["validate", "--config", str(path)]) == 0
 
 
 @pytest.mark.parametrize("preset, override, message", [
