@@ -39,7 +39,6 @@ from .grids import TimeGrid, Window
 from .lattice import (
     SPINOR_DIM,
     EigenSystem,
-    FreePropagator,
     LatticeConfig,
     _plane_wave_matrix,
     build_dirac_h0,
@@ -129,10 +128,18 @@ def momentum_function(cfg: LatticeConfig, values) -> np.ndarray:
     return np.kron(a, np.eye(SPINOR_DIM))
 
 
-def _positive_modes(cfg: LatticeConfig) -> tuple[EigenSystem, np.ndarray]:
+def _mode_pair(cfg: LatticeConfig, first: int, second: int,
+               what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Unit states of two distinct positive-branch modes."""
+    if first == second:
+        raise ConfigError(f"{what} needs two distinct modes")
     sys = EigenSystem.of(build_dirac_h0(cfg), cfg.spacing)
-    pos = np.where(sys.values > 0.0)[0]
-    return sys, pos
+    pos = sys.positive
+    for idx in (first, second):
+        if not (0 <= idx < pos.size):
+            raise ConfigError(
+                f"eigenmode index {idx} outside the {pos.size} positive modes")
+    return sys.state(pos[first]), sys.state(pos[second])
 
 
 def eigenmode_coupling(cfg: LatticeConfig, first: int, second: int) -> np.ndarray:
@@ -143,14 +150,7 @@ def eigenmode_coupling(cfg: LatticeConfig, first: int, second: int) -> np.ndarra
     state prepared there stays there under the free motion and under any
     channel built from this operator.
     """
-    sys, pos = _positive_modes(cfg)
-    if first == second:
-        raise ConfigError("eigenmode coupling needs two distinct modes")
-    for idx in (first, second):
-        if not (0 <= idx < pos.size):
-            raise ConfigError(
-                f"eigenmode index {idx} outside the {pos.size} positive modes")
-    v1, v2 = sys.state(pos[first]), sys.state(pos[second])
+    v1, v2 = _mode_pair(cfg, first, second, "eigenmode coupling")
     return cfg.spacing * (np.outer(v1, v2.conj()) + np.outer(v2, v1.conj()))
 
 
@@ -160,14 +160,7 @@ def eigenmode_difference(cfg: LatticeConfig, first: int, second: int) -> np.ndar
     Eigenvalues are +1 on the first mode, -1 on the second, 0 elsewhere,
     which makes it the natural two-branch pointer observable.
     """
-    sys, pos = _positive_modes(cfg)
-    if first == second:
-        raise ConfigError("eigenmode difference needs two distinct modes")
-    for idx in (first, second):
-        if not (0 <= idx < pos.size):
-            raise ConfigError(
-                f"eigenmode index {idx} outside the {pos.size} positive modes")
-    v1, v2 = sys.state(pos[first]), sys.state(pos[second])
+    v1, v2 = _mode_pair(cfg, first, second, "eigenmode difference")
     return cfg.spacing * (np.outer(v1, v1.conj()) - np.outer(v2, v2.conj()))
 
 
@@ -233,6 +226,7 @@ class Covariance:
         c = np.asarray(self.matrix, dtype=float)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise DimensionMismatch(f"covariance has shape {c.shape}")
+        _require_finite("covariance", c)
         if np.linalg.norm(c - c.T, np.inf) > 1e-12 * max(np.linalg.norm(c, np.inf), 1.0):
             raise ConfigError("covariance must be symmetric")
         c.setflags(write=False)
@@ -393,7 +387,7 @@ def build_channel_operators(channels: list[InteractionChannel], h0: np.ndarray,
         raise GridTooCoarse(f"dt={dt} exceeds ell_min/8")
     k = int(round(ell / dt))
     zeta = dt * np.arange(-k, k + 1)
-    free = FreePropagator(h0)
+    esys = EigenSystem.of(h0, 1.0)  # matrix() reads no spacing
     d = channels[0].dim
     raw = np.zeros((len(channels), zeta.size, d, d), dtype=complex)
     for a, ch in enumerate(channels):
@@ -401,7 +395,7 @@ def build_channel_operators(channels: list[InteractionChannel], h0: np.ndarray,
         for i, z in enumerate(zeta):
             if lz[i] == 0.0:
                 continue
-            ep = free.matrix(-z)  # e^{+i z h0}
+            ep = esys.matrix(-z)  # e^{+i z h0}
             raw[a, i] = 0.5 * ch.amplitude * lz[i] * (
                 ch.spatial_op @ ep + ep.conj().T @ ch.spatial_op
             )

@@ -28,7 +28,7 @@ from .channels import (
     position_gaussian,
     site_projector,
 )
-from .errors import ConfigError
+from .errors import ConfigError, NotPSD
 from .grids import TimeGrid, Window
 from .lattice import LatticeConfig, build_dirac_h0
 
@@ -79,6 +79,18 @@ def _get(mapping: dict, key: str, where: str, kind, default=None, required=True)
             f"{where}.{key} must be {getattr(kind, '__name__', kind)}, "
             f"got {type(value).__name__}")
     return value
+
+
+def _covariance_matrix(raw, n: int) -> np.ndarray:
+    """kernel.covariance as an n x n matrix, one row and column per channel."""
+    if not (isinstance(raw, list) and len(raw) == n
+            and all(isinstance(row, list) and len(row) == n for row in raw)):
+        raise ConfigError(
+            f"kernel.covariance must be {n} rows of {n} numbers, one per channel")
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for row in raw for v in row):
+        raise ConfigError("kernel.covariance entries must be numbers")
+    return np.array(raw, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -217,8 +229,11 @@ class ExperimentConfig:
             ))
         cov = sec.get("covariance")
         if cov is not None:
-            matrix = np.asarray(cov, dtype=float)
-            channels = diagonalize_covariance(Covariance(matrix), channels)
+            matrix = _covariance_matrix(cov, len(channels))
+            try:
+                channels = diagonalize_covariance(Covariance(matrix), channels)
+            except NotPSD as err:
+                raise ConfigError(f"kernel.covariance: {err}") from err
         return channels
 
     def window_params(self) -> dict | None:

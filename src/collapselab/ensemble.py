@@ -59,6 +59,7 @@ from .channels import (  # noqa: F401
 )
 from .errors import ConfigError, ScenarioViolation, StepRejected, WorkerLost
 from .grids import TimeGrid, Window
+from .lattice import EigenSystem
 
 BLOCK = 256
 CHECKPOINTS = 9  # nodes, both grid ends included, that accumulate sigma
@@ -358,7 +359,8 @@ class _TransformedRun:
         self.cfg = cfg
         self.window = cfg.window(model.grid)
         dt, opset = model.grid.dt, model.opset
-        self.lam, self.vecs = np.linalg.eigh(model.h0)
+        esys = EigenSystem.of(model.h0, model.spacing)
+        self.lam, self.vecs = esys.values, esys.vectors
         vh = self.vecs.conj().T
         ops = vh @ np.stack([ch.spatial_op for ch in model.channels]) @ self.vecs
         # W' = sum_a O'_a diag(p_a) + diag(conj p_a) O'_a, p_a the field against

@@ -68,7 +68,7 @@ import numpy as np
 from .channels import InteractionChannel
 from .errors import DimensionMismatch, NoConvergence, OutOfGrid
 from .grids import TimeGrid
-from .lattice import FreePropagator, sqrtmh
+from .lattice import EigenSystem, sqrtmh
 
 log = logging.getLogger(__name__)
 
@@ -152,8 +152,13 @@ def _coefficient_table(channels, field: np.ndarray, grid: TimeGrid,
     return kern, pad
 
 
+def coupling_strength(channels) -> float:
+    """Dimensionless coupling: largest amplitude times kernel range."""
+    return max(ch.amplitude * ch.profile.ell_min for ch in channels)
+
+
 def _check_coupling(channels) -> None:
-    strength = max(ch.amplitude * ch.profile.ell_min for ch in channels)
+    strength = coupling_strength(channels)
     if strength > COUPLING_ERROR:
         raise NoConvergence(
             f"coupling strength lambda*ell = {strength:.3f} beyond the "
@@ -177,7 +182,7 @@ def _check_boundary(field_pad: np.ndarray, reach: int) -> None:
             stacklevel=3)
 
 
-def _nested_start(fine: np.ndarray, free: FreePropagator, dt: float,
+def _nested_start(fine: np.ndarray, esys: EigenSystem, dt: float,
                   coarse: EvolutionRecord,
                   coarser: EvolutionRecord | None = None) -> None:
     """Write the first iterate of a refined solve into its interior maps.
@@ -207,7 +212,7 @@ def _nested_start(fine: np.ndarray, free: FreePropagator, dt: float,
             evens[2 * lo : 2 * hi : 2] += corr[:-1]
         evens[-1] += 0.25 * (evens[-1] - base[-1])
     odds = fine[1::2]
-    fwd1, bwd1, fwd3, bwd3 = free.matrix(np.array([1.0, -1.0, 3.0, -3.0]) * dt)
+    fwd1, bwd1, fwd3, bwd3 = esys.matrix(np.array([1.0, -1.0, 3.0, -3.0]) * dt)
     odds[0] = 0.5 * (fwd1 @ evens[0] + bwd1 @ evens[1])
     odds[-1] = 0.5 * (fwd1 @ evens[-2] + bwd1 @ evens[-1])
     for lo in range(1, odds.shape[0] - 1, _BLOCK):
@@ -265,26 +270,26 @@ def solve_nonlocal(grid: TimeGrid, channels: list[InteractionChannel],
     rows = np.lib.stride_tricks.sliding_window_view(
         field_pad, win, axis=1)[:, ::2].transpose(1, 0, 2)
 
-    free = FreePropagator(h0)
-    u = free.evecs
+    esys = EigenSystem.of(h0, spacing)
+    u = esys.vectors
     u_dag = u.conj().T
     shifts = np.arange(1, reach + 1) * dt
-    right_pad = free.matrix(shifts)  # e^{-i m dt h0}, m = 1..reach
+    right_pad = esys.matrix(shifts)  # e^{-i m dt h0}, m = 1..reach
 
     total = n + 2 * reach
     x = np.empty((total, dim, dim), dtype=complex)
     # left pad: exact free evolution backwards from the initial node
-    x[:reach] = free.matrix(-shifts[::-1])
+    x[:reach] = esys.matrix(-shifts[::-1])
     if not start:
         # first iterate: free evolution forward, U e^{-i t E} U^dag, formed
-        # _BLOCK nodes at a time in place (free.matrix over all nodes would
+        # _BLOCK nodes at a time in place (esys.matrix over all nodes would
         # hold two temporaries the size of the maps)
-        phases = np.exp(-1j * np.multiply.outer(np.arange(n + reach) * dt, free.evals))
+        phases = np.exp(-1j * np.multiply.outer(np.arange(n + reach) * dt, esys.values))
         for lo in range(0, n + reach, _BLOCK):
             np.matmul(u * phases[lo : lo + _BLOCK, None, :], u_dag,
                       out=x[reach + lo : reach + lo + _BLOCK])
     else:
-        _nested_start(x[reach : reach + n], free, dt, *start)
+        _nested_start(x[reach : reach + n], esys, dt, *start)
         np.matmul(right_pad, x[reach + n - 1], out=x[reach + n :])
     x[reach] = np.eye(dim)
     x_real = x.reshape(total, -1).view(np.float64)
@@ -296,9 +301,9 @@ def solve_nonlocal(grid: TimeGrid, channels: list[InteractionChannel],
     # to_z[k] @ m_{s+k} is -(i dt/2) V_k, trap[k-1] sums those into z_k - z_0
     # (weight 1 on V_0 and V_k, 2 between) and from_z[k-1] @ z_k is x_{s+k}
     k_dt = np.arange(_BLOCK + 1)[:, None] * dt
-    to_z = np.exp(1j * k_dt * free.evals)[:, :, None] * (
+    to_z = np.exp(1j * k_dt * esys.values)[:, :, None] * (
         -0.5j * dt * (u_dag @ _side_by_side(channels)))
-    from_z = u * np.exp(-1j * k_dt[1:] * free.evals)[:, None, :]
+    from_z = u * np.exp(-1j * k_dt[1:] * esys.values)[:, None, :]
     trap = np.tri(_BLOCK, _BLOCK + 1) + np.tri(_BLOCK, _BLOCK + 1, 1)
     trap[:, 0] = 1.0
     # band[k, a, k + q] = c[a, s + k, q] = kern[a, q] rows[s + k, a, q], so the

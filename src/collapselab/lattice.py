@@ -9,7 +9,11 @@ in momentum space,
 and rotated to the position basis with the unitary discrete Fourier
 transform. Building h0 spectrally instead of by finite differences keeps the
 dispersion exact: the spectrum is {+-sqrt(k_n^2 + m^2)} with no doubling
-artifacts, and e^{-i tau h0} is available in closed form for any tau.
+artifacts.
+
+``EigenSystem`` is the one holder of h0's spectral data, found with
+``eigh``: e^{-i tau h0} in closed form for any tau, the positive branch and
+its projector, and eigenstates normalized for the lattice weight below.
 
 States are complex vectors indexed site-major (spinor component fastest).
 The discrete L2 product carries the lattice weight a, so a unit-normalized
@@ -100,19 +104,6 @@ def normalized(psi, spacing: float) -> np.ndarray:
     return psi / l2_norm(psi, spacing)
 
 
-class FreePropagator:
-    """Cached spectral data of h0; e^{-i tau h0} in closed form for any tau."""
-
-    def __init__(self, h0: np.ndarray) -> None:
-        self.h0 = h0
-        self.evals, self.evecs = np.linalg.eigh(h0)
-
-    def matrix(self, tau) -> np.ndarray:
-        """e^{-i tau h0}; an array of tau gives the stack of maps."""
-        phases = np.exp(-1j * np.multiply.outer(tau, self.evals))
-        return (self.evecs * phases[..., None, :]) @ self.evecs.conj().T
-
-
 def sqrtmh(m: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Hermitian square root of an ndarray, or its inverse. The spectrum must
     lie above ``SQRT_FLOOR``; NotPositive otherwise."""
@@ -126,21 +117,31 @@ def sqrtmh(m: np.ndarray, inverse: bool = False) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Eigendecomposition of h0 with energy-ordered access helpers."""
+    """Eigendecomposition of h0: ascending energies, orthonormal columns,
+    and the lattice spacing that weights the states handed out."""
 
     values: np.ndarray
-    vectors: np.ndarray  # columns
+    vectors: np.ndarray  # columns, unit in the plain product
     spacing: float
 
     @classmethod
     def of(cls, h0: np.ndarray, spacing: float) -> "EigenSystem":
         vals, vecs = np.linalg.eigh(h0)
-        # normalize in the weighted product so eigenstates are unit states
-        vecs = vecs / np.sqrt(spacing)
         return cls(values=vals, vectors=vecs, spacing=spacing)
 
+    @property
+    def positive(self) -> np.ndarray:
+        """Indices of the positive branch, ascending in energy."""
+        return np.flatnonzero(self.values > 0.0)
+
+    def matrix(self, tau) -> np.ndarray:
+        """e^{-i tau h0}; an array of tau gives the stack of maps."""
+        phases = np.exp(-1j * np.multiply.outer(tau, self.values))
+        return (self.vectors * phases[..., None, :]) @ self.vectors.conj().T
+
     def state(self, index: int) -> np.ndarray:
-        return self.vectors[:, index].copy()
+        """Eigenstate ``index``, unit in the weighted product."""
+        return self.vectors[:, index] / np.sqrt(self.spacing)
 
     def ground_state(self, convention: str = "positive") -> tuple[float, np.ndarray]:
         """Lowest-energy state under the chosen spectrum convention.
@@ -150,15 +151,14 @@ class EigenSystem:
         """
         if convention != "positive":
             raise ValueError(f"unknown spectrum convention {convention!r}")
-        pos = np.where(self.values > 0.0)[0]
+        pos = self.positive
         if pos.size == 0:
             raise NotPositive("spectrum has no positive part")
-        i = int(pos[np.argmin(self.values[pos])])
+        i = int(pos[0])
         return float(self.values[i]), self.state(i)
 
     def positive_projector(self) -> np.ndarray:
-        sel = self.values > 0.0
-        v = self.vectors[:, sel] * np.sqrt(self.spacing)
+        v = self.vectors[:, self.positive]
         return v @ v.conj().T
 
 

@@ -183,7 +183,7 @@ def integrate(sigma0: np.ndarray, spec: LindbladSpec,
     """
     s = sigma0
     tr = complex(np.trace(s))
-    if abs(tr - 1.0) > 1e-10:
+    if not abs(tr - 1.0) <= 1e-10:  # NaN fails too
         raise ConfigError(f"initial density has trace {tr:.3e}, expected 1")
     n = grid.n_nodes
     dim = s.shape[0]

@@ -37,6 +37,7 @@ from .errors import ConfigError
 from .evolution import (
     conserved_inner,
     conserved_inner_layer_sum,
+    coupling_strength,
     solve_nonlocal,
     surface_correction,
     transformed_interaction,
@@ -101,11 +102,6 @@ def _in_range(name: str, observed: float, lo: float, hi: float,
 def _fit_slope(x, y) -> float:
     """Least-squares slope of log y against log x."""
     return float(np.polyfit(np.log(np.asarray(x)), np.log(np.asarray(y)), 1)[0])
-
-
-def _coupling(channels) -> float:
-    """Dimensionless coupling: largest amplitude times kernel range."""
-    return max(ch.amplitude * ch.profile.ell_min for ch in channels)
 
 
 def _scaled_channels(channels, factor: float) -> list:
@@ -177,7 +173,7 @@ def _energy_flatness(psi0, model: ModelSetup, ecfg: EnsembleConfig,
     with the full coupling first, and the ``_cubic_budget`` fit through the
     weaker rows.
     """
-    g0 = _coupling(model.channels)
+    g0 = coupling_strength(model.channels)
     stats = run_ensemble(psi0, ecfg, model)
     rows = [(g0, *_paired_drift(stats.energy))]
     for factor in factors:
@@ -335,7 +331,7 @@ def _run_expansion(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict]
     """
     model = _model(cfg)
     grid, h0, spacing, base = model.grid, model.h0, model.spacing, model.channels
-    g0 = _coupling(base)
+    g0 = coupling_strength(base)
     params = cfg.window_params()
     if params is None:
         raise ConfigError("the expansion preset needs noise.window so the "
@@ -613,7 +609,7 @@ def _run_lindblad_vs_mc(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], 
     grid, h0, spacing = model.grid, model.h0, model.spacing
 
     sys = EigenSystem.of(h0, spacing)
-    modes = np.where(sys.values > 0.0)[0]
+    modes = sys.positive
     psi0 = normalized(sys.state(modes[0]) + sys.state(modes[1]), spacing)
 
     ecfg = _ensemble_config(cfg, {"sigma"})
@@ -631,7 +627,7 @@ def _run_lindblad_vs_mc(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], 
     # term is resolved above the statistical band
     free = integrate(stats.sigma_mean[start], LindbladSpec.gksl(h0, []), sub)
 
-    g0 = _coupling(model.channels)
+    g0 = coupling_strength(model.channels)
     se_start = float(np.abs(stats.sigma_stderr[start]).max())
     rows = []
     worst_excess = -np.inf
@@ -713,7 +709,7 @@ def _run_collapse(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict]:
     grid = model.grid
 
     sys = EigenSystem.of(model.h0, model.spacing)
-    modes = np.where(sys.values > 0.0)[0]
+    modes = sys.positive
     # equal weights with a quarter-wave relative phase, so the hop channel
     # moves weight between the branches instead of only turning the phase
     psi0 = normalized(sys.state(modes[1]) + 1j * sys.state(modes[2]),

@@ -16,13 +16,16 @@ import pytest
 
 from collapselab.channels import sample_fourier_probe
 from collapselab.config import ExperimentConfig
-from collapselab.evolution import solve_nonlocal, transformed_interaction
+from collapselab.evolution import (
+    coupling_strength,
+    solve_nonlocal,
+    transformed_interaction,
+)
 from collapselab.grids import Window
 from collapselab.presets import (
     _EXPANSION_COUPLINGS,
     _EXPANSION_PROBE_AMPLITUDE,
     PRESETS,
-    _coupling,
     _fit_slope,
     _scaled_channels,
     run_preset,
@@ -141,7 +144,7 @@ def test_criterion_3_third_extrapolation_level(runs):
     norms = {(level, kind): [] for level in (2, 3)
              for kind in ("remainder", "asymmetry")}
     for target in _EXPANSION_COUPLINGS:
-        channels = _scaled_channels(base, target / _coupling(base))
+        channels = _scaled_channels(base, target / coupling_strength(base))
         diffs, antis, ladder = [], [], []
         for factor in (1, 2, 4, 8):
             g = grid.refined(factor)

@@ -21,7 +21,7 @@ from collapselab.channels import (
 )
 from collapselab.errors import ConfigError, DimensionMismatch, GridTooCoarse, NotPSD
 from collapselab.grids import TimeGrid, Window
-from collapselab.lattice import SPINOR_DIM, FreePropagator, LatticeConfig, momenta
+from collapselab.lattice import SPINOR_DIM, EigenSystem, LatticeConfig, momenta
 
 from conftest import ELL, raw_channel_stack, stack_asymmetry, two_channels
 
@@ -423,7 +423,7 @@ def test_linearized_interaction_matches_direct_sum(lat4, h0_4, grid16):
     chans = two_channels(lat4, 0.3)
     noise = sample_noise(chans, grid16, seed=5)
     ops = build_channel_operators(chans, h0_4, grid16.dt)
-    free = FreePropagator(h0_4)
+    free = EigenSystem.of(h0_4, lat4.spacing)
     t = 1.0
     direct = np.zeros((lat4.dim, lat4.dim), dtype=complex)
     for z in ops.zeta:

@@ -542,6 +542,38 @@ def test_cli_run_non_finite_or_out_of_range_exits_two(tmp_path, capsys, override
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("covariance", [
+    [[1.0, math.nan], [math.nan, 1.0]],
+    [[math.inf, 0.0], [0.0, 1.0]],
+    [[1.0, "a"], [0.0, 1.0]],
+    [[1.0, 0.0], [0.0]],  # ragged
+    [[1.0]],  # one row for two channels
+    [1.0, 0.0],
+    1.0,
+    [[1.0, 2.0], [2.0, 1.0]],  # eigenvalue -1
+    [[1.0, 0.5], [0.0, 1.0]],  # not symmetric
+], ids=["nan", "inf", "string", "ragged", "size", "flat", "scalar",
+        "negative", "asymmetric"])
+def test_cli_malformed_covariance_exits_two(tmp_path, capsys, covariance):
+    override = {"kernel": {"covariance": covariance}}
+    path = tmp_path / "cov.yaml"
+    path.write_text(yaml.safe_dump(override))
+    out = tmp_path / "res"
+    code = cli.main(["run", "conservation", "--config", str(path),
+                     "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "covariance" in err
+    assert not out.exists()
+
+    full = tmp_path / "cov_full.yaml"
+    full.write_text(yaml.safe_dump(merged(PRESETS["conservation"].defaults,
+                                          override)))
+    assert cli.main(["validate", "--config", str(full)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "covariance" in err
+
+
 def test_cli_unknown_preset(capsys):
     assert cli.main(["run", "definitely-not-a-preset"]) == 2
     err = capsys.readouterr().err

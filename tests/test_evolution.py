@@ -27,7 +27,6 @@ from collapselab.evolution import (
 from collapselab.grids import TimeGrid, Window
 from collapselab.lattice import (
     EigenSystem,
-    FreePropagator,
     LatticeConfig,
     build_dirac_h0,
     l2_inner,
@@ -75,7 +74,7 @@ def oracle_solve(grid, channels, half, h0, tol, block):
     reach = int(round(max(ch.profile.ell_min for ch in channels) / dt))
     coeffs = oracle_coeffs(grid, channels, half, reach)
     ops = [ch.spatial_op for ch in channels]
-    free = FreePropagator(h0)
+    free = EigenSystem.of(h0, 1.0)  # matrix() reads no spacing
     e_dt = free.matrix(dt)
     x0 = np.eye(h0.shape[0], dtype=complex)
     x = np.empty((n + 2 * reach,) + x0.shape, dtype=complex)
@@ -149,7 +148,7 @@ def oracle_surface_correction(record, half, i):
 def equal_time_hamiltonian_first_order(record, half, i):
     """W(t_i) contracted with free two-time maps; differs at second order."""
     dt, reach = record.grid.dt, record.reach
-    free = FreePropagator(record.h0)
+    free = EigenSystem.of(record.h0, record.spacing)
     y = np.stack([free.matrix(d * dt) for d in range(-reach, reach + 1)])
     c = oracle_coeffs(record.grid, record.channels, half, reach)[:, i]
     return sum(ch.spatial_op @ np.tensordot(c[a], y, axes=(0, 0))
@@ -194,7 +193,7 @@ def test_zero_field_gives_free_evolution(lat4, h0_4, grid16):
     psi0 = random_state(lat4.dim, lat4.spacing, 1)
     rec = solve_nonlocal(grid16, ch, noise, h0_4, lat4.spacing)
     assert len(rec.residuals) == 1
-    free = FreePropagator(h0_4)
+    free = EigenSystem.of(h0_4, lat4.spacing)
     traj = rec.trajectory(psi0)
     err = max(
         np.abs(traj[i] - free.matrix(i * grid16.dt) @ psi0).max()
@@ -595,7 +594,7 @@ def test_transformed_interaction_rejects_bad_input(lat4, h0_4, grid16):
 def test_step_transformed_paths(lat4, h0_4, grid16):
     d = lat4.dim
     v = random_state(d, lat4.spacing, 3)
-    free = FreePropagator(h0_4)
+    free = EigenSystem.of(h0_4, lat4.spacing)
     assert np.abs(step_transformed(v, h0_4, np.zeros((d, d)), 0.1)
                   - free.matrix(0.1) @ v).max() < 1e-14
 

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from collapselab.errors import NotEigenstate, NotPositive
 from collapselab.lattice import (
@@ -131,6 +134,36 @@ def test_positive_projector(h0_4):
     assert np.linalg.norm(p @ psi - psi) < 1e-10
     bottom = sys.state(int(np.argmin(sys.values)))
     assert np.linalg.norm(p @ bottom) < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(2, 16), seed=st.integers(0, 2**32 - 1),
+       tau=st.floats(-4.0, 4.0))
+def test_eigensystem_matrix_is_the_exponential(dim, seed, tau):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    h = (a + a.conj().T) / (2.0 * math.sqrt(dim))
+    sys = EigenSystem.of(h, 1.0)
+    assert np.abs(sys.matrix(tau) - expm(-1j * tau * h)).max() < 1e-12
+    taus = np.array([tau, -tau, 0.5 * tau, 0.0])
+    stack = sys.matrix(taus)
+    assert stack.shape == (taus.size, dim, dim)
+    for t, u in zip(taus, stack):
+        assert np.abs(u - expm(-1j * t * h)).max() < 1e-12
+
+
+def test_eigensystem_states_and_branch_at_half_spacing():
+    lat = LatticeConfig(sites=4, spacing=0.5, mass=1.0)
+    sys = EigenSystem.of(build_dirac_h0(lat), lat.spacing)
+    for i in range(lat.dim):
+        assert abs(l2_norm(sys.state(i), lat.spacing) - 1.0) < 1e-12
+    p = sys.positive_projector()
+    assert np.abs(p - p.conj().T).max() < 1e-12
+    assert np.abs(p @ p - p).max() < 1e-12
+    # the massive spectrum is +-sqrt(k^2 + m^2): its upper half is positive
+    assert np.array_equal(sys.positive, np.arange(lat.dim // 2, lat.dim))
+    assert np.all(sys.values[sys.positive] > 0.0)
+    assert np.all(sys.values[: lat.dim // 2] < 0.0)
 
 
 def test_require_eigenstate(h0_4):

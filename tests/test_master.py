@@ -375,8 +375,13 @@ def test_integrate_health_monitors(h0_4, opset, sigma0):
     assert traj.max_trace_drift < 1e-10
     assert traj.min_eigenvalue.min() > -1e-8
     assert traj.times.size == traj.sigmas.shape[0] == traj.min_eigenvalue.size
-    with pytest.raises(ConfigError):
-        integrate(2.0 * sigma0, spec, TimeGrid(0.0, 1.0, ELL / 16))
+    nan, inf = sigma0.copy(), sigma0.copy()
+    nan[0, 0], inf[0, 0] = np.nan, np.inf
+    # a NaN trace compares false against any bound, so the guard is
+    # written as "not within", and nothing is stepped
+    for bad in (2.0 * sigma0, nan, inf):
+        with pytest.raises(ConfigError, match="initial density"):
+            integrate(bad, spec, TimeGrid(0.0, 1.0, ELL / 16))
 
 
 def test_integrate_rejects_unresolved_step(h0_4, sigma0):
