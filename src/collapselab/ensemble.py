@@ -21,6 +21,18 @@ picture (a fixed-point solve per realization plus surface corrections, see
 evolution.py) agrees at third order in the coupling; the tests compare the
 two on one field path.
 
+A run steps only the eigenmodes its initial state can reach: the smallest
+set that holds the rotated initial state's support and is closed under
+every rotated channel operator U^dag O_a U. h0 is diagonal there and an
+entry of W vanishes wherever the same entry of every O'_a does, so no other
+mode ever gains amplitude. An entry at or below _MODE_TOL = 1e-13 counts as
+zero (operator entries against the unit 2-norm of O_a, state entries
+against the state's norm): entries that small are the rounding of the
+rotation, a few 1e-16 where a channel vanishes off the set. Every per-run
+table is built on the kept modes; observables still map them onto all D
+modes, and sigma rotates back onto all of them. When every mode is kept,
+the eigenbasis is used as read.
+
 Reproducibility contract: realization r draws its field from the seed
 sequence [master seed, r] (NumPy SeedSequence, NEP 19), so distinct master
 seeds give independent ensembles; a block draws its rows one realization at
@@ -65,6 +77,10 @@ BLOCK = 256
 CHECKPOINTS = 9  # nodes, both grid ends included, that accumulate sigma
 _TAYLOR_TOL = 2.0**-53  # truncation bound theta^(m+1)/(m+1)! of one sub-step
 _SUBSTEP_THETA = 0.5  # largest theta stepped without splitting
+# entries of the rotated channel operators (unit 2-norm), and of the rotated
+# initial state against its norm, at or below this are rounding and count as
+# zero when a run picks the modes it steps
+_MODE_TOL = 1e-13
 # degree m serves a sub-step while theta <= _TAYLOR_THETA[m], the theta whose
 # theta^(m+1)/(m+1)! is _TAYLOR_TOL
 _TAYLOR_THETA = np.exp([(math.log(_TAYLOR_TOL) + math.lgamma(m + 2)) / (m + 1)
@@ -303,10 +319,27 @@ def _noise_tables(model: ModelSetup, window: Window, seed: int, rows: range,
     out = np.zeros((len(rows), len(model.channels), m + 2 * pad))
     body = out[:, :, pad : pad + m]
     for i, r in enumerate(rows):
-        body[i] = np.random.default_rng([seed, r]).standard_normal(body.shape[1:])
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, r])))
+        body[i] = rng.standard_normal(body.shape[1:])
     body /= math.sqrt(h)
     body *= np.asarray(window(grid.t0 + h * np.arange(m)), dtype=float)
     return out
+
+
+def _kept_modes(ops: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Ascending indices of the smallest mode set that holds psi's support
+    and is closed under every operator of the (A, D, D) stack ops.
+
+    An entry of ops at or below _MODE_TOL, or of psi at or below _MODE_TOL
+    times its norm, counts as zero.
+    """
+    links = (np.abs(ops) > _MODE_TOL).any(axis=0)
+    keep = np.abs(psi) > _MODE_TOL * np.linalg.norm(psi)
+    while True:
+        grown = keep | links[:, keep].any(axis=1)
+        if (grown == keep).all():
+            return np.flatnonzero(keep)
+        keep = grown
 
 
 def _expm_action(gen: np.ndarray, psi: np.ndarray, dt: float,
@@ -351,8 +384,10 @@ def _expm_action(gen: np.ndarray, psi: np.ndarray, dt: float,
 
 class _TransformedRun:
     """Batched stepping of the linearized transformed dynamics in the
-    eigenbasis of h0. The initial state, observables and branch states are
-    rotated once per run, states back only where sigma is accumulated."""
+    eigenbasis of h0, on the modes the initial state reaches (`_kept_modes`),
+    whose energies are ``lam`` and eigenvectors the columns of ``vecs``. The
+    initial state, observables and branch states are rotated once per run,
+    states back only where sigma is accumulated."""
 
     def __init__(self, model: ModelSetup, cfg: EnsembleConfig, psi0):
         self.model = model
@@ -360,9 +395,22 @@ class _TransformedRun:
         self.window = cfg.window(model.grid)
         dt, opset = model.grid.dt, model.opset
         esys = EigenSystem.of(model.h0, model.spacing)
-        self.lam, self.vecs = esys.values, esys.vectors
+        full = esys.vectors
+        ops = full.conj().T @ np.stack([ch.spatial_op for ch in model.channels]) @ full
+        psi0 = full.conj().T @ psi0
+        modes = _kept_modes(ops, psi0)
+        self.lam, self.vecs = esys.values, full
+        # with every mode kept the eigh columns stay as read: a reordered
+        # copy takes another BLAS path and moves every record by rounding
+        if modes.size < self.lam.size:
+            # the stepped modes, then the rest: observables map the kept
+            # modes onto all of them
+            rest = np.setdiff1d(np.arange(self.lam.size), modes)
+            full = full[:, np.concatenate([modes, rest])]
+            self.lam, self.vecs = self.lam[modes], full[:, : modes.size]
+            ops = ops[:, modes[:, None], modes]
+            psi0 = psi0[modes]
         vh = self.vecs.conj().T
-        ops = vh @ np.stack([ch.spatial_op for ch in model.channels]) @ self.vecs
         # W' = sum_a O'_a diag(p_a) + diag(conj p_a) O'_a, p_a the field against
         # the even part of dt amp_a L_a(z) e^{i z lam} / 2, as in the sym stack
         lz = np.stack([0.5 * dt * ch.amplitude * ch.profile.value(opset.zeta)
@@ -390,10 +438,11 @@ class _TransformedRun:
         self.lam_one = np.stack([self.lam, np.ones(d)], axis=1)
         self.half_width = k
         self.pad = k + 1
-        self.psi0 = vh @ psi0
+        self.psi0 = psi0
         self.labels = [label for label, _ in cfg.observables]
-        # psi @ obs_t gives O' psi for every observable side by side
-        self.obs_t = np.concatenate([(vh @ op @ self.vecs).T
+        # psi @ obs_t gives O' psi for every observable side by side, on all
+        # modes, the kept ones first
+        self.obs_t = np.concatenate([(full.conj().T @ op @ self.vecs).T
                                      for _, op in cfg.observables]
                                     or [np.zeros((d, 0))], axis=1)
         self.branches_h = None if cfg.branch_states is None else (
@@ -419,7 +468,7 @@ class _TransformedRun:
         into ``stats`` and, unless it is None, sigma's sums into slot ``b``
         of ``sigma``."""
         grid, spacing = self.model.grid, self.model.spacing
-        n, nb, nd = grid.n_nodes, len(rows), self.lam.size
+        n, nb, (dim, nd) = grid.n_nodes, len(rows), self.vecs.shape
         k = self.half_width
         pads = _noise_tables(self.model, self.window, self.cfg.seed, rows, self.pad)
         # win[:, :, s] holds the samples at half-grid indices s .. s + K, so
@@ -435,7 +484,10 @@ class _TransformedRun:
         flat = np.empty((nb, self.mid_table.shape[1]))
         for j in range(n):
             if stats.energy is not None or self.labels:
-                o_psi = (psi @ self.obs_t).reshape(nb, -1, nd)
+                o_all = (psi @ self.obs_t).reshape(nb, -1, dim)
+                # psi and W' psi live on the kept modes, so O' psi's
+                # products with them need only its kept rows
+                o_psi = o_all[:, :, :nd]
                 y = np.concatenate([psi[:, None], o_psi], axis=1)
                 c = 2 * j + self.pad  # node t_j
                 np.add(win[:, :, c], win[:, :, c - k, ::-1], out=fold)
@@ -446,7 +498,7 @@ class _TransformedRun:
                 stats.norm[sel, j] = spacing * norm
             if self.labels:
                 o_dots = np.einsum("rb,rkb->rk", psi.conj(), o_psi)
-                o_sq = np.einsum("rkb,rkb->rk", o_psi.conj(), o_psi)
+                o_sq = np.einsum("rkb,rkb->rk", o_all.conj(), o_all)
             for i, label in enumerate(self.labels):
                 rec = stats.observables[label]
                 rec["transformed"][sel, j] = spacing * o_dots[:, i].real
@@ -484,7 +536,7 @@ def run_ensemble(psi0, cfg: EnsembleConfig, model: ModelSetup) -> EnsembleStats:
     stats = EnsembleStats(model.grid.times, cfg)
     blocks = _blocks(cfg.realizations)
     runner = _TransformedRun(model, cfg, psi0)
-    d = runner.lam.size
+    d = model.h0.shape[0]
     sigma = (_Partials(len(blocks), (stats.checkpoint_nodes.size, d, d))
              if "sigma" in cfg.records else None)
     _run_blocks(lambda i: runner.block(i, blocks[i], stats, sigma), len(blocks))

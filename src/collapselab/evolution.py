@@ -58,7 +58,6 @@ factors out of their channel sums, so W and S_t of a node cost one and two
 
 from __future__ import annotations
 
-import logging
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -69,8 +68,6 @@ from .channels import InteractionChannel
 from .errors import DimensionMismatch, NoConvergence, OutOfGrid
 from .grids import TimeGrid
 from .lattice import EigenSystem, sqrtmh
-
-log = logging.getLogger(__name__)
 
 COUPLING_WARN = 0.2
 COUPLING_ERROR = 0.5

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from collapselab import cli, ensemble
 from collapselab.channels import (
     KernelProfile,
+    eigenmode_coupling,
     eigenmode_difference,
     make_channel,
     sample_noise,
+    site_projector,
 )
 from collapselab.ensemble import (
     EnsembleConfig,
@@ -41,6 +43,7 @@ from collapselab.lattice import (
     EigenSystem,
     LatticeConfig,
     build_dirac_h0,
+    normalized,
     sqrtmh,
 )
 from collapselab.master import compute_A
@@ -647,32 +650,52 @@ def test_noise_tables_copy_the_drawn_samples(lat4, h0_4, grid16, window_mid):
     assert tables[:, :, pad + m // 2].all()
 
 
+def hop_model(lat, grid, amplitude):
+    """A hop between positive modes 0 and 1 and their projector difference:
+    both channels vanish off that pair, so a state there stays there."""
+    prof = KernelProfile(ell_min=ELL)
+    return ModelSetup(grid=grid, h0=build_dirac_h0(lat), spacing=lat.spacing,
+                      channels=[make_channel("hop", eigenmode_coupling(lat, 0, 1),
+                                             prof, amplitude),
+                                make_channel("pointer", eigenmode_difference(lat, 0, 1),
+                                             prof, amplitude)])
+
+
+def hop_state(lat, esys):
+    """Positive modes 0 and 1 at equal weight, a quarter wave apart."""
+    pos = esys.positive
+    return normalized(esys.state(pos[0]) + 1j * esys.state(pos[1]), lat.spacing)
+
+
 def test_rows_do_not_depend_on_block_mates(lat4, h0_4, grid16, ground):
     esys, _, _ = ground
     obs = eigenmode_difference(lat4, 0, 1)
     sup = esys.state(4) + esys.state(5)
     sup = sup / np.sqrt(lat4.spacing * np.vdot(sup, sup).real)
     # strong enough that some steps need more terms or sub-steps in one
-    # row than in another
-    model = make_model(lat4, h0_4, grid16, 1.5)
-    phi1, phi2 = split_branches(obs, sup, lat4.spacing)
+    # row than in another; the hop model steps two of the eight modes
+    cases = [(make_model(lat4, h0_4, grid16, 1.5), sup, obs),
+             (hop_model(lat4, grid16, 1.5), hop_state(lat4, esys),
+              site_projector(lat4, 1))]
+    for model, psi0, op in cases:
+        phi1, phi2 = split_branches(op, psi0, lat4.spacing)
 
-    def run(realizations):
-        cfg = EnsembleConfig(realizations=realizations, seed=7,
-                             observables=(("pointer", obs),),
-                             branch_states=(phi1, phi2))
-        return run_ensemble(sup, cfg, model)
+        def run(realizations):
+            cfg = EnsembleConfig(realizations=realizations, seed=7,
+                                 observables=(("pointer", op),),
+                                 branch_states=(phi1, phi2))
+            return run_ensemble(psi0, cfg, model)
 
-    small, large = run(8), run(300)
-    series = {"energy": (small.energy, large.energy),
-              "norm": (small.norm, large.norm),
-              "branches": (small.branch_weights, large.branch_weights)}
-    for label in small.observables:
-        for key in small.observables[label]:
-            series[label, key] = (small.observables[label][key],
-                                  large.observables[label][key])
-    for key, (few, many) in series.items():
-        assert few.tobytes() == many[:8].tobytes(), key
+        small, large = run(8), run(300)
+        series = {"energy": (small.energy, large.energy),
+                  "norm": (small.norm, large.norm),
+                  "branches": (small.branch_weights, large.branch_weights)}
+        for label in small.observables:
+            for key in small.observables[label]:
+                series[label, key] = (small.observables[label][key],
+                                      large.observables[label][key])
+        for key, (few, many) in series.items():
+            assert few.tobytes() == many[:8].tobytes(), key
 
 
 def random_model(rng, dim, count):
@@ -734,6 +757,46 @@ def test_kernel_table_matches_rotated_stack(dim, count, name):
         y).max() * np.abs(psi).max()
 
 
+def test_kept_modes_close_over_the_channels():
+    # h0 with a degenerate pair (modes 0 and 1) and well separated levels, in
+    # a random basis; the channels hop along two chains of its eigenmodes,
+    # 1 - 3 - 6 and 2 - 4 - 5 - 7, so closing 0 and 1 takes two rounds
+    dim = 8
+    rng = np.random.default_rng(5)
+    vals = 0.5 * np.arange(dim) - 2.0
+    vals[1] = vals[0]
+    basis, _ = np.linalg.qr(rng.standard_normal((dim, dim))
+                            + 1j * rng.standard_normal((dim, dim)))
+    h0 = (basis * vals) @ basis.conj().T
+    vecs = EigenSystem.of(0.5 * (h0 + h0.conj().T), 1.0).vectors
+    psi = vecs.conj().T @ basis[:, [0, 1]].sum(axis=1) / np.sqrt(2.0)
+
+    def hops(*pairs, size=1.0):
+        m = np.zeros((dim, dim), dtype=complex)
+        for i, j in pairs:
+            m[i, j] = m[j, i] = size
+        return m
+
+    def kept(*eigen_ops):
+        # unit-norm channel operators, rotated with the eigh basis, which
+        # picks its own pair basis and rounds every other entry
+        ops = [make_channel("c", basis @ op @ basis.conj().T,
+                            KernelProfile(ell_min=ELL), 1.0).spatial_op
+               for op in eigen_ops]
+        return ensemble._kept_modes(vecs.conj().T @ np.stack(ops) @ vecs,
+                                    psi).tolist()
+
+    chains = [hops((1, 3), (2, 4), (5, 7)), hops((3, 6), (4, 5))]
+    assert kept(*chains) == [0, 1, 3, 6]
+    # a genuine coupling far above rounding joins the chains
+    assert kept(chains[0], chains[1] + hops((6, 2), size=1e-9)) == list(range(dim))
+    # random_model's dense channels reach every mode from one
+    model = random_model(rng, dim, 2)
+    vecs = EigenSystem.of(model.h0, 1.0).vectors
+    ops = vecs.conj().T @ np.stack([ch.spatial_op for ch in model.channels]) @ vecs
+    assert ensemble._kept_modes(ops, np.eye(dim)[2]).tolist() == list(range(dim))
+
+
 def oracle_records(model, cfg, psi0):
     """The transformed route's records in the original basis: W from the
     dt-scaled stack, a batched eigh per step, the einsum bookkeeping."""
@@ -780,17 +843,9 @@ def oracle_records(model, cfg, psi0):
     return out
 
 
-def test_records_match_original_basis_oracle(lat4, h0_4, grid16, ground):
-    esys, _, _ = ground
-    obs = eigenmode_difference(lat4, 0, 1)
-    sup = esys.state(4) + esys.state(5)
-    sup = sup / np.sqrt(lat4.spacing * np.vdot(sup, sup).real)
-    model = make_model(lat4, h0_4, grid16, 1.5)
-    cfg = EnsembleConfig(realizations=6, seed=21, observables=(("pointer", obs),),
-                         branch_states=split_branches(obs, sup, lat4.spacing),
-                         t_on=0.4, t_off=1.6, ramp=0.3)
-    stats = run_ensemble(sup, cfg, model)
-    ref = oracle_records(model, cfg, sup)
+def assert_records_match_oracle(model, cfg, psi0):
+    stats = run_ensemble(psi0, cfg, model)
+    ref = oracle_records(model, cfg, psi0)
     rec = stats.observables["pointer"]
     pairs = [(stats.energy, ref["energy"]),
              (stats.norm, ref["norm"]),
@@ -803,6 +858,33 @@ def test_records_match_original_basis_oracle(lat4, h0_4, grid16, ground):
     # c12 is a squared commutator that passes through zero
     assert rec["c12"].max() > 1e-3
     assert np.abs(rec["c12"] - ref["c12"]).max() <= 1e-11 * rec["c12"].max()
+
+
+def test_records_match_original_basis_oracle(lat4, h0_4, grid16, ground):
+    esys, _, _ = ground
+    obs = eigenmode_difference(lat4, 0, 1)
+    sup = esys.state(4) + esys.state(5)
+    sup = sup / np.sqrt(lat4.spacing * np.vdot(sup, sup).real)
+    model = make_model(lat4, h0_4, grid16, 1.5)
+    cfg = EnsembleConfig(realizations=6, seed=21, observables=(("pointer", obs),),
+                         branch_states=split_branches(obs, sup, lat4.spacing),
+                         t_on=0.4, t_off=1.6, ramp=0.3)
+    assert_records_match_oracle(model, cfg, sup)
+
+
+def test_reduced_records_match_original_basis_oracle(lat4, grid16, ground):
+    # the run steps the hop's two modes; the site projector maps them onto
+    # all eight, so its square, c12, the branch states and sigma reach past
+    # the stepped modes
+    esys, _, _ = ground
+    model = hop_model(lat4, grid16, 1.5)
+    sup = hop_state(lat4, esys)
+    obs = site_projector(lat4, 1)
+    cfg = EnsembleConfig(realizations=6, seed=21, observables=(("pointer", obs),),
+                         branch_states=split_branches(obs, sup, lat4.spacing),
+                         t_on=0.4, t_off=1.6, ramp=0.3)
+    assert ensemble._TransformedRun(model, cfg, sup).lam.size == 2
+    assert_records_match_oracle(model, cfg, sup)
 
 
 def test_adjacent_seeds_give_distinct_ensembles(tmp_path):
