@@ -30,8 +30,7 @@ zero (operator entries against the unit 2-norm of O_a, state entries
 against the state's norm): entries that small are the rounding of the
 rotation, a few 1e-16 where a channel vanishes off the set. Every per-run
 table is built on the kept modes; observables still map them onto all D
-modes, and sigma rotates back onto all of them. When every mode is kept,
-the eigenbasis is used as read.
+modes, and sigma rotates back onto all of them.
 
 Reproducibility contract: realization r draws its field from the seed
 sequence [master seed, r] (NumPy SeedSequence, NEP 19), so distinct master
@@ -399,17 +398,14 @@ class _TransformedRun:
         ops = full.conj().T @ np.stack([ch.spatial_op for ch in model.channels]) @ full
         psi0 = full.conj().T @ psi0
         modes = _kept_modes(ops, psi0)
-        self.lam, self.vecs = esys.values, full
-        # with every mode kept the eigh columns stay as read: a reordered
+        # the stepped modes, then the rest: observables map the kept modes
+        # onto all of them. C order, as eigh returns its columns: an F-ordered
         # copy takes another BLAS path and moves every record by rounding
-        if modes.size < self.lam.size:
-            # the stepped modes, then the rest: observables map the kept
-            # modes onto all of them
-            rest = np.setdiff1d(np.arange(self.lam.size), modes)
-            full = full[:, np.concatenate([modes, rest])]
-            self.lam, self.vecs = self.lam[modes], full[:, : modes.size]
-            ops = ops[:, modes[:, None], modes]
-            psi0 = psi0[modes]
+        rest = np.setdiff1d(np.arange(full.shape[1]), modes)
+        full = np.ascontiguousarray(full[:, np.concatenate([modes, rest])])
+        self.lam, self.vecs = esys.values[modes], full[:, : modes.size]
+        ops = ops[:, modes[:, None], modes]
+        psi0 = psi0[modes]
         vh = self.vecs.conj().T
         # W' = sum_a O'_a diag(p_a) + diag(conj p_a) O'_a, p_a the field against
         # the even part of dt amp_a L_a(z) e^{i z lam} / 2, as in the sym stack

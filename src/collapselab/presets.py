@@ -1,9 +1,10 @@
 """Packaged experiments with explicit pass/fail checks and file outputs.
 
 Every preset bundles a default configuration, a fixed numerical procedure,
-and the inequalities it asserts. A run writes CSV tables plus a
-``summary.json`` holding the full config echo, every check with its observed
-value and bound, and the fitted quantities. Results are a deterministic
+and the inequalities it asserts. Its runner only computes; ``run_preset``
+writes the CSV tables it returns, then ``summary.json`` (the full config
+echo, every check with its observed value and bound, the fitted quantities),
+so a run whose runner raises writes nothing. Results are a deterministic
 function of the config (including the seed) and do not depend on the worker
 count, so a summary is enough to reproduce a run byte for byte.
 
@@ -54,7 +55,7 @@ from .master import (
     integrate,
     pure_density,
 )
-from .reporting import operator_csv, write_csv, write_summary
+from .reporting import operator_table, write_csv, write_summary
 
 
 @dataclass(frozen=True)
@@ -131,11 +132,11 @@ def _ensemble_config(cfg: ExperimentConfig, records: set[str]) -> EnsembleConfig
     )
 
 
-def _energy_csv(path: Path, stats) -> None:
+def _energy_table(stats) -> tuple[list[str], list]:
     mean, stderr = mean_series(stats.energy)
     trace, _ = mean_series(stats.norm)
-    write_csv(path, ["t", "E_mean", "E_stderr", "trace_mean"],
-              [stats.times, mean, stderr, trace])
+    return (["t", "E_mean", "E_stderr", "trace_mean"],
+            [stats.times, mean, stderr, trace])
 
 
 def _paired_drift(energies: np.ndarray) -> tuple[float, float]:
@@ -219,7 +220,7 @@ _CONSERVATION_DEFAULTS = {
 }
 
 
-def _run_conservation(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict]:
+def _run_conservation(cfg: ExperimentConfig) -> tuple[list[Check], dict, dict]:
     """Norm drift under the conserved product, on the base and halved grid.
 
     Uses the analytic probe field at its default amplitude, so the drift
@@ -243,6 +244,8 @@ def _run_conservation(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], di
         ])
         return g.times[lo:hi], norms, np.abs(norms - norms[0])
 
+    header = ["t", "conserved_norm", "drift"]
+    files = {}
     drifts = {}
     rec = None
     for tag, g in (("dt", grid), ("dt_half", grid.refined(2))):
@@ -250,9 +253,7 @@ def _run_conservation(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], di
         record = solve_nonlocal(g, channels, probe, h0, spacing)
         times, norms, drift = norm_series(record, g)
         drifts[tag] = float(drift.max())
-        write_csv(out / f"conservation_{tag}.csv",
-                  ["t", "conserved_norm", "drift"],
-                  [times, norms, drift])
+        files[f"conservation_{tag}.csv"] = (header, [times, norms, drift])
         if tag == "dt":
             rec = record
 
@@ -260,9 +261,7 @@ def _run_conservation(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], di
                                   amplitude=0.0)
     record0 = solve_nonlocal(grid, channels, probe0, h0, spacing)
     times0, norms0, drift0 = norm_series(record0, grid)
-    write_csv(out / "conservation_zero_noise.csv",
-              ["t", "conserved_norm", "drift"],
-              [times0, norms0, drift0])
+    files["conservation_zero_noise.csv"] = (header, [times0, norms0, drift0])
 
     # dual formulas on the base-grid propagator record, fresh state pairs
     i_mid = grid.n_nodes // 2
@@ -275,8 +274,8 @@ def _run_conservation(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], di
                                      psi_traj[i_mid], surface=s_mid)
         layer_sum = conserved_inner_layer_sum(rec, i_mid, phi_traj, psi_traj)
         diffs[p] = abs(equal_time - layer_sum)
-    write_csv(out / "conservation_dual.csv", ["pair", "difference"],
-              [np.arange(diffs.size), diffs])
+    files["conservation_dual.csv"] = (["pair", "difference"],
+                                      [np.arange(diffs.size), diffs])
 
     ratio = drifts["dt"] / max(drifts["dt_half"], 1e-300)
     checks = [
@@ -288,11 +287,8 @@ def _run_conservation(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], di
         _leq("dual_formula", float(diffs.max()), cfg.tolerance("dual"),
              detail="equal-time vs layer-sum product, 100 state pairs"),
     ]
-    extras = {"drift": drifts, "refinement_ratio": ratio,
-              "files": ["conservation_dt.csv", "conservation_dt_half.csv",
-                        "conservation_zero_noise.csv",
-                        "conservation_dual.csv"]}
-    return checks, extras
+    extras = {"drift": drifts, "refinement_ratio": ratio}
+    return checks, extras, files
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +309,7 @@ _EXPANSION_COUPLINGS = (0.04, 0.02, 0.01)
 _EXPANSION_PROBE_AMPLITUDE = 8.0
 
 
-def _run_expansion(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict]:
+def _run_expansion(cfg: ExperimentConfig) -> tuple[list[Check], dict, dict]:
     """Coupling scaling of the expansion remainder and of the asymmetry.
 
     Solves each coupling on three nested grids and extrapolates the
@@ -383,10 +379,6 @@ def _run_expansion(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict]
 
     slope_rem = _fit_slope(_EXPANSION_COUPLINGS, remainders)
     slope_asym = _fit_slope(_EXPANSION_COUPLINGS, asymmetries)
-    write_csv(out / "expansion.csv",
-              ["coupling", "remainder_norm", "asymmetry_norm"],
-              [np.array(_EXPANSION_COUPLINGS), np.array(remainders),
-               np.array(asymmetries)])
     lo = cfg.tolerance("slope_low")
     hi = cfg.tolerance("slope_high")
     checks = [
@@ -399,9 +391,12 @@ def _run_expansion(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict]
                          % (max(asymmetries), min(asymmetries))),
     ]
     extras = {"remainder_slope": slope_rem, "asymmetry_slope": slope_asym,
-              "remainder_norms": remainders, "asymmetry_norms": asymmetries,
-              "files": ["expansion.csv"]}
-    return checks, extras
+              "remainder_norms": remainders, "asymmetry_norms": asymmetries}
+    files = {"expansion.csv": (
+        ["coupling", "remainder_norm", "asymmetry_norm"],
+        [np.array(_EXPANSION_COUPLINGS), np.array(remainders),
+         np.array(asymmetries)])}
+    return checks, extras, files
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +414,7 @@ _A_OPERATOR_DEFAULTS = {
 }
 
 
-def _run_a_operator(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict]:
+def _run_a_operator(cfg: ExperimentConfig) -> tuple[list[Check], dict, dict]:
     model = _model(cfg)
     grid = model.grid
 
@@ -438,9 +433,6 @@ def _run_a_operator(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict
     z_fro = float(np.linalg.norm(diff) / np.sqrt(np.sum(stderr**2)))
     z_max = float(np.max(np.abs(diff) / stderr))
 
-    operator_csv(out / "a_operator.csv",
-                 [("quadrature", quad), ("mc_mean", mc),
-                  ("mc_stderr", stderr.astype(complex))])
     checks = [
         _leq("mc_agreement", z_fro, cfg.tolerance("sigma"),
              detail="Frobenius distance in combined stderr units"),
@@ -448,8 +440,11 @@ def _run_a_operator(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict
              cfg.tolerance("translation")),
     ]
     extras = {"z_frobenius": z_fro, "z_max_entry": z_max,
-              "evaluation_node": int(node), "files": ["a_operator.csv"]}
-    return checks, extras
+              "evaluation_node": int(node)}
+    files = {"a_operator.csv": operator_table(
+        [("quadrature", quad), ("mc_mean", mc),
+         ("mc_stderr", stderr.astype(complex))])}
+    return checks, extras, files
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +463,7 @@ _NO_HEATING_DEFAULTS = {
 }
 
 
-def _run_no_heating(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict]:
+def _run_no_heating(cfg: ExperimentConfig) -> tuple[list[Check], dict, dict]:
     """Ensemble energy of an eigenstate stays flat within noise plus a
     cubic budget extrapolated from two weaker couplings, each run on a
     quarter of the realizations."""
@@ -480,10 +475,10 @@ def _run_no_heating(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict
     stats, rows, (c_fit, c_se, budget) = _energy_flatness(
         psi0, model, ecfg, (0.5, 0.25), sweep)
     _, d_mean, d_se = rows[0]
-    _energy_csv(out / "energy.csv", stats)
-    write_csv(out / "coupling_sweep.csv",
-              ["coupling", "delta_E_mean", "delta_E_stderr"],
-              list(np.array(rows).T))
+    files = {"energy.csv": _energy_table(stats),
+             "coupling_sweep.csv": (
+                 ["coupling", "delta_E_mean", "delta_E_stderr"],
+                 list(np.array(rows).T))}
 
     b_op = compute_B(model.opset)
     b_ratio = float(np.linalg.norm(b_op + b_op.conj().T, 2)
@@ -497,9 +492,8 @@ def _run_no_heating(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict
     ]
     extras = {"initial_energy": e0, "delta_e": (d_mean, d_se),
               "cubic_coefficient": (c_fit, c_se), "budget": budget,
-              "sweep_realizations": sweep.realizations,
-              "files": ["energy.csv", "coupling_sweep.csv"]}
-    return checks, extras
+              "sweep_realizations": sweep.realizations}
+    return checks, extras, files
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +512,7 @@ _CSL_DEFAULTS = {
 }
 
 
-def _run_csl_contrast(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict]:
+def _run_csl_contrast(cfg: ExperimentConfig) -> tuple[list[Check], dict, dict]:
     """Jump-operator model heats the positive-branch ground state; the
     double-commutator model run at matched coupling does not."""
     model = _model(cfg)
@@ -539,9 +533,6 @@ def _run_csl_contrast(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], di
         labels.append(ch.label)
         comm_norms.append(float(np.linalg.norm(jump @ h0 - h0 @ jump, 2)))
         rates.append(heating_rate_standard(psi0, h0, [jump], spacing))
-    write_csv(out / "heating_rates.csv",
-              ["channel", "commutator_norm", "heating_rate"],
-              [np.array(labels), np.array(comm_norms), np.array(rates)])
     noncommuting = [r for r, c in zip(rates, comm_norms) if c > 1e-10]
     if not noncommuting:
         raise ConfigError("csl-contrast needs a channel that does not "
@@ -557,7 +548,6 @@ def _run_csl_contrast(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], di
     stats, rows, (_, _, budget) = _energy_flatness(psi0, model, ecfg, (0.5,),
                                                    ecfg)
     _, d_mean, d_se = rows[0]
-    _energy_csv(out / "cfs_energy.csv", stats)
 
     cfs_rate, cfs_rate_err = heating_rate_cfs(sigma, h0, model.opset)
 
@@ -574,9 +564,12 @@ def _run_csl_contrast(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], di
               "unprojected_rate": sea_rate,
               "cfs_instantaneous_rate": (cfs_rate, cfs_rate_err),
               "delta_e": (d_mean, d_se), "budget": budget,
-              "contrast": total_rate / max(abs(d_mean), d_se),
-              "files": ["heating_rates.csv", "cfs_energy.csv"]}
-    return checks, extras
+              "contrast": total_rate / max(abs(d_mean), d_se)}
+    files = {"heating_rates.csv": (
+                 ["channel", "commutator_norm", "heating_rate"],
+                 [np.array(labels), np.array(comm_norms), np.array(rates)]),
+             "cfs_energy.csv": _energy_table(stats)}
+    return checks, extras, files
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +590,7 @@ _LINDBLAD_DEFAULTS = {
 }
 
 
-def _run_lindblad_vs_mc(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict]:
+def _run_lindblad_vs_mc(cfg: ExperimentConfig) -> tuple[list[Check], dict, dict]:
     """Ensemble mean density against the master-equation solution.
 
     The comparison starts at the first checkpoint past twice the kernel
@@ -645,14 +638,15 @@ def _run_lindblad_vs_mc(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], 
         worst_excess = max(worst_excess, (diff - 3.0 * se) / (g0**3 * elapsed))
         free_ratio = max(free_ratio, miss / bound)
         rows.append((float(stats.times[cps[i]]), diff, se, bound))
-    arr = np.array(rows)
-    write_csv(out / "sigma_distance.csv",
-              ["t", "max_entry_distance", "stderr_sum", "bound"],
-              [arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]])
-    operator_csv(out / "sigma_final.csv",
-                 [("mc_mean", stats.sigma_mean[-1]),
-                  ("mc_stderr", stats.sigma_stderr[-1].astype(complex)),
-                  ("lindblad", traj.sigmas[int(cps[-1] - cps[start])])])
+    files = {
+        "sigma_distance.csv": (
+            ["t", "max_entry_distance", "stderr_sum", "bound"],
+            list(np.array(rows).T)),
+        "sigma_final.csv": operator_table(
+            [("mc_mean", stats.sigma_mean[-1]),
+             ("mc_stderr", stats.sigma_stderr[-1].astype(complex)),
+             ("lindblad", traj.sigmas[int(cps[-1] - cps[start])])]),
+    }
 
     checks = [
         Check("sigma_agreement", bool(agree), worst_excess, c_bound,
@@ -662,9 +656,8 @@ def _run_lindblad_vs_mc(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], 
     extras = {"excess_coefficient": worst_excess,
               "free_flow_miss_over_bound": free_ratio,
               "start_time": sub.t0,
-              "min_eigenvalue": float(np.min(traj.min_eigenvalue)),
-              "files": ["sigma_distance.csv", "sigma_final.csv"]}
-    return checks, extras
+              "min_eigenvalue": float(np.min(traj.min_eigenvalue))}
+    return checks, extras, files
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +688,7 @@ _COLLAPSE_DEFAULTS = {
 }
 
 
-def _run_collapse(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict]:
+def _run_collapse(cfg: ExperimentConfig) -> tuple[list[Check], dict, dict]:
     """Two-branch superposition under a switched field.
 
     The two branches are a degenerate pair of free modes and the channel
@@ -738,17 +731,18 @@ def _run_collapse(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict]:
     w_mean, w_se = report["branch_mean"]
 
     obs_mean, obs_se = report["observable_mean"]
-    write_csv(out / "observable.csv",
-              ["t", "O_mean", "O_stderr", "c12_mean", "c12_stderr"],
-              [stats.times, obs_mean, obs_se, c12_mean, c12_se])
-    write_csv(out / "branch_weight.csv",
-              ["t", "weight_mean", "weight_stderr", "weight_variance",
-               "variance_stderr"],
-              [stats.times, w_mean, w_se, var_series, var_se])
     hist, edges = report["final_histogram"]
-    write_csv(out / "weight_histogram.csv",
-              ["bin_low", "bin_high", "count"],
-              [edges[:-1], edges[1:], hist])
+    files = {
+        "observable.csv": (
+            ["t", "O_mean", "O_stderr", "c12_mean", "c12_stderr"],
+            [stats.times, obs_mean, obs_se, c12_mean, c12_se]),
+        "branch_weight.csv": (
+            ["t", "weight_mean", "weight_stderr", "weight_variance",
+             "variance_stderr"],
+            [stats.times, w_mean, w_se, var_series, var_se]),
+        "weight_histogram.csv": (
+            ["bin_low", "bin_high", "count"], [edges[:-1], edges[1:], hist]),
+    }
 
     checks = [
         _leq("c12_nonpositive", float(c12_mean.max()), 0.0),
@@ -766,10 +760,8 @@ def _run_collapse(cfg: ExperimentConfig, out: Path) -> tuple[list[Check], dict]:
         "variance_endpoints": (float(v_cp[0]), float(v_cp[-1])),
         "adjusted_difference": report["diagnostics"]["adjusted_difference"],
         "raw_difference": report["diagnostics"]["raw_difference"],
-        "files": ["observable.csv", "branch_weight.csv",
-                  "weight_histogram.csv"],
     }
-    return checks, extras
+    return checks, extras, files
 
 
 # ---------------------------------------------------------------------------
@@ -780,7 +772,8 @@ class Preset:
     name: str
     claim: str
     defaults: dict
-    runner: Callable[[ExperimentConfig, Path], tuple[list[Check], dict]]
+    # -> checks, summary extras, {file name: (header, columns)} in write order
+    runner: Callable[[ExperimentConfig], tuple[list[Check], dict, dict]]
 
 
 PRESETS: dict[str, Preset] = {
@@ -829,7 +822,7 @@ def check_tolerances(name: str, cfg: ExperimentConfig) -> None:
 def run_preset(name: str, config: dict | ExperimentConfig | None = None, *,
                out: str | Path | None = None, seed: int | None = None,
                realizations: int | None = None) -> PresetResult:
-    """Run one preset and write its result files.
+    """Run one preset, then write its tables and, last, ``summary.json``.
 
     ``config`` overrides the preset defaults (recursively, section by
     section); ``seed``, ``realizations``, and ``out`` override single keys
@@ -855,13 +848,16 @@ def run_preset(name: str, config: dict | ExperimentConfig | None = None, *,
     cfg = ExperimentConfig.from_dict(raw)
     check_tolerances(name, cfg)
     out_dir = Path(cfg.out_dir() or Path("results") / name)
-    checks, extras = preset.runner(cfg, out_dir)
+    checks, extras, files = preset.runner(cfg)
+    for file_name, (header, columns) in files.items():
+        write_csv(out_dir / file_name, header, columns)
     summary = {
         "preset": name,
         "passed": all(c.passed for c in checks),
         "checks": [asdict(c) for c in checks],
         "config": cfg.echo(),
         **extras,
+        "files": list(files),
     }
     write_summary(out_dir / "summary.json", summary)
     return PresetResult(name, out_dir, checks, summary)

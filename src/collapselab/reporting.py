@@ -96,17 +96,24 @@ def write_summary(path, payload: dict) -> Path:
     return path
 
 
-def operator_csv(path, label_pairs: list[tuple[str, np.ndarray]]) -> Path:
-    """Flattened operator dump: row, col, then re/im per labeled matrix."""
+def operator_table(label_pairs: list[tuple[str, np.ndarray]]
+                   ) -> tuple[list[str], list[np.ndarray]]:
+    """Flattened operator dump as ``write_csv``'s (header, columns): row,
+    col, then re/im per labeled matrix."""
     if not label_pairs:
-        raise IOFailure(f"{path}: nothing to write")
+        raise IOFailure("operator table: nothing to write")
     dim = label_pairs[0][1].shape[0]
     rows, cols = np.indices((dim, dim))
     header = ["row", "col"]
     columns: list[np.ndarray] = [rows.ravel(), cols.ravel()]
     for label, op in label_pairs:
         if op.shape != (dim, dim):
-            raise IOFailure(f"{path}: operator {label} has shape {op.shape}")
+            raise IOFailure(f"operator table: {label} has shape {op.shape}")
         header.extend([f"{label}_re", f"{label}_im"])
         columns.extend([op.real.ravel(), op.imag.ravel()])
-    return write_csv(path, header, columns)
+    return header, columns
+
+
+def operator_csv(path, label_pairs: list[tuple[str, np.ndarray]]) -> Path:
+    """Write ``operator_table(label_pairs)`` to ``path``."""
+    return write_csv(path, *operator_table(label_pairs))

@@ -337,6 +337,13 @@ def test_criterion_9_determinism(runs, tmp_path, monkeypatch):
     assert secs < 60.0
 
 
+@pytest.mark.parametrize("preset", list(PRESETS))
+def test_files_are_the_summary_list(runs, preset):
+    result, _ = runs(preset)
+    names = sorted(p.name for p in result.out_dir.iterdir())
+    assert names == sorted([*result.summary["files"], "summary.json"])
+
+
 def test_total_runtime(runs):
     total = sum(runs.seconds.values())
     ok = total < 600.0

@@ -12,9 +12,9 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collapselab import cli
+from collapselab import cli, presets
 from collapselab.config import ExperimentConfig, load_raw, merged
-from collapselab.errors import ConfigError, IOFailure
+from collapselab.errors import ConfigError, IOFailure, NoConvergence
 from collapselab.master import LindbladSpec
 from collapselab.presets import PRESETS, check_tolerances, run_preset
 from collapselab.reporting import (
@@ -632,7 +632,44 @@ def test_cli_run_non_finite_density_exits_three(tmp_path, capsys, monkeypatch):
                      "--out", str(out)])
     assert code == 3
     assert "hermiticity correction nan" in capsys.readouterr().err
-    assert not (out / "summary.json").exists()
+    assert not out.exists()
+
+
+def test_cli_run_commuting_csl_channel_exits_two(tmp_path, capsys):
+    # the heating table is computed before the check that rejects it
+    override = tmp_path / "commuting.yaml"
+    override.write_text(yaml.safe_dump({"kernel": {"channels": [
+        {"operator": {"type": "momentum_function",
+                      "values": [1.0, 2.0, 3.0, 4.0]},
+         "amplitude": 0.1}]}}))
+    out = tmp_path / "res"
+    code = cli.main(["run", "csl-contrast", "--config", str(override),
+                     "--out", str(out)])
+    assert code == 2
+    assert "does not commute" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_run_failed_second_solve_exits_three(tmp_path, capsys,
+                                                 monkeypatch):
+    # conservation solves on the base grid, then on the halved one; the
+    # base grid's table is complete when the second solve fails
+    solve = presets.solve_nonlocal
+    calls = []
+
+    def second_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise NoConvergence("injected at the dt/2 solve")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(presets, "solve_nonlocal", second_fails)
+    out = tmp_path / "res"
+    code = cli.main(["run", "conservation", "--out", str(out)])
+    assert code == 3
+    assert "injected at the dt/2 solve" in capsys.readouterr().err
+    assert len(calls) == 2
+    assert not out.exists()
 
 
 def test_conservation_runs_without_scipy(tmp_path):
