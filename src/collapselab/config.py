@@ -141,6 +141,8 @@ class ExperimentConfig:
                     f"ensemble.realizations {realizations} must be at least 2")
         run = self.data.get("run")
         if run is not None:
+            for key in ("preset", "out"):
+                _get(run, key, "run", str, required=False)
             tols = _get(run, "tolerances", "run", dict, default={}, required=False)
             for key, value in tols.items():
                 if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -256,7 +258,9 @@ class ExperimentConfig:
             return ()
         lattice = lattice or self.lattice()
         out = []
-        for idx, item in enumerate(ens.get("observables", []) or []):
+        items = _get(ens, "observables", "ensemble", list, default=[],
+                     required=False)
+        for idx, item in enumerate(items):
             where = f"ensemble.observables[{idx}]"
             item = _require_mapping(item, where)
             _reject_unknown(item, _OBSERVABLE_KEYS, where)

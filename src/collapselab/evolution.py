@@ -53,7 +53,8 @@ product, and the generator correction in the transformed picture
 psi_tilde = sqrt(1 + S_t) psi, where the dynamics is generated by a single
 (nearly Hermitian) operator. The inverse X_i^{-1} of the two-time maps
 factors out of their channel sums, so W and S_t of a node cost one and two
-(D, D) linear solves.
+(D, D) linear solves, and one pass gives the generator correction both
+exact and in its second-order expansion.
 """
 
 from __future__ import annotations
@@ -467,45 +468,34 @@ def conserved_inner_layer_sum(record: EvolutionRecord, i: int,
     return complex(record.spacing * total)
 
 
-def _expansion_interaction(w: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """(W + W^dag)/2 - (1/8) [W - W^dag, S]: the second-order transformed
-    interaction from W(t) and the surface correction S_t of one node."""
-    anti = w - w.conj().T
-    return 0.5 * (w + w.conj().T) - 0.125 * (anti @ s - s @ anti)
+def transformed_interaction(record: EvolutionRecord, i: int
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """The generator correction in the transformed picture at node i, as
+    the pair (exact, expansion), from one W(t_i) and one S_t per node of
+    the stencil i-2 .. i+2: 11 (D, D) solves and 5 ``eigh``.
 
-
-def transformed_interaction(record: EvolutionRecord, i: int,
-                            mode: str = "exact") -> np.ndarray:
-    """The generator correction in the transformed picture at node i.
-
-    'exact' conjugates h0 + W with sqrt(1 + S_t) and adds the derivative
-    term of the root, with d/dt taken by the fourth-order central
-    difference over nodes i-2 .. i+2. 'expansion' is the second-order form
+    The exact form conjugates h0 + W with sqrt(1 + S_t) and adds the
+    derivative term of the root, d/dt by the fourth-order central
+    difference over the stencil. The expansion is the second-order form
 
         (W + W^dag)/2 - (1/8) [W - W^dag, S_t],
 
-    Hermitian by construction; the difference from 'exact' is third order
-    in the coupling once the finite-difference error is subdominant.
+    Hermitian by construction; the difference is third order in the
+    coupling once the finite-difference error is subdominant.
     """
-    if mode == "expansion":
-        return _expansion_interaction(equal_time_hamiltonian(record, i),
-                                     surface_correction(record, i))
-    if mode != "exact":
-        raise ValueError(f"unknown transformed-interaction mode {mode!r}")
     n = record.grid.n_nodes
     if i + _FD_OFFSETS[0] < 0 or i + _FD_OFFSETS[-1] > n - 1:
         raise OutOfGrid(f"node {i} too close to the ends for the "
                         f"{len(_FD_OFFSETS)}-point stencil")
-    dim = record.h0.shape[0]
-    eye = np.eye(dim)
-    s_here = surface_correction(record, i)
-    root = sqrtmh(eye + s_here)
-    inv_root = sqrtmh(eye + s_here, inverse=True)
+    eye = np.eye(record.h0.shape[0])
+    s = surface_correction(record, i)
+    root, inv_root = sqrtmh(eye + s)
     d_inv_root = np.zeros_like(root)
     for off, wgt in zip(_FD_OFFSETS, _FD_WEIGHTS):
-        s_off = surface_correction(record, i + off)
-        inv_off = sqrtmh(eye + s_off, inverse=True)
+        _, inv_off = sqrtmh(eye + surface_correction(record, i + off))
         d_inv_root = d_inv_root + (wgt / record.grid.dt) * inv_off
     w = equal_time_hamiltonian(record, i)
-    full = root @ (record.h0 + w) @ inv_root - 1j * (root @ d_inv_root)
-    return full - record.h0
+    exact = (root @ (record.h0 + w) @ inv_root - 1j * (root @ d_inv_root)
+             - record.h0)
+    anti = w - w.conj().T
+    return exact, 0.5 * (w + w.conj().T) - 0.125 * (anti @ s - s @ anti)

@@ -104,15 +104,15 @@ def normalized(psi, spacing: float) -> np.ndarray:
     return psi / l2_norm(psi, spacing)
 
 
-def sqrtmh(m: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Hermitian square root of an ndarray, or its inverse. The spectrum must
-    lie above ``SQRT_FLOOR``; NotPositive otherwise."""
+def sqrtmh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian square root of an ndarray and its inverse, from one
+    ``eigh``. The spectrum must lie above ``SQRT_FLOOR``; NotPositive
+    otherwise."""
     vals, vecs = np.linalg.eigh(m)
     if vals.min() <= SQRT_FLOOR:
-        kind = "inv_sqrt" if inverse else "sqrt"
-        raise NotPositive(f"{kind}: smallest eigenvalue {vals.min():.3e}")
-    root = np.sqrt(vals)
-    return (vecs / root if inverse else vecs * root) @ vecs.conj().T
+        raise NotPositive(f"sqrt: smallest eigenvalue {vals.min():.3e}")
+    root, vecs_dag = np.sqrt(vals), vecs.conj().T
+    return (vecs * root) @ vecs_dag, (vecs / root) @ vecs_dag
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 
 Every preset bundles a default configuration, a fixed numerical procedure,
 and the inequalities it asserts. Its runner only computes; ``run_preset``
-writes the CSV tables it returns, then ``summary.json`` (the full config
-echo, every check with its observed value and bound, the fitted quantities),
-so a run whose runner raises writes nothing. Results are a deterministic
+checks the CSV tables it returns and ``summary.json`` (the full config
+echo, every check with its observed value and bound, the fitted quantities)
+before it writes any, so a failed run writes nothing. Results are a deterministic
 function of the config (including the seed) and do not depend on the worker
 count, so a summary is enough to reproduce a run byte for byte.
 
@@ -55,7 +55,8 @@ from .master import (
     integrate,
     pure_density,
 )
-from .reporting import operator_table, write_csv, write_summary
+from .reporting import (_jsonable, check_csv, operator_table, write_csv,
+                        write_summary)
 
 
 @dataclass(frozen=True)
@@ -309,6 +310,12 @@ _EXPANSION_COUPLINGS = (0.04, 0.02, 0.01)
 _EXPANSION_PROBE_AMPLITUDE = 8.0
 
 
+def _romberg(d1, d2, d4):
+    """Two Richardson levels in the step: values on grids with steps dt,
+    dt/2 and dt/4 combined so the dt^2 and dt^4 terms cancel."""
+    return (16.0 * (4.0 * d4 - d2) / 3.0 - (4.0 * d2 - d1) / 3.0) / 15.0
+
+
 def _run_expansion(cfg: ExperimentConfig) -> tuple[list[Check], dict, dict]:
     """Coupling scaling of the expansion remainder and of the asymmetry.
 
@@ -357,25 +364,13 @@ def _run_expansion(cfg: ExperimentConfig) -> tuple[list[Check], dict, dict]:
             rec = solve_nonlocal(g, channels, probe, h0, spacing,
                                  start=tuple(ladder[:2]))
             ladder.insert(0, rec)
-            row_d, row_a = [], []
-            for t in t_eval:
-                i = g.node_index(t)
-                exact = transformed_interaction(rec, i, mode="exact")
-                series = transformed_interaction(rec, i, mode="expansion")
-                row_d.append(exact - series)
-                row_a.append(exact - exact.conj().T)
-            diffs.append(row_d)
-            antis.append(row_a)
-        rem = asym = 0.0
-        for k in range(len(t_eval)):
-            d1, d2, d4 = diffs[0][k], diffs[1][k], diffs[2][k]
-            a1, a2, a4 = antis[0][k], antis[1][k], antis[2][k]
-            d = (16.0 * (4.0 * d4 - d2) / 3.0 - (4.0 * d2 - d1) / 3.0) / 15.0
-            a = (16.0 * (4.0 * a4 - a2) / 3.0 - (4.0 * a2 - a1) / 3.0) / 15.0
-            rem = max(rem, float(np.linalg.norm(d, 2)))
-            asym = max(asym, float(np.linalg.norm(a, 2)))
-        remainders.append(rem)
-        asymmetries.append(asym)
+            pairs = [transformed_interaction(rec, g.node_index(t)) for t in t_eval]
+            diffs.append([exact - series for exact, series in pairs])
+            antis.append([exact - exact.conj().T for exact, _ in pairs])
+        remainders.append(max(float(np.linalg.norm(_romberg(*d), 2))
+                              for d in zip(*diffs)))
+        asymmetries.append(max(float(np.linalg.norm(_romberg(*a), 2))
+                               for a in zip(*antis)))
 
     slope_rem = _fit_slope(_EXPANSION_COUPLINGS, remainders)
     slope_asym = _fit_slope(_EXPANSION_COUPLINGS, asymmetries)
@@ -822,7 +817,7 @@ def check_tolerances(name: str, cfg: ExperimentConfig) -> None:
 def run_preset(name: str, config: dict | ExperimentConfig | None = None, *,
                out: str | Path | None = None, seed: int | None = None,
                realizations: int | None = None) -> PresetResult:
-    """Run one preset, then write its tables and, last, ``summary.json``.
+    """Run one preset, check all its output, then write it, ``summary.json`` last.
 
     ``config`` overrides the preset defaults (recursively, section by
     section); ``seed``, ``realizations``, and ``out`` override single keys
@@ -849,8 +844,6 @@ def run_preset(name: str, config: dict | ExperimentConfig | None = None, *,
     check_tolerances(name, cfg)
     out_dir = Path(cfg.out_dir() or Path("results") / name)
     checks, extras, files = preset.runner(cfg)
-    for file_name, (header, columns) in files.items():
-        write_csv(out_dir / file_name, header, columns)
     summary = {
         "preset": name,
         "passed": all(c.passed for c in checks),
@@ -859,5 +852,11 @@ def run_preset(name: str, config: dict | ExperimentConfig | None = None, *,
         **extras,
         "files": list(files),
     }
+    # all checked before the first write, so a refused value leaves no file
+    for file_name, table in files.items():
+        check_csv(out_dir / file_name, *table)
+    _jsonable(summary, out_dir / "summary.json")
+    for file_name, table in files.items():
+        write_csv(out_dir / file_name, *table)
     write_summary(out_dir / "summary.json", summary)
     return PresetResult(name, out_dir, checks, summary)

@@ -28,12 +28,9 @@ def format_number(value) -> str:
     return NUMBER_FORMAT % float(value)
 
 
-def write_csv(path, header: list[str], columns: list[np.ndarray]) -> Path:
-    """Write aligned columns under a header row.
-
-    All columns must share one length; values go through the 17-digit
-    formatter.
-    """
+def check_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Raise IOFailure, naming ``path``, for a table ``write_csv`` refuses:
+    a header that does not fit the columns, ragged columns, a non-finite value."""
     if len(header) != len(columns):
         raise IOFailure(
             f"{path}: {len(header)} header fields for {len(columns)} columns")
@@ -44,8 +41,17 @@ def write_csv(path, header: list[str], columns: list[np.ndarray]) -> Path:
         arr = np.asarray(col)
         if arr.dtype.kind in "fc" and not np.isfinite(arr).all():
             raise IOFailure(f"{path}: column {name!r} holds a non-finite value")
+
+
+def write_csv(path, header: list[str], columns: list[np.ndarray]) -> Path:
+    """Write aligned columns under a header row.
+
+    The table must pass ``check_csv``; values go through the 17-digit
+    formatter.
+    """
+    check_csv(path, header, columns)
     lines = [",".join(header)]
-    for i in range(lengths.pop() if lengths else 0):
+    for i in range(len(columns[0]) if columns else 0):
         lines.append(",".join(format_number(col[i]) for col in columns))
     text = "\n".join(lines) + "\n"
     try:
@@ -57,36 +63,34 @@ def write_csv(path, header: list[str], columns: list[np.ndarray]) -> Path:
     return path
 
 
-def _jsonable(obj, key: str = ""):
-    """JSON-ready copy of obj; raises ValueError naming the key of the first
-    non-finite float."""
+def _jsonable(obj, path, key: str = ""):
+    """JSON-ready copy of obj, the summary bound for ``path``; raises
+    IOFailure naming the path and the key of the first non-finite float."""
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v, f"{key}.{k}" if key else str(k))
+        return {str(k): _jsonable(v, path, f"{key}.{k}" if key else str(k))
                 for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v, f"{key}[{i}]") for i, v in enumerate(obj)]
+        return [_jsonable(v, path, f"{key}[{i}]") for i, v in enumerate(obj)]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, complex):
-        return {"re": _jsonable(obj.real, key), "im": _jsonable(obj.imag, key)}
+        return {"re": _jsonable(obj.real, path, key),
+                "im": _jsonable(obj.imag, path, key)}
     if isinstance(obj, (float, np.floating)):
         if not math.isfinite(obj):
-            raise ValueError(f"key {key!r} holds a non-finite value")
+            raise IOFailure(f"{path}: key {key!r} holds a non-finite value")
         return float(obj)
     if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist(), key)
+        return _jsonable(obj.tolist(), path, key)
     return obj
 
 
 def write_summary(path, payload: dict) -> Path:
     """Write the run summary document (sorted keys, no timestamps); a
     non-finite float raises IOFailure before anything is written."""
-    try:
-        doc = _jsonable(payload)
-    except ValueError as err:
-        raise IOFailure(f"{path}: {err}") from err
+    doc = _jsonable(payload, path)
     try:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)

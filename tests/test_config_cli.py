@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -525,6 +526,9 @@ def test_cli_run_non_finite_channel_exits_two(tmp_path, capsys, channel):
     {"noise": {"seed": -1}},
     {"noise": {"window": "flat"}},  # no window is spelled by leaving it out
     {"noise": {"window": None}},
+    {"ensemble": {"realizations": 4, "observables": 5}},
+    {"ensemble": {"realizations": 4, "observables": None}},
+    {"run": {"preset": [1]}},
 ])
 def test_cli_run_non_finite_or_out_of_range_exits_two(tmp_path, capsys, override):
     path = tmp_path / "bad.yaml"
@@ -540,6 +544,22 @@ def test_cli_run_non_finite_or_out_of_range_exits_two(tmp_path, capsys, override
     full.write_text(yaml.safe_dump(merged(base_config(), override)))
     assert cli.main(["validate", "--config", str(full)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_run_out_must_be_a_string(tmp_path, capsys, monkeypatch):
+    # --out would override run.out, so the run goes to the working directory
+    monkeypatch.chdir(tmp_path)
+    override = {"run": {"out": 5}}
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(override))
+    assert cli.main(["run", "conservation", "--config", str(path)]) == 2
+    assert "run.out must be str" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.yaml"]
+
+    full = tmp_path / "bad_full.yaml"
+    full.write_text(yaml.safe_dump(merged(base_config(), override)))
+    assert cli.main(["validate", "--config", str(full)]) == 2
+    assert "run.out must be str" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("covariance", [
@@ -669,6 +689,52 @@ def test_cli_run_failed_second_solve_exits_three(tmp_path, capsys,
     assert code == 3
     assert "injected at the dt/2 solve" in capsys.readouterr().err
     assert len(calls) == 2
+    assert not out.exists()
+
+
+def _poisoned_runner(monkeypatch, name, poison):
+    """Replace preset ``name``'s runner by one that lets ``poison`` edit
+    its extras and tables before returning them."""
+    preset = PRESETS[name]
+
+    def runner(cfg):
+        checks, extras, files = preset.runner(cfg)
+        poison(extras, files)
+        return checks, extras, files
+
+    monkeypatch.setitem(PRESETS, name, replace(preset, runner=runner))
+
+
+def test_cli_run_non_finite_extra_writes_nothing(tmp_path, capsys,
+                                                 monkeypatch):
+    # a-operator's one table is finite; a value bound for summary.json only
+    # is refused before that table is written
+    def poison(extras, files):
+        extras["z_max_entry"] = math.nan
+
+    _poisoned_runner(monkeypatch, "a-operator", poison)
+    out = tmp_path / "res"
+    code = cli.main(["run", "a-operator", "--realizations", "256",
+                     "--out", str(out)])
+    assert code == 3
+    assert "'z_max_entry' holds a non-finite value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_run_non_finite_second_table_writes_nothing(tmp_path, capsys,
+                                                        monkeypatch):
+    # csl-contrast writes heating_rates.csv, then cfs_energy.csv
+    def poison(extras, files):
+        header, columns = files["cfs_energy.csv"]
+        columns[1] = np.full_like(columns[1], np.nan)
+
+    _poisoned_runner(monkeypatch, "csl-contrast", poison)
+    out = tmp_path / "res"
+    code = cli.main(["run", "csl-contrast", "--realizations", "256",
+                     "--out", str(out)])
+    assert code == 3
+    assert ("cfs_energy.csv: column 'E_mean' holds a non-finite value"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -36,7 +36,6 @@ from collapselab.evolution import (
     equal_time_hamiltonian,
     solve_nonlocal,
     surface_correction,
-    transformed_interaction,
 )
 from collapselab.grids import TimeGrid, Window
 from collapselab.lattice import (
@@ -378,12 +377,17 @@ def untransformed_oracle(model, cfg, psi0):
         traj = rec.trajectory(psi0)
         for j in range(grid.n_nodes):
             psi = traj[j]
-            metric = eye + surface_correction(rec, j)
-            h_psi = (model.h0 + equal_time_hamiltonian(rec, j)) @ psi
+            s = surface_correction(rec, j)
+            w = equal_time_hamiltonian(rec, j)
+            metric = eye + s
+            h_psi = (model.h0 + w) @ psi
             out["energy"][r, j] = (spacing * np.vdot(psi, metric @ h_psi)).real
             out["norm"][r, j] = (spacing * np.vdot(psi, metric @ psi)).real
-            psi_t = sqrtmh(metric) @ psi
-            wt = transformed_interaction(rec, j, mode="expansion")
+            psi_t = sqrtmh(metric)[0] @ psi
+            # the expansion form of transformed_interaction, which forms
+            # the exact form too and so needs two nodes on each side
+            anti = w - w.conj().T
+            wt = 0.5 * (w + w.conj().T) - 0.125 * (anti @ s - s @ anti)
             out["transformed_energy"][r, j] = (
                 spacing * np.vdot(psi_t, (model.h0 + wt) @ psi_t)).real
     return out

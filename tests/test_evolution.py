@@ -33,7 +33,7 @@ from collapselab.lattice import (
     l2_norm,
     sqrtmh,
 )
-from collapselab.presets import _EXPANSION_PROBE_AMPLITUDE, PRESETS
+from collapselab.presets import _EXPANSION_PROBE_AMPLITUDE, PRESETS, _romberg
 
 from conftest import ELL, random_state, two_channels
 
@@ -179,7 +179,8 @@ def step_transformed(psi_tilde, h0, wtilde, dt):
 
 def transform_state(psi, surface):
     """Map psi to the transformed picture: psi_tilde = sqrt(1 + S_t) psi."""
-    return sqrtmh(np.eye(surface.shape[0]) + surface) @ psi
+    root, _ = sqrtmh(np.eye(surface.shape[0]) + surface)
+    return root @ psi
 
 
 def probe(channels, grid, amplitude=2.0):
@@ -500,8 +501,9 @@ def test_transformed_interaction_zero_field(lat4, h0_4, grid16):
     noise = sample_noise(ch, grid16, seed=5, window=OFF).samples
     rec = solve_nonlocal(grid16, ch, noise, h0_4, lat4.spacing)
     i = grid16.n_nodes // 2
-    assert np.abs(transformed_interaction(rec, i, "expansion")).max() == 0.0
-    assert np.abs(transformed_interaction(rec, i, "exact")).max() < 1e-14
+    exact, series = transformed_interaction(rec, i)
+    assert np.abs(series).max() == 0.0
+    assert np.abs(exact).max() < 1e-14
 
 
 def test_transformed_interaction_expansion_algebra(lat4, h0_4, grid16):
@@ -511,15 +513,56 @@ def test_transformed_interaction_expansion_algebra(lat4, h0_4, grid16):
     s = surface_correction(rec, i)
     anti = w - w.conj().T
     want = 0.5 * (w + w.conj().T) - 0.125 * (anti @ s - s @ anti)
-    got = transformed_interaction(rec, i, "expansion")
+    _, got = transformed_interaction(rec, i)
     assert np.abs(got - want).max() < 1e-14
     assert np.abs(got - got.conj().T).max() < 1e-14
+
+
+def oracle_sqrtmh(m, inverse=False):
+    """The root or the inverse root of m, each from its own eigh."""
+    vals, vecs = np.linalg.eigh(m)
+    root = np.sqrt(vals)
+    return (vecs / root if inverse else vecs * root) @ vecs.conj().T
+
+
+def oracle_transformed_interaction(record, i, mode):
+    """One form per call, as two calls: the exact form from S_t of the
+    stencil nodes and W, or the expansion from W and S_t afresh."""
+    w = equal_time_hamiltonian(record, i)
+    if mode == "expansion":
+        s = surface_correction(record, i)
+        anti = w - w.conj().T
+        return 0.5 * (w + w.conj().T) - 0.125 * (anti @ s - s @ anti)
+    eye = np.eye(record.h0.shape[0])
+    s_here = surface_correction(record, i)
+    root = oracle_sqrtmh(eye + s_here)
+    inv_root = oracle_sqrtmh(eye + s_here, inverse=True)
+    d_inv_root = np.zeros_like(root)
+    for off, wgt in zip(evolution._FD_OFFSETS, evolution._FD_WEIGHTS):
+        inv_off = oracle_sqrtmh(eye + surface_correction(record, i + off),
+                                inverse=True)
+        d_inv_root = d_inv_root + (wgt / record.grid.dt) * inv_off
+    full = root @ (record.h0 + w) @ inv_root - 1j * (root @ d_inv_root)
+    return full - record.h0
+
+
+@pytest.mark.parametrize("amplitude", [0.04, 0.08])
+def test_transformed_interaction_pair_matches_two_calls(lat4, h0_4, grid16,
+                                                         amplitude):
+    rec = _solved(lat4, h0_4, grid16, amplitude)
+    # nodes on both sides of the field's peak, inside its strip
+    for i in (20, 29, 32, 42):
+        exact, series = transformed_interaction(rec, i)
+        assert np.abs(series).max() > 0.0
+        assert np.array_equal(exact, oracle_transformed_interaction(rec, i, "exact"))
+        assert np.array_equal(series,
+                              oracle_transformed_interaction(rec, i, "expansion"))
 
 
 def test_exact_mode_hermiticity_defect_shrinks_with_dt(lat4, h0_4, grid16):
     def defect(grid):
         rec = _solved(lat4, h0_4, grid, 0.08)
-        wt = transformed_interaction(rec, grid.node_index(1.0), "exact")
+        wt, _ = transformed_interaction(rec, grid.node_index(1.0))
         return np.abs(wt - wt.conj().T).max()
 
     h1 = defect(grid16)
@@ -536,11 +579,9 @@ def test_expansion_remainder_is_third_order(lat4, h0_4, grid16):
         for grid in (grid16, grid16.refined(2), grid16.refined(4)):
             rec = _solved(lat4, h0_4, grid, amplitude)
             i = grid.node_index(1.0)
-            wex = transformed_interaction(rec, i, "exact")
-            wxp = transformed_interaction(rec, i, "expansion")
+            wex, wxp = transformed_interaction(rec, i)
             ds.append(np.abs(wex - wxp).max())
-        d1, d2, d4 = ds
-        return (16.0 * (4.0 * d4 - d2) / 3.0 - (4.0 * d2 - d1) / 3.0) / 15.0
+        return _romberg(*ds)
 
     r1 = remainder(0.08)
     r2 = remainder(0.04)
@@ -552,12 +593,16 @@ def test_node_objects_take_d_by_d_solves(lat4, h0_4, grid16, monkeypatch):
     rec = _solved(lat4, h0_4, grid16, 0.08)
     i = grid16.n_nodes // 2
     d = lat4.dim
-    rhs_shapes, formed = [], []
-    solve, quadrant = np.linalg.solve, evolution._quadrant_coeffs
+    rhs_shapes, formed, eighs = [], [], []
+    solve, quadrant, eigh = np.linalg.solve, evolution._quadrant_coeffs, np.linalg.eigh
 
     def counted_solve(a, b):
         rhs_shapes.append(b.shape)
         return solve(a, b)
+
+    def counted_eigh(a):
+        eighs.append(a.shape)
+        return eigh(a)
 
     def counted_quadrant(record, j):
         formed.append(j)
@@ -565,30 +610,28 @@ def test_node_objects_take_d_by_d_solves(lat4, h0_4, grid16, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
     monkeypatch.setattr(evolution, "_quadrant_coeffs", counted_quadrant)
-    exact = transformed_interaction(rec, i, "exact")
-    # the exact mode forms S_t of i - 2 .. i + 2 once each, two solves
-    # apiece, and W of node i in one solve
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    exact, series = transformed_interaction(rec, i)
+    # one call forms S_t of i - 2 .. i + 2 once each, two solves apiece, W
+    # of node i in one solve, and one eigh per S_t for both roots
     assert sorted(formed) == list(range(i - 2, i + 3))
     assert rhs_shapes == [(d, d)] * (2 * 5 + 1)
-    series = transformed_interaction(rec, i, "expansion")
-    assert formed[5:] == [i]
-    assert rhs_shapes == [(d, d)] * (2 * 6 + 2)
+    assert eighs == [(d, d)] * 5
     # forming them again gives the same bits
-    assert np.array_equal(transformed_interaction(rec, i, "exact"), exact)
-    assert np.array_equal(transformed_interaction(rec, i, "expansion"), series)
+    again = transformed_interaction(rec, i)
+    assert np.array_equal(again[0], exact)
+    assert np.array_equal(again[1], series)
 
 
 def test_transformed_interaction_rejects_bad_input(lat4, h0_4, grid16):
     rec = _solved(lat4, h0_4, grid16, 0.04)
-    with pytest.raises(ValueError):
-        transformed_interaction(rec, 5, "cubic")
     n = grid16.n_nodes
     # the fourth-order stencil reads two nodes on each side
     for i in (0, 1, n - 2, n - 1):
         with pytest.raises(OutOfGrid):
-            transformed_interaction(rec, i, "exact")
+            transformed_interaction(rec, i)
     for i in (2, n - 3):
-        assert np.isfinite(transformed_interaction(rec, i, "exact")).all()
+        assert np.isfinite(transformed_interaction(rec, i)[0]).all()
 
 
 def test_step_transformed_paths(lat4, h0_4, grid16):
@@ -614,7 +657,7 @@ def test_one_step_picture_equivalence(lat4, h0_4, grid16):
     rec = _solved(lat4, h0_4, grid16, 0.04)
     traj = rec.trajectory(psi0)
     i = grid16.node_index(1.0)
-    wt = transformed_interaction(rec, i, "exact")
+    wt, _ = transformed_interaction(rec, i)
     tilde_i = transform_state(traj[i], surface_correction(rec, i))
     tilde_n = transform_state(traj[i + 1], surface_correction(rec, i + 1))
     stepped = step_transformed(tilde_i, h0_4, wt, grid16.dt)
