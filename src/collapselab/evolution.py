@@ -37,14 +37,16 @@ maps the block back into the maps. A block whose weights are all zero only
 free-propagates its first node. Outside the sweep every channel sum costs
 two BLAS calls. The record keeps the kernel rows and the field table.
 
-A solve may start from the record of the same problem on the grid with
-twice the step (nested iteration): its maps fill the even nodes, and each
-odd node interpolates its neighbours in the interaction picture with the
-4-point rule. The first iterate is then as close to the fixed point as the
-coarse grid's discretization error, not as the coupling. Given the record
-on the grid with four times the step as well, a Richardson step removes
-the leading dt^2 part of that error from the even nodes, and the solve
-takes fewer sweeps still to the same fixed point.
+A solve may start from the records of the same problem on up to three
+coarser grids, with steps 2h, 4h and 8h (nested iteration). Each is carried
+to every node in the interaction picture z_j = e^{i t_j E} U^dag X_j by the
+8-point Lagrange rule, whose stencil is centred on the node and shifted
+inward at the grid ends, and the carried records are summed with the
+Richardson weights (1), (5/4, -1/4) or (21/16, -21/64, 1/64), which cancel
+the leading dt^2 and dt^4 terms of the trapezoid/Nystrom rule's error. The
+first iterate is then as close to the fixed point as the error those
+weights leave, not as the coupling, and the solve takes a few sweeps to
+the same fixed point.
 
 On top of the solved record this module builds the equal-time objects: the
 one-time interaction operator, the surface correction that makes the
@@ -75,6 +77,10 @@ COUPLING_ERROR = 0.5
 _TOL = 1e-12  # largest entry change of the maps that ends the fixed point
 _MAX_SWEEPS = 50
 _BLOCK = 32  # nodes a sweep steps from one set of channel mixes
+_STENCIL = 8  # nodes of the rule that carries a coarser record to a node
+# _RICHARDSON[k] weighs k coarser records (steps 2h, 4h, 8h): two match the
+# step-h fixed point through its dt^2 error term, three through dt^4 too
+_RICHARDSON = ((), (1.0,), (5 / 4, -1 / 4), (21 / 16, -21 / 64, 1 / 64))
 
 # central-difference stencil for d/dt at the center node, fourth order
 _FD_OFFSETS = (-2, -1, 1, 2)
@@ -180,44 +186,74 @@ def _check_boundary(field_pad: np.ndarray, reach: int) -> None:
             stacklevel=3)
 
 
-def _nested_start(fine: np.ndarray, esys: EigenSystem, dt: float,
-                  coarse: EvolutionRecord,
-                  coarser: EvolutionRecord | None = None) -> None:
-    """Write the first iterate of a refined solve into its interior maps.
+def _lagrange(x: np.ndarray, width: int) -> np.ndarray:
+    """Weights (len(x), width) of the Lagrange rule through the points
+    0 .. width-1, at the points x; at x = l they are exactly one-hot."""
+    points = np.arange(width)
+    own = np.eye(width, dtype=bool)
+    # row l of the last axis holds the factors x - m and l - m for m != l
+    num = np.where(own, 1.0, (x[:, None] - points)[:, None, :]).prod(axis=2)
+    return num / np.where(own, 1, points[:, None] - points).prod(axis=1)
 
-    The even nodes take the maps of ``coarse``, solved with twice the step;
-    given ``coarser`` too (four times the step), they take the Richardson
-    estimate X_2h + (X_2h - X_4h)/4, which removes the leading c dt^2 error
-    of the trapezoid/Nystrom rule. The correction is formed on the coarser
-    nodes and interpolated linearly in between. Each odd node interpolates
-    its even neighbours in the interaction picture z_j = e^{i t_j E} U^dag X_j
-    with the 4-point rule (9 (z_{j-1} + z_{j+1}) - (z_{j-3} + z_{j+3})) / 16,
-    the first and last odd node with the midpoint (z_{j-1} + z_{j+1}) / 2;
-    z_{j+m} maps back to e^{i m dt h0} X_{j+m}. Everything is written in
-    place, _BLOCK nodes at a time.
+
+def _first_iterate(maps: np.ndarray, esys: EigenSystem, dt: float, n: int,
+                   records: tuple[EvolutionRecord, ...]) -> None:
+    """Write the first iterate of a solve into ``maps``: its nodes 0 .. n-1
+    and then the right pad, in the interaction picture
+    z_j = e^{i t_j E} U^dag X_j, so X_j = U e^{-i t_j E} z_j.
+
+    With no records z_j = U^dag, free evolution. Otherwise each record
+    (steps 2h, 4h, 8h, finest first) is carried to every node by the
+    Lagrange rule through _STENCIL consecutive nodes of its own, centred on
+    the node and shifted inward at the ends (through all its nodes when it
+    has fewer), which copies a node it shares. The carried records are
+    summed with the Richardson weights _RICHARDSON[len(records)]. Past node
+    n-1, z stays z_{n-1}: the free continuation. Written in place, _BLOCK
+    nodes at a time.
     """
-    evens = fine[::2]
-    evens[...] = coarse.props[coarse.reach : coarse.reach + coarse.grid.n_nodes]
-    if coarser is not None:
-        base = coarser.props[coarser.reach : coarser.reach + coarser.grid.n_nodes]
-        last = base.shape[0] - 1
-        # corrections at coarser nodes lo..hi: written there and on the
-        # midpoints after them up to node hi, whose turn comes next
-        for lo in range(0, last, _BLOCK):
-            hi = min(lo + _BLOCK, last)
-            corr = 0.25 * (evens[2 * lo : 2 * hi + 1 : 2] - base[lo : hi + 1])
-            evens[2 * lo + 1 : 2 * hi : 2] += 0.5 * (corr[:-1] + corr[1:])
-            evens[2 * lo : 2 * hi : 2] += corr[:-1]
-        evens[-1] += 0.25 * (evens[-1] - base[-1])
-    odds = fine[1::2]
-    fwd1, bwd1, fwd3, bwd3 = esys.matrix(np.array([1.0, -1.0, 3.0, -3.0]) * dt)
-    odds[0] = 0.5 * (fwd1 @ evens[0] + bwd1 @ evens[1])
-    odds[-1] = 0.5 * (fwd1 @ evens[-2] + bwd1 @ evens[-1])
-    for lo in range(1, odds.shape[0] - 1, _BLOCK):
-        hi = min(lo + _BLOCK, odds.shape[0] - 1)
-        odds[lo:hi] = (9.0 * (fwd1 @ evens[lo:hi] + bwd1 @ evens[lo + 1 : hi + 1])
-                       - (fwd3 @ evens[lo - 1 : hi - 1] + bwd3 @ evens[lo + 2 : hi + 2])
-                       ) / 16.0
+    u = esys.vectors
+    u_dag = u.conj().T
+    dim = u.shape[0]
+    total = maps.shape[0]
+    nodes = np.minimum(np.arange(total), n - 1)
+    carried = []
+    for weight, rec in zip(_RICHARDSON[len(records)], records):
+        ratio = round(rec.grid.dt / dt)
+        n_c = rec.grid.n_nodes
+        width = min(_STENCIL, n_c)
+        first = np.clip(nodes // ratio - (_STENCIL // 2 - 1), 0, n_c - width)
+        # node j sits at k / ratio on its stencil, k = j - ratio * first[j];
+        # rules[k] is the weighted rule there
+        rules = weight * _lagrange(np.arange(ratio * (width - 1) + 1) / ratio, width)
+        phase = np.exp(1j * np.multiply.outer(np.arange(n_c) * ratio * dt, esys.values))
+        carried.append((first, nodes - ratio * first, rules, phase,
+                        rec.props[rec.reach : rec.reach + n_c]))
+    rows = np.arange(_BLOCK)[:, None]
+    for lo in range(0, total, _BLOCK):
+        hi = min(lo + _BLOCK, total)
+        # e^{-i t E} at the block's nodes
+        phases = np.exp(-1j * np.multiply.outer(np.arange(lo, hi) * dt, esys.values))
+        if not carried:
+            np.matmul(u * phases[:, None, :], u_dag, out=maps[lo:hi])
+            continue
+        # the records' nodes that the block reads, side by side as (row,
+        # node, column): one GEMM takes them to the eigenbasis, where their
+        # phases e^{i t E} scale the rows, and one sums them by the rules
+        picked, picked_phases, bands = [], [], []
+        for first, k, rules, phase, coarse in carried:
+            a, b = first[lo], first[hi - 1] + rules.shape[1]
+            band = np.zeros((hi - lo, b - a))
+            cols = first[lo:hi, None] - a + np.arange(rules.shape[1])
+            band[rows[: hi - lo], cols] = rules[k[lo:hi]]
+            bands.append(band)
+            picked.append(coarse[a:b].transpose(1, 0, 2))
+            picked_phases.append(phase[a:b])
+        z = (u_dag @ np.concatenate(picked, axis=1).reshape(dim, -1)).reshape(dim, -1, dim)
+        z *= np.concatenate(picked_phases).T[:, :, None]
+        z = np.matmul(np.hstack(bands), z.view(np.float64)).view(complex)
+        z *= phases.T[:, :, None]
+        x = u @ z.reshape(dim, -1)
+        maps[lo:hi] = x.reshape(dim, hi - lo, dim).transpose(1, 0, 2)
 
 
 def solve_nonlocal(grid: TimeGrid, channels: list[InteractionChannel],
@@ -234,14 +270,13 @@ def solve_nonlocal(grid: TimeGrid, channels: list[InteractionChannel],
     never drops to ``_TOL`` within ``_MAX_SWEEPS`` sweeps, or at the first
     sweep whose change is not finite.
 
-    ``start`` holds zero, one or two records, finest first. The first is a
-    record on the same interval with twice this step
-    (``start[0].grid.refined(2) == grid``), whose interior maps give the
-    first iterate in place of free evolution; the second, that record's own
-    half-resolution solve, adds a Richardson-extrapolated first iterate
-    (see ``_nested_start``). Records whose grids are not nested this way
-    raise ValueError. Only their interior nodes are read, so their reach
-    may differ from half this one where ell/dt is not a whole number.
+    ``start`` holds zero to three records, finest first, each the solve of
+    the same problem with twice the step of the grid before it
+    (``start[0].grid.refined(2) == grid``); they give the first iterate in
+    place of free evolution (see ``_first_iterate``). Records whose grids
+    are not nested this way, or more than three, raise ValueError. Only
+    their interior nodes are read, so their reach may differ from half this
+    one where ell/dt is not a whole number.
     """
     channels = list(channels)
     dim = h0.shape[0]
@@ -253,8 +288,8 @@ def solve_nonlocal(grid: TimeGrid, channels: list[InteractionChannel],
     ell = max(ch.profile.ell_min for ch in channels)
     reach = int(round(ell / dt))
     win = 2 * reach + 1
-    if len(start) > 2:
-        raise ValueError(f"start takes one or two records, got {len(start)}")
+    if len(start) >= len(_RICHARDSON):
+        raise ValueError(f"start takes zero to three records, got {len(start)}")
     finer = grid
     for rec in start:
         if rec.grid.refined(2) != finer:
@@ -278,17 +313,7 @@ def solve_nonlocal(grid: TimeGrid, channels: list[InteractionChannel],
     x = np.empty((total, dim, dim), dtype=complex)
     # left pad: exact free evolution backwards from the initial node
     x[:reach] = esys.matrix(-shifts[::-1])
-    if not start:
-        # first iterate: free evolution forward, U e^{-i t E} U^dag, formed
-        # _BLOCK nodes at a time in place (esys.matrix over all nodes would
-        # hold two temporaries the size of the maps)
-        phases = np.exp(-1j * np.multiply.outer(np.arange(n + reach) * dt, esys.values))
-        for lo in range(0, n + reach, _BLOCK):
-            np.matmul(u * phases[lo : lo + _BLOCK, None, :], u_dag,
-                      out=x[reach + lo : reach + lo + _BLOCK])
-    else:
-        _nested_start(x[reach : reach + n], esys, dt, *start)
-        np.matmul(right_pad, x[reach + n - 1], out=x[reach + n :])
+    _first_iterate(x[reach:], esys, dt, n, start)
     x[reach] = np.eye(dim)
     x_real = x.reshape(total, -1).view(np.float64)
     assert np.shares_memory(x_real, x)

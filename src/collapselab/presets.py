@@ -316,10 +316,36 @@ def _romberg(d1, d2, d4):
     return (16.0 * (4.0 * d4 - d2) / 3.0 - (4.0 * d2 - d1) / 3.0) / 15.0
 
 
+def _refinement_solves(grid: TimeGrid, levels: int, channels, h0: np.ndarray,
+                       spacing: float, field: Callable[[TimeGrid], np.ndarray]):
+    """Yield the fixed-point records on grid, grid/2, ..., grid/2^(levels-1)
+    in that order, each grid g solved for the half-step field table
+    ``field(g)``.
+
+    Each solve starts from the records of the (up to) three solves before
+    it, finest first. The chain begins on the coarser grids 2dt, 4dt, ...
+    for as long as the step count stays whole and the step stays at most
+    ell_min/8, the coarsest step ``sample_fourier_probe`` accepts. Only the
+    three finest records are kept.
+    """
+    ell = min(ch.profile.ell_min for ch in channels)
+    grids = [grid.refined(2**k) for k in range(levels)]
+    while grids[0].steps % 2 == 0 and 2 * grids[0].dt <= ell / 8.0 + 1e-12:
+        grids.insert(0, TimeGrid(grid.t0, grid.t1, 2 * grids[0].dt))
+    coarse = len(grids) - levels
+    ladder: tuple = ()  # finest first
+    for k, g in enumerate(grids):
+        rec = solve_nonlocal(g, channels, field(g), h0, spacing, start=ladder)
+        ladder = (rec,) + ladder[:2]
+        if k >= coarse:
+            yield rec
+
+
 def _run_expansion(cfg: ExperimentConfig) -> tuple[list[Check], dict, dict]:
     """Coupling scaling of the expansion remainder and of the asymmetry.
 
-    Solves each coupling on three nested grids and extrapolates the
+    Solves each coupling on three nested grids (after the coarser ones of
+    ``_refinement_solves``, which only start them) and extrapolates the
     operator difference in the step size twice. The raw single-grid
     difference is dominated by a quadrature mismatch that grows linearly
     with the coupling; two halvings remove the leading and subleading
@@ -355,16 +381,13 @@ def _run_expansion(cfg: ExperimentConfig) -> tuple[list[Check], dict, dict]:
     for target in _EXPANSION_COUPLINGS:
         channels = _scaled_channels(base, target / g0)
         diffs, antis = [], []
-        ladder: list = []  # the solved records, finest first
-        for g in (grid, grid.refined(2), grid.refined(4)):
-            probe = sample_fourier_probe(channels, g, cfg.seed(),
-                                         window=window,
-                                         amplitude=_EXPANSION_PROBE_AMPLITUDE)
-            # each refinement starts from the coarser grids' fixed points
-            rec = solve_nonlocal(g, channels, probe, h0, spacing,
-                                 start=tuple(ladder[:2]))
-            ladder.insert(0, rec)
-            pairs = [transformed_interaction(rec, g.node_index(t)) for t in t_eval]
+        for rec in _refinement_solves(
+                grid, 3, channels, h0, spacing,
+                lambda g: sample_fourier_probe(
+                    channels, g, cfg.seed(), window=window,
+                    amplitude=_EXPANSION_PROBE_AMPLITUDE)):
+            pairs = [transformed_interaction(rec, rec.grid.node_index(t))
+                     for t in t_eval]
             diffs.append([exact - series for exact, series in pairs])
             antis.append([exact - exact.conj().T for exact, _ in pairs])
         remainders.append(max(float(np.linalg.norm(_romberg(*d), 2))

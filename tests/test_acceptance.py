@@ -16,17 +16,14 @@ import pytest
 
 from collapselab.channels import sample_fourier_probe
 from collapselab.config import ExperimentConfig
-from collapselab.evolution import (
-    coupling_strength,
-    solve_nonlocal,
-    transformed_interaction,
-)
+from collapselab.evolution import coupling_strength, transformed_interaction
 from collapselab.grids import Window
 from collapselab.presets import (
     _EXPANSION_COUPLINGS,
     _EXPANSION_PROBE_AMPLITUDE,
     PRESETS,
     _fit_slope,
+    _refinement_solves,
     _romberg,
     _scaled_channels,
     run_preset,
@@ -125,9 +122,9 @@ def test_criterion_3_expansion_orders(runs):
 
 
 def test_criterion_3_third_extrapolation_level(runs):
-    # expansion's ladder at the shipped seed plus a fourth grid, dt/8,
-    # started from the dt/4 and dt/2 solves, and a third extrapolation
-    # level (factor 64): the asymmetry is a floor near 3e-12 with no trend
+    # expansion's chain of solves at the shipped seed, extended by a fourth
+    # grid, dt/8, started from the dt/4, dt/2 and dt solves, and a third
+    # extrapolation level (factor 64): the asymmetry is a floor near 3e-12 with no trend
     # in the coupling, and the remainder slope does not move, so the
     # two-level asymmetry slope is an O(dt^6) term two levels leave
     result, _ = runs("expansion")
@@ -141,16 +138,14 @@ def test_criterion_3_third_extrapolation_level(runs):
              for kind in ("remainder", "asymmetry")}
     for target in _EXPANSION_COUPLINGS:
         channels = _scaled_channels(base, target / coupling_strength(base))
-        diffs, antis, ladder = [], [], []
-        for factor in (1, 2, 4, 8):
-            g = grid.refined(factor)
-            probe = sample_fourier_probe(
-                channels, g, cfg.seed(), window=window,
-                amplitude=_EXPANSION_PROBE_AMPLITUDE)
-            rec = solve_nonlocal(g, channels, probe, h0, lattice.spacing,
-                                 start=tuple(ladder[:2]))
-            ladder.insert(0, rec)
-            pairs = [transformed_interaction(rec, g.node_index(t)) for t in t_eval]
+        diffs, antis = [], []
+        for rec in _refinement_solves(
+                grid, 4, channels, h0, lattice.spacing,
+                lambda g: sample_fourier_probe(
+                    channels, g, cfg.seed(), window=window,
+                    amplitude=_EXPANSION_PROBE_AMPLITUDE)):
+            pairs = [transformed_interaction(rec, rec.grid.node_index(t))
+                     for t in t_eval]
             diffs.append([e - x for e, x in pairs])
             antis.append([e - e.conj().T for e, _ in pairs])
         for kind, stack in (("remainder", diffs), ("asymmetry", antis)):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from collapselab import evolution
+from collapselab import evolution, presets
 from collapselab.channels import (
     KernelProfile,
     make_channel,
@@ -274,38 +275,55 @@ def test_warm_start_reaches_the_cold_fixed_point(lat4, h0_4, dt, reaches):
     assert np.array_equal(warm.props[:reach], cold.props[:reach])
 
 
-def test_refined_solves_hold_little_beyond_their_maps(lat4, h0_4):
-    # expansion's ladder: a cold solve at reach 32, a warm solve at reach 64
-    # (449 nodes) and an extrapolated one at reach 128 (897 nodes); the
-    # weights are formed per block, so no (A, n, 2 reach + 1) table or
-    # gather index is allocated, and every first iterate is formed in place
+def test_refined_solves_hold_little_beyond_their_maps(lat4, h0_4, monkeypatch):
+    # expansion's chain: cold at reach 8 (57 nodes), then warm solves at
+    # reach 16, 32, 64 and 128 (897 nodes), each from up to three coarser
+    # records; the weights are formed per block, so no (A, n, 2 reach + 1)
+    # table or gather index is allocated, and every first iterate is formed
+    # in place
     ch = two_channels(lat4, 0.04)
     grid = TimeGrid(0.0, 3.5, ELL / 32.0)
     window = Window(t_on=0.7, t_off=2.8, ramp=0.2)
-    ladder = []
-    for g in (grid, grid.refined(2), grid.refined(4)):
-        noise = sample_fourier_probe(ch, g, seed=9, window=window, amplitude=2.0)
+    solve = presets.solve_nonlocal
+    seen = []
+
+    def traced(*args, **kwargs):
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            rec = solve_nonlocal(g, ch, noise, h0_4, lat4.spacing,
-                                 start=tuple(ladder[:2]))
+            rec = solve(*args, **kwargs)
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * rec.props.nbytes
-        ladder.insert(0, rec)
+        seen.append((rec.grid.n_nodes, len(kwargs["start"]),
+                     peak / rec.props.nbytes))
+        return rec
+
+    monkeypatch.setattr(presets, "solve_nonlocal", traced)
+    for _ in presets._refinement_solves(
+            grid, 3, ch, h0_4, lat4.spacing,
+            lambda g: sample_fourier_probe(ch, g, seed=9, window=window,
+                                           amplitude=2.0)):
+        pass
+    assert [entry[:2] for entry in seen] == [
+        (57, 0), (113, 1), (225, 2), (449, 3), (897, 3)]
+    # the bound holds from reach 32 on; below it the per-block buffers, which
+    # do not grow with the grid, outweigh the maps (about 6x at 57 nodes)
+    assert all(ratio <= 3 for nodes, _, ratio in seen if nodes >= 225)
 
 
 def expansion_ladder():
-    """The three nested grids of the expansion preset at its first coupling,
-    0.04, with the channels, h0 and probe fields it solves them with."""
+    """Expansion's chain at its first coupling, 0.04, from its coarsest
+    grid (4 dt, 57 nodes) to its finest (dt/4, 897 nodes): the grids, with
+    the channels, h0 and probe fields it solves them with."""
     cfg = ExperimentConfig.from_dict(PRESETS["expansion"].defaults)
     lattice = cfg.lattice()
     channels = cfg.channels(lattice)
     assert max(ch.amplitude * ch.profile.ell_min for ch in channels) == 0.04
     window = Window(**cfg.window_params())
-    grids = (cfg.grid(), cfg.grid().refined(2), cfg.grid().refined(4))
+    coarsest = cfg.grid()
+    coarsest = TimeGrid(coarsest.t0, coarsest.t1, 4 * coarsest.dt)
+    grids = [coarsest.refined(2**k) for k in range(5)]
     probes = [sample_fourier_probe(channels, g, cfg.seed(), window=window,
                                    amplitude=_EXPANSION_PROBE_AMPLITUDE)
               for g in grids]
@@ -314,19 +332,79 @@ def expansion_ladder():
 
 def test_extrapolated_start_saves_sweeps_on_expansions_ladder():
     grids, ch, h0, spacing, probes = expansion_ladder()
-    coarsest = solve_nonlocal(grids[0], ch, probes[0], h0, spacing)
-    middle = solve_nonlocal(grids[1], ch, probes[1], h0, spacing,
-                            start=(coarsest,))
-    nested = solve_nonlocal(grids[2], ch, probes[2], h0, spacing,
-                            start=(middle,))
-    extrapolated = solve_nonlocal(grids[2], ch, probes[2], h0, spacing,
-                                  start=(middle, coarsest))
-    assert (extrapolated.grid.n_nodes, extrapolated.reach) == (897, 128)
-    # the Richardson step removes the middle grid's O(dt^2) error from the
-    # first iterate (start residuals 2.2e-8 and 1.2e-5)
-    assert extrapolated.residuals[0] < 1e-2 * nested.residuals[0]
-    assert len(extrapolated.residuals) < len(nested.residuals)
-    assert np.abs(extrapolated.props - nested.props).max() < 1e-10
+    ladder = ()
+    for g, field in zip(grids[:-1], probes):
+        rec = solve_nonlocal(g, ch, field, h0, spacing, start=ladder)
+        ladder = (rec,) + ladder[:2]
+    assert [rec.grid.n_nodes for rec in ladder] == [449, 225, 113]
+    two = solve_nonlocal(grids[-1], ch, probes[-1], h0, spacing, start=ladder[:2])
+    three = solve_nonlocal(grids[-1], ch, probes[-1], h0, spacing, start=ladder)
+    assert (three.grid.n_nodes, three.reach) == (897, 128)
+    # the third record removes the dt^4 term of the first iterate's error
+    # too: start residuals 8.3e-11 and 3.5e-9, 3 sweeps against 8
+    assert three.residuals[0] <= 5e-2 * two.residuals[0]
+    assert len(three.residuals) < len(two.residuals)
+    assert np.abs(three.props - two.props).max() < 1e-10
+
+
+def _free_records(lat, h0, grid, count):
+    """Zero-coupling records on grid/2**k for k = count .. 1, finest first."""
+    ch = two_channels(lat, 0.0)
+    return tuple(solve_nonlocal(g, ch, probe(ch, g), h0, lat.spacing)
+                 for g in (TimeGrid(grid.t0, grid.t1, grid.dt * 2**k)
+                           for k in range(1, count + 1)))
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3])
+def test_start_at_zero_coupling_is_free_evolution(lat4, h0_4, count):
+    grid = TimeGrid(0.0, 2.0, ELL / 64.0)
+    records = _free_records(lat4, h0_4, grid, count)
+    esys = EigenSystem.of(h0_4, lat4.spacing)
+    maps = np.empty((grid.n_nodes + 32, lat4.dim, lat4.dim), dtype=complex)
+    evolution._first_iterate(maps, esys, grid.dt, grid.n_nodes, records)
+    free = esys.matrix(np.arange(maps.shape[0]) * grid.dt)
+    assert np.abs(maps - free).max() <= 1e-13
+
+
+def _polynomial_records(esys, grid, degree, coarse_steps):
+    """Records on the grids of ``coarse_steps`` steps over ``grid``'s
+    interval whose interaction-picture maps e^{i t E} U^dag X are one
+    random matrix polynomial of ``degree`` in t, and that polynomial."""
+    rng = np.random.default_rng(degree)
+    dim = esys.values.size
+    coef = (rng.standard_normal((degree + 1, dim, dim))
+            + 1j * rng.standard_normal((degree + 1, dim, dim)))
+    span = grid.t1 - grid.t0
+
+    def maps(t):
+        z = sum(c * ((t - grid.t0) / span)[:, None, None] ** p
+                for p, c in enumerate(coef))
+        phases = np.exp(-1j * np.multiply.outer(t - grid.t0, esys.values))
+        return esys.vectors @ (phases[:, :, None] * z)
+
+    records = []
+    for steps in coarse_steps:
+        g = TimeGrid(grid.t0, grid.t1, span / steps)
+        padded = np.pad(maps(g.times), ((2, 2), (0, 0), (0, 0)))
+        records.append(SimpleNamespace(grid=g, reach=2, props=padded))
+    return tuple(records), maps
+
+
+@pytest.mark.parametrize("degree, coarse_steps", [
+    (7, (40,)), (7, (40, 20)), (7, (40, 20, 10)),
+    # a record of 5 nodes carries through all of them
+    (4, (8, 4))])
+def test_start_carries_polynomials_exactly(lat4, h0_4, degree, coarse_steps):
+    grid = TimeGrid(0.5, 2.5, 2.0 / (2 * coarse_steps[0]))
+    esys = EigenSystem.of(h0_4, lat4.spacing)
+    records, exact = _polynomial_records(esys, grid, degree, coarse_steps)
+    n = grid.n_nodes
+    maps = np.empty((n + 5, lat4.dim, lat4.dim), dtype=complex)
+    evolution._first_iterate(maps, esys, grid.dt, n, records)
+    assert np.abs(maps[:n] - exact(grid.times)).max() <= 1e-12
+    # past the last node the maps continue freely from it
+    pad = esys.matrix(np.arange(1, 6) * grid.dt) @ exact(grid.times[-1:])[0]
+    assert np.abs(maps[n:] - pad).max() <= 1e-12
 
 
 def test_extrapolated_start_rejects_non_nested_ladders(lat4, h0_4, grid16):
@@ -338,16 +416,20 @@ def test_extrapolated_start_rejects_non_nested_ladders(lat4, h0_4, grid16):
         solved[g.dt, g.t1] = solve_nonlocal(g, ch, probe(ch, g), h0_4,
                                             lat4.spacing)
     middle = solved[grid16.dt, 2.0]
+    coarse = solved[2 * grid16.dt, 2.0]
     for ladder in ((middle, solved[4 * grid16.dt, 2.0]),
                    (middle, solved[2 * grid16.dt, 2.5]),
                    (middle, middle),
-                   (solved[2 * grid16.dt, 2.0], middle)):
+                   (coarse, middle),
+                   (middle, coarse, coarse),
+                   (middle, coarse, middle),
+                   (middle, solved[2 * grid16.dt, 2.5], coarse)):
         with pytest.raises(ValueError, match="not the half-resolution solve"):
             solve_nonlocal(fine, ch, probe(ch, fine), h0_4, lat4.spacing,
                            start=ladder)
-    with pytest.raises(ValueError, match="one or two records"):
+    with pytest.raises(ValueError, match="zero to three records"):
         solve_nonlocal(fine, ch, probe(ch, fine), h0_4, lat4.spacing,
-                       start=(middle, solved[2 * grid16.dt, 2.0], middle))
+                       start=(middle, coarse, middle, coarse))
 
 
 def test_warm_start_rejects_other_grids(lat4, h0_4, grid16):
