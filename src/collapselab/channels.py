@@ -308,6 +308,12 @@ class NoiseRealization:
         return out
 
 
+def max_step(channels: list[InteractionChannel]) -> float:
+    """The largest evolution step that resolves the shortest kernel range,
+    ell_min/8, with 1e-12 of slack for rounding in dt."""
+    return min(ch.profile.ell_min for ch in channels) / 8.0 + 1e-12
+
+
 def sample_noise(channels: list[InteractionChannel], grid: TimeGrid,
                  seed: int | list[int], window: Window | None = None
                  ) -> NoiseRealization:
@@ -318,8 +324,8 @@ def sample_noise(channels: list[InteractionChannel], grid: TimeGrid,
     window. The evolution step must resolve the shortest kernel:
     dt <= ell_min/8, else GridTooCoarse.
     """
-    ell = min(ch.profile.ell_min for ch in channels)
-    if grid.dt > ell / 8.0 + 1e-12:
+    if grid.dt > max_step(channels):
+        ell = min(ch.profile.ell_min for ch in channels)
         raise GridTooCoarse(f"dt={grid.dt} exceeds ell_min/8={ell / 8.0}")
     if window is None:
         window = Window.flat()
@@ -383,7 +389,7 @@ def build_channel_operators(channels: list[InteractionChannel], h0: np.ndarray,
                             dt: float) -> ChannelOperatorSet:
     """Evaluate the channel-operator stacks on the difference grid of step dt."""
     ell = max(ch.profile.ell_min for ch in channels)
-    if dt > min(ch.profile.ell_min for ch in channels) / 8.0 + 1e-12:
+    if dt > max_step(channels):
         raise GridTooCoarse(f"dt={dt} exceeds ell_min/8")
     k = int(round(ell / dt))
     zeta = dt * np.arange(-k, k + 1)

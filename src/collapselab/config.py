@@ -24,6 +24,7 @@ from .channels import (
     eigenmode_coupling,
     eigenmode_difference,
     make_channel,
+    max_step,
     momentum_function,
     position_gaussian,
     site_projector,
@@ -123,8 +124,8 @@ class ExperimentConfig:
         lattice = self.lattice()
         grid = self.grid()
         channels = self.channels(lattice)
-        ell = min(ch.profile.ell_min for ch in channels)
-        if grid.dt > ell / 8.0 + 1e-12:
+        if grid.dt > max_step(channels):
+            ell = min(ch.profile.ell_min for ch in channels)
             raise ConfigError(
                 f"time.dt={grid.dt} does not resolve kernel.ell_min={ell}; "
                 "need dt <= ell_min/8")

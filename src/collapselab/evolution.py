@@ -38,13 +38,14 @@ free-propagates its first node. Outside the sweep every channel sum costs
 two BLAS calls. The record keeps the kernel rows and the field table.
 
 A solve may start from the records of the same problem on up to three
-coarser grids, with steps 2h, 4h and 8h (nested iteration). Each is carried
-to every node in the interaction picture z_j = e^{i t_j E} U^dag X_j by the
-8-point Lagrange rule, whose stencil is centred on the node and shifted
-inward at the grid ends, and the carried records are summed with the
-Richardson weights (1), (5/4, -1/4) or (21/16, -21/64, 1/64), which cancel
-the leading dt^2 and dt^4 terms of the trapezoid/Nystrom rule's error. The
-first iterate is then as close to the fixed point as the error those
+coarser grids, with steps 2h, 4h and 8h (nested iteration). The finest
+record, and each coarser one's difference from the record before it, is
+carried to every node in the interaction picture z_j = e^{i t_j E} U^dag X_j
+by the 8-point Lagrange rule, whose stencil is centred on the node and
+shifted inward at the grid ends. The carried terms are summed with the
+Richardson weights (1), (5/4, -1/4) or (21/16, -21/64, 1/64) of the
+records, which cancel the leading dt^2 and dt^4 terms of the
+trapezoid/Nystrom rule's error. The first iterate is then as close to the fixed point as the error those
 weights leave, not as the coupling, and the solve takes a few sweeps to
 the same fixed point.
 
@@ -78,9 +79,11 @@ _TOL = 1e-12  # largest entry change of the maps that ends the fixed point
 _MAX_SWEEPS = 50
 _BLOCK = 32  # nodes a sweep steps from one set of channel mixes
 _STENCIL = 8  # nodes of the rule that carries a coarser record to a node
-# _RICHARDSON[k] weighs k coarser records (steps 2h, 4h, 8h): two match the
-# step-h fixed point through its dt^2 error term, three through dt^4 too
-_RICHARDSON = ((), (1.0,), (5 / 4, -1 / 4), (21 / 16, -21 / 64, 1 / 64))
+# _RICHARDSON[k] weighs k coarser records X_2h, X_4h, X_8h in difference
+# form: X_2h, then X_2h - X_4h, then X_4h - X_8h. Two match the step-h fixed
+# point through its dt^2 error term, three through dt^4 too; they are the
+# weights (5/4, -1/4) and (21/16, -21/64, 1/64) of the records themselves
+_RICHARDSON = ((), (1.0,), (1.0, 1 / 4), (1.0, 5 / 16, -1 / 64))
 
 # central-difference stencil for d/dt at the center node, fourth order
 _FD_OFFSETS = (-2, -1, 1, 2)
@@ -202,14 +205,17 @@ def _first_iterate(maps: np.ndarray, esys: EigenSystem, dt: float, n: int,
     and then the right pad, in the interaction picture
     z_j = e^{i t_j E} U^dag X_j, so X_j = U e^{-i t_j E} z_j.
 
-    With no records z_j = U^dag, free evolution. Otherwise each record
-    (steps 2h, 4h, 8h, finest first) is carried to every node by the
-    Lagrange rule through _STENCIL consecutive nodes of its own, centred on
-    the node and shifted inward at the ends (through all its nodes when it
-    has fewer), which copies a node it shares. The carried records are
-    summed with the Richardson weights _RICHARDSON[len(records)]. Past node
-    n-1, z stays z_{n-1}: the free continuation. Written in place, _BLOCK
-    nodes at a time.
+    With no records z_j = U^dag, free evolution. Otherwise the finest
+    record (step 2h) and each further record's difference from the one
+    before it, taken on its own nodes (X_2h - X_4h on the 4h nodes, X_4h -
+    X_8h on the 8h nodes), are carried to every node by the Lagrange rule
+    through _STENCIL consecutive nodes, centred on the node and shifted
+    inward at the ends (through all nodes when a record has fewer), which
+    copies a node it shares. They are summed with the Richardson weights
+    _RICHARDSON[len(records)]. A difference is of the size of the step's
+    error, so carrying it adds little error of its own. Past node n-1, z
+    stays z_{n-1}: the free continuation. Written in place, _BLOCK nodes at
+    a time.
     """
     u = esys.vectors
     u_dag = u.conj().T
@@ -217,6 +223,7 @@ def _first_iterate(maps: np.ndarray, esys: EigenSystem, dt: float, n: int,
     total = maps.shape[0]
     nodes = np.minimum(np.arange(total), n - 1)
     carried = []
+    finer = None  # the interior maps of the record before
     for weight, rec in zip(_RICHARDSON[len(records)], records):
         ratio = round(rec.grid.dt / dt)
         n_c = rec.grid.n_nodes
@@ -226,8 +233,9 @@ def _first_iterate(maps: np.ndarray, esys: EigenSystem, dt: float, n: int,
         # rules[k] is the weighted rule there
         rules = weight * _lagrange(np.arange(ratio * (width - 1) + 1) / ratio, width)
         phase = np.exp(1j * np.multiply.outer(np.arange(n_c) * ratio * dt, esys.values))
-        carried.append((first, nodes - ratio * first, rules, phase,
-                        rec.props[rec.reach : rec.reach + n_c]))
+        own = rec.props[rec.reach : rec.reach + n_c]
+        carried.append((first, nodes - ratio * first, rules, phase, own, finer))
+        finer = own
     rows = np.arange(_BLOCK)[:, None]
     for lo in range(0, total, _BLOCK):
         hi = min(lo + _BLOCK, total)
@@ -240,13 +248,14 @@ def _first_iterate(maps: np.ndarray, esys: EigenSystem, dt: float, n: int,
         # node, column): one GEMM takes them to the eigenbasis, where their
         # phases e^{i t E} scale the rows, and one sums them by the rules
         picked, picked_phases, bands = [], [], []
-        for first, k, rules, phase, coarse in carried:
+        for first, k, rules, phase, coarse, finer in carried:
             a, b = first[lo], first[hi - 1] + rules.shape[1]
+            data = coarse[a:b] if finer is None else finer[2 * a : 2 * b : 2] - coarse[a:b]
             band = np.zeros((hi - lo, b - a))
             cols = first[lo:hi, None] - a + np.arange(rules.shape[1])
             band[rows[: hi - lo], cols] = rules[k[lo:hi]]
             bands.append(band)
-            picked.append(coarse[a:b].transpose(1, 0, 2))
+            picked.append(data.transpose(1, 0, 2))
             picked_phases.append(phase[a:b])
         z = (u_dag @ np.concatenate(picked, axis=1).reshape(dim, -1)).reshape(dim, -1, dim)
         z *= np.concatenate(picked_phases).T[:, :, None]

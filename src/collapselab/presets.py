@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import sample_fourier_probe
+from .channels import max_step, sample_fourier_probe
 from .config import ExperimentConfig, merged
 from .ensemble import (
     EnsembleConfig,
@@ -324,13 +324,12 @@ def _refinement_solves(grid: TimeGrid, levels: int, channels, h0: np.ndarray,
 
     Each solve starts from the records of the (up to) three solves before
     it, finest first. The chain begins on the coarser grids 2dt, 4dt, ...
-    for as long as the step count stays whole and the step stays at most
-    ell_min/8, the coarsest step ``sample_fourier_probe`` accepts. Only the
-    three finest records are kept.
+    for as long as the step count stays whole and the step stays within
+    ``max_step``, ell_min/8, the coarsest step that resolves the kernels.
+    Only the three finest records are kept.
     """
-    ell = min(ch.profile.ell_min for ch in channels)
     grids = [grid.refined(2**k) for k in range(levels)]
-    while grids[0].steps % 2 == 0 and 2 * grids[0].dt <= ell / 8.0 + 1e-12:
+    while grids[0].steps % 2 == 0 and 2 * grids[0].dt <= max_step(channels):
         grids.insert(0, TimeGrid(grid.t0, grid.t1, 2 * grids[0].dt))
     coarse = len(grids) - levels
     ladder: tuple = ()  # finest first

@@ -295,21 +295,22 @@ def test_refined_solves_hold_little_beyond_their_maps(lat4, h0_4, monkeypatch):
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
-        seen.append((rec.grid.n_nodes, len(kwargs["start"]),
-                     peak / rec.props.nbytes))
+        seen.append((rec.grid.n_nodes, len(kwargs["start"]), peak,
+                     rec.props.nbytes))
         return rec
 
     monkeypatch.setattr(presets, "solve_nonlocal", traced)
-    for _ in presets._refinement_solves(
-            grid, 3, ch, h0_4, lat4.spacing,
-            lambda g: sample_fourier_probe(ch, g, seed=9, window=window,
-                                           amplitude=2.0)):
-        pass
+    finest = [rec.props.nbytes for rec in presets._refinement_solves(
+        grid, 3, ch, h0_4, lat4.spacing,
+        lambda g: sample_fourier_probe(ch, g, seed=9, window=window,
+                                       amplitude=2.0))]
     assert [entry[:2] for entry in seen] == [
         (57, 0), (113, 1), (225, 2), (449, 3), (897, 3)]
-    # the bound holds from reach 32 on; below it the per-block buffers, which
-    # do not grow with the grid, outweigh the maps (about 6x at 57 nodes)
-    assert all(ratio <= 3 for nodes, _, ratio in seen if nodes >= 225)
+    # no solve of the chain holds more than three of its finest maps
+    assert max(peak for _, _, peak, _ in seen) <= 3 * finest[-1]
+    # and each of the three grids expansion's result is computed on holds
+    # at most three of its own
+    assert all(peak <= 3 * nbytes for _, _, peak, nbytes in seen[2:])
 
 
 def expansion_ladder():
@@ -337,14 +338,16 @@ def test_extrapolated_start_saves_sweeps_on_expansions_ladder():
         rec = solve_nonlocal(g, ch, field, h0, spacing, start=ladder)
         ladder = (rec,) + ladder[:2]
     assert [rec.grid.n_nodes for rec in ladder] == [449, 225, 113]
-    two = solve_nonlocal(grids[-1], ch, probes[-1], h0, spacing, start=ladder[:2])
-    three = solve_nonlocal(grids[-1], ch, probes[-1], h0, spacing, start=ladder)
+    one, two, three = (solve_nonlocal(grids[-1], ch, probes[-1], h0, spacing,
+                                      start=ladder[:k]) for k in (1, 2, 3))
     assert (three.grid.n_nodes, three.reach) == (897, 128)
-    # the third record removes the dt^4 term of the first iterate's error
-    # too: start residuals 8.3e-11 and 3.5e-9, 3 sweeps against 8
-    assert three.residuals[0] <= 5e-2 * two.residuals[0]
-    assert len(three.residuals) < len(two.residuals)
-    assert np.abs(three.props - two.props).max() < 1e-10
+    # each further record removes the next term of the first iterate's
+    # error, dt^2 and then dt^4 (start residuals 1.2e-5, 3.5e-9 and 2.7e-11;
+    # 14, 8 and 3 sweeps), and every start reaches the same fixed point
+    for fewer, more in ((one, two), (two, three)):
+        assert more.residuals[0] < 1e-2 * fewer.residuals[0]
+        assert len(more.residuals) < len(fewer.residuals)
+        assert np.abs(more.props - fewer.props).max() < 1e-10
 
 
 def _free_records(lat, h0, grid, count):
