@@ -17,10 +17,10 @@ import argparse
 import os
 import sys
 
-from .config import ExperimentConfig, load_raw
+from .config import load_raw
 from .ensemble import WORKER_ENV, worker_count
 from .errors import CollapseLabError, ConfigError, ScenarioViolation
-from .presets import PRESETS, check_tolerances, run_preset
+from .presets import PRESETS, checked_config, run_preset
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -85,14 +85,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    cfg = ExperimentConfig.load(args.config)
-    preset = (cfg.data.get("run") or {}).get("preset")
-    if preset is not None and preset not in PRESETS:
-        raise ConfigError(
-            f"run.preset {preset!r} unknown; valid names: "
-            f"{', '.join(PRESETS)}")
-    if preset is not None:
-        check_tolerances(preset, cfg)
+    checked_config(load_raw(args.config))
     print(f"{args.config}: valid")
     return EXIT_PASS
 

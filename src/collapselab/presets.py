@@ -115,21 +115,18 @@ def _random_state(rng: np.random.Generator, dim: int, spacing: float) -> np.ndar
 
 
 def _model(cfg: ExperimentConfig) -> ModelSetup:
-    lattice = cfg.lattice()
-    return ModelSetup(cfg.grid(), cfg.build_h0(lattice), lattice.spacing,
-                      cfg.channels(lattice))
+    return ModelSetup(cfg.grid(), cfg.build_h0(), cfg.lattice().spacing,
+                      cfg.channels())
 
 
 def _ensemble_config(cfg: ExperimentConfig, records: set[str]) -> EnsembleConfig:
-    wp = cfg.window_params() or {}
+    # the window's t_on, t_off and ramp are EnsembleConfig fields by name
     return EnsembleConfig(
-        realizations=cfg.realizations(),
+        realizations=cfg.realizations,
         seed=cfg.seed(),
         observables=cfg.observables(),
-        t_on=wp.get("t_on"),
-        t_off=wp.get("t_off"),
-        ramp=wp.get("ramp", 0.0),
         records=frozenset(records),
+        **(cfg.window_params() or {}),
     )
 
 
@@ -445,7 +442,7 @@ def _run_a_operator(cfg: ExperimentConfig) -> tuple[list[Check], dict, dict]:
 
     # sampling estimate at a node whose pairing support lies inside the grid
     node = grid.node_index(grid.t0 + 2.5 * model.ell_min)
-    mc, stderr = mc_mean_drift(model, cfg.realizations(), cfg.seed(), node)
+    mc, stderr = mc_mean_drift(model, cfg.realizations, cfg.seed(), node)
     diff = mc - quad
     z_fro = float(np.linalg.norm(diff) / np.sqrt(np.sum(stderr**2)))
     z_max = float(np.max(np.abs(diff) / stderr))
@@ -820,23 +817,36 @@ PRESETS: dict[str, Preset] = {
 }
 
 
-def check_tolerances(name: str, cfg: ExperimentConfig) -> None:
-    """Reject a ``run.tolerances`` key that preset ``name`` never reads.
+def checked_config(raw: dict, name: str | None = None) -> ExperimentConfig:
+    """Parse ``raw`` and check it against the preset its ``run.preset`` names.
 
-    Each runner reads exactly the tolerance names of its defaults, so any
-    other key would be echoed into the summary without bounding anything.
-    Both ``run`` and ``validate`` come through here.
+    ``run`` passes the preset it runs as ``name``, and a config naming
+    another is refused; ``validate`` passes none. Each runner reads exactly
+    the tolerance names of its defaults, so a ``run.tolerances`` key outside
+    them would be echoed into the summary without bounding anything, and is
+    refused too.
     """
-    known = PRESETS[name].defaults["run"]["tolerances"]
-    tols = (cfg.data.get("run") or {}).get("tolerances") or {}
-    unknown = sorted(set(tols) - set(known))
+    cfg = ExperimentConfig.from_dict(raw)
+    if name is not None and cfg.preset != name:
+        raise ConfigError(
+            f"run.preset {cfg.preset!r} does not match the preset run, "
+            f"{name!r}")
+    if cfg.preset is None:
+        return cfg
+    if cfg.preset not in PRESETS:
+        raise ConfigError(
+            f"run.preset {cfg.preset!r} unknown; valid names: "
+            f"{', '.join(PRESETS)}")
+    known = PRESETS[cfg.preset].defaults["run"]["tolerances"]
+    unknown = sorted(set(cfg.tolerances) - set(known))
     if unknown:
         raise ConfigError(
             f"run.tolerances.{unknown[0]} is not a tolerance of preset "
-            f"{name!r}; it reads: {', '.join(sorted(known)) or 'none'}")
+            f"{cfg.preset!r}; it reads: {', '.join(sorted(known)) or 'none'}")
+    return cfg
 
 
-def run_preset(name: str, config: dict | ExperimentConfig | None = None, *,
+def run_preset(name: str, config: dict | None = None, *,
                out: str | Path | None = None, seed: int | None = None,
                realizations: int | None = None) -> PresetResult:
     """Run one preset, check all its output, then write it, ``summary.json`` last.
@@ -851,8 +861,7 @@ def run_preset(name: str, config: dict | ExperimentConfig | None = None, *,
     preset = PRESETS[name]
     raw = preset.defaults
     if config is not None:
-        user = config.data if isinstance(config, ExperimentConfig) else config
-        raw = merged(raw, user)
+        raw = merged(raw, config)
     overrides: dict = {}
     if seed is not None:
         overrides.setdefault("noise", {})["seed"] = int(seed)
@@ -862,9 +871,8 @@ def run_preset(name: str, config: dict | ExperimentConfig | None = None, *,
         overrides.setdefault("run", {})["out"] = str(out)
     if overrides:
         raw = merged(raw, overrides)
-    cfg = ExperimentConfig.from_dict(raw)
-    check_tolerances(name, cfg)
-    out_dir = Path(cfg.out_dir() or Path("results") / name)
+    cfg = checked_config(raw, name)
+    out_dir = Path(cfg.out or Path("results") / name)
     checks, extras, files = preset.runner(cfg)
     summary = {
         "preset": name,

@@ -13,11 +13,11 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collapselab import cli, presets
+from collapselab import cli, config, presets
 from collapselab.config import ExperimentConfig, load_raw, merged
 from collapselab.errors import ConfigError, IOFailure, NoConvergence
 from collapselab.master import LindbladSpec
-from collapselab.presets import PRESETS, check_tolerances, run_preset
+from collapselab.presets import PRESETS, checked_config, run_preset
 from collapselab.reporting import (
     format_number,
     operator_csv,
@@ -45,8 +45,38 @@ def test_valid_config_builds_objects():
     assert cfg.grid().n_nodes == 65
     assert len(cfg.channels()) == 1
     assert cfg.seed() == 3
-    assert cfg.realizations() == 2  # default when no ensemble section
+    assert cfg.realizations == 2  # default when no ensemble section
     assert cfg.build_h0().shape == (8, 8)
+
+
+def test_sections_are_parsed_once():
+    cfg = ExperimentConfig.from_dict(base_config())
+    assert cfg.lattice() is cfg.lattice()
+    assert cfg.channels() is cfg.channels(cfg.lattice())
+
+
+def _counting(calls: list, name: str, build):
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return build(*args, **kwargs)
+    return counted
+
+
+def test_each_configured_operator_is_built_once(monkeypatch):
+    # from_dict builds the channel and the observable; the runners' model
+    # and ensemble config read them
+    calls = []
+    for name in ("site_projector", "position_gaussian"):
+        monkeypatch.setattr(config, name,
+                            _counting(calls, name, getattr(config, name)))
+    raw = base_config()
+    raw["ensemble"] = {"realizations": 4, "observables": [
+        {"operator": {"type": "position_gaussian", "center": 2.0,
+                      "width": 1.2}}]}
+    cfg = ExperimentConfig.from_dict(raw)
+    presets._model(cfg)
+    presets._ensemble_config(cfg, set())
+    assert sorted(calls) == ["position_gaussian", "site_projector"]
 
 
 def test_missing_section_rejected():
@@ -252,7 +282,7 @@ def test_tolerance_lookup():
 
 def test_unknown_tolerance_name_rejected(tmp_path):
     for name, preset in PRESETS.items():
-        check_tolerances(name, ExperimentConfig.from_dict(preset.defaults))
+        checked_config(preset.defaults, name)
     out = tmp_path / "res"
     with pytest.raises(ConfigError, match=r"run\.tolerances\.drfit"):
         run_preset("conservation", {"run": {"tolerances": {"drfit": 1e-30}}},
@@ -529,6 +559,10 @@ def test_cli_run_non_finite_channel_exits_two(tmp_path, capsys, channel):
     {"ensemble": {"realizations": 4, "observables": 5}},
     {"ensemble": {"realizations": 4, "observables": None}},
     {"run": {"preset": [1]}},
+    {"kernel": {"channels": [{"amplitude": 0.04, "operator": {
+        "type": "momentum_function", "values": ["a", "b", "c", "d"]}}]}},
+    {"kernel": {"channels": [{"amplitude": 0.04, "operator": {
+        "type": "momentum_function", "values": [True, 1.0, 2.0, 3.0]}}]}},
 ])
 def test_cli_run_non_finite_or_out_of_range_exits_two(tmp_path, capsys, override):
     path = tmp_path / "bad.yaml"
@@ -572,8 +606,9 @@ def test_cli_run_out_must_be_a_string(tmp_path, capsys, monkeypatch):
     1.0,
     [[1.0, 2.0], [2.0, 1.0]],  # eigenvalue -1
     [[1.0, 0.5], [0.0, 1.0]],  # not symmetric
+    [[0.0, 0.0], [0.0, 0.0]],  # leaves no channel
 ], ids=["nan", "inf", "string", "ragged", "size", "flat", "scalar",
-        "negative", "asymmetric"])
+        "negative", "asymmetric", "zero"])
 def test_cli_malformed_covariance_exits_two(tmp_path, capsys, covariance):
     override = {"kernel": {"covariance": covariance}}
     path = tmp_path / "cov.yaml"
@@ -592,6 +627,16 @@ def test_cli_malformed_covariance_exits_two(tmp_path, capsys, covariance):
     assert cli.main(["validate", "--config", str(full)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "covariance" in err
+
+
+def test_cli_run_refuses_a_config_for_another_preset(tmp_path, capsys):
+    override = tmp_path / "other.yaml"
+    override.write_text(yaml.safe_dump({"run": {"preset": "expansion"}}))
+    out = tmp_path / "res"
+    assert cli.main(["run", "conservation", "--config", str(override),
+                     "--out", str(out)]) == 2
+    assert "run.preset 'expansion'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_unknown_preset(capsys):
