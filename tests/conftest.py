@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from collapselab.channels import KernelProfile, make_channel, site_projector
 from collapselab.grids import TimeGrid, Window
@@ -65,6 +64,8 @@ def raw_channel_stack(channels, h0: np.ndarray, dt: float) -> np.ndarray:
     (A_a e^{i z h0} + e^{-i z h0} A_a) on the difference grid of step dt
     out to the longest kernel range, shape (n_channels, n_zeta, D, D), from
     scipy's expm."""
+    from scipy.linalg import expm  # only this oracle needs scipy
+
     k = int(round(max(ch.profile.ell_min for ch in channels) / dt))
     zeta = dt * np.arange(-k, k + 1)
     out = np.zeros((len(channels), zeta.size) + h0.shape, dtype=complex)
@@ -79,3 +80,15 @@ def raw_channel_stack(channels, h0: np.ndarray, dt: float) -> np.ndarray:
 def stack_asymmetry(stack: np.ndarray) -> np.ndarray:
     """max_z |M_a(z) - M_a(-z)| / 2 per channel."""
     return 0.5 * np.abs(stack - stack[:, ::-1]).reshape(stack.shape[0], -1).max(axis=1)
+
+
+def containers(obj):
+    """Every dict and list reachable from obj, obj included."""
+    if isinstance(obj, dict):
+        yield obj
+        for value in obj.values():
+            yield from containers(value)
+    elif isinstance(obj, list):
+        yield obj
+        for value in obj:
+            yield from containers(value)

@@ -4,14 +4,13 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from collapselab import cli, config, presets
 from collapselab.config import ExperimentConfig, load_raw, merged
@@ -24,6 +23,8 @@ from collapselab.reporting import (
     write_csv,
     write_summary,
 )
+
+from conftest import containers
 
 
 def base_config():
@@ -143,15 +144,6 @@ def test_bad_window_rejected_at_load():
         ExperimentConfig.from_dict(raw)
 
 
-@pytest.mark.parametrize("picture", ["diagonal", "both", "untransformed"])
-def test_bad_picture_rejected(picture):
-    # the interaction picture is the only one; any picture key is refused
-    raw = base_config()
-    raw["ensemble"] = {"realizations": 4, "picture": picture}
-    with pytest.raises(ConfigError, match="picture"):
-        ExperimentConfig.from_dict(raw)
-
-
 def test_covariance_rotates_channels():
     raw = base_config()
     raw["kernel"]["channels"] = [
@@ -176,55 +168,10 @@ def test_merge_semantics():
     assert base["a"]["y"] == 2  # the base mapping is never mutated
 
 
-_KEYS = st.sampled_from("abcd")
-_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
-                     st.floats(allow_nan=False), st.text(max_size=2))
-_VALUES = st.recursive(
-    _SCALARS,
-    lambda inner: st.one_of(st.lists(inner, max_size=3),
-                            st.dictionaries(_KEYS, inner, max_size=3)),
-    max_leaves=10)
-_MAPPINGS = st.dictionaries(_KEYS, _VALUES, max_size=4)
-
-
-def _containers(obj):
-    """Every dict and list reachable from obj, obj included."""
-    if isinstance(obj, dict):
-        yield obj
-        for value in obj.values():
-            yield from _containers(value)
-    elif isinstance(obj, list):
-        yield obj
-        for value in obj:
-            yield from _containers(value)
-
-
-def _assert_merged(base, over, out):
-    assert set(out) == set(base) | set(over)
-    for key, value in out.items():
-        if key not in over:
-            assert value == base[key]
-        elif isinstance(base.get(key), dict) and isinstance(over[key], dict):
-            _assert_merged(base[key], over[key], value)
-        else:
-            assert value == over[key]
-
-
-@settings(max_examples=200, deadline=None)
-@given(base=_MAPPINGS, over=_MAPPINGS)
-def test_merged_properties(base, over):
-    before = copy.deepcopy((base, over))
-    out = merged(base, over)
-    _assert_merged(base, over, out)
-    assert (base, over) == before
-    inputs = {id(c) for c in _containers(base)} | {id(c) for c in _containers(over)}
-    assert not inputs & {id(c) for c in _containers(out)}
-
-
 def test_preset_defaults_share_no_containers(tmp_path):
     seen: dict[int, str] = {}
     for name, preset in PRESETS.items():
-        for container in _containers(preset.defaults):
+        for container in containers(preset.defaults):
             assert seen.setdefault(id(container), name) == name
     before = copy.deepcopy(PRESETS["conservation"].defaults)
     run_preset("conservation", out=tmp_path)
@@ -293,119 +240,6 @@ def test_unknown_tolerance_name_rejected(tmp_path):
         run_preset("conservation", {"run": {"tolerances": {"trace": 1.0}}},
                    out=out)
     assert not out.exists()
-
-
-def test_cli_unknown_tolerance_name_exits_two(tmp_path, capsys):
-    override = tmp_path / "typo.yaml"
-    override.write_text("run:\n  tolerances:\n    drfit: 1.0e-30\n")
-    out = tmp_path / "res"
-    assert cli.main(["run", "conservation", "--config", str(override),
-                     "--out", str(out)]) == 2
-    assert "run.tolerances.drfit" in capsys.readouterr().err
-    assert not out.exists()
-
-    raw = base_config()
-    raw["run"] = {"preset": "conservation", "tolerances": {"drift": 1e-6}}
-    good = tmp_path / "good.yaml"
-    good.write_text(yaml.safe_dump(raw))
-    assert cli.main(["validate", "--config", str(good)]) == 0
-    raw["run"]["tolerances"]["drfit"] = 1e-6
-    typo = tmp_path / "typo_full.yaml"
-    typo.write_text(yaml.safe_dump(raw))
-    capsys.readouterr()
-    assert cli.main(["validate", "--config", str(typo)]) == 2
-    assert "run.tolerances.drfit" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("count", [1, 0, -3])
-def test_cli_too_few_realizations_exits_two(tmp_path, capsys, count):
-    out = tmp_path / "res"
-    assert cli.main(["run", "a-operator", "--realizations", str(count),
-                     "--out", str(out)]) == 2
-    assert "ensemble.realizations" in capsys.readouterr().err
-    assert not out.exists()
-
-    raw = base_config()
-    raw["ensemble"] = {"realizations": count}
-    path = tmp_path / "few.yaml"
-    path.write_text(yaml.safe_dump(raw))
-    assert cli.main(["validate", "--config", str(path)]) == 2
-    assert "ensemble.realizations" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_cli_non_finite_tolerance_exits_two(tmp_path, capsys, bad):
-    override = tmp_path / "tol.yaml"
-    override.write_text(yaml.safe_dump({"run": {"tolerances": {"drift": bad}}}))
-    out = tmp_path / "res"
-    assert cli.main(["run", "conservation", "--config", str(override),
-                     "--out", str(out)]) == 2
-    assert "run.tolerances.drift" in capsys.readouterr().err
-    assert not out.exists()
-
-    raw = base_config()
-    raw["run"] = {"preset": "conservation", "tolerances": {"drift": bad}}
-    path = tmp_path / "tol_full.yaml"
-    path.write_text(yaml.safe_dump(raw))
-    assert cli.main(["validate", "--config", str(path)]) == 2
-    assert "run.tolerances.drift" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("modes", [0, -1, 2.5])
-def test_cli_bad_probe_modes_exits_two(tmp_path, capsys, modes):
-    # the probe's mode count is fixed; a config that sets one is refused
-    override = tmp_path / "modes.yaml"
-    override.write_text(yaml.safe_dump(
-        {"run": {"tolerances": {"probe_modes": modes}}}))
-    out = tmp_path / "res"
-    assert cli.main(["run", "expansion", "--config", str(override),
-                     "--out", str(out)]) == 2
-    assert "run.tolerances.probe_modes" in capsys.readouterr().err
-    assert not out.exists()
-
-    raw = base_config()
-    raw["run"] = {"preset": "expansion", "tolerances": {"probe_modes": modes}}
-    path = tmp_path / "modes_full.yaml"
-    path.write_text(yaml.safe_dump(raw))
-    assert cli.main(["validate", "--config", str(path)]) == 2
-    assert "run.tolerances.probe_modes" in capsys.readouterr().err
-    del raw["run"]["tolerances"]["probe_modes"]
-    path.write_text(yaml.safe_dump(raw))
-    assert cli.main(["validate", "--config", str(path)]) == 0
-
-
-@pytest.mark.parametrize("preset, override, message", [
-    ("lindblad-vs-mc", {"ensemble": {"picture": "transformed"}},
-     "unknown keys in ensemble: ['picture']"),
-    ("expansion", {"run": {"tolerances": {"probe_amplitude": 8.0}}},
-     "run.tolerances.probe_amplitude is not a tolerance of preset "
-     "'expansion'; it reads: slope_high, slope_low"),
-    ("expansion", {"run": {"tolerances": {"probe_modes": 4}}},
-     "run.tolerances.probe_modes is not a tolerance of preset "
-     "'expansion'; it reads: slope_high, slope_low"),
-    ("no-heating", {"run": {"tolerances": {"sweep_realizations": 2500}}},
-     "run.tolerances.sweep_realizations is not a tolerance of preset "
-     "'no-heating'; it reads: b_ratio"),
-], ids=["picture", "probe_amplitude", "probe_modes", "sweep_realizations"])
-def test_cli_retired_key_exits_two(tmp_path, capsys, preset, override, message):
-    # settings with one value in use are constants, and no-heating's sweep
-    # size is a quarter of its realizations: a config that still sets one,
-    # even to its old value, is refused rather than silently ignored
-    path = tmp_path / "old.yaml"
-    path.write_text(yaml.safe_dump(override))
-    out = tmp_path / "res"
-    assert cli.main(["run", preset, "--config", str(path),
-                     "--out", str(out)]) == 2
-    assert message in capsys.readouterr().err
-    assert not out.exists()
-
-    raw = merged(base_config(), override)
-    raw = merged(raw, {"ensemble": {"realizations": 4},
-                       "run": {"preset": preset}})
-    full = tmp_path / "old_full.yaml"
-    full.write_text(yaml.safe_dump(raw))
-    assert cli.main(["validate", "--config", str(full)]) == 2
-    assert message in capsys.readouterr().err
 
 
 # --- reporting ------------------------------------------------------------
@@ -510,141 +344,6 @@ def test_cli_validate(tmp_path, capsys):
     assert cli.main(["validate", "--config", str(tmp_path / "nope.yaml")]) == 2
 
 
-def test_cli_run_rejects_untransformed_picture(tmp_path, capsys):
-    override = tmp_path / "both.yaml"
-    override.write_text("ensemble: {picture: both}\n")
-    out = tmp_path / "res"
-    code = cli.main(["run", "csl-contrast", "--config", str(override),
-                     "--out", str(out)])
-    assert code == 2
-    assert "unknown keys in ensemble: ['picture']" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("channel", [
-    {"label": "bump", "amplitude": 0.04,
-     "operator": {"type": "position_gaussian", "center": math.nan, "width": 1.2}},
-    {"label": "bump", "amplitude": math.nan,
-     "operator": {"type": "position_gaussian", "center": 2.0, "width": 1.2}},
-])
-def test_cli_run_non_finite_channel_exits_two(tmp_path, capsys, channel):
-    override = tmp_path / "nan.yaml"
-    override.write_text(yaml.safe_dump({"kernel": {"channels": [channel]}}))
-    out = tmp_path / "res"
-    code = cli.main(["run", "conservation", "--config", str(override),
-                     "--out", str(out)])
-    assert code == 2
-    assert "channel 'bump'" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("override", [
-    {"lattice": {"mass": -1.0}},
-    {"lattice": {"mass": math.nan}},
-    {"lattice": {"mass": math.inf}},
-    {"lattice": {"spacing": math.nan}},
-    {"lattice": {"spacing": math.inf}},
-    {"noise": {"window": {"t_on": 0.5, "t_off": 1.5, "ramp": math.nan}}},
-    {"noise": {"window": {"t_on": math.nan, "t_off": 1.5, "ramp": 0.2}}},
-    {"noise": {"window": {"t_on": 0.5, "t_off": math.inf, "ramp": 0.2}}},
-    {"time": {"t1": math.inf}},
-    {"time": {"dt": math.inf}},
-    {"kernel": {"ell_min": math.inf}},
-    {"kernel": {"ell_min": math.nan}},
-    {"kernel": {"channels": [{"amplitude": 0.04, "operator": {
-        "type": "position_gaussian", "center": 2.0, "width": math.inf}}]}},
-    {"noise": {"seed": -1}},
-    {"noise": {"window": "flat"}},  # no window is spelled by leaving it out
-    {"noise": {"window": None}},
-    {"ensemble": {"realizations": 4, "observables": 5}},
-    {"ensemble": {"realizations": 4, "observables": None}},
-    {"run": {"preset": [1]}},
-    {"kernel": {"channels": [{"amplitude": 0.04, "operator": {
-        "type": "momentum_function", "values": ["a", "b", "c", "d"]}}]}},
-    {"kernel": {"channels": [{"amplitude": 0.04, "operator": {
-        "type": "momentum_function", "values": [True, 1.0, 2.0, 3.0]}}]}},
-])
-def test_cli_run_non_finite_or_out_of_range_exits_two(tmp_path, capsys, override):
-    path = tmp_path / "bad.yaml"
-    path.write_text(yaml.safe_dump(override))
-    out = tmp_path / "res"
-    code = cli.main(["run", "conservation", "--config", str(path),
-                     "--out", str(out)])
-    assert code == 2
-    assert "config error" in capsys.readouterr().err
-    assert not out.exists()
-
-    full = tmp_path / "bad_full.yaml"
-    full.write_text(yaml.safe_dump(merged(base_config(), override)))
-    assert cli.main(["validate", "--config", str(full)]) == 2
-    assert "config error" in capsys.readouterr().err
-
-
-def test_cli_run_out_must_be_a_string(tmp_path, capsys, monkeypatch):
-    # --out would override run.out, so the run goes to the working directory
-    monkeypatch.chdir(tmp_path)
-    override = {"run": {"out": 5}}
-    path = tmp_path / "bad.yaml"
-    path.write_text(yaml.safe_dump(override))
-    assert cli.main(["run", "conservation", "--config", str(path)]) == 2
-    assert "run.out must be str" in capsys.readouterr().err
-    assert [p.name for p in tmp_path.iterdir()] == ["bad.yaml"]
-
-    full = tmp_path / "bad_full.yaml"
-    full.write_text(yaml.safe_dump(merged(base_config(), override)))
-    assert cli.main(["validate", "--config", str(full)]) == 2
-    assert "run.out must be str" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("covariance", [
-    [[1.0, math.nan], [math.nan, 1.0]],
-    [[math.inf, 0.0], [0.0, 1.0]],
-    [[1.0, "a"], [0.0, 1.0]],
-    [[1.0, 0.0], [0.0]],  # ragged
-    [[1.0]],  # one row for two channels
-    [1.0, 0.0],
-    1.0,
-    [[1.0, 2.0], [2.0, 1.0]],  # eigenvalue -1
-    [[1.0, 0.5], [0.0, 1.0]],  # not symmetric
-    [[0.0, 0.0], [0.0, 0.0]],  # leaves no channel
-], ids=["nan", "inf", "string", "ragged", "size", "flat", "scalar",
-        "negative", "asymmetric", "zero"])
-def test_cli_malformed_covariance_exits_two(tmp_path, capsys, covariance):
-    override = {"kernel": {"covariance": covariance}}
-    path = tmp_path / "cov.yaml"
-    path.write_text(yaml.safe_dump(override))
-    out = tmp_path / "res"
-    code = cli.main(["run", "conservation", "--config", str(path),
-                     "--out", str(out)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "covariance" in err
-    assert not out.exists()
-
-    full = tmp_path / "cov_full.yaml"
-    full.write_text(yaml.safe_dump(merged(PRESETS["conservation"].defaults,
-                                          override)))
-    assert cli.main(["validate", "--config", str(full)]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "covariance" in err
-
-
-def test_cli_run_refuses_a_config_for_another_preset(tmp_path, capsys):
-    override = tmp_path / "other.yaml"
-    override.write_text(yaml.safe_dump({"run": {"preset": "expansion"}}))
-    out = tmp_path / "res"
-    assert cli.main(["run", "conservation", "--config", str(override),
-                     "--out", str(out)]) == 2
-    assert "run.preset 'expansion'" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_cli_unknown_preset(capsys):
-    assert cli.main(["run", "definitely-not-a-preset"]) == 2
-    err = capsys.readouterr().err
-    assert "conservation" in err  # the message lists the valid names
-
-
 def test_cli_run_pass_and_outputs(tmp_path, capsys):
     out = tmp_path / "res"
     code = cli.main(["run", "a-operator", "--realizations", "400",
@@ -669,118 +368,12 @@ def test_cli_run_check_failure_exits_one(tmp_path):
     assert summary["passed"] is False
 
 
-def test_cli_run_solver_failure_exits_three(tmp_path, capsys):
-    override = tmp_path / "strong.yaml"
-    override.write_text(yaml.safe_dump({"kernel": {"channels": [
-        {"operator": {"type": "site_projector", "site": 1},
-         "amplitude": 1.2}]}}))
-    code = cli.main(["run", "conservation", "--config", str(override),
-                     "--out", str(tmp_path / "res")])
-    assert code == 3
-    assert "solver error" in capsys.readouterr().err
-
-
-def test_cli_run_non_finite_density_exits_three(tmp_path, capsys, monkeypatch):
-    # the free-flow reference of lindblad-vs-mc integrates a GKSL spec; one
-    # NaN Liouvillian entry, set after the spec's own finite checks, makes
-    # its density non-finite at the first step
-    gksl = LindbladSpec.gksl
-
-    def poisoned(h0, jumps):
-        spec = gksl(h0, jumps)
-        spec.liouvillian[0, 1] = np.nan
-        return spec
-
-    monkeypatch.setattr(LindbladSpec, "gksl", staticmethod(poisoned))
-    out = tmp_path / "res"
-    code = cli.main(["run", "lindblad-vs-mc", "--realizations", "16",
-                     "--out", str(out)])
-    assert code == 3
-    assert "hermiticity correction nan" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_cli_run_commuting_csl_channel_exits_two(tmp_path, capsys):
-    # the heating table is computed before the check that rejects it
-    override = tmp_path / "commuting.yaml"
-    override.write_text(yaml.safe_dump({"kernel": {"channels": [
-        {"operator": {"type": "momentum_function",
-                      "values": [1.0, 2.0, 3.0, 4.0]},
-         "amplitude": 0.1}]}}))
-    out = tmp_path / "res"
-    code = cli.main(["run", "csl-contrast", "--config", str(override),
-                     "--out", str(out)])
-    assert code == 2
-    assert "does not commute" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_cli_run_failed_second_solve_exits_three(tmp_path, capsys,
-                                                 monkeypatch):
-    # conservation solves on the base grid, then on the halved one; the
-    # base grid's table is complete when the second solve fails
-    solve = presets.solve_nonlocal
-    calls = []
-
-    def second_fails(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 2:
-            raise NoConvergence("injected at the dt/2 solve")
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(presets, "solve_nonlocal", second_fails)
-    out = tmp_path / "res"
-    code = cli.main(["run", "conservation", "--out", str(out)])
-    assert code == 3
-    assert "injected at the dt/2 solve" in capsys.readouterr().err
-    assert len(calls) == 2
-    assert not out.exists()
-
-
-def _poisoned_runner(monkeypatch, name, poison):
-    """Replace preset ``name``'s runner by one that lets ``poison`` edit
-    its extras and tables before returning them."""
-    preset = PRESETS[name]
-
-    def runner(cfg):
-        checks, extras, files = preset.runner(cfg)
-        poison(extras, files)
-        return checks, extras, files
-
-    monkeypatch.setitem(PRESETS, name, replace(preset, runner=runner))
-
-
-def test_cli_run_non_finite_extra_writes_nothing(tmp_path, capsys,
-                                                 monkeypatch):
-    # a-operator's one table is finite; a value bound for summary.json only
-    # is refused before that table is written
-    def poison(extras, files):
-        extras["z_max_entry"] = math.nan
-
-    _poisoned_runner(monkeypatch, "a-operator", poison)
-    out = tmp_path / "res"
-    code = cli.main(["run", "a-operator", "--realizations", "256",
-                     "--out", str(out)])
-    assert code == 3
-    assert "'z_max_entry' holds a non-finite value" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_cli_run_non_finite_second_table_writes_nothing(tmp_path, capsys,
-                                                        monkeypatch):
-    # csl-contrast writes heating_rates.csv, then cfs_energy.csv
-    def poison(extras, files):
-        header, columns = files["cfs_energy.csv"]
-        columns[1] = np.full_like(columns[1], np.nan)
-
-    _poisoned_runner(monkeypatch, "csl-contrast", poison)
-    out = tmp_path / "res"
-    code = cli.main(["run", "csl-contrast", "--realizations", "256",
-                     "--out", str(out)])
-    assert code == 3
-    assert ("cfs_energy.csv: column 'E_mean' holds a non-finite value"
-            in capsys.readouterr().err)
-    assert not out.exists()
+def _src_env() -> dict:
+    """This environment with the checkout's ``src`` first on PYTHONPATH, for
+    a fresh interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def test_conservation_runs_without_scipy(tmp_path):
@@ -793,11 +386,9 @@ def test_conservation_runs_without_scipy(tmp_path):
         "print(json.dumps(sorted(m for m in sys.modules\n"
         "                        if m == 'scipy' or m.startswith('scipy.'))))\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "cons")],
-                          capture_output=True, text=True, env=env, timeout=300)
+                          capture_output=True, text=True, env=_src_env(),
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
     assert (tmp_path / "cons" / "summary.json").exists()
@@ -866,10 +457,351 @@ def test_presets_import_without_yaml():
     code = ("import sys\n"
             "import collapselab.presets, collapselab.cli\n"
             "print('yaml' in sys.modules)\n")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+# --- the CLI's failure contract -------------------------------------------
+# Exit 2 is a config problem and 3 a solver or runtime failure, and neither
+# writes anything. _REFUSED holds the configs `run` and `validate` both
+# refuse, _FAILED the faults only a run meets; each body runs in an empty
+# working directory. Each key names one test, parametrized by a dict's ids.
+
+
+@dataclass(frozen=True)
+class Refused:
+    """``run preset`` exits 2 with ``message`` on stderr, given ``config`` as
+    its override file or ``flags`` in its place; ``validate`` passes ``base``
+    under run.preset ``preset`` and refuses it merged with ``config``."""
+
+    preset: str
+    config: dict
+    message: str
+    flags: tuple = ()
+    base: dict = field(default_factory=base_config)
+
+
+@dataclass(frozen=True)
+class Failed:
+    """``run preset`` with ``flags`` and ``config`` as its override file, after
+    ``inject`` has patched the package, exits ``code`` with ``message`` on
+    stderr; with ``process`` it runs as ``python -m collapselab.cli``."""
+
+    preset: str
+    code: int
+    message: str
+    config: dict | None = None
+    flags: tuple = ()
+    inject: Callable | None = None
+    process: bool = False
+
+
+def _yaml(path: Path, data: dict) -> str:
+    path.write_text(yaml.safe_dump(data))
+    return str(path)
+
+
+def _cli(args: list, capsys, process: bool = False) -> tuple[int, str]:
+    """The exit code and stderr of ``collapselab args``."""
+    if process:
+        proc = subprocess.run([sys.executable, "-m", "collapselab.cli", *args],
+                              capture_output=True, text=True, env=_src_env(),
+                              timeout=120)
+        return proc.returncode, proc.stderr
+    capsys.readouterr()
+    code = cli.main(args)
+    return code, capsys.readouterr().err
+
+
+def _in_empty_dir(tmp_path: Path, monkeypatch) -> Path:
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    return cwd
+
+
+def _refused(row: Refused, tmp_path, capsys, monkeypatch):
+    cwd = _in_empty_dir(tmp_path, monkeypatch)
+    args = list(row.flags) or ["--config",
+                               _yaml(tmp_path / "override.yaml", row.config)]
+    code, err = _cli(["run", row.preset, *args], capsys)
+    assert code == 2 and "config error: " in err and row.message in err, err
+    assert not any(cwd.iterdir())
+
+    full = merged(row.base, {"run": {"preset": row.preset}})
+    assert _cli(["validate", "--config", _yaml(tmp_path / "full.yaml", full)],
+                capsys) == (0, "")
+    bad = _yaml(tmp_path / "bad.yaml", merged(full, row.config))
+    code, err = _cli(["validate", "--config", bad], capsys)
+    assert code == 2 and "config error: " in err and row.message in err, err
+
+
+def _failed(row: Failed, tmp_path, capsys, monkeypatch):
+    cwd = _in_empty_dir(tmp_path, monkeypatch)
+    args = ["run", row.preset, *row.flags]
+    if row.config is not None:
+        args += ["--config", _yaml(tmp_path / "override.yaml", row.config)]
+    if row.inject is not None:
+        row.inject(monkeypatch)
+    code, err = _cli(args, capsys, row.process)
+    assert code == row.code and row.message in err, err
+    assert not any(cwd.iterdir())
+
+
+def _test(body, rows):
+    """A test that runs ``body`` on one row, or on each of a dict of rows."""
+    if isinstance(rows, dict):
+        @pytest.mark.parametrize("row", list(rows.values()), ids=list(rows))
+        def test(row, tmp_path, capsys, monkeypatch):
+            body(row, tmp_path, capsys, monkeypatch)
+    else:
+        def test(tmp_path, capsys, monkeypatch, row=rows):
+            body(row, tmp_path, capsys, monkeypatch)
+    return test
+
+
+def _tolerance_of(preset: str, name: str, value) -> Refused:
+    return Refused(preset, {"run": {"tolerances": {name: value}}},
+                   f"run.tolerances.{name}")
+
+
+def _bump(center=2.0, amplitude=0.04) -> dict:
+    return {"label": "bump", "amplitude": amplitude, "operator": {
+        "type": "position_gaussian", "center": center, "width": 1.2}}
+
+
+def _momentum_channel(values, amplitude=0.04) -> dict:
+    return {"amplitude": amplitude,
+            "operator": {"type": "momentum_function", "values": values}}
+
+
+_PICTURE = "unknown keys in ensemble: ['picture']"
+_FOUR_REALIZATIONS = merged(base_config(), {"ensemble": {"realizations": 4}})
+
+
+def _covariance(covariance, message) -> Refused:
+    # a non-finite covariance entry is a config error, not a LAPACK failure
+    return Refused("conservation", {"kernel": {"covariance": covariance}},
+                   message, base=PRESETS["conservation"].defaults)
+
+
+_SHAPE = "kernel.covariance must be 2 rows of 2 numbers, one per channel"
+_NON_FINITE_COVARIANCE = "covariance has non-finite entries"
+_OUT_OF_RANGE = [
+    ({"lattice": {"mass": -1.0}}, "mass -1.0 must be finite"),
+    ({"lattice": {"mass": math.nan}}, "mass nan must be finite"),
+    ({"lattice": {"mass": math.inf}}, "mass inf must be finite"),
+    ({"lattice": {"spacing": math.nan}}, "spacing nan must be finite"),
+    ({"lattice": {"spacing": math.inf}}, "spacing inf must be finite"),
+    ({"noise": {"window": {"t_on": 0.5, "t_off": 1.5, "ramp": math.nan}}},
+     "non-finite window t_on=0.5, t_off=1.5, ramp=nan"),
+    ({"noise": {"window": {"t_on": math.nan, "t_off": 1.5, "ramp": 0.2}}},
+     "non-finite window t_on=nan, t_off=1.5, ramp=0.2"),
+    ({"noise": {"window": {"t_on": 0.5, "t_off": math.inf, "ramp": 0.2}}},
+     "non-finite window t_on=0.5, t_off=inf, ramp=0.2"),
+    ({"time": {"t1": math.inf}}, "time grid t0=0.0, t1=inf, dt=0.03125"),
+    ({"time": {"dt": math.inf}}, "time grid t0=0.0, t1=2.0, dt=inf"),
+    ({"kernel": {"ell_min": math.inf}}, "ell_min inf must be finite"),
+    ({"kernel": {"ell_min": math.nan}}, "ell_min nan must be finite"),
+    ({"kernel": {"channels": [{"amplitude": 0.04, "operator": {
+        "type": "position_gaussian", "center": 2.0, "width": math.inf}}]}},
+     "width inf must be finite and positive"),
+    ({"noise": {"seed": -1}}, "noise.seed -1 must be nonnegative"),
+    # no window is spelled by leaving it out
+    ({"noise": {"window": "flat"}}, "noise.window must be a mapping, got str"),
+    ({"noise": {"window": None}}, "window must be a mapping, got NoneType"),
+    ({"ensemble": {"realizations": 4, "observables": 5}},
+     "ensemble.observables must be list, got int"),
+    ({"ensemble": {"realizations": 4, "observables": None}},
+     "ensemble.observables must be list, got NoneType"),
+    ({"run": {"preset": [1]}}, "run.preset must be str, got list"),
+    ({"kernel": {"channels": [_momentum_channel(["a", "b", "c", "d"])]}},
+     "kernel.channels[0].operator.values entries must be numbers"),
+    ({"kernel": {"channels": [_momentum_channel([True, 1.0, 2.0, 3.0])]}},
+     "kernel.channels[0].operator.values entries must be numbers"),
+]
+
+_REFUSED = {
+    "test_cli_unknown_tolerance_name_exits_two":
+        _tolerance_of("conservation", "drfit", 1e-30),
+    "test_cli_too_few_realizations_exits_two": {
+        str(count): Refused("a-operator", {"ensemble": {"realizations": count}},
+                            "ensemble.realizations",
+                            flags=("--realizations", str(count)))
+        for count in (1, 0, -3)},
+    "test_cli_non_finite_tolerance_exits_two": {
+        str(bad): _tolerance_of("conservation", "drift", bad)
+        for bad in (math.nan, math.inf)},
+    # the probe's mode count is fixed; a config that sets one is refused
+    "test_cli_bad_probe_modes_exits_two": {
+        str(modes): _tolerance_of("expansion", "probe_modes", modes)
+        for modes in (0, -1, 2.5)},
+    # settings with one value in use are constants, and no-heating's sweep
+    # size is a quarter of its realizations: a config that still sets one,
+    # even to its old value, is refused rather than silently ignored
+    "test_cli_retired_key_exits_two": {
+        "picture": Refused(
+            "lindblad-vs-mc", {"ensemble": {"picture": "transformed"}},
+            _PICTURE, base=_FOUR_REALIZATIONS),
+        "probe_amplitude": Refused(
+            "expansion", {"run": {"tolerances": {"probe_amplitude": 8.0}}},
+            "run.tolerances.probe_amplitude is not a tolerance of preset "
+            "'expansion'; it reads: slope_high, slope_low",
+            base=_FOUR_REALIZATIONS),
+        "probe_modes": Refused(
+            "expansion", {"run": {"tolerances": {"probe_modes": 4}}},
+            "run.tolerances.probe_modes is not a tolerance of preset "
+            "'expansion'; it reads: slope_high, slope_low",
+            base=_FOUR_REALIZATIONS),
+        "sweep_realizations": Refused(
+            "no-heating", {"run": {"tolerances": {"sweep_realizations": 2500}}},
+            "run.tolerances.sweep_realizations is not a tolerance of preset "
+            "'no-heating'; it reads: b_ratio", base=_FOUR_REALIZATIONS),
+    },
+    # the interaction picture is the only one; any picture key is refused
+    "test_bad_picture_rejected": {
+        picture: Refused("lindblad-vs-mc", {"ensemble": {
+            "realizations": 4, "picture": picture}}, _PICTURE)
+        for picture in ("diagonal", "both", "untransformed")},
+    "test_cli_run_rejects_untransformed_picture":
+        Refused("csl-contrast", {"ensemble": {"picture": "both"}}, _PICTURE),
+    "test_cli_run_non_finite_channel_exits_two": {
+        "channel0": Refused(
+            "conservation",
+            {"kernel": {"channels": [_bump(center=math.nan)]}},
+            "channel 'bump': spatial operator has non-finite entries"),
+        "channel1": Refused(
+            "conservation",
+            {"kernel": {"channels": [_bump(amplitude=math.nan)]}},
+            "channel 'bump': amplitude nan must be finite and nonnegative"),
+    },
+    "test_cli_run_non_finite_or_out_of_range_exits_two": {
+        f"override{i}": Refused("conservation", config, message)
+        for i, (config, message) in enumerate(_OUT_OF_RANGE)},
+    # --out would override run.out, so the run goes to the working directory
+    "test_cli_run_out_must_be_a_string":
+        Refused("conservation", {"run": {"out": 5}}, "run.out must be str"),
+    "test_cli_malformed_covariance_exits_two": {
+        "nan": _covariance([[1.0, math.nan], [math.nan, 1.0]],
+                           _NON_FINITE_COVARIANCE),
+        # one channel, in collapse-scenario's run and in validate's base
+        "nan_one_channel": Refused(
+            "collapse-scenario", {"kernel": {"covariance": [[math.nan]]}},
+            _NON_FINITE_COVARIANCE),
+        "inf": _covariance([[math.inf, 0.0], [0.0, 1.0]],
+                           _NON_FINITE_COVARIANCE),
+        "string": _covariance([[1.0, "a"], [0.0, 1.0]],
+                              "kernel.covariance entries must be numbers"),
+        "ragged": _covariance([[1.0, 0.0], [0.0]], _SHAPE),
+        "size": _covariance([[1.0]], _SHAPE),  # one row for two channels
+        "flat": _covariance([1.0, 0.0], _SHAPE),
+        "scalar": _covariance(1.0, _SHAPE),
+        "negative": _covariance([[1.0, 2.0], [2.0, 1.0]],
+                                "covariance eigenvalue -1.000e+00 below zero"),
+        "asymmetric": _covariance([[1.0, 0.5], [0.0, 1.0]],
+                                  "covariance must be symmetric"),
+        "zero": _covariance([[0.0, 0.0], [0.0, 0.0]],
+                            "kernel.covariance leaves no channel"),
+    },
+}
+
+
+def _nan_liouvillian(monkeypatch):
+    # the free-flow reference of lindblad-vs-mc integrates a GKSL spec; one
+    # NaN Liouvillian entry, set after the spec's own finite checks, makes
+    # its density non-finite at the first step
+    gksl = LindbladSpec.gksl
+
+    def poisoned(h0, jumps):
+        spec = gksl(h0, jumps)
+        spec.liouvillian[0, 1] = np.nan
+        return spec
+
+    monkeypatch.setattr(LindbladSpec, "gksl", staticmethod(poisoned))
+
+
+def _second_solve_fails(monkeypatch):
+    # conservation solves on the base grid, then on the halved one; the
+    # base grid's table is complete when the second solve fails
+    solve = presets.solve_nonlocal
+    calls = []
+
+    def second_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise NoConvergence("injected at the dt/2 solve")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(presets, "solve_nonlocal", second_fails)
+
+
+def _poisoned_runner(name, poison):
+    """An injection that lets ``poison`` edit preset ``name``'s extras and
+    tables before its runner returns them."""
+    def inject(monkeypatch):
+        preset = PRESETS[name]
+
+        def runner(cfg):
+            checks, extras, files = preset.runner(cfg)
+            poison(extras, files)
+            return checks, extras, files
+
+        monkeypatch.setitem(PRESETS, name, replace(preset, runner=runner))
+    return inject
+
+
+def _nan_extra(extras, files):
+    # a-operator's one table is finite; a value bound for summary.json only
+    # is refused before that table is written
+    extras["z_max_entry"] = math.nan
+
+
+def _nan_energy_column(extras, files):
+    # csl-contrast writes heating_rates.csv, then cfs_energy.csv
+    header, columns = files["cfs_energy.csv"]
+    columns[1] = np.full_like(columns[1], np.nan)
+
+
+_FAILED = {
+    "test_cli_run_refuses_a_config_for_another_preset": Failed(
+        "conservation", 2, "run.preset 'expansion'",
+        config={"run": {"preset": "expansion"}}),
+    # the message lists the valid names
+    "test_cli_unknown_preset": Failed("definitely-not-a-preset", 2,
+                                      "conservation"),
+    # the heating table is computed before the check that rejects it
+    "test_cli_run_commuting_csl_channel_exits_two": Failed(
+        "csl-contrast", 2, "does not commute",
+        config={"kernel": {"channels": [
+            _momentum_channel([1.0, 2.0, 3.0, 4.0], amplitude=0.1)]}}),
+    "test_cli_run_solver_failure_exits_three": Failed(
+        "conservation", 3, "solver error",
+        config={"kernel": {"channels": [
+            {"operator": {"type": "site_projector", "site": 1},
+             "amplitude": 1.2}]}}),
+    "test_cli_run_non_finite_density_exits_three": Failed(
+        "lindblad-vs-mc", 3, "hermiticity correction nan",
+        flags=("--realizations", "16"), inject=_nan_liouvillian),
+    "test_cli_run_failed_second_solve_exits_three": Failed(
+        "conservation", 3, "injected at the dt/2 solve",
+        inject=_second_solve_fails),
+    "test_cli_run_non_finite_extra_writes_nothing": Failed(
+        "a-operator", 3, "'z_max_entry' holds a non-finite value",
+        flags=("--realizations", "256"),
+        inject=_poisoned_runner("a-operator", _nan_extra)),
+    "test_cli_run_non_finite_second_table_writes_nothing": Failed(
+        "csl-contrast", 3,
+        "cfs_energy.csv: column 'E_mean' holds a non-finite value",
+        flags=("--realizations", "256"),
+        inject=_poisoned_runner("csl-contrast", _nan_energy_column)),
+    # the exit status of a real process, as a shell sees it
+    "test_cli_process_exits_two_and_writes_nothing": Failed(
+        "a-operator", 2, "ensemble.realizations",
+        flags=("--realizations", "1", "--out", "res"), process=True),
+}
+
+for _body, _table in ((_refused, _REFUSED), (_failed, _FAILED)):
+    for _name, _rows in _table.items():
+        globals()[_name] = _test(_body, _rows)
