@@ -9,17 +9,21 @@ eigenbasis of h0, where W = sum_a O'_a diag(p_a) + diag(conj p_a) O'_a with
 weights p_a from one narrow GEMM of the field. The GEMM's tables are even in
 the time difference z, so they keep the rows z >= 0 and take the folded
 field f(z) + f(-z), added from two strided views of the block's table. The
-exponential acts on the state as a truncated Taylor series (Al-Mohy &
-Higham, SIAM J. Sci. Comput. 33, 2011), never formed: each realization
-bounds theta = dt ||h0 + W||_2 from max|lambda| and max|p_a|, takes
-ceil(theta / 0.5) sub-steps and the first degree m with
+exponential acts on the state, never formed, in one of two ways chosen by
+the number of kept modes (below). On two modes it is exact: the Hermitian
+part of the generator is a I + B with B traceless, so B^2 = |b|^2 I and
+exp(-i dt (a I + B)) = e^{-i dt a} (cos(dt |b|) I - i dt sinc(dt |b| / pi) B),
+a dozen elementwise operations per step. On any other count it is a
+truncated Taylor series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011):
+each realization bounds theta = dt ||h0 + W||_2 from max|lambda| and
+max|p_a|, takes ceil(theta / 0.5) sub-steps and the first degree m with
 (theta/s)^(m+1)/(m+1)! <= 2^-53. Realizations that share s go through one
-Horner pass from their top degree down, each entering at its own degree, so
-a realization's bits do not depend on its block mates. A non-finite bound
-raises StepRejected naming the realization and step. The untransformed
-picture (a fixed-point solve per realization plus surface corrections, see
-evolution.py) agrees at third order in the coupling; the tests compare the
-two on one field path.
+Horner pass from their top degree down, each entering at its own degree.
+Either way a realization's bits do not depend on its block mates. A
+non-finite bound raises StepRejected naming the realization and step, on
+both paths. The untransformed picture (a fixed-point solve per realization
+plus surface corrections, see evolution.py) agrees at third order in the
+coupling; the tests compare the two on one field path.
 
 A run steps only the eigenmodes its initial state can reach: the smallest
 set that holds the rotated initial state's support and is closed under
@@ -30,7 +34,10 @@ zero (operator entries against the unit 2-norm of O_a, state entries
 against the state's norm): entries that small are the rounding of the
 rotation, a few 1e-16 where a channel vanishes off the set. Every per-run
 table is built on the kept modes; observables still map them onto all D
-modes, and sigma rotates back onto all of them.
+modes, and sigma rotates back onto all of them. collapse-scenario's hop
+channel keeps its state in one degenerate pair, so it steps 2 of its 16
+modes in closed form; lindblad-vs-mc, no-heating and csl-contrast keep 8
+of 8 and take the Taylor series.
 
 Reproducibility contract: realization r draws its field from the seed
 sequence [master seed, r] (NumPy SeedSequence, NEP 19), so distinct master
@@ -341,11 +348,40 @@ def _kept_modes(ops: np.ndarray, psi: np.ndarray) -> np.ndarray:
         keep = grown
 
 
+def _pair_action(gen: np.ndarray, psi: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i dt H_r) psi_r in closed form, H_r the Hermitian part of the
+    2 x 2 gen_r.
+
+    H = a I + B with B = [[z, x], [conj x, -z]] traceless and Hermitian, so
+    B^2 = |b|^2 I with |b|^2 = z^2 + |x|^2, and the exponential series sums
+    to e^{-i dt a} (cos(dt |b|) I - i dt sinc(dt |b| / pi) B). np.sinc is 1
+    at 0, so a degenerate row (B = 0) takes the phase alone. Every operation
+    is elementwise.
+    """
+    g = gen.reshape(-1, 4)  # entries 00, 01, 10, 11
+    a = 0.5 * (g[:, 0].real + g[:, 3].real)
+    z = 0.5 * (g[:, 0].real - g[:, 3].real)
+    x = 0.5 * (g[:, 1] + g[:, 2].conj())
+    b = np.sqrt(z * z + (x.real * x.real + x.imag * x.imag))
+    phase = np.exp(-1j * dt * a)
+    cos = phase * np.cos(dt * b)
+    sin = (-1j * dt) * phase * np.sinc(dt / np.pi * b)
+    p0, p1 = psi[:, 0], psi[:, 1]
+    out = np.empty_like(psi)
+    out[:, 0] = cos * p0 + sin * (z * p0 + x * p1)
+    out[:, 1] = cos * p1 + sin * (x.conj() * p0 - z * p1)
+    return out
+
+
 def _expm_action(gen: np.ndarray, psi: np.ndarray, dt: float,
                  theta: np.ndarray, rows: range, step: int) -> np.ndarray:
     """exp(-i dt gen_r) psi_r for every row r of a batch of Hermitian gen.
 
-    theta_r must bound dt ||gen_r||_2. Row r takes
+    theta_r must bound dt ||gen_r||_2, and a non-finite theta_r raises
+    StepRejected naming realization rows[r] at `step`, before any row is
+    stepped. A batch on two modes (psi.shape[1] == 2) is stepped exactly by
+    `_pair_action`, from the Hermitian part of gen. Any other batch takes
+    the Taylor series: row r takes
     s_r = ceil(theta_r / _SUBSTEP_THETA) sub-steps, each the Taylor
     polynomial of the first degree m_r with (theta_r / s_r)^(m_r+1) / (m_r+1)!
     <= _TAYLOR_TOL, evaluated by Horner's rule. Rows that share s_r are
@@ -353,13 +389,13 @@ def _expm_action(gen: np.ndarray, psi: np.ndarray, dt: float,
     after term k a row with m_r < k is reset to its sub-step's start, so it
     enters its own top term k = m_r from there, and no row is masked inside
     a matmul: a row's bits never depend on the other rows of the batch.
-    `rows` and `step` only name a failing realization in the StepRejected
-    raised for a non-finite bound.
     """
     if not np.isfinite(theta).all():
         r = np.flatnonzero(~np.isfinite(theta))[0]
         raise StepRejected(f"realization {rows[r]}, step {step}: "
                            f"non-finite step bound theta = {theta[r]}")
+    if psi.shape[1] == 2:
+        return _pair_action(gen, psi, dt)
     subs = np.maximum(np.ceil(theta / _SUBSTEP_THETA), 1.0).astype(int)
     degree = np.searchsorted(_TAYLOR_THETA, theta / subs)
     out = np.empty_like(psi)

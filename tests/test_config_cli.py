@@ -317,33 +317,6 @@ def test_cli_list_presets(capsys):
         assert name in out
 
 
-def test_cli_validate(tmp_path, capsys):
-    good = tmp_path / "good.yaml"
-    good.write_text(yaml.safe_dump(base_config()))
-    assert cli.main(["validate", "--config", str(good)]) == 0
-    assert "valid" in capsys.readouterr().out
-
-    partial = tmp_path / "partial.yaml"
-    partial.write_text("lattice: {sites: 4, spacing: 1.0, mass: 1.0}\n")
-    assert cli.main(["validate", "--config", str(partial)]) == 2
-
-    raw = base_config()
-    raw["run"] = {"preset": "no-such-thing"}
-    bad_preset = tmp_path / "bad_preset.yaml"
-    bad_preset.write_text(yaml.safe_dump(raw))
-    assert cli.main(["validate", "--config", str(bad_preset)]) == 2
-
-    raw = base_config()
-    raw["ensemble"] = {"realizations": 4, "picture": "both"}
-    both = tmp_path / "both.yaml"
-    both.write_text(yaml.safe_dump(raw))
-    capsys.readouterr()
-    assert cli.main(["validate", "--config", str(both)]) == 2
-    assert "unknown keys in ensemble: ['picture']" in capsys.readouterr().err
-
-    assert cli.main(["validate", "--config", str(tmp_path / "nope.yaml")]) == 2
-
-
 def test_cli_run_pass_and_outputs(tmp_path, capsys):
     out = tmp_path / "res"
     code = cli.main(["run", "a-operator", "--realizations", "400",
@@ -466,8 +439,10 @@ def test_presets_import_without_yaml():
 # --- the CLI's failure contract -------------------------------------------
 # Exit 2 is a config problem and 3 a solver or runtime failure, and neither
 # writes anything. _REFUSED holds the configs `run` and `validate` both
-# refuse, _FAILED the faults only a run meets; each body runs in an empty
-# working directory. Each key names one test, parametrized by a dict's ids.
+# refuse, _FAILED the faults only a run meets and _INVALID the files only
+# `validate` reads; each body runs in an empty working directory. Each key
+# names one test, parametrized by a dict's ids or running a tuple's rows in
+# turn.
 
 
 @dataclass(frozen=True)
@@ -498,6 +473,16 @@ class Failed:
     process: bool = False
 
 
+@dataclass(frozen=True)
+class Invalid:
+    """``validate`` passes ``base_config()`` and exits 2 with ``message`` on
+    stderr given ``config`` as its file, or a path with no file behind it
+    when ``config`` is None."""
+
+    config: dict | None
+    message: str
+
+
 def _yaml(path: Path, data: dict) -> str:
     path.write_text(yaml.safe_dump(data))
     return str(path)
@@ -517,7 +502,7 @@ def _cli(args: list, capsys, process: bool = False) -> tuple[int, str]:
 
 def _in_empty_dir(tmp_path: Path, monkeypatch) -> Path:
     cwd = tmp_path / "cwd"
-    cwd.mkdir()
+    cwd.mkdir(exist_ok=True)
     monkeypatch.chdir(cwd)
     return cwd
 
@@ -550,15 +535,28 @@ def _failed(row: Failed, tmp_path, capsys, monkeypatch):
     assert not any(cwd.iterdir())
 
 
+def _invalid(row: Invalid, tmp_path, capsys, monkeypatch):
+    cwd = _in_empty_dir(tmp_path, monkeypatch)
+    good = _yaml(tmp_path / "good.yaml", base_config())
+    assert _cli(["validate", "--config", good], capsys) == (0, "")
+    path = str(tmp_path / "missing.yaml") if row.config is None else _yaml(
+        tmp_path / "bad.yaml", row.config)
+    code, err = _cli(["validate", "--config", path], capsys)
+    assert code == 2 and "config error: " in err and row.message in err, err
+    assert not any(cwd.iterdir())
+
+
 def _test(body, rows):
-    """A test that runs ``body`` on one row, or on each of a dict of rows."""
+    """A test that runs ``body`` on one row, on each of a dict of rows as its
+    own case, or on each of a tuple of rows in turn."""
     if isinstance(rows, dict):
         @pytest.mark.parametrize("row", list(rows.values()), ids=list(rows))
         def test(row, tmp_path, capsys, monkeypatch):
             body(row, tmp_path, capsys, monkeypatch)
     else:
-        def test(tmp_path, capsys, monkeypatch, row=rows):
-            body(row, tmp_path, capsys, monkeypatch)
+        def test(tmp_path, capsys, monkeypatch, rows=rows):
+            for row in rows if isinstance(rows, tuple) else (rows,):
+                body(row, tmp_path, capsys, monkeypatch)
     return test
 
 
@@ -802,6 +800,19 @@ _FAILED = {
         flags=("--realizations", "1", "--out", "res"), process=True),
 }
 
-for _body, _table in ((_refused, _REFUSED), (_failed, _FAILED)):
+# validate's ensemble.picture case is test_bad_picture_rejected[both]
+_INVALID = {
+    "test_cli_validate": (
+        Invalid({"lattice": {"sites": 4, "spacing": 1.0, "mass": 1.0}},
+                "missing section 'kernel'"),
+        Invalid(merged(base_config(), {"run": {"preset": "no-such-thing"}}),
+                "run.preset 'no-such-thing' unknown; valid names: "
+                "conservation, expansion"),
+        Invalid(None, "cannot read config"),
+    ),
+}
+
+for _body, _table in ((_refused, _REFUSED), (_failed, _FAILED),
+                      (_invalid, _INVALID)):
     for _name, _rows in _table.items():
         globals()[_name] = _test(_body, _rows)

@@ -533,12 +533,17 @@ def hermitian_batch(rng, rows, dim, thetas, dt):
     return gen, psi
 
 
-@pytest.mark.parametrize("dim", [8, 16])
+@pytest.mark.parametrize("dim", [2, 8, 16])
 def test_expm_action_matches_eigh(dim):
+    # two modes take the closed form, more the Taylor series
     rng = np.random.default_rng(dim)
     dt = 0.03
     thetas = np.geomspace(0.05, 5.0, 24)  # above 0.5 the step is split
     gen, psi = hermitian_batch(rng, thetas.size, dim, thetas, dt)
+    # a multiple of the identity (traceless part B = 0) and a row just off
+    # it, |B| about 1e-9, pin the limit of sin(dt |b|) / |b| at b = 0
+    gen[:2] = np.eye(dim) * (thetas[:2] / dt)[:, None, None]
+    gen[1] += 1e-9 * gen[2] / np.abs(gen[2]).max()
     out = _expm_action(gen, psi, dt, norm2_bound(gen, dt), range(thetas.size), 0)
     dev = np.abs(out - eigh_step(gen, psi, dt)).max(axis=1)
     assert np.all(dev <= 1e-13 * np.maximum(1.0, thetas))
@@ -567,7 +572,7 @@ def test_expm_action_rows_keep_their_own_degree():
 
 
 @settings(max_examples=30, deadline=None)
-@given(dim=st.sampled_from([8, 16]), theta=st.floats(0.0, 5.0),
+@given(dim=st.sampled_from([2, 8, 16]), theta=st.floats(0.0, 5.0),
        spacing=st.floats(0.1, 2.0), seed=st.integers(0, 2**32 - 1))
 def test_expm_action_preserves_weighted_norm(dim, theta, spacing, seed):
     rng = np.random.default_rng(seed)
@@ -582,21 +587,46 @@ def test_expm_action_preserves_weighted_norm(dim, theta, spacing, seed):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_expm_action_rejects_non_finite_row(bad):
+    # on the closed form (2 modes) and on the Taylor series (8)
     rng = np.random.default_rng(3)
     dt = 0.03
-    gen, psi = hermitian_batch(rng, 6, 8, np.full(6, 0.3), dt)
-    clean = _expm_action(gen, psi, dt, norm1_bound(gen, dt), range(40, 46), 7)
-    poisoned = gen.copy()
-    poisoned[2, 1, 4] = bad
-    psi_in = psi.copy()
-    with pytest.raises(StepRejected, match=r"realization 42, step 7"):
-        _expm_action(poisoned, psi, dt, norm1_bound(poisoned, dt),
-                     range(40, 46), 7)
-    assert psi.tobytes() == psi_in.tobytes()
-    keep = [0, 1, 3, 4, 5]
-    rest = _expm_action(gen[keep], psi[keep], dt, norm1_bound(gen[keep], dt),
-                        range(5), 7)
-    assert rest.tobytes() == clean[keep].tobytes()
+    for dim in (2, 8):
+        gen, psi = hermitian_batch(rng, 6, dim, np.full(6, 0.3), dt)
+        clean = _expm_action(gen, psi, dt, norm1_bound(gen, dt), range(40, 46), 7)
+        poisoned = gen.copy()
+        poisoned[2, 1, dim // 2] = bad
+        psi_in = psi.copy()
+        with pytest.raises(StepRejected, match=r"realization 42, step 7"):
+            _expm_action(poisoned, psi, dt, norm1_bound(poisoned, dt),
+                         range(40, 46), 7)
+        assert psi.tobytes() == psi_in.tobytes()
+        keep = [0, 1, 3, 4, 5]
+        rest = _expm_action(gen[keep], psi[keep], dt,
+                            norm1_bound(gen[keep], dt), range(5), 7)
+        assert rest.tobytes() == clean[keep].tobytes()
+
+
+def test_presets_take_the_step_of_their_mode_count(tmp_path, monkeypatch):
+    # collapse-scenario keeps one degenerate pair and steps it in closed
+    # form; lindblad-vs-mc keeps 8 modes and takes the Taylor series
+    expm, pair = ensemble._expm_action, ensemble._pair_action
+    calls = []  # [path, kept modes] per step
+
+    def spy_expm(gen, psi, *args):
+        calls.append(["taylor", psi.shape[1]])
+        return expm(gen, psi, *args)
+
+    def spy_pair(*args):
+        calls[-1][0] = "closed form"
+        return pair(*args)
+
+    monkeypatch.setattr(ensemble, "_expm_action", spy_expm)
+    monkeypatch.setattr(ensemble, "_pair_action", spy_pair)
+    for name, kind in (("collapse-scenario", ["closed form", 2]),
+                       ("lindblad-vs-mc", ["taylor", 8])):
+        calls.clear()
+        run_preset(name, out=tmp_path / name, realizations=2)
+        assert calls and all(call == kind for call in calls), (name, calls[:3])
 
 
 # the thetas per sub-step where the Taylor degree steps up (degrees 3-13),
@@ -605,7 +635,7 @@ _STEP_EDGES = [float(t) for t in ensemble._TAYLOR_THETA[3:14]] + [0.5]
 
 
 @settings(max_examples=40, deadline=None)
-@given(dim=st.sampled_from([8, 16]),
+@given(dim=st.sampled_from([2, 8, 16]),
        edges=st.lists(st.tuples(st.sampled_from(_STEP_EDGES),
                                 st.integers(1, 3),
                                 st.floats(-1e-6, 1e-6)),
