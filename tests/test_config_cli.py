@@ -500,6 +500,14 @@ def _cli(args: list, capsys, process: bool = False) -> tuple[int, str]:
     return code, capsys.readouterr().err
 
 
+def _valid(path: str, capsys):
+    """``validate`` passes the file at ``path`` and says so on stdout."""
+    capsys.readouterr()
+    assert cli.main(["validate", "--config", path]) == 0
+    out, err = capsys.readouterr()
+    assert out == f"{path}: valid\n" and err == "", (out, err)
+
+
 def _in_empty_dir(tmp_path: Path, monkeypatch) -> Path:
     cwd = tmp_path / "cwd"
     cwd.mkdir(exist_ok=True)
@@ -516,8 +524,7 @@ def _refused(row: Refused, tmp_path, capsys, monkeypatch):
     assert not any(cwd.iterdir())
 
     full = merged(row.base, {"run": {"preset": row.preset}})
-    assert _cli(["validate", "--config", _yaml(tmp_path / "full.yaml", full)],
-                capsys) == (0, "")
+    _valid(_yaml(tmp_path / "full.yaml", full), capsys)
     bad = _yaml(tmp_path / "bad.yaml", merged(full, row.config))
     code, err = _cli(["validate", "--config", bad], capsys)
     assert code == 2 and "config error: " in err and row.message in err, err
@@ -537,8 +544,7 @@ def _failed(row: Failed, tmp_path, capsys, monkeypatch):
 
 def _invalid(row: Invalid, tmp_path, capsys, monkeypatch):
     cwd = _in_empty_dir(tmp_path, monkeypatch)
-    good = _yaml(tmp_path / "good.yaml", base_config())
-    assert _cli(["validate", "--config", good], capsys) == (0, "")
+    _valid(_yaml(tmp_path / "good.yaml", base_config()), capsys)
     path = str(tmp_path / "missing.yaml") if row.config is None else _yaml(
         tmp_path / "bad.yaml", row.config)
     code, err = _cli(["validate", "--config", path], capsys)

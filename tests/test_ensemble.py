@@ -540,10 +540,14 @@ def test_expm_action_matches_eigh(dim):
     dt = 0.03
     thetas = np.geomspace(0.05, 5.0, 24)  # above 0.5 the step is split
     gen, psi = hermitian_batch(rng, thetas.size, dim, thetas, dt)
-    # a multiple of the identity (traceless part B = 0) and a row just off
-    # it, |B| about 1e-9, pin the limit of sin(dt |b|) / |b| at b = 0
-    gen[:2] = np.eye(dim) * (thetas[:2] / dt)[:, None, None]
-    gen[1] += 1e-9 * gen[2] / np.abs(gen[2]).max()
+    # two more rows, a multiple of the identity (traceless part B = 0) and a
+    # row just off it, |B| about 1e-9, pin the limit of sin(dt |b|) / |b| at
+    # b = 0
+    near, near_psi = hermitian_batch(rng, 2, dim, thetas[:2], dt)
+    near = np.eye(dim) * (thetas[:2] / dt)[:, None, None] + np.array(
+        [0.0, 1e-9 / np.abs(near[1]).max()])[:, None, None] * near
+    gen, psi = np.concatenate([near, gen]), np.concatenate([near_psi, psi])
+    thetas = np.concatenate([thetas[:2], thetas])
     out = _expm_action(gen, psi, dt, norm2_bound(gen, dt), range(thetas.size), 0)
     dev = np.abs(out - eigh_step(gen, psi, dt)).max(axis=1)
     assert np.all(dev <= 1e-13 * np.maximum(1.0, thetas))
@@ -569,6 +573,19 @@ def test_expm_action_rows_keep_their_own_degree():
         alone = _expm_action(gen[r : r + 1], psi[r : r + 1], dt,
                              norm2_bound(gen[r : r + 1], dt), range(1), 0)
         assert alone.tobytes() == out[r : r + 1].tobytes()
+
+
+def test_pair_action_takes_the_hermitian_part():
+    # a product of Hermitian matrices by GEMM is Hermitian only to rounding:
+    # an anti-Hermitian part about 1e-9 changes no output bit beyond it
+    rng = np.random.default_rng(9)
+    dt = 0.03
+    thetas = np.geomspace(0.05, 5.0, 12)
+    gen, psi = hermitian_batch(rng, thetas.size, 2, thetas, dt)
+    skew = rng.standard_normal(gen.shape) + 1j * rng.standard_normal(gen.shape)
+    skew = 1e-9 * np.abs(gen).max() * (skew - skew.conj().transpose(0, 2, 1))
+    out = ensemble._pair_action(gen + skew, psi, dt)
+    assert np.abs(out - ensemble._pair_action(gen, psi, dt)).max() <= 1e-14
 
 
 @settings(max_examples=30, deadline=None)
