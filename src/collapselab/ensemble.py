@@ -308,10 +308,11 @@ def _moments(parts: _Partials, count: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _noise_tables(model: ModelSetup, window: Window, seed: int, rows: range,
                   pad: int) -> np.ndarray:
-    """Half-grid field tables of the given realizations, one row set each,
-    zero-padded by `pad` half-steps at both ends.
+    """Half-grid field tables of the given realizations, realization
+    innermost: shape (A, M, B) for A channels, M half-grid indices zero-padded
+    by `pad` at both ends and B = len(rows).
 
-    Row i holds realization r = rows[i]: white samples from the seed
+    Column i holds realization r = rows[i]: white samples from the seed
     sequence [seed, r], of variance 1/h at the noise spacing h = dt/2 (2
     steps + 1 nodes, so every node midpoint is a noise node), times the
     window. The same floats as ``sample_noise(channels, grid, [seed, r],
@@ -322,13 +323,13 @@ def _noise_tables(model: ModelSetup, window: Window, seed: int, rows: range,
     grid = model.grid
     m = 2 * grid.steps + 1
     h = grid.dt / 2
-    out = np.zeros((len(rows), len(model.channels), m + 2 * pad))
-    body = out[:, :, pad : pad + m]
+    out = np.zeros((len(model.channels), m + 2 * pad, len(rows)))
+    body = out[:, pad : pad + m]
     for i, r in enumerate(rows):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, r])))
-        body[i] = rng.standard_normal(body.shape[1:])
+        body[:, :, i] = rng.standard_normal(body.shape[:2])
     body /= math.sqrt(h)
-    body *= np.asarray(window(grid.t0 + h * np.arange(m)), dtype=float)
+    body *= np.asarray(window(grid.t0 + h * np.arange(m)), dtype=float)[:, None]
     return out
 
 
@@ -374,14 +375,15 @@ def _pair_action(gen: np.ndarray, psi: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _expm_action(gen: np.ndarray, psi: np.ndarray, dt: float,
-                 theta: np.ndarray, rows: range, step: int) -> np.ndarray:
+                 theta: np.ndarray | None, rows: range, step: int) -> np.ndarray:
     """exp(-i dt gen_r) psi_r for every row r of a batch of Hermitian gen.
 
-    theta_r must bound dt ||gen_r||_2, and a non-finite theta_r raises
-    StepRejected naming realization rows[r] at `step`, before any row is
-    stepped. A batch on two modes (psi.shape[1] == 2) is stepped exactly by
-    `_pair_action`, from the Hermitian part of gen. Any other batch takes
-    the Taylor series: row r takes
+    A batch on two modes (psi.shape[1] == 2) is stepped exactly by
+    `_pair_action`, from the Hermitian part of gen, and takes no theta; a
+    row whose gen holds a non-finite entry raises StepRejected naming
+    realization rows[r] at `step`, before any row is stepped. Any other
+    batch takes the Taylor series, and theta_r must bound dt ||gen_r||_2; a
+    non-finite theta_r raises StepRejected in the same way. Row r takes
     s_r = ceil(theta_r / _SUBSTEP_THETA) sub-steps, each the Taylor
     polynomial of the first degree m_r with (theta_r / s_r)^(m_r+1) / (m_r+1)!
     <= _TAYLOR_TOL, evaluated by Horner's rule. Rows that share s_r are
@@ -390,12 +392,16 @@ def _expm_action(gen: np.ndarray, psi: np.ndarray, dt: float,
     enters its own top term k = m_r from there, and no row is masked inside
     a matmul: a row's bits never depend on the other rows of the batch.
     """
+    if psi.shape[1] == 2:
+        if not np.isfinite(gen).all():
+            r = np.flatnonzero(~np.isfinite(gen).all(axis=(1, 2)))[0]
+            raise StepRejected(f"realization {rows[r]}, step {step}: "
+                               "non-finite generator")
+        return _pair_action(gen, psi, dt)
     if not np.isfinite(theta).all():
         r = np.flatnonzero(~np.isfinite(theta))[0]
         raise StepRejected(f"realization {rows[r]}, step {step}: "
                            f"non-finite step bound theta = {theta[r]}")
-    if psi.shape[1] == 2:
-        return _pair_action(gen, psi, dt)
     subs = np.maximum(np.ceil(theta / _SUBSTEP_THETA), 1.0).astype(int)
     degree = np.searchsorted(_TAYLOR_THETA, theta / subs)
     out = np.empty_like(psi)
@@ -459,11 +465,14 @@ class _TransformedRun:
         table = np.zeros((na, nz, na, d), dtype=complex)
         table[np.arange(na), :, np.arange(na)] = q
         self.table = table.reshape(na * nz, na * d).view(np.float64)
-        # one real GEMM takes the folded field to the rotated dt-scaled stack and p
+        # one real GEMM takes the folded field, and a constant 1 below it, to
+        # the generator diag(lam) + W' and to p: the constant's row holds lam
         stack = vh @ (dt * opset.sym[:, k:]) @ self.vecs
         stack[:, 0] *= 0.5
-        self.mid_table = np.concatenate(
-            [stack.reshape(na * nz, -1).view(np.float64), self.table], axis=1)
+        lam_row = np.diag(self.lam).astype(complex).reshape(1, -1)
+        self.mid_table = np.block(
+            [[stack.reshape(na * nz, -1).view(np.float64), self.table],
+             [lam_row.view(np.float64), np.zeros((1, self.table.shape[1]))]])
         self.ocat = ops.transpose(2, 0, 1).reshape(d, na * d)  # y -> (O'_a y)_a
         self.op_norm = 2.0 * np.linalg.norm(ops, 2, axis=(1, 2))
         self.lam_max = float(np.abs(self.lam).max())
@@ -480,11 +489,11 @@ class _TransformedRun:
         self.branches_h = None if cfg.branch_states is None else (
             vh @ np.stack(cfg.branch_states, axis=1)).conj()
 
-    def _weights(self, w: np.ndarray) -> np.ndarray:
-        """The (B, A, D) weights p of W' from the (B, A, K+1) folded field
-        samples f(z) + f(-z), z >= 0."""
-        flat = w.reshape(w.shape[0], -1) @ self.table
-        return flat.view(complex).reshape(w.shape[0], w.shape[1], -1)
+    def _weights(self, fold: np.ndarray) -> np.ndarray:
+        """The (B, A, D) weights p of W' from the (A (K+1), B) folded field
+        samples f(z) + f(-z), z >= 0, realization innermost."""
+        flat = fold.T @ self.table
+        return flat.view(complex).reshape(fold.shape[1], -1, self.lam.size)
 
     def _w_dots(self, p: np.ndarray, psi: np.ndarray, y: np.ndarray) -> np.ndarray:
         """<psi_r, W'_r y_rj> for the (B, J, D) stack y whose first entry is psi:
@@ -502,18 +511,24 @@ class _TransformedRun:
         grid, spacing = self.model.grid, self.model.spacing
         n, nb, (dim, nd) = grid.n_nodes, len(rows), self.vecs.shape
         k = self.half_width
-        pads = _noise_tables(self.model, self.window, self.cfg.seed, rows, self.pad)
-        # win[:, :, s] holds the samples at half-grid indices s .. s + K, so
-        # around index c, f(c + z) is win[:, :, c] and f(c - z) is
-        # win[:, :, c - K, ::-1], z = 0..K: two strided views, no gather
-        win = np.lib.stride_tricks.sliding_window_view(pads, k + 1, axis=2)
+        table = _noise_tables(self.model, self.window, self.cfg.seed, rows, self.pad)
         psi = np.broadcast_to(self.psi0, (nb, nd)).copy()
         sel = slice(rows.start, rows.stop)
         cp_pos = {int(node): c for c, node in enumerate(stats.checkpoint_nodes)}
         # one buffer for every step's folded field and GEMM product: fresh
-        # ones churn the heap
-        fold = np.empty((nb, len(self.model.channels), k + 1))
+        # ones churn the heap. Its last row is the constant 1 that takes lam
+        # into the generator
+        fold = np.empty((table.shape[0] * (k + 1) + 1, nb))
+        fold[-1] = 1.0
+        field = fold[:-1].reshape(table.shape[0], k + 1, nb)
         flat = np.empty((nb, self.mid_table.shape[1]))
+
+        def fold_at(c: int) -> None:
+            """Row a (K + 1) + z of fold := f(c + z) + f(c - z), z = 0..K, for
+            channel a around half-grid index c."""
+            np.add(table[:, c : c + k + 1], table[:, c - k : c + 1][:, ::-1],
+                   out=field)
+
         for j in range(n):
             if stats.energy is not None or self.labels:
                 o_all = (psi @ self.obs_t).reshape(nb, -1, dim)
@@ -521,9 +536,8 @@ class _TransformedRun:
                 # products with them need only its kept rows
                 o_psi = o_all[:, :, :nd]
                 y = np.concatenate([psi[:, None], o_psi], axis=1)
-                c = 2 * j + self.pad  # node t_j
-                np.add(win[:, :, c], win[:, :, c - k, ::-1], out=fold)
-                w_dots = self._w_dots(self._weights(fold), psi, y)
+                fold_at(2 * j + self.pad)  # node t_j
+                w_dots = self._w_dots(self._weights(fold[:-1]), psi, y)
             if stats.energy is not None:
                 free, norm = ((psi.conj() * psi).real @ self.lam_one).T
                 stats.energy[sel, j] = spacing * (free + w_dots[:, 0].real)
@@ -545,18 +559,17 @@ class _TransformedRun:
                 outer = spacing * np.einsum("rb,rc->rbc", back, back.conj())
                 sigma.add(b, cp_pos[j], outer)
             if j < n - 1:
-                c = 2 * j + 1 + self.pad  # midpoint (t_j + t_{j+1}) / 2
-                np.add(win[:, :, c], win[:, :, c - k, ::-1], out=fold)
-                np.matmul(fold.reshape(nb, -1), self.mid_table, out=flat)
-                gen = flat[:, : 2 * nd * nd].view(complex)
-                gen[:, :: nd + 1] += self.lam
-                p = flat[:, 2 * nd * nd :].view(complex).reshape(nb, -1, nd)
-                # max_n |p_an| over the outer axis of a copy: numpy reduces a
-                # short inner axis row by row
-                mag = np.abs(p).transpose(2, 0, 1).copy().max(axis=0)
-                theta = grid.dt * (self.lam_max + mag @ self.op_norm)
-                psi = _expm_action(gen.reshape(nb, nd, nd), psi, grid.dt, theta,
-                                   rows, j)
+                fold_at(2 * j + 1 + self.pad)  # midpoint (t_j + t_{j+1}) / 2
+                np.matmul(fold.T, self.mid_table, out=flat)
+                gen = flat[:, : 2 * nd * nd].view(complex).reshape(nb, nd, nd)
+                theta = None  # the closed form on two modes needs no bound
+                if nd != 2:
+                    p = flat[:, 2 * nd * nd :].view(complex).reshape(nb, -1, nd)
+                    # max_n |p_an| over the outer axis of a copy: numpy
+                    # reduces a short inner axis row by row
+                    mag = np.abs(p).transpose(2, 0, 1).copy().max(axis=0)
+                    theta = grid.dt * (self.lam_max + mag @ self.op_norm)
+                psi = _expm_action(gen, psi, grid.dt, theta, rows, j)
 
 
 def run_ensemble(psi0, cfg: EnsembleConfig, model: ModelSetup) -> EnsembleStats:
@@ -585,14 +598,29 @@ def mean_series(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, stderr
 
 
-def _variance_with_error(values: np.ndarray) -> tuple[float, float]:
-    """Sample variance across realizations and its asymptotic standard error."""
-    nr = values.size
-    var = float(values.var(ddof=1))
-    centered = values - values.mean()
-    m4 = float(np.mean(centered**4))
-    se = np.sqrt(max(m4 - var**2 * (nr - 3) / (nr - 1), 0.0) / nr)
-    return var, float(se)
+def _variances(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample variance of each column of the (R, n) values across its R >= 2
+    rows, and the variance's asymptotic standard error
+    sqrt((m4 - var^2 (R - 3) / (R - 1)) / R), m4 the fourth central moment.
+
+    Columns go in chunks, each copied to contiguous rows, so a column is
+    reduced as a 1-D array is and its variance is its ``var(ddof=1)`` bit
+    for bit; m4 is the mean of the squared squared deviations.
+    """
+    nr, n = values.shape
+    var, se = np.empty(n), np.empty(n)
+    chunk = 32  # columns per copy: 1 MiB at 4000 realizations
+    for lo in range(0, n, chunk):
+        cols = values[:, lo : lo + chunk].T.copy()
+        dev = cols - cols.mean(axis=1, keepdims=True)
+        dev *= dev
+        v = dev.sum(axis=1) / (nr - 1)
+        dev *= dev
+        m4 = dev.sum(axis=1) / nr
+        var[lo : lo + chunk] = v
+        se[lo : lo + chunk] = np.sqrt(
+            np.maximum(m4 - v**2 * (nr - 3) / (nr - 1), 0.0) / nr)
+    return var, se
 
 
 def variance_diagnostics(stats: EnsembleStats, label: str) -> dict:
@@ -605,8 +633,7 @@ def variance_diagnostics(stats: EnsembleStats, label: str) -> dict:
     """
     rec = stats.observables[label]
     exp = rec["transformed"]
-    var0, se0 = _variance_with_error(exp[:, 0])
-    var1, se1 = _variance_with_error(exp[:, -1])
+    (var0, var1), (se0, se1) = _variances(exp[:, [0, -1]])
     mean_sq = rec["square"].mean(axis=0)
     raw0 = float(mean_sq[0] - np.mean(exp[:, 0] ** 2))
     raw1 = float(mean_sq[-1] - np.mean(exp[:, -1] ** 2))
@@ -669,8 +696,7 @@ def scenario_collapse(psi0, cfg: EnsembleConfig, model: ModelSetup) -> dict:
     weights = stats.branch_weights[:, :, 0]
     mean_w, se_w = mean_series(weights)
     var_series = weights.var(axis=0, ddof=1)
-    var_se = np.array([_variance_with_error(weights[:, j])[1]
-                       for j in range(weights.shape[1])])
+    var_se = _variances(weights)[1]
     hist, edges = np.histogram(weights[:, -1], bins=20, range=(0.0, 1.0))
     mean_obs, se_obs = mean_series(stats.observables[label]["transformed"])
     report = {
@@ -703,21 +729,28 @@ def mc_mean_drift(model: ModelSetup, realizations: int, seed: int,
         raise ConfigError(f"evaluation node {node} outside the grid interior")
     opset = model.opset
     k = opset.half_width
-    wstack = grid.dt * opset.sym
     pad = k + 1
-    d_off = np.arange(-k, k + 1)
-    node_idx = (2 * np.arange(n)[:, None] - d_off[None, :]) + pad
+    d = model.h0.shape[0]
+    # W(t_j) is the field at half-grid indices 2 j + pad - z, z = -K..K,
+    # against the dt-scaled stack; the trapezoid integral is linear in the
+    # field, so tmap takes a padded column straight to its coefficients
+    wflat = (grid.dt * opset.sym).reshape(-1, d * d).view(np.float64)
+    z = np.arange(-k, k + 1)
+    node_idx = 2 * np.arange(node + 1)[:, None] - z + pad
+    trap = np.full(node + 1, grid.dt)
+    trap[0] = trap[-1] = 0.5 * grid.dt
+    tmap = np.zeros((z.size, 2 * grid.steps + 1 + 2 * pad))
+    tmap[np.arange(z.size), node_idx] = trap[:, None]  # no (z, index) repeats
     blocks = _blocks(realizations)
-    partials = _Partials(len(blocks), wstack.shape[2:])
+    partials = _Partials(len(blocks), (d, d))
 
     def task(i):
         pads = _noise_tables(model, Window.flat(), seed, blocks[i], pad)
-        w_all = np.einsum("rajd,adxy->rjxy", pads[:, :, node_idx[: node + 1]],
-                          wstack, optimize=True)
-        trap = np.full(node + 1, grid.dt)
-        trap[0] = trap[-1] = 0.5 * grid.dt
-        integral = np.einsum("j,rjxy->rxy", trap, w_all)
-        partials.add(i, ..., -np.einsum("rxy,ryz->rxz", w_all[:, node], integral))
+        nb = pads.shape[2]
+        w_node = pads[:, node_idx[node]].reshape(-1, nb).T @ wflat
+        integral = (tmap @ pads).reshape(-1, nb).T @ wflat
+        partials.add(i, ..., -np.matmul(w_node.view(complex).reshape(nb, d, d),
+                                        integral.view(complex).reshape(nb, d, d)))
 
     _run_blocks(task, len(blocks))
     return _moments(partials, realizations)

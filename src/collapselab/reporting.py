@@ -47,12 +47,12 @@ def write_csv(path, header: list[str], columns: list[np.ndarray]) -> Path:
     """Write aligned columns under a header row.
 
     The table must pass ``check_csv``; values go through the 17-digit
-    formatter.
+    formatter, an array's as the Python scalars of its ``tolist()``.
     """
     check_csv(path, header, columns)
     lines = [",".join(header)]
-    for i in range(len(columns[0]) if columns else 0):
-        lines.append(",".join(format_number(col[i]) for col in columns))
+    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    lines.extend(",".join(map(format_number, row)) for row in zip(*values))
     text = "\n".join(lines) + "\n"
     try:
         path = Path(path)

@@ -265,6 +265,24 @@ def test_write_csv(tmp_path):
         write_csv(tmp_path / "z.csv", ["a", "b"], [np.zeros(2), np.zeros(3)])
 
 
+def test_write_csv_formats_every_value_as_format_number(tmp_path):
+    # write_csv formats an array's tolist() and a list as given: the bytes
+    # are those of format_number on each value, NumPy scalar or list entry
+    rng = np.random.default_rng(4)
+    floats = np.concatenate([rng.standard_normal(6) * 10.0 ** rng.integers(-300, 300, 6),
+                             [0.0, -0.0, 1.0 / 3.0, 5e-324, 2.0**53 + 2.0]])
+    n = floats.size
+    ints = rng.integers(-2**62, 2**62, n)
+    flags = rng.random(n) < 0.5
+    mixed = [i if i % 2 else float(x) for i, x in enumerate(floats)]
+    columns = [floats, ints, flags, mixed]
+    assert (ints.dtype, flags.dtype) == (np.int64, np.bool_)
+    path = write_csv(tmp_path / "x.csv", ["f", "i", "b", "m"], columns)
+    want = "f,i,b,m\n" + "".join(
+        ",".join(format_number(col[i]) for col in columns) + "\n" for i in range(n))
+    assert path.read_bytes() == want.encode()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
 def test_write_csv_refuses_non_finite_values(tmp_path, bad):
     col = np.array([0.0, 1.0, 2.0], dtype=type(bad))

@@ -259,9 +259,9 @@ def test_step_rejected_in_a_worker_process(lat4, h0_4, grid16, ground, workers,
 
     def poisoned(model, window, seed, rows, pad):
         out = tables(model, window, seed, rows, pad)
-        for r, col in ((5, out.shape[2] - pad - 2), (17, pad + 1)):
+        for r, col in ((5, out.shape[1] - pad - 2), (17, pad + 1)):
             if r in rows:
-                out[rows.index(r), 0, col] = np.nan
+                out[0, col, rows.index(r)] = np.nan
         return out
 
     monkeypatch.setattr(ensemble, "BLOCK", 8)
@@ -297,7 +297,7 @@ def faulty(model, window, seed, rows, pad):
     out = tables(model, window, seed, rows, pad)
     for r in map(int, faults if faults != ["kill"] else []):
         if r in rows:
-            out[rows.index(r), 0, pad + 1] = np.nan
+            out[0, pad + 1, rows.index(r)] = np.nan
     return out
 
 ensemble._noise_tables = faulty
@@ -486,6 +486,33 @@ def test_collapse_scenario_zero_coupling_is_a_martingale_nullcase(
     assert hist.sum() == 16
 
 
+def variance_with_error(values):
+    """The per-column formula `_variances` replaced: a 1-D column's
+    var(ddof=1), and its fourth central moment through centered**4."""
+    nr = values.size
+    var = float(values.var(ddof=1))
+    centered = values - values.mean()
+    m4 = float(np.mean(centered**4))
+    se = np.sqrt(max(m4 - var**2 * (nr - 3) / (nr - 1), 0.0) / nr)
+    return var, float(se)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nr=st.integers(2, 600), cols=st.integers(1, 70),
+       power=st.floats(0.25, 4.0), seed=st.integers(0, 2**32 - 1))
+def test_variances_match_the_per_column_formula(nr, cols, power, seed):
+    # skewed weights in [0, 1], one column constant (every branch weight
+    # starts equal), over more than one chunk of columns
+    rng = np.random.default_rng(seed)
+    values = rng.random((nr, cols)) ** power
+    values[:, rng.integers(cols)] = rng.random()
+    var, se = ensemble._variances(values)
+    for j in range(cols):
+        want_var, want_se = variance_with_error(values[:, j])
+        assert var[j] == want_var
+        assert abs(se[j] - want_se) <= 1e-15 * want_se
+
+
 def test_mc_mean_drift_matches_quadrature(lat4, h0_4, grid16):
     model = make_model(lat4, h0_4, grid16, 0.1)
     a = compute_A(model.opset)
@@ -604,23 +631,48 @@ def test_expm_action_preserves_weighted_norm(dim, theta, spacing, seed):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_expm_action_rejects_non_finite_row(bad):
-    # on the closed form (2 modes) and on the Taylor series (8)
+    # on the closed form (2 modes), which takes no bound and checks the
+    # generator, and on the Taylor series (8), which checks its bound
     rng = np.random.default_rng(3)
     dt = 0.03
     for dim in (2, 8):
+        def bound(g):
+            return None if dim == 2 else norm1_bound(g, dt)
+
         gen, psi = hermitian_batch(rng, 6, dim, np.full(6, 0.3), dt)
-        clean = _expm_action(gen, psi, dt, norm1_bound(gen, dt), range(40, 46), 7)
+        clean = _expm_action(gen, psi, dt, bound(gen), range(40, 46), 7)
         poisoned = gen.copy()
         poisoned[2, 1, dim // 2] = bad
         psi_in = psi.copy()
         with pytest.raises(StepRejected, match=r"realization 42, step 7"):
-            _expm_action(poisoned, psi, dt, norm1_bound(poisoned, dt),
-                         range(40, 46), 7)
+            _expm_action(poisoned, psi, dt, bound(poisoned), range(40, 46), 7)
         assert psi.tobytes() == psi_in.tobytes()
         keep = [0, 1, 3, 4, 5]
-        rest = _expm_action(gen[keep], psi[keep], dt,
-                            norm1_bound(gen[keep], dt), range(5), 7)
+        rest = _expm_action(gen[keep], psi[keep], dt, bound(gen[keep]), range(5), 7)
         assert rest.tobytes() == clean[keep].tobytes()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_two_mode_run_rejects_a_non_finite_sample(workers, tmp_path, monkeypatch):
+    # collapse-scenario steps two modes in closed form, with no step bound;
+    # one NaN field sample of realization 5 (block 0 of blocks of 8) makes
+    # its generator non-finite, and the run stops before writing anything
+    tables = ensemble._noise_tables
+
+    def poisoned(model, window, seed, rows, pad):
+        out = tables(model, window, seed, rows, pad)
+        if 5 in rows:
+            out[0, out.shape[1] // 2, rows.index(5)] = np.nan
+        return out
+
+    monkeypatch.setattr(ensemble, "BLOCK", 8)
+    monkeypatch.setattr(ensemble, "_noise_tables", poisoned)
+    monkeypatch.setenv("COLLAPSELAB_WORKERS", workers)
+    out = tmp_path / "res"
+    with pytest.raises(StepRejected,
+                       match=r"realization 5, step \d+: non-finite generator"):
+        run_preset("collapse-scenario", out=out, realizations=20)
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_presets_take_the_step_of_their_mode_count(tmp_path, monkeypatch):
@@ -686,19 +738,20 @@ def test_noise_tables_copy_the_drawn_samples(lat4, h0_4, grid16, window_mid):
     # switched window
     flat = ensemble._noise_tables(model, Window.flat(), seed, range(3, 8), pad)
     tables = ensemble._noise_tables(model, window_mid, seed, range(3, 8), pad)
-    assert tables.shape == (5, 2, m + 2 * pad)
+    # realization innermost: channel, half-grid index, realization
+    assert tables.shape == (2, m + 2 * pad, 5)
     for i, r in enumerate(range(3, 8)):
         noise = sample_noise(channels, grid16, [seed, r])
-        assert flat[i, :, pad : pad + m].tobytes() == noise.samples.tobytes()
+        assert flat[:, pad : pad + m, i].tobytes() == noise.samples.tobytes()
         noise = sample_noise(channels, grid16, [seed, r], window=window_mid)
-        middle = tables[i, :, pad : pad + m]
+        middle = tables[:, pad : pad + m, i]
         assert middle.tobytes() == noise.samples.tobytes()
         assert middle.tobytes() == noise.table(
             grid16.t0, 0.5 * grid16.dt, m).tobytes()
-    assert not tables[:, :, :pad].any() and not tables[:, :, pad + m :].any()
+    assert not tables[:, :pad].any() and not tables[:, pad + m :].any()
     # the switched window is off at the grid ends and on in the middle
-    assert not tables[:, :, [pad, pad + m - 1]].any()
-    assert tables[:, :, pad + m // 2].all()
+    assert not tables[:, [pad, pad + m - 1]].any()
+    assert tables[:, pad + m // 2].all()
 
 
 def hop_model(lat, grid, amplitude):
@@ -790,16 +843,24 @@ def test_kernel_table_matches_rotated_stack(dim, count, name):
     # folded samples f(z) + f(-z)
     k = opset.half_width
     folded = w[:, :, k:] + w[:, :, k::-1]
+    # the step's fold: realization innermost, then the constant 1 row
+    fold = np.concatenate([folded.transpose(1, 2, 0).reshape(-1, 5),
+                           np.ones((1, 5))])
     # W' = sum_a O'_a diag(p_a) + diag(conj p_a) O'_a
-    p = run._weights(folded)
+    p = run._weights(fold[:-1])
     ops = vecs.conj().T @ np.stack([ch.spatial_op for ch in model.channels]) @ vecs
     p_form = np.einsum("axy,ray->rxy", ops, p) + np.einsum(
         "rax,axy->rxy", p.conj(), ops)
     assert np.abs(p_form - oracle).max() <= 1e-13 * scale
-    # the step's generator comes from the rotated stack in one GEMM
-    gen = (folded.reshape(5, -1) @ run.mid_table)[:, : 2 * dim * dim]
-    gen = np.ascontiguousarray(gen).view(complex).reshape(5, dim, dim)
-    assert np.abs(gen - oracle).max() <= 1e-13 * scale
+    # the step's generator diag(lam) + W' comes from the rotated stack and
+    # lam in one GEMM, which reads the fold transposed
+    flat = fold.T @ run.mid_table
+    gen = np.ascontiguousarray(flat[:, : 2 * dim * dim]).view(complex)
+    gen = gen.reshape(5, dim, dim)
+    want = np.diag(run.lam) + oracle
+    assert np.abs(gen - want).max() <= 1e-13 * np.abs(want).max()
+    p_step = np.ascontiguousarray(flat[:, 2 * dim * dim :]).view(complex)
+    assert np.abs(p_step.reshape(p.shape) - p).max() <= 1e-13 * np.abs(p).max()
     # the records' inner products <psi, W' y> from p alone
     psi = rng.standard_normal((5, dim)) + 1j * rng.standard_normal((5, dim))
     y = np.stack([psi, rng.standard_normal((5, dim)) + 0j], axis=1)
@@ -863,7 +924,7 @@ def oracle_records(model, cfg, psi0):
                                     k + 1)
 
     def interaction(idx):
-        return np.einsum("raz,azxy->rxy", tables[:, :, idx], stack)
+        return np.einsum("azr,azxy->rxy", tables[:, idx], stack)
 
     (_, op), = cfg.observables
     branches = np.stack(cfg.branch_states)
