@@ -8,10 +8,14 @@ matched double-commutator equation by construction. The step works in the
 eigenbasis of h0, where W = sum_a O'_a diag(p_a) + diag(conj p_a) O'_a with
 weights p_a from one narrow GEMM of the field. The GEMM's tables are even in
 the time difference z, so they keep the rows z >= 0 and take the folded
-field f(z) + f(-z), added from two strided views of the block's table. The
-exponential acts on the state, never formed, in one of two ways chosen by
-the number of kept modes (below). On two modes it is exact: the Hermitian
-part of the generator is a I + B with B traceless, so B^2 = |b|^2 I and
+field f(z) + f(-z). The block's field table is laid out realization
+innermost (channel, half-grid index, realization), so a fold is one add of
+two contiguous slabs, and the GEMMs read it transposed. The step's GEMM
+gives the generator diag(lam) + W' whole: a constant 1 below the fold meets
+a table row that holds lam. The exponential acts on the state, never
+formed, in one of two ways chosen by the number of kept modes (below). On
+two modes it is exact: the Hermitian part of the generator is a I + B with
+B traceless, so B^2 = |b|^2 I and
 exp(-i dt (a I + B)) = e^{-i dt a} (cos(dt |b|) I - i dt sinc(dt |b| / pi) B),
 a dozen elementwise operations per step. On any other count it is a
 truncated Taylor series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011):
@@ -19,11 +23,12 @@ each realization bounds theta = dt ||h0 + W||_2 from max|lambda| and
 max|p_a|, takes ceil(theta / 0.5) sub-steps and the first degree m with
 (theta/s)^(m+1)/(m+1)! <= 2^-53. Realizations that share s go through one
 Horner pass from their top degree down, each entering at its own degree.
-Either way a realization's bits do not depend on its block mates. A
-non-finite bound raises StepRejected naming the realization and step, on
-both paths. The untransformed picture (a fixed-point solve per realization
-plus surface corrections, see evolution.py) agrees at third order in the
-coupling; the tests compare the two on one field path.
+Either way a realization's bits do not depend on its block mates. The
+closed form takes no bound: a row with a non-finite generator entry raises
+StepRejected naming the realization and step there, as a non-finite theta
+does on the Taylor path. The untransformed picture (a fixed-point solve per
+realization plus surface corrections, see evolution.py) agrees at third
+order in the coupling; the tests compare the two on one field path.
 
 A run steps only the eigenmodes its initial state can reach: the smallest
 set that holds the rotated initial state's support and is closed under
@@ -695,6 +700,8 @@ def scenario_collapse(psi0, cfg: EnsembleConfig, model: ModelSetup) -> dict:
     stats = run_ensemble(psi0, run_cfg, model)
     weights = stats.branch_weights[:, :, 0]
     mean_w, se_w = mean_series(weights)
+    # the axis-0 reduction, not _variances' per-column one, keeps the
+    # shipped variance bytes
     var_series = weights.var(axis=0, ddof=1)
     var_se = _variances(weights)[1]
     hist, edges = np.histogram(weights[:, -1], bins=20, range=(0.0, 1.0))
@@ -740,7 +747,8 @@ def mc_mean_drift(model: ModelSetup, realizations: int, seed: int,
     trap = np.full(node + 1, grid.dt)
     trap[0] = trap[-1] = 0.5 * grid.dt
     tmap = np.zeros((z.size, 2 * grid.steps + 1 + 2 * pad))
-    tmap[np.arange(z.size), node_idx] = trap[:, None]  # no (z, index) repeats
+    # each (z, index) pair belongs to one node j, so assigning loses no sum
+    tmap[np.arange(z.size), node_idx] = trap[:, None]
     blocks = _blocks(realizations)
     partials = _Partials(len(blocks), (d, d))
 

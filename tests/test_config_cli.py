@@ -269,7 +269,8 @@ def test_write_csv_formats_every_value_as_format_number(tmp_path):
     # write_csv formats an array's tolist() and a list as given: the bytes
     # are those of format_number on each value, NumPy scalar or list entry
     rng = np.random.default_rng(4)
-    floats = np.concatenate([rng.standard_normal(6) * 10.0 ** rng.integers(-300, 300, 6),
+    scales = 10.0 ** rng.integers(-300, 300, 6)
+    floats = np.concatenate([rng.standard_normal(6) * scales,
                              [0.0, -0.0, 1.0 / 3.0, 5e-324, 2.0**53 + 2.0]])
     n = floats.size
     ints = rng.integers(-2**62, 2**62, n)
