@@ -24,7 +24,6 @@ from .ensemble import (
     mc_mean_drift,
     run_ensemble,
     scenario_collapse,
-    variance_diagnostics,
 )
 from .errors import CollapseLabError
 from .evolution import (
@@ -69,6 +68,5 @@ __all__ = [
     "solve_nonlocal",
     "surface_correction",
     "transformed_interaction",
-    "variance_diagnostics",
     "__version__",
 ]

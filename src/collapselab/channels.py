@@ -48,8 +48,6 @@ log = logging.getLogger(__name__)
 
 KERNEL_SHAPES = ("raised_cosine", "gaussian_truncated")
 _RANK_TOL = 1e-12  # relative covariance eigenvalue below which a field drops
-# white-noise samples per evolution step: every node midpoint is a noise node
-_NOISE_REFINE = 2
 _PROBE_MODES = 4  # sinusoids per channel of the analytic probe field
 
 
@@ -216,33 +214,24 @@ def make_channel(label: str, spatial_op: np.ndarray, profile: KernelProfile,
     return InteractionChannel(label, a / nrm, profile, amplitude * nrm)
 
 
-@dataclass(frozen=True)
-class Covariance:
-    """Real symmetric positive semi-definite coupling between channel fields."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.matrix, dtype=float)
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise DimensionMismatch(f"covariance has shape {c.shape}")
-        _require_finite("covariance", c)
-        if np.linalg.norm(c - c.T, np.inf) > 1e-12 * max(np.linalg.norm(c, np.inf), 1.0):
-            raise ConfigError("covariance must be symmetric")
-        c.setflags(write=False)
-        object.__setattr__(self, "matrix", c)
-
-
-def diagonalize_covariance(cov: Covariance, channels: list[InteractionChannel]
+def diagonalize_covariance(matrix: np.ndarray, channels: list[InteractionChannel]
                            ) -> list[InteractionChannel]:
-    """Rotate correlated channel fields to independent unit-variance fields.
+    """Rotate channel fields coupled by the real symmetric positive
+    semi-definite ``matrix`` to independent unit-variance fields.
 
     Eigenvectors of the covariance mix the spatial operators (all channels
     must share one kernel profile); sqrt-eigenvalues are absorbed into the
     amplitudes. Channels on eigenvalues below ``_RANK_TOL`` (relative) are
-    dropped. Raises NotPSD on a negative eigenvalue beyond tolerance.
+    dropped. Raises DimensionMismatch on a non-square matrix, ConfigError on
+    a non-finite or asymmetric one, and NotPSD on a negative eigenvalue
+    beyond tolerance.
     """
-    c = cov.matrix
+    c = np.asarray(matrix, dtype=float)
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise DimensionMismatch(f"covariance has shape {c.shape}")
+    _require_finite("covariance", c)
+    if np.linalg.norm(c - c.T, np.inf) > 1e-12 * max(np.linalg.norm(c, np.inf), 1.0):
+        raise ConfigError("covariance must be symmetric")
     n = len(channels)
     if c.shape[0] != n:
         raise DimensionMismatch(f"covariance rank {c.shape[0]} vs {n} channels")
@@ -314,28 +303,44 @@ def max_step(channels: list[InteractionChannel]) -> float:
     return min(ch.profile.ell_min for ch in channels) / 8.0 + 1e-12
 
 
+def white_tables(count: int, grid: TimeGrid, window: Window, seeds: list,
+                 pad: int = 0) -> np.ndarray:
+    """White-noise field tables of ``count`` channels, realization
+    innermost: shape (count, M + 2 pad, len(seeds)), M = 2 steps + 1 nodes
+    at spacing h = dt/2 (so every node midpoint is a noise node), zero-padded
+    by ``pad`` at both ends.
+
+    Column i is the draw of ``default_rng(seeds[i])``; the whole table is
+    then scaled to variance 1/h and by the window, evaluated once.
+    """
+    m = 2 * grid.steps + 1
+    h = grid.dt / 2
+    out = np.zeros((count, m + 2 * pad, len(seeds)))
+    body = out[:, pad : pad + m]
+    for i, seed in enumerate(seeds):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        body[:, :, i] = rng.standard_normal(body.shape[:2])
+    body /= math.sqrt(h)
+    body *= np.asarray(window(grid.t0 + h * np.arange(m)), dtype=float)[:, None]
+    return out
+
+
 def sample_noise(channels: list[InteractionChannel], grid: TimeGrid,
                  seed: int | list[int], window: Window | None = None
                  ) -> NoiseRealization:
-    """Draw one white-noise realization for every channel.
+    """Draw one white-noise realization for every channel: the one column
+    of ``white_tables`` for ``seed``.
 
-    Samples are i.i.d. normal with variance 1/h at spacing h = dt/2, so all
-    evolution-node midpoints are on the noise grid, then multiplied by the
-    window. The evolution step must resolve the shortest kernel:
-    dt <= ell_min/8, else GridTooCoarse.
+    The evolution step must resolve the shortest kernel: dt <= ell_min/8,
+    else GridTooCoarse.
     """
     if grid.dt > max_step(channels):
         ell = min(ch.profile.ell_min for ch in channels)
         raise GridTooCoarse(f"dt={grid.dt} exceeds ell_min/8={ell / 8.0}")
     if window is None:
         window = Window.flat()
-    h = grid.dt / _NOISE_REFINE
-    n = grid.steps * _NOISE_REFINE + 1
-    rng = np.random.default_rng(seed)
-    samples = rng.standard_normal((len(channels), n)) / math.sqrt(h)
-    times = grid.t0 + h * np.arange(n)
-    samples = samples * np.asarray(window(times), dtype=float)[None, :]
-    return NoiseRealization(t0=grid.t0, h=h, samples=samples)
+    table = white_tables(len(channels), grid, window, [seed])
+    return NoiseRealization(t0=grid.t0, h=grid.dt / 2, samples=table[:, :, 0])
 
 
 def sample_fourier_probe(channels: list[InteractionChannel], grid: TimeGrid,
@@ -360,8 +365,8 @@ def sample_fourier_probe(channels: list[InteractionChannel], grid: TimeGrid,
                          (len(channels), _PROBE_MODES))
     phases = rng.uniform(0.0, 2.0 * math.pi, (len(channels), _PROBE_MODES))
     amp = amplitude * math.sqrt(2.0 / _PROBE_MODES)
-    h = grid.dt / _NOISE_REFINE
-    times = grid.t0 + h * np.arange(grid.steps * _NOISE_REFINE + 1)
+    h = grid.dt / 2
+    times = grid.t0 + h * np.arange(2 * grid.steps + 1)
     out = np.zeros((len(channels), times.size))
     ok = (times >= grid.t0 - 1e-12) & (times <= grid.t1 + 1e-12)
     w = np.asarray(window(times[ok]), dtype=float)

@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .channels import (
-    Covariance,
     InteractionChannel,
     KernelProfile,
     diagonalize_covariance,
@@ -163,7 +162,7 @@ def _channels(sec: dict, lattice: LatticeConfig
     if cov is not None:
         matrix = _covariance_matrix(cov, len(channels))
         try:
-            channels = diagonalize_covariance(Covariance(matrix), channels)
+            channels = diagonalize_covariance(matrix, channels)
         except NotPSD as err:
             raise ConfigError(f"kernel.covariance: {err}") from err
         if not channels:

@@ -12,8 +12,9 @@ field f(z) + f(-z). The block's field table is laid out realization
 innermost (channel, half-grid index, realization), so a fold is one add of
 two contiguous slabs, and the GEMMs read it transposed. The step's GEMM
 gives the generator diag(lam) + W' whole: a constant 1 below the fold meets
-a table row that holds lam. The exponential acts on the state, never
-formed, in one of two ways chosen by the number of kept modes (below). On
+a table row that holds lam; on any count but two it gives p too, for the
+Taylor path's bound. The exponential acts on the state, never formed, in
+one of two ways chosen by the number of kept modes (below). On
 two modes it is exact: the Hermitian part of the generator is a I + B with
 B traceless, so B^2 = |b|^2 I and
 exp(-i dt (a I + B)) = e^{-i dt a} (cos(dt |b|) I - i dt sinc(dt |b| / pi) B),
@@ -27,8 +28,10 @@ Either way a realization's bits do not depend on its block mates. The
 closed form takes no bound: a row with a non-finite generator entry raises
 StepRejected naming the realization and step there, as a non-finite theta
 does on the Taylor path. The untransformed picture (a fixed-point solve per
-realization plus surface corrections, see evolution.py) agrees at third
-order in the coupling; the tests compare the two on one field path.
+realization plus surface corrections, see evolution.py) is not an ensemble
+route. Its energy differs from this stepper's at second order in the
+coupling (measured on no-heating's model, ROADMAP item 18), and no test
+compares the two.
 
 A run steps only the eigenmodes its initial state can reach: the smallest
 set that holds the rotated initial state's support and is closed under
@@ -46,10 +49,11 @@ of 8 and take the Taylor series.
 
 Reproducibility contract: realization r draws its field from the seed
 sequence [master seed, r] (NumPy SeedSequence, NEP 19), so distinct master
-seeds give independent ensembles; a block draws its rows one realization at
-a time and scales them together. Realizations are processed in fixed
-blocks of 256, each block sums sequentially into its own slot of a per-block
-table, and the slots are combined in block order. Results are therefore
+seeds give independent ensembles; a block draws its field table through
+channels.white_tables, one realization's column at a time, the floats
+sample_noise returns for that realization. Realizations are processed in
+fixed blocks of 256, each block sums sequentially into its own slot of a
+per-block table, and the slots are combined in block order. Results are therefore
 bit-identical for a given seed no matter how many processes run them
 (COLLAPSELAB_WORKERS, default 1): with w workers the caller and w - 1
 forked children each take every w-th block. The recorded series and tables
@@ -71,14 +75,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# sample_noise is not called here (_noise_tables draws the same rows per
-# block); it stays importable from this module, where perfbench's tracer
-# wraps it
+# sample_noise is not called here (a block draws all its columns through
+# white_tables at once); it stays importable from this module, where
+# perfbench's tracer wraps it
 from .channels import (  # noqa: F401
     ChannelOperatorSet,
     InteractionChannel,
     build_channel_operators,
     sample_noise,
+    white_tables,
 )
 from .errors import ConfigError, ScenarioViolation, StepRejected, WorkerLost
 from .grids import TimeGrid, Window
@@ -311,33 +316,6 @@ def _moments(parts: _Partials, count: int) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.sqrt(np.clip(var, 0.0, None) / (count - 1))
 
 
-def _noise_tables(model: ModelSetup, window: Window, seed: int, rows: range,
-                  pad: int) -> np.ndarray:
-    """Half-grid field tables of the given realizations, realization
-    innermost: shape (A, M, B) for A channels, M half-grid indices zero-padded
-    by `pad` at both ends and B = len(rows).
-
-    Column i holds realization r = rows[i]: white samples from the seed
-    sequence [seed, r], of variance 1/h at the noise spacing h = dt/2 (2
-    steps + 1 nodes, so every node midpoint is a noise node), times the
-    window. The same floats as ``sample_noise(channels, grid, [seed, r],
-    window=window).samples``, drawn and scaled in the same order, with the
-    window evaluated once per block. The step's GridTooCoarse check is
-    made once per run, by ``model.opset``.
-    """
-    grid = model.grid
-    m = 2 * grid.steps + 1
-    h = grid.dt / 2
-    out = np.zeros((len(model.channels), m + 2 * pad, len(rows)))
-    body = out[:, pad : pad + m]
-    for i, r in enumerate(rows):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, r])))
-        body[:, :, i] = rng.standard_normal(body.shape[:2])
-    body /= math.sqrt(h)
-    body *= np.asarray(window(grid.t0 + h * np.arange(m)), dtype=float)[:, None]
-    return out
-
-
 def _kept_modes(ops: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Ascending indices of the smallest mode set that holds psi's support
     and is closed under every operator of the (A, D, D) stack ops.
@@ -478,6 +456,8 @@ class _TransformedRun:
         self.mid_table = np.block(
             [[stack.reshape(na * nz, -1).view(np.float64), self.table],
              [lam_row.view(np.float64), np.zeros((1, self.table.shape[1]))]])
+        if d == 2:  # only the Taylor path's theta reads p
+            self.mid_table = np.ascontiguousarray(self.mid_table[:, : 2 * d * d])
         self.ocat = ops.transpose(2, 0, 1).reshape(d, na * d)  # y -> (O'_a y)_a
         self.op_norm = 2.0 * np.linalg.norm(ops, 2, axis=(1, 2))
         self.lam_max = float(np.abs(self.lam).max())
@@ -516,7 +496,8 @@ class _TransformedRun:
         grid, spacing = self.model.grid, self.model.spacing
         n, nb, (dim, nd) = grid.n_nodes, len(rows), self.vecs.shape
         k = self.half_width
-        table = _noise_tables(self.model, self.window, self.cfg.seed, rows, self.pad)
+        table = white_tables(len(self.model.channels), grid, self.window,
+                             [[self.cfg.seed, r] for r in rows], self.pad)
         psi = np.broadcast_to(self.psi0, (nb, nd)).copy()
         sel = slice(rows.start, rows.stop)
         cp_pos = {int(node): c for c, node in enumerate(stats.checkpoint_nodes)}
@@ -603,7 +584,7 @@ def mean_series(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, stderr
 
 
-def _variances(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def variances(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sample variance of each column of the (R, n) values across its R >= 2
     rows, and the variance's asymptotic standard error
     sqrt((m4 - var^2 (R - 3) / (R - 1)) / R), m4 the fourth central moment.
@@ -628,32 +609,6 @@ def _variances(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return var, se
 
 
-def variance_diagnostics(stats: EnsembleStats, label: str) -> dict:
-    """Collapse diagnostics for one recorded observable.
-
-    Returns the endpoint difference of the ensemble variance of <O> (the
-    'adjusted' convention that freezes the <O^2> fluctuation term, next to
-    the raw difference that keeps it), and the per-time derivative
-    estimator: the commutator series c12 (pointwise <= 0 by construction).
-    """
-    rec = stats.observables[label]
-    exp = rec["transformed"]
-    (var0, var1), (se0, se1) = _variances(exp[:, [0, -1]])
-    mean_sq = rec["square"].mean(axis=0)
-    raw0 = float(mean_sq[0] - np.mean(exp[:, 0] ** 2))
-    raw1 = float(mean_sq[-1] - np.mean(exp[:, -1] ** 2))
-    report = {
-        "label": label,
-        "variance_start": (var0, se0),
-        "variance_end": (var1, se1),
-        "adjusted_difference": (var1 - var0, float(np.hypot(se0, se1))),
-        "raw_difference": raw1 - raw0,
-    }
-    mean, stderr = mean_series(rec["c12"])
-    report["c12_series"] = (-mean, stderr)
-    return report
-
-
 def split_branches(observable: np.ndarray, psi0: np.ndarray,
                    spacing: float) -> tuple[np.ndarray, np.ndarray]:
     """Decompose a state into its two components along eigenspaces of the
@@ -675,13 +630,13 @@ def split_branches(observable: np.ndarray, psi0: np.ndarray,
     return comps[0], comps[1]
 
 
-def scenario_collapse(psi0, cfg: EnsembleConfig, model: ModelSetup) -> dict:
+def scenario_collapse(psi0, cfg: EnsembleConfig, model: ModelSetup) -> EnsembleStats:
     """Run the switched-window collapse scenario end to end.
 
     The config must name exactly one observable; its eigenspaces define the
-    two branches. Reports the branch-weight statistics (martingale mean,
-    across-realization variance growth, endpoint histogram) next to the
-    variance diagnostics of the observable.
+    two branches. Returns the run's stats, whose branch weights hold each
+    realization's weight on the two branches and whose observable record
+    holds the observable's series, its square and the commutator c12.
     """
     if len(cfg.observables) != 1:
         raise ConfigError("the collapse scenario needs exactly one observable")
@@ -694,27 +649,9 @@ def scenario_collapse(psi0, cfg: EnsembleConfig, model: ModelSetup) -> dict:
     window = cfg.window(model.grid)
     if not window.vanishes_near_ends(model.grid, margin=model.ell_min):
         raise ScenarioViolation("window must be off near both grid ends")
-    label, op = cfg.observables[0]
-    phi1, phi2 = split_branches(op, psi0, model.spacing)
-    run_cfg = replace(cfg, branch_states=(phi1, phi2))
-    stats = run_ensemble(psi0, run_cfg, model)
-    weights = stats.branch_weights[:, :, 0]
-    mean_w, se_w = mean_series(weights)
-    # the axis-0 reduction, not _variances' per-column one, keeps the
-    # shipped variance bytes
-    var_series = weights.var(axis=0, ddof=1)
-    var_se = _variances(weights)[1]
-    hist, edges = np.histogram(weights[:, -1], bins=20, range=(0.0, 1.0))
-    mean_obs, se_obs = mean_series(stats.observables[label]["transformed"])
-    report = {
-        "stats": stats,
-        "branch_mean": (mean_w, se_w),
-        "branch_variance": (var_series, var_se),
-        "final_histogram": (hist, edges),
-        "observable_mean": (mean_obs, se_obs),
-        "diagnostics": variance_diagnostics(stats, label),
-    }
-    return report
+    _, op = cfg.observables[0]
+    branches = split_branches(op, psi0, model.spacing)
+    return run_ensemble(psi0, replace(cfg, branch_states=branches), model)
 
 
 def mc_mean_drift(model: ModelSetup, realizations: int, seed: int,
@@ -753,7 +690,8 @@ def mc_mean_drift(model: ModelSetup, realizations: int, seed: int,
     partials = _Partials(len(blocks), (d, d))
 
     def task(i):
-        pads = _noise_tables(model, Window.flat(), seed, blocks[i], pad)
+        pads = white_tables(len(model.channels), grid, Window.flat(),
+                            [[seed, r] for r in blocks[i]], pad)
         nb = pads.shape[2]
         w_node = pads[:, node_idx[node]].reshape(-1, nb).T @ wflat
         integral = (tmap @ pads).reshape(-1, nb).T @ wflat

@@ -108,7 +108,6 @@ class EvolutionRecord:
     props: np.ndarray  # padded: index j + reach
     _kernel: np.ndarray = field(repr=False)  # (A, 2 reach + 1) kernel rows
     _field_pad: np.ndarray = field(repr=False)
-    _right_free: np.ndarray = field(repr=False)  # e^{-i m dt h0}, m = 1..reach
     _quadrant: tuple | None = field(default=None, repr=False)
 
     def trajectory(self, psi0: np.ndarray) -> np.ndarray:
@@ -390,7 +389,7 @@ def solve_nonlocal(grid: TimeGrid, channels: list[InteractionChannel],
     return EvolutionRecord(
         grid=grid, channels=tuple(channels), h0=h0,
         spacing=spacing, reach=reach, residuals=residuals, props=x,
-        _kernel=kern, _field_pad=field_pad, _right_free=right_pad,
+        _kernel=kern, _field_pad=field_pad,
     )
 
 
@@ -477,28 +476,23 @@ def conserved_inner(record: EvolutionRecord, i: int, phi: np.ndarray,
 
 
 def conserved_inner_layer_sum(record: EvolutionRecord, i: int,
-                              phi_traj: np.ndarray, psi_traj: np.ndarray) -> complex:
-    """Same product assembled directly from the two trajectories:
+                              phi0: np.ndarray, psi0: np.ndarray) -> complex:
+    """Same product assembled directly from the trajectories of the initial
+    states phi0 and psi0:
 
     equal-time L2 term plus i times the past-future strip double sums of
-    (phi(tau), V(tau, tau') psi(tau')). Trajectories must cover the interior
-    nodes; the strip reach past the grid ends uses the free continuation.
+    (phi(tau), V(tau, tau') psi(tau')). The strip reads the record's padded
+    maps, so past the grid ends it uses their free continuation.
     """
     reach = record.reach
-    n = record.grid.n_nodes
-
-    # the left pad of the maps is the free evolution back from node 0
-    def padded(traj: np.ndarray) -> np.ndarray:
-        return np.concatenate([record.props[:reach] @ traj[0], traj[:n],
-                               record._right_free @ traj[n - 1]])
-
-    phi, psi = padded(phi_traj), padded(psi_traj)
-    past, future = slice(i, i + reach + 1), slice(i + reach, i + 2 * reach + 1)
+    _, window = _node_maps(record, i)
+    phi, psi = (np.einsum("jab,b->ja", window, s0) for s0 in (phi0, psi0))
+    past, future = slice(0, reach + 1), slice(reach, 2 * reach + 1)
     c = _quadrant_coeffs(record, i)
     ops_row = _side_by_side(record.channels)
     past_future = np.vdot(phi[past], _channel_sum(ops_row, c, psi[future]))
     future_past = np.vdot(phi[future], _channel_sum(ops_row, c.transpose(0, 2, 1), psi[past]))
-    total = np.vdot(phi[i + reach], psi[i + reach]) + 1j * (past_future - future_past)
+    total = np.vdot(phi[reach], psi[reach]) + 1j * (past_future - future_past)
     return complex(record.spacing * total)
 
 

@@ -33,6 +33,7 @@ from .ensemble import (
     mean_series,
     run_ensemble,
     scenario_collapse,
+    variances,
 )
 from .errors import ConfigError
 from .evolution import (
@@ -266,11 +267,11 @@ def _run_conservation(cfg: ExperimentConfig) -> tuple[list[Check], dict, dict]:
     s_mid = surface_correction(rec, i_mid)
     diffs = np.empty(100)
     for p in range(diffs.size):
-        phi_traj = rec.trajectory(_random_state(rng, h0.shape[0], spacing))
-        psi_traj = rec.trajectory(_random_state(rng, h0.shape[0], spacing))
-        equal_time = conserved_inner(rec, i_mid, phi_traj[i_mid],
-                                     psi_traj[i_mid], surface=s_mid)
-        layer_sum = conserved_inner_layer_sum(rec, i_mid, phi_traj, psi_traj)
+        phi_start = _random_state(rng, h0.shape[0], spacing)
+        psi_start = _random_state(rng, h0.shape[0], spacing)
+        equal_time = conserved_inner(rec, i_mid, rec.trajectory(phi_start)[i_mid],
+                                     rec.trajectory(psi_start)[i_mid], surface=s_mid)
+        layer_sum = conserved_inner_layer_sum(rec, i_mid, phi_start, psi_start)
         diffs[p] = abs(equal_time - layer_sum)
     files["conservation_dual.csv"] = (["pair", "difference"],
                                       [np.arange(diffs.size), diffs])
@@ -724,28 +725,41 @@ def _run_collapse(cfg: ExperimentConfig) -> tuple[list[Check], dict, dict]:
 
     # the observable's series and the branch weights are all it reads
     ecfg = _ensemble_config(cfg, set())
-    report = scenario_collapse(psi0, ecfg, model)
-    label = ecfg.observables[0][0]
-    stats = report["stats"]
+    stats = scenario_collapse(psi0, ecfg, model)
+    rec = stats.observables[ecfg.observables[0][0]]
     cps = stats.checkpoint_nodes
 
-    series = stats.observables[label]["transformed"]
+    series = rec["transformed"]
+    obs_mean, obs_se = mean_series(series)
     paired = series[:, cps] - series[:, [0]]
     pair_mean, pair_se = mean_series(paired)
     mean_steady = float(np.max(np.abs(pair_mean[1:]) - 3.0 * pair_se[1:]))
+    # the observable's variance across realizations at both ends: the
+    # 'adjusted' difference freezes the <O^2> fluctuation term, the raw one
+    # keeps it
+    (var0, var1), (se0, se1) = variances(series[:, [0, -1]])
+    mean_sq = rec["square"].mean(axis=0)
+    raw0 = float(mean_sq[0] - np.mean(series[:, 0] ** 2))
+    raw1 = float(mean_sq[-1] - np.mean(series[:, -1] ** 2))
 
-    c12_mean, c12_se = report["diagnostics"]["c12_series"]
+    # the record holds |<[W, O]>|^2, so the commutator estimator c12 is its
+    # negative, pointwise <= 0 by construction
+    c12_sq, c12_se = mean_series(rec["c12"])
+    c12_mean = -c12_sq
     mid = grid.n_nodes // 2
-    var_series, var_se = report["branch_variance"]
+
+    weights = stats.branch_weights[:, :, 0]
+    w_mean, w_se = mean_series(weights)
+    # the axis-0 reduction, not variances' per-column one, keeps the
+    # shipped variance bytes
+    var_series, var_se = weights.var(axis=0, ddof=1), variances(weights)[1]
+    hist, edges = np.histogram(weights[:, -1], bins=20, range=(0.0, 1.0))
     v_cp, v_se_cp = var_series[cps], var_se[cps]
     increments = np.diff(v_cp)
     slack = 3.0 * (v_se_cp[1:] + v_se_cp[:-1])
     growth = float(v_cp[-1] - v_cp[0])
     growth_se = float(np.hypot(v_se_cp[0], v_se_cp[-1]))
-    w_mean, w_se = report["branch_mean"]
 
-    obs_mean, obs_se = report["observable_mean"]
-    hist, edges = report["final_histogram"]
     files = {
         "observable.csv": (
             ["t", "O_mean", "O_stderr", "c12_mean", "c12_stderr"],
@@ -772,8 +786,8 @@ def _run_collapse(cfg: ExperimentConfig) -> tuple[list[Check], dict, dict]:
     ]
     extras = {
         "variance_endpoints": (float(v_cp[0]), float(v_cp[-1])),
-        "adjusted_difference": report["diagnostics"]["adjusted_difference"],
-        "raw_difference": report["diagnostics"]["raw_difference"],
+        "adjusted_difference": (var1 - var0, float(np.hypot(se0, se1))),
+        "raw_difference": raw1 - raw0,
     }
     return checks, extras, files
 

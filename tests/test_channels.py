@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from collapselab.channels import (
-    Covariance,
     InteractionChannel,
     KernelProfile,
     build_channel_operators,
@@ -202,16 +201,17 @@ def field_weights(rotated, channels):
     return weights.real.T
 
 
-def test_covariance_validation():
+def test_covariance_validation(lat4):
+    chans = _three_site_channels(lat4)[:2]
     with pytest.raises(DimensionMismatch):
-        Covariance(np.zeros((2, 3)))
+        diagonalize_covariance(np.zeros((2, 3)), chans)
     with pytest.raises(ConfigError):
-        Covariance(np.array([[1.0, 0.2], [0.4, 1.0]]))
+        diagonalize_covariance(np.array([[1.0, 0.2], [0.4, 1.0]]), chans)
 
 
 def test_identity_covariance_keeps_channels(lat4):
     chans = _three_site_channels(lat4)
-    out = diagonalize_covariance(Covariance(np.eye(3)), chans)
+    out = diagonalize_covariance(np.eye(3), chans)
     assert len(out) == 3
     for before, after in zip(chans, out):
         assert np.abs(after.amplitude * after.spatial_op
@@ -221,7 +221,7 @@ def test_identity_covariance_keeps_channels(lat4):
 def test_rank_one_covariance_collapses_to_one_field(lat4):
     u = np.array([1.0, 2.0, 2.0])
     chans = _three_site_channels(lat4)
-    out = diagonalize_covariance(Covariance(np.outer(u, u)), chans)
+    out = diagonalize_covariance(np.outer(u, u), chans)
     assert len(out) == 1
     # site projectors are orthogonal, so the combined norm is max|u_a|
     assert abs(out[0].amplitude - 2.0) < 1e-12
@@ -248,7 +248,7 @@ def psd_covariances(draw):
 def test_covariance_rotation_preserves_second_moments(c):
     lat = LatticeConfig(sites=4, spacing=1.0, mass=1.0)
     chans = _three_site_channels(lat)[: c.shape[0]]
-    out = diagonalize_covariance(Covariance(c), chans)
+    out = diagonalize_covariance(c, chans)
     recon = sum((np.outer(w, w) for w in field_weights(out, chans)),
                 np.zeros_like(c))
     assert np.abs(recon - c).max() <= 1e-10 * max(1.0, np.abs(c).max())
@@ -257,16 +257,15 @@ def test_covariance_rotation_preserves_second_moments(c):
 def test_covariance_rejects_negative_eigenvalue(lat4):
     chans = _three_site_channels(lat4)[:2]
     with pytest.raises(NotPSD):
-        diagonalize_covariance(Covariance(np.array([[1.0, 0.0], [0.0, -0.1]])),
-                               chans)
+        diagonalize_covariance(np.array([[1.0, 0.0], [0.0, -0.1]]), chans)
     with pytest.raises(DimensionMismatch):
-        diagonalize_covariance(Covariance(np.eye(3)), chans)
+        diagonalize_covariance(np.eye(3), chans)
 
 
 def test_rotated_fields_reproduce_covariance_by_sampling(lat4, grid16):
     c = np.array([[1.0, 0.5], [0.5, 1.0]])
     chans = _three_site_channels(lat4)[:2]
-    rot = diagonalize_covariance(Covariance(c), chans)
+    rot = diagonalize_covariance(c, chans)
     mix = field_weights(rot, chans)  # (fields, channels)
     acc = []
     for seed in range(5):

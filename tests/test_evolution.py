@@ -520,10 +520,11 @@ def test_conserved_inner_dual_formula(lat4, h0_4, grid16):
     rec = _solved(lat4, h0_4, grid16, 0.04)
     psit = rec.trajectory(psi0)
     for seed in (2, 3, 4):
-        phit = rec.trajectory(random_state(lat4.dim, lat4.spacing, seed))
+        phi0 = random_state(lat4.dim, lat4.spacing, seed)
+        phit = rec.trajectory(phi0)
         for i in (0, grid16.n_nodes // 2, grid16.n_nodes - 1):
             a = conserved_inner(rec, i, phit[i], psit[i])
-            b = conserved_inner_layer_sum(rec, i, phit, psit)
+            b = conserved_inner_layer_sum(rec, i, phi0, psi0)
             assert abs(a - b) < 1e-12
 
 
@@ -831,11 +832,12 @@ def test_fused_contractions_match_per_channel_oracles(sites, n_channels, seed,
         # the layer sum continues the trajectories freely past both ends;
         # three state pairs drawn from the example's seed
         for k in range(3):
-            phit = rec.trajectory(random_state(d, lat.spacing, [seed, k, 0]))
-            psit = rec.trajectory(random_state(d, lat.spacing, [seed, k, 1]))
+            phi_k = random_state(d, lat.spacing, [seed, k, 0])
+            psi_k = random_state(d, lat.spacing, [seed, k, 1])
+            phit, psit = rec.trajectory(phi_k), rec.trajectory(psi_k)
             for i in (0, grid.n_nodes // 2, grid.n_nodes - 1):
                 assert abs(conserved_inner(rec, i, phit[i], psit[i])
-                           - conserved_inner_layer_sum(rec, i, phit, psit)) < 1e-12
+                           - conserved_inner_layer_sum(rec, i, phi_k, psi_k)) < 1e-12
 
 
 @pytest.mark.parametrize("block", [evolution._BLOCK, 4])
@@ -868,12 +870,13 @@ def test_node_objects_read_the_table_the_solve_kept(lat4, h0_4, grid16):
     ch = two_channels(lat4, 0.04)
     table = probe(ch, grid16)
     rec = solve_nonlocal(grid16, ch, table, h0_4, lat4.spacing)
-    traj = rec.trajectory(random_state(lat4.dim, lat4.spacing, 1))
+    psi0 = random_state(lat4.dim, lat4.spacing, 1)
+    traj = rec.trajectory(psi0)
 
     def node_objects():
         return [(surface_correction(rec, i), equal_time_hamiltonian(rec, i),
                  conserved_inner(rec, i, traj[i], traj[i]),
-                 conserved_inner_layer_sum(rec, i, traj, traj))
+                 conserved_inner_layer_sum(rec, i, psi0, psi0))
                 for i in range(grid16.n_nodes)]
 
     before = node_objects()
